@@ -31,6 +31,7 @@ from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...nn.lstm import _Recurrence
 from ...nn.tensor import is_grad_enabled
 from ...runtime.errors import GraphContractError
 from .spec import Dim, INTENTIONAL_ORIGINS, render_dims
@@ -40,6 +41,7 @@ __all__ = [
     "SymbolicTensor",
     "broadcast_dims",
     "sym_concat",
+    "sym_lstm_sequence",
     "sym_stack",
     "sym_where",
 ]
@@ -53,6 +55,7 @@ DIFFERENTIABLE_OPS = frozenset(
         "exp", "log", "tanh", "sigmoid", "relu", "leaky_relu", "softplus",
         "abs", "clip", "sum", "mean", "var",
         "reshape", "transpose", "getitem", "concat", "stack", "where",
+        "lstm_sequence",
     }
 )
 
@@ -560,3 +563,32 @@ def sym_where(session, condition: Any, a: Any, b: Any) -> SymbolicTensor:
     dims = broadcast_dims(dims, cond.dims, "where", session)
     shadow = np.where(cond.shadow, a.shadow, b.shadow)
     return _result(session, "where", dims, shadow, (a, b))
+
+
+def sym_lstm_sequence(session, x: Any, *params: Any, noise: Any) -> Tuple:
+    """Symbolic ``lstm_sequence``: ``(hs [B, T, H], (h [B, H], c [B, H]))``."""
+    op = "lstm_sequence"
+    x, weight_ih, weight_hh, bias, h0, c0 = parts = [session.coerce(v) for v in (x, *params)]
+    if x.ndim != 3 or weight_hh.ndim != 2:
+        _fail(session, op, "input must be [B, T, I] and weight_hh [4H, H]",
+              expected="[B, T, I]", actual=render_dims(x.dims))
+    batch, steps, n_in = x.dims
+    hidden = int(weight_hh.dims[1])
+    expected = {
+        "weight_ih": (weight_ih, (4 * hidden, int(n_in))),
+        "weight_hh": (weight_hh, (4 * hidden, hidden)),
+        "bias": (bias, (4 * hidden,)),
+        "h0": (h0, (int(batch), hidden)),
+        "c0": (c0, (int(batch), hidden)),
+    }
+    for label, (value, shape) in expected.items():
+        if tuple(int(d) for d in value.dims) != shape:
+            _fail(session, op, f"{label} does not fit input {render_dims(x.dims)}",
+                  expected=str(shape), actual=render_dims(value.dims))
+    h_dim = h0.dims[1] if h0.dims[1].name else Dim(hidden, name=session.env.lookup(hidden))
+    batch = _merge_equal(batch, h0.dims[0])
+    run = _Recurrence(*(p.shadow for p in parts), noise)
+    hs = _result(session, op, (batch, steps, h_dim), run.hs.transpose(1, 0, 2), parts)
+    h = _result(session, op, (batch, h_dim), run.hs[-1], parts)
+    c = _result(session, op, (batch, h_dim), run.c_last, parts)
+    return hs, (h, c)

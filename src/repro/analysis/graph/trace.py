@@ -6,8 +6,8 @@ verification run:
 * a *tensor hook* in :mod:`repro.nn.tensor` — ``Tensor(...)`` construction
   inside traced code lifts the data into a :class:`SymbolicTensor`, real
   tensor ops report their outputs for parameter-lineage bookkeeping, and the
-  ``concat``/``stack``/``where`` free functions dispatch to their symbolic
-  counterparts when any operand is symbolic;
+  ``concat``/``stack``/``where``/``lstm_sequence`` free functions dispatch
+  to their symbolic counterparts when any operand is symbolic;
 * a *call hook* in :mod:`repro.nn.module` — every ``module(...)`` call is
   routed through :meth:`TraceSession.call_module`, which records the dotted
   module path (for violation messages) and checks the module's
@@ -30,7 +30,7 @@ from ...nn.module import Module
 from ...nn.tensor import Tensor, is_grad_enabled
 from ...runtime.errors import GraphContractError
 from .spec import ANY, Contract, Dim, DimEnv, Spec, render_dims
-from .symbolic import SymbolicTensor, sym_concat, sym_stack, sym_where
+from .symbolic import SymbolicTensor, sym_concat, sym_lstm_sequence, sym_stack, sym_where
 
 __all__ = ["TraceSession"]
 
@@ -156,6 +156,11 @@ class TraceSession:
         if not any(isinstance(v, SymbolicTensor) for v in (condition, a, b)):
             return None
         return sym_where(self, condition, a, b)
+
+    def lstm_sequence(self, *operands: Any, noise: Any):
+        if not any(isinstance(v, SymbolicTensor) for v in operands):
+            return None
+        return sym_lstm_sequence(self, *operands, noise=noise)
 
     # ------------------------------------------------------------------
     # Module-call hook (installed into repro.nn.module)

@@ -132,7 +132,8 @@ def recent_values_matrix(series: np.ndarray, ar_window: int, initial: Optional[n
     if initial.shape != (b, ar_window, n_ch):
         raise ValueError("initial must be [B, m, N_ch]")
     padded = np.concatenate([initial, series], axis=1)
-    out = np.empty((b, length, ar_window * n_ch))
-    for t in range(length):
-        out[:, t] = padded[:, t : t + ar_window].reshape(b, ar_window * n_ch)
-    return out
+    # windows[:, t] is padded[:, t : t + m] with the window axis last.
+    windows = np.lib.stride_tricks.sliding_window_view(padded, ar_window, axis=1)[:, :length]
+    out = np.empty((b, length, ar_window, n_ch))
+    out[...] = windows.transpose(0, 1, 3, 2)
+    return out.reshape(b, length, ar_window * n_ch)

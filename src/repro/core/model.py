@@ -4,10 +4,12 @@ This is the public face of the reproduction: an operator-style workflow of
 
 >>> model = GenDT(region, kpis=["rsrp", "rsrq"], config=small_config(), seed=0)
 >>> model.fit(train_records)
->>> series = model.generate(new_trajectory, seed=1)   # [T, n_kpis], real units
+>>> series = model.generate(new_trajectory)   # [T, n_kpis], real units
 
 mirroring paper Figure 5 (input: trajectory; the model annotates it with
 network + environment context internally; output: multi-KPI time series).
+``generate`` takes no seed: its draws come from the model's own generator,
+seeded by ``seed`` at construction, so each call continues that stream.
 """
 
 from __future__ import annotations

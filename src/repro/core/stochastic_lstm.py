@@ -16,33 +16,14 @@ variability.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .. import nn
 from ..analysis.graph.spec import Spec, contract
-from ..nn.tensor import Tensor, stack
-
-
-def _inject_noise(state: Tensor, intensity: float, rng: np.random.Generator) -> Tensor:
-    """Apply the paper's adaptive uniform noise + sum-preserving renorm.
-
-    The noise is U[0, h_hat] where h_hat is the *average value* of the
-    hidden state across dimensions (paper §4.3.4) — signed, so a network
-    whose hidden activations balance around zero receives little noise,
-    and training can modulate the injected stochasticity.
-    """
-    values = state.data
-    mean_value = values.mean(axis=-1, keepdims=True)
-    noise = rng.uniform(0.0, 1.0, size=values.shape) * mean_value
-    noisy = state + Tensor(intensity * noise)
-    # Renormalize so the per-row total is unchanged (paper §A.2).
-    row_sum = state.sum(axis=-1, keepdims=True)
-    noisy_sum = noisy.sum(axis=-1, keepdims=True)
-    denom_safe = np.where(np.abs(noisy_sum.data) < 1e-6, 1.0, noisy_sum.data)
-    scale = row_sum / Tensor(denom_safe)
-    return noisy * scale
+from ..nn.lstm import SRNNNoise, lstm_sequence
+from ..nn.tensor import Tensor
 
 
 @contract(
@@ -53,8 +34,11 @@ def _inject_noise(state: Tensor, intensity: float, rng: np.random.Generator) -> 
 class StochasticLSTM(nn.Module):
     """LSTM whose recurrent state is perturbed per step (GenDT SRNN layers).
 
-    When ``stochastic`` is False (or the intensity is zero) this reduces to
-    a plain LSTM — that is exactly the "No SRNN" ablation of paper Table 12.
+    The whole sequence is one :func:`repro.nn.lstm_sequence` call; the
+    noise is drawn inside it from this layer's ``rng`` (see
+    :class:`repro.nn.lstm.SRNNNoise` for the draw order).  When
+    ``stochastic`` is False (or the intensity is zero) this reduces to a
+    plain LSTM — that is exactly the "No SRNN" ablation of paper Table 12.
     """
 
     def __init__(
@@ -86,16 +70,7 @@ class StochasticLSTM(nn.Module):
         for deterministic evaluation).
         """
         use_noise = self.stochastic if stochastic is None else stochastic
-        batch = x.shape[0]
-        if state is None:
-            h, c = self.cell.zero_state(batch)
-        else:
-            h, c = state
-        outputs: List[Tensor] = []
-        for t in range(x.shape[1]):
-            if use_noise:
-                h = _inject_noise(h, self.intensity_h, self.rng)
-                c = _inject_noise(c, self.intensity_c, self.rng)
-            h, c = self.cell(x[:, t, :], (h, c))
-            outputs.append(h)
-        return stack(outputs, axis=1), (h, c)
+        h, c = self.cell.zero_state(x.shape[0]) if state is None else state
+        noise = SRNNNoise(self.rng, self.intensity_h, self.intensity_c) if use_noise else None
+        cell = self.cell
+        return lstm_sequence(x, cell.weight_ih, cell.weight_hh, cell.bias, h, c, noise=noise)

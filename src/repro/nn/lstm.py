@@ -1,21 +1,230 @@
-"""LSTM cells and sequence modules.
+"""LSTM cells and sequence modules, built on one fused recurrent op.
 
-Provides the plain :class:`LSTMCell`/:class:`LSTM` used by the discriminator
-and the LSTM-GNN baseline; GenDT's stochastic variant (SRNN layers, paper
-§4.3.4 and §A.2) lives in :mod:`repro.core.stochastic_lstm` and builds on
-:class:`LSTMCell`.
+:func:`lstm_sequence` runs a whole LSTM recurrence as a single autodiff
+node: a numpy forward loop that keeps each step's gates, and a hand-written
+backward pass through time (BPTT).  It is the only LSTM code path:
+:class:`LSTMCell` is its one-step case, :class:`LSTM` (the discriminator,
+the LSTM-GNN and DoppelGANger baselines) calls it once per layer, and
+GenDT's stochastic variant (SRNN layers, paper §4.3.4 and §A.2, in
+:mod:`repro.core.stochastic_lstm`) calls it with :class:`SRNNNoise`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..analysis.graph.spec import ANY, Spec, contract
 from . import init
+from . import tensor as _tensor
 from .module import Module, Parameter
-from .tensor import Tensor, concat, stack
+from .tensor import Tensor
+
+
+class SRNNNoise(NamedTuple):
+    """SRNN state noise for :func:`lstm_sequence` (paper §4.3.4 and §A.2).
+
+    Before every step, uniform noise is added to the hidden state and the
+    memory, and each is renormalized so its per-row sum is unchanged::
+
+        s' = (s + a * u * mean(s)) * sum(s) / sum(s + a * u * mean(s))
+
+    with ``u ~ U[0, 1)`` per element and intensity ``a`` (``intensity_h``
+    for ``h``, ``intensity_c`` for ``c``).  The amplitude ``mean(s)`` is
+    signed, so a network whose hidden activations balance around zero
+    receives little noise, and training can modulate the injected
+    stochasticity.  The noise amplitude and the denominator are constants
+    to the gradient.
+    """
+
+    rng: np.random.Generator
+    intensity_h: float
+    intensity_c: float
+
+
+def _sigmoid_(z: np.ndarray) -> np.ndarray:
+    """In-place logistic sigmoid, clipped like ``Tensor.sigmoid``."""
+    np.clip(z, -60.0, 60.0, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
+
+
+def _renormalize(state: np.ndarray, uniform: np.ndarray, intensity: float, out: np.ndarray):
+    """One SRNN perturbation of ``state`` into ``out``; returns what its gradient needs."""
+    row_sum = state.sum(axis=-1, keepdims=True)
+    noisy = uniform * (row_sum / state.shape[-1])  # the same bits as ``mean``
+    noisy *= intensity
+    noisy += state
+    noisy_sum = noisy.sum(axis=-1, keepdims=True)
+    denom = np.where(np.abs(noisy_sum) < 1e-6, 1.0, noisy_sum)
+    scale = row_sum / denom
+    np.multiply(noisy, scale, out=out)
+    return noisy, scale, denom
+
+
+def _unrenormalize(grad: np.ndarray, noisy: np.ndarray, scale: np.ndarray, denom: np.ndarray):
+    """Gradient of :func:`_renormalize` w.r.t. its input state."""
+    return grad * scale + (grad * noisy).sum(axis=-1, keepdims=True) / denom
+
+
+class _Recurrence:
+    """One :func:`lstm_sequence` forward, keeping what BPTT needs.
+
+    Arrays are time-major (``[T, B, ...]``); gates use the layout
+    ``[input, forget, cell, output]`` along the last axis.
+    """
+
+    def __init__(self, x, weight_ih, weight_hh, bias, h0, c0, noise: Optional[SRNNNoise]):
+        batch, steps, n_in = x.shape
+        hidden = weight_hh.shape[1]
+        self.noise = noise
+        self.weight_ih = weight_ih
+        self.weight_hh = weight_hh
+        self.x = np.ascontiguousarray(x.transpose(1, 0, 2))
+        # The input projection is one matmul for all steps; the recurrent
+        # weight is transposed into a contiguous array once per call (a
+        # transposed view makes every step's matmul about 2.5x slower).
+        gates = self.x.reshape(steps * batch, n_in) @ weight_ih.T
+        gates = gates.reshape(steps, batch, 4 * hidden)
+        gates += bias
+        w_hh_t = np.ascontiguousarray(weight_hh.T)
+        self.h_in = np.empty((steps, batch, hidden))
+        self.c_in = np.empty((steps, batch, hidden))
+        self.tanh_c = np.empty((steps, batch, hidden))
+        self.hs = np.empty((steps, batch, hidden))
+        if noise is not None:
+            # Drawn up front; one call yields the same stream as a draw of
+            # [B, H] for h and then for c at every step.
+            uniform = noise.rng.uniform(0.0, 1.0, size=(steps, 2, batch, hidden))
+            self.renorm_h: List[tuple] = []
+            self.renorm_c: List[tuple] = []
+        h, c = h0, c0
+        for t in range(steps):
+            if noise is None:
+                self.h_in[t] = h
+                self.c_in[t] = c
+            else:
+                h_saved = _renormalize(h, uniform[t, 0], noise.intensity_h, self.h_in[t])
+                c_saved = _renormalize(c, uniform[t, 1], noise.intensity_c, self.c_in[t])
+                self.renorm_h.append(h_saved)
+                self.renorm_c.append(c_saved)
+            h, c = self.h_in[t], self.c_in[t]
+            z = gates[t]
+            z += h @ w_hh_t
+            cell_gate = np.tanh(z[:, 2 * hidden : 3 * hidden])
+            _sigmoid_(z)
+            z[:, 2 * hidden : 3 * hidden] = cell_gate
+            c = z[:, hidden : 2 * hidden] * c
+            c += z[:, :hidden] * cell_gate
+            np.tanh(c, out=self.tanh_c[t])
+            h = np.multiply(z[:, 3 * hidden :], self.tanh_c[t], out=self.hs[t])
+        self.gates = gates  # activations now, no longer pre-activations
+        self.c_last = c
+
+    def backward(self, d_hs, d_h, d_c, needs):
+        """Gradients of ``(x, weight_ih, weight_hh, bias, h0, c0)``.
+
+        ``d_hs`` is the gradient of the ``[B, T, H]`` output and ``d_h``,
+        ``d_c`` those of the final state (any may be None).  ``needs`` flags
+        the inputs whose gradient is wanted; the others come back as None.
+        """
+        steps, batch, hidden = self.hs.shape
+        i, f, g, o = (self.gates[..., k * hidden : (k + 1) * hidden] for k in range(4))
+        # Per-step factors that do not depend on the incoming gradient,
+        # computed for all steps at once: d gates = d_c * k[i, f, g] and
+        # d_h * k[o]; d_c picks up d_h * k_c.
+        k_gates = np.empty((steps, batch, 4, hidden))
+        np.multiply(g, i * (1.0 - i), out=k_gates[:, :, 0])
+        np.multiply(self.c_in, f * (1.0 - f), out=k_gates[:, :, 1])
+        np.multiply(i, 1.0 - g * g, out=k_gates[:, :, 2])
+        np.multiply(self.tanh_c, o * (1.0 - o), out=k_gates[:, :, 3])
+        k_c = o * (1.0 - self.tanh_c * self.tanh_c)
+        d_out = None if d_hs is None else d_hs.transpose(1, 0, 2)
+        d_h = np.zeros((batch, hidden)) if d_h is None else d_h
+        d_c = np.zeros((batch, hidden)) if d_c is None else d_c
+        d_gates = np.empty((steps, batch, 4, hidden))
+        for t in range(steps - 1, -1, -1):
+            if d_out is not None:
+                d_h = d_h + d_out[t]
+            d_c = d_c + d_h * k_c[t]
+            np.multiply(d_c[:, None, :], k_gates[t, :, :3], out=d_gates[t, :, :3])
+            np.multiply(d_h, k_gates[t, :, 3], out=d_gates[t, :, 3])
+            d_c *= f[t]
+            d_h = d_gates[t].reshape(batch, 4 * hidden) @ self.weight_hh
+            if self.noise is not None:
+                d_h = _unrenormalize(d_h, *self.renorm_h[t])
+                d_c = _unrenormalize(d_c, *self.renorm_c[t])
+        flat = d_gates.reshape(steps * batch, 4 * hidden)
+        d_x = d_w_ih = d_w_hh = d_bias = None
+        if needs[0]:
+            d_x = (flat @ self.weight_ih).reshape(steps, batch, -1).transpose(1, 0, 2)
+        if needs[1]:
+            d_w_ih = flat.T @ self.x.reshape(steps * batch, -1)
+        if needs[2]:
+            d_w_hh = flat.T @ self.h_in.reshape(steps * batch, hidden)
+        if needs[3]:
+            d_bias = flat.sum(axis=0)
+        return d_x, d_w_ih, d_w_hh, d_bias, d_h, d_c
+
+
+def lstm_sequence(
+    x,
+    weight_ih,
+    weight_hh,
+    bias,
+    h0,
+    c0,
+    noise: Optional[SRNNNoise] = None,
+) -> Tuple[Tensor, Tuple[Tensor, Tensor]]:
+    """Run an LSTM over a whole sequence as one differentiable op.
+
+    Args:
+        x: inputs ``[B, T, I]``.
+        weight_ih: ``[4H, I]``, weight_hh: ``[4H, H]``, bias: ``[4H]``, with
+            gates ``[input, forget, cell, output]`` along the first axis.
+        h0, c0: initial state, each ``[B, H]``.
+        noise: SRNN state noise, or None for a plain LSTM.  With noise, one
+            ``noise.rng.uniform(0, 1, size=(T, 2, B, H))`` call is made up
+            front: step ``t`` perturbs ``h`` with ``[t, 0]`` and then ``c``
+            with ``[t, 1]``, the same stream as one ``[B, H]`` draw for
+            ``h`` and then one for ``c`` before every step.
+
+    Returns:
+        ``(hs, (h, c))``: the hidden state at every step ``[B, T, H]`` and
+        the final state.  Gradients flow from all three to all six inputs.
+    """
+    hook = _tensor._symbolic_hook
+    if hook is not None:
+        symbolic = hook.lstm_sequence(x, weight_ih, weight_hh, bias, h0, c0, noise=noise)
+        if symbolic is not None:
+            return symbolic
+    inputs = tuple(Tensor._coerce(v) for v in (x, weight_ih, weight_hh, bias, h0, c0))
+    run = _Recurrence(*(v.data for v in inputs), noise)
+    final_grads = {}
+
+    def backward(grad: np.ndarray) -> None:
+        needs = [v.requires_grad for v in inputs]
+        grads = run.backward(grad, final_grads.pop("h", None), final_grads.pop("c", None), needs)
+        for tensor, need, value in zip(inputs, needs, grads):
+            if need:
+                tensor._accumulate(value)
+
+    hs = inputs[0]._make(np.ascontiguousarray(run.hs.transpose(1, 0, 2)), inputs, backward)
+
+    def final_backward(key: str):
+        def store(grad: np.ndarray) -> None:
+            final_grads[key] = grad
+            if hs.grad is None:  # make sure the sequence node still runs BPTT
+                hs.grad = np.zeros_like(hs.data)
+
+        return store
+
+    h = hs._make(run.hs[-1].copy(), (hs,), final_backward("h"))
+    c = hs._make(run.c_last, (hs,), final_backward("c"))
+    return hs, (h, c)
 
 
 @contract(
@@ -27,7 +236,7 @@ from .tensor import Tensor, concat, stack
     dims={"I": "input_size", "H": "hidden_size"},
 )
 class LSTMCell(Module):
-    """Single LSTM cell with fused gate weights.
+    """Single LSTM cell with fused gate weights: :func:`lstm_sequence` with T=1.
 
     Gate layout along the output dimension is ``[input, forget, cell, output]``.
     The forget-gate bias is initialized to 1, the standard trick to ease
@@ -53,14 +262,8 @@ class LSTMCell(Module):
     ) -> Tuple[Tensor, Tensor]:
         """Advance one step: ``x`` is ``[B, input_size]``; returns ``(h, c)``."""
         h_prev, c_prev = state
-        gates = x.matmul(self.weight_ih.T) + h_prev.matmul(self.weight_hh.T) + self.bias
-        hs = self.hidden_size
-        i = gates[:, 0 * hs : 1 * hs].sigmoid()
-        f = gates[:, 1 * hs : 2 * hs].sigmoid()
-        g = gates[:, 2 * hs : 3 * hs].tanh()
-        o = gates[:, 3 * hs : 4 * hs].sigmoid()
-        c = f * c_prev + i * g
-        h = o * c.tanh()
+        step = x.reshape(x.shape[0], 1, self.input_size)
+        _, (h, c) = lstm_sequence(step, self.weight_ih, self.weight_hh, self.bias, h_prev, c_prev)
         return h, c
 
     def zero_state(self, batch_size: int) -> Tuple[Tensor, Tensor]:
@@ -103,20 +306,13 @@ class LSTM(Module):
         x: Tensor,
         state: Optional[List[Tuple[Tensor, Tensor]]] = None,
     ) -> Tuple[Tensor, List[Tuple[Tensor, Tensor]]]:
-        batch, steps, _ = x.shape
         if state is None:
-            state = [cell.zero_state(batch) for cell in self._cells]
-        outputs: List[Tensor] = []
-        for t in range(steps):
-            inp = x[:, t, :]
-            new_state: List[Tuple[Tensor, Tensor]] = []
-            for layer, cell in enumerate(self._cells):
-                h, c = cell(inp, state[layer])
-                new_state.append((h, c))
-                inp = h
-            state = new_state
-            outputs.append(inp)
-        return stack(outputs, axis=1), state
+            state = [cell.zero_state(x.shape[0]) for cell in self._cells]
+        new_state: List[Tuple[Tensor, Tensor]] = []
+        for cell, (h, c) in zip(self._cells, state):
+            x, (h, c) = lstm_sequence(x, cell.weight_ih, cell.weight_hh, cell.bias, h, c)
+            new_state.append((h, c))
+        return x, new_state
 
 
 @contract(

@@ -50,8 +50,9 @@ def is_grad_enabled() -> bool:
 # Symbolic-trace hook (see repro.analysis.graph.trace).  While installed,
 # ``Tensor(...)`` construction lifts data into SymbolicTensors, every real
 # op reports its output for parameter-lineage tracking, and the
-# concat/stack/where free functions dispatch to their symbolic versions
-# when any operand is symbolic.  ``None`` outside a verification trace.
+# concat/stack/where free functions (and ``repro.nn.lstm.lstm_sequence``)
+# dispatch to their symbolic versions when any operand is symbolic.
+# ``None`` outside a verification trace.
 _symbolic_hook = None
 
 
@@ -76,6 +77,18 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is numpy basic indexing: ints, slices, ``...``, None."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(
+        item is None
+        or item is Ellipsis
+        or isinstance(item, slice)
+        or (isinstance(item, (int, np.integer)) and not isinstance(item, (bool, np.bool_)))
+        for item in items
+    )
 
 
 class Tensor:
@@ -439,7 +452,15 @@ class Tensor:
         out_data = self.data[index]
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
+            if not self.requires_grad:
+                return
+            if _is_basic_index(index):
+                # A basic index selects each position at most once, so a
+                # slice assignment into the gradient is exact.
+                if self.grad is None:
+                    self.grad = np.zeros_like(self.data)
+                self.grad[index] += grad
+            else:
                 full = np.zeros_like(self.data)
                 np.add.at(full, index, grad)
                 self._accumulate(full)

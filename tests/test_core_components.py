@@ -164,3 +164,18 @@ class TestRecentValuesMatrix:
     def test_bad_initial_shape(self):
         with pytest.raises(ValueError):
             recent_values_matrix(np.zeros((1, 3, 1)), 2, initial=np.zeros((1, 3, 1)))
+
+    @pytest.mark.parametrize("with_initial", [False, True])
+    @pytest.mark.parametrize("length, m", [(6, 2), (3, 3), (2, 4), (1, 1), (50, 3)])
+    def test_equals_per_step_loop(self, length, m, with_initial):
+        rng = np.random.default_rng(length * 10 + m)
+        series = rng.normal(size=(3, length, 2))
+        initial = rng.normal(size=(3, m, 2)) if with_initial else None
+        start = np.zeros((3, m, 2)) if initial is None else initial
+        padded = np.concatenate([start, series], axis=1)
+        expected = np.empty((3, length, m * 2))
+        for t in range(length):
+            expected[:, t] = padded[:, t : t + m].reshape(3, m * 2)
+        out = recent_values_matrix(series, m, initial=initial)
+        np.testing.assert_array_equal(out, expected)
+        assert out.flags.writeable and out.flags.c_contiguous

@@ -90,6 +90,19 @@ def test_detached_head_reports_severed_path_and_no_grad_output():
     assert severed.get("stem.bias") == "detach"
 
 
+def test_lstm_sequence_twin_checks_weight_shapes():
+    # A recurrent weight that no longer fits the input is caught by the
+    # symbolic lstm_sequence op, inside the module that called it.
+    lstm = SHIPPED["stochastic_lstm"].build(0)
+    lstm.cell.weight_ih = nn.Parameter(np.zeros((4 * 14, 8)))
+    with pytest.raises(GraphContractError) as excinfo:
+        verify(lstm, raise_on_error=True)
+    err = excinfo.value
+    assert err.op == "lstm_sequence"
+    assert err.module_path == "StochasticLSTM"
+    assert "weight_ih" in str(err)
+
+
 def test_raise_on_error_raises_graph_contract_error():
     module = DEFECTS["resgen_miswindowed"].build(0)
     with pytest.raises(GraphContractError) as excinfo:

@@ -1,9 +1,10 @@
 """Numerical gradient checks through recurrent structures.
 
 The elementwise ops are grad-checked in test_nn_tensor; these tests verify
-the *composed* recurrent graphs (LSTM cell, stochastic LSTM with noise off,
-masked mean-pooling) against finite differences — the structures GenDT's
-training actually differentiates through.
+the recurrent structures (LSTM cell and stochastic LSTM with noise off, both
+on the fused ``lstm_sequence`` op, and masked mean-pooling) against finite
+differences — the structures GenDT's training actually differentiates
+through.
 """
 
 import numpy as np

@@ -1,0 +1,183 @@
+"""The fused ``lstm_sequence`` op against its composite-op reference.
+
+``tests/lstm_reference.py`` builds the same recurrence step by step from
+``Tensor`` ops (the engine's generic autodiff supplies its gradients).  The
+fused op must give the same forward values, the same gradients for all six
+inputs, and the same RNG draws, so swapping it in leaves training unchanged
+up to rounding.
+"""
+
+import numpy as np
+import pytest
+
+from repro import nn
+from repro.core.stochastic_lstm import StochasticLSTM
+from repro.nn import NumericalAnomalyError, SRNNNoise, Tensor, detect_anomaly, lstm_sequence
+from tests.lstm_reference import cell_step, reference_lstm_sequence
+
+SHAPES = [(3, 6, 4, 5), (1, 1, 2, 3), (5, 2, 7, 4)]  # (B, T, I, H)
+
+
+def _arrays(batch, steps, n_in, hidden, seed=0):
+    rng = np.random.default_rng(seed)
+    return [
+        rng.normal(size=(batch, steps, n_in)),
+        rng.normal(size=(4 * hidden, n_in)) * 0.4,
+        rng.normal(size=(4 * hidden, hidden)) * 0.4,
+        rng.normal(size=(4 * hidden,)) * 0.2,
+        rng.normal(size=(batch, hidden)) * 0.5,
+        rng.normal(size=(batch, hidden)) * 0.5,
+    ]
+
+
+def _run(fn, arrays, noise_seed, loss_on=("hs", "h", "c")):
+    """Forward + backward of ``fn``; returns (outputs, grads, rng state)."""
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    rng = np.random.default_rng(noise_seed) if noise_seed is not None else None
+    noise = SRNNNoise(rng, 2.0, 1.5) if rng is not None else None
+    hs, (h, c) = fn(*tensors, noise=noise)
+    weights = np.random.default_rng(99)
+    terms = {
+        "hs": (hs * Tensor(weights.normal(size=hs.shape))).sum(),
+        "h": (h * h).sum(),
+        "c": (c * Tensor(weights.normal(size=c.shape))).sum(),
+    }
+    loss = terms[loss_on[0]]
+    for name in loss_on[1:]:
+        loss = loss + terms[name]
+    loss.backward()
+    state = rng.bit_generator.state if rng is not None else None
+    return (hs.data, h.data, c.data), [t.grad for t in tensors], state
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("noise_seed", [None, 7])
+class TestAgainstReference:
+    def test_forward_matches(self, shape, noise_seed):
+        fused, _, _ = _run(lstm_sequence, _arrays(*shape), noise_seed)
+        reference, _, _ = _run(reference_lstm_sequence, _arrays(*shape), noise_seed)
+        for got, want in zip(fused, reference):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("loss_on", [("hs", "h", "c"), ("hs",), ("h",), ("c",)])
+    def test_gradients_match(self, shape, noise_seed, loss_on):
+        _, fused, _ = _run(lstm_sequence, _arrays(*shape), noise_seed, loss_on)
+        _, reference, _ = _run(reference_lstm_sequence, _arrays(*shape), noise_seed, loss_on)
+        for name, got, want in zip(["x", "W_ih", "W_hh", "bias", "h0", "c0"], fused, reference):
+            assert got is not None, name
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9, err_msg=name)
+
+    def test_rng_stream_matches(self, shape, noise_seed):
+        _, _, fused = _run(lstm_sequence, _arrays(*shape), noise_seed)
+        _, _, reference = _run(reference_lstm_sequence, _arrays(*shape), noise_seed)
+        assert fused == reference
+
+
+def test_only_inputs_that_require_grad_get_gradients():
+    arrays = _arrays(2, 4, 3, 5)
+    tensors = [Tensor(a) for a in arrays]
+    tensors[1] = Tensor(arrays[1], requires_grad=True)
+    hs, _ = lstm_sequence(*tensors)
+    hs.sum().backward()
+    assert all(t.grad is None for k, t in enumerate(tensors) if k != 1)
+    everything = [Tensor(a, requires_grad=True) for a in arrays]
+    hs, _ = lstm_sequence(*everything)
+    hs.sum().backward()
+    np.testing.assert_array_equal(tensors[1].grad, everything[1].grad)
+
+
+def test_no_grad_builds_no_graph_and_draws_the_same_noise():
+    arrays = _arrays(2, 5, 3, 4)
+    states = []
+    for grad_on in (True, False):
+        rng = np.random.default_rng(3)
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        if grad_on:
+            hs, (h, c) = lstm_sequence(*tensors, noise=SRNNNoise(rng, 2.0, 2.0))
+            assert hs.requires_grad and h.requires_grad and c.requires_grad
+            want = hs.data
+        else:
+            with nn.no_grad():
+                hs, (h, c) = lstm_sequence(*tensors, noise=SRNNNoise(rng, 2.0, 2.0))
+            assert not (hs.requires_grad or h.requires_grad or c.requires_grad)
+            np.testing.assert_array_equal(hs.data, want)
+        states.append(rng.bit_generator.state)
+    assert states[0] == states[1]
+
+
+class TestModules:
+    def test_stochastic_lstm_matches_reference(self):
+        lstm = StochasticLSTM(3, 6, np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(4, 7, 3))
+        lstm.rng = np.random.default_rng(5)
+        out, (h, c) = lstm(Tensor(x))
+        cell = lstm.cell
+        noise = SRNNNoise(np.random.default_rng(5), lstm.intensity_h, lstm.intensity_c)
+        zeros = np.zeros((4, 6))
+        ref, (ref_h, ref_c) = reference_lstm_sequence(
+            Tensor(x), cell.weight_ih, cell.weight_hh, cell.bias,
+            Tensor(zeros), Tensor(zeros), noise=noise,
+        )
+        np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h.data, ref_h.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c.data, ref_c.data, rtol=0, atol=1e-12)
+        assert lstm.rng.bit_generator.state == noise.rng.bit_generator.state
+
+    def test_stacked_lstm_matches_stepwise_reference(self):
+        lstm = nn.LSTM(3, 5, np.random.default_rng(2), num_layers=2)
+        x = np.random.default_rng(3).normal(size=(2, 6, 3))
+        out, state = lstm(Tensor(x))
+        cells = [lstm.cell0, lstm.cell1]
+        hc = [(Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 5)))) for _ in cells]
+        for t in range(6):
+            inp = Tensor(x[:, t])
+            for k, cell in enumerate(cells):
+                hc[k] = cell_step(inp, *hc[k], cell.weight_ih, cell.weight_hh, cell.bias)
+                inp = hc[k][0]
+            np.testing.assert_allclose(out.data[:, t], inp.data, rtol=0, atol=1e-12)
+        for (h, c), (ref_h, ref_c) in zip(state, hc):
+            np.testing.assert_allclose(h.data, ref_h.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(c.data, ref_c.data, rtol=0, atol=1e-12)
+
+    def test_cell_is_the_one_step_case(self):
+        cell = nn.LSTMCell(3, 4, np.random.default_rng(4))
+        rng = np.random.default_rng(5)
+        x, h0, c0 = rng.normal(size=(2, 3)), rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+        h, c = cell(Tensor(x), (Tensor(h0), Tensor(c0)))
+        ref_h, ref_c = cell_step(
+            Tensor(x), Tensor(h0), Tensor(c0), cell.weight_ih, cell.weight_hh, cell.bias
+        )
+        np.testing.assert_allclose(h.data, ref_h.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c.data, ref_c.data, rtol=0, atol=1e-12)
+
+
+class TestAnomaly:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: nn.LSTM(2, 3, rng),
+            lambda rng: StochasticLSTM(2, 3, rng),
+        ],
+    )
+    def test_nan_input_names_lstm_sequence(self, make):
+        lstm = make(np.random.default_rng(0))
+        x = np.ones((1, 4, 2))
+        x[0, 2, 1] = np.nan
+        with detect_anomaly():
+            with pytest.raises(NumericalAnomalyError) as excinfo:
+                lstm(Tensor(x))
+        err = excinfo.value
+        assert err.op == "lstm_sequence"
+        assert err.phase == "forward"
+        assert type(lstm).__name__ in err.module_chain
+
+    def test_nan_gradient_names_lstm_sequence(self):
+        lstm = nn.LSTM(2, 3, np.random.default_rng(0))
+        with detect_anomaly():
+            out, _ = lstm(Tensor(np.ones((1, 4, 2)), requires_grad=True))
+            grad = np.zeros(out.shape)
+            grad[0, 1, 2] = np.inf
+            with pytest.raises(NumericalAnomalyError) as excinfo:
+                out.backward(grad)
+        assert excinfo.value.phase == "backward"
+        assert excinfo.value.op == "lstm_sequence"

@@ -11,14 +11,19 @@ things:
   the two drift apart.
 
 Inputs are chosen away from kinks (relu/abs at 0, clip at its bounds) so
-the central difference is valid.
+the central difference is valid.  ``lstm_sequence`` runs with its SRNN noise
+on; its gradient holds the noise amplitude and the renormalizing
+denominator constant, so its central difference is taken of the composite
+reference with those values frozen at the checked point.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis.graph.symbolic import DIFFERENTIABLE_OPS, NON_DIFFERENTIABLE_OPS
+from repro.nn import SRNNNoise, lstm_sequence
 from repro.nn.tensor import Tensor, concat, no_grad, stack, where
+from tests.lstm_reference import reference_lstm_sequence
 
 EPS = 1e-6
 ATOL = 1e-4
@@ -50,9 +55,39 @@ def _positive(shape, seed, lo=0.3, hi=2.0):
 
 
 class Case:
-    def __init__(self, make_inputs, fn):
+    def __init__(self, make_inputs, fn, frozen_fn=None):
         self.make_inputs = make_inputs
         self.fn = fn
+        # frozen_fn(arrays) -> the function whose central difference at
+        # ``arrays`` is the op's gradient; ``fn`` itself unless the op holds
+        # some data-dependent values constant.
+        self.frozen_fn = frozen_fn or (lambda arrays: fn)
+
+
+def _lstm_inputs():
+    """(x [2,3,2], weight_ih [12,2], weight_hh [12,3], bias [12], h0 [2,3], c0 [2,3])."""
+    shapes = [(2, 3, 2), (12, 2), (12, 3), (12,), (2, 3), (2, 3)]
+    return [_smooth(shape, 35 + k) for k, shape in enumerate(shapes)]
+
+
+def _lstm_noise():
+    # A fresh generator per call: every evaluation draws the same noise.
+    return SRNNNoise(np.random.default_rng(42), 2.0, 2.0)
+
+
+def _lstm_outputs(hs, state):
+    """The sequence output and the final (h, c) as one [B, T*H + 2H] tensor."""
+    h, c = state
+    return concat([hs.reshape(hs.shape[0], -1), h, c], axis=1)
+
+
+def _frozen_lstm(arrays):
+    frozen = []
+    with no_grad():
+        reference_lstm_sequence(*[Tensor(a) for a in arrays], noise=_lstm_noise(), frozen=frozen)
+    return lambda *ts: _lstm_outputs(
+        *reference_lstm_sequence(*ts, noise=_lstm_noise(), frozen=frozen)
+    )
 
 
 CASES = {
@@ -119,6 +154,11 @@ CASES = {
         lambda: [_smooth((2, 3), 33), _smooth((2, 3), 34)],
         lambda a, b: where(_WHERE_COND, a, b),
     ),
+    "lstm_sequence": Case(
+        _lstm_inputs,
+        lambda *ts: _lstm_outputs(*lstm_sequence(*ts, noise=_lstm_noise())),
+        _frozen_lstm,
+    ),
 }
 
 
@@ -160,7 +200,7 @@ def test_backward_matches_finite_difference(op_name):
     (out * Tensor(weights)).sum().backward()
     for i, (tensor, arr) in enumerate(zip(tensors, arrays)):
         assert tensor.grad is not None, f"{op_name}: arg {i} got no gradient"
-        numeric = _numeric_grad(case.fn, arrays, i, weights)
+        numeric = _numeric_grad(case.frozen_fn(arrays), arrays, i, weights)
         np.testing.assert_allclose(
             tensor.grad,
             numeric,
