@@ -137,6 +137,10 @@ class GenDTGenerator(nn.Module):
     ) -> Tuple[np.ndarray, np.ndarray, Optional[Dict[str, np.ndarray]]]:
         """Generate one batch of windows autoregressively.
 
+        ``G_n`` and ``G_a`` run under ``no_grad``; the ResGen loop runs on
+        ndarrays (:meth:`ResGen.rollout`), bit-identical to stepping the
+        autodiff :meth:`ResGen.sample`.
+
         Args:
             batch: assembled windows (targets ignored).
             ar_state: [B, m, N_ch] recent *residual* values carried from the
@@ -158,7 +162,7 @@ class GenDTGenerator(nn.Module):
             h_avg = self.h_avg(batch, stochastic=stochastic)
             base = self.agg_net(h_avg, stochastic=stochastic)
             base_np = base.numpy()
-            b, length, n_ch = base_np.shape
+            b, _, n_ch = base_np.shape
             m = self.resgen.ar_window if self.resgen is not None else 1
             if ar_state is None:
                 ar_state = np.zeros((b, m, n_ch))
@@ -166,23 +170,8 @@ class GenDTGenerator(nn.Module):
                 new_state = np.concatenate([ar_state, base_np], axis=1)[:, -m:]
                 return base_np, new_state, None
 
-            output = np.empty_like(base_np)
-            params_mu = np.empty_like(base_np) if collect_params else None
-            params_sigma = np.empty_like(base_np) if collect_params else None
-            state = ar_state.copy()
-            for t in range(length):
-                env_t = Tensor(batch.env[:, t, :])
-                recent_t = Tensor(state.reshape(b, m * n_ch))
-                residual, mu, log_sigma = self.resgen.sample(env_t, recent_t)
-                residual_np = np.clip(residual.numpy(), -5.0, 5.0)
-                output[:, t] = base_np[:, t] + residual_np
-                if collect_params:
-                    params_mu[:, t] = mu.numpy()
-                    params_sigma[:, t] = np.exp(log_sigma.numpy())
-                state = np.concatenate(
-                    [state[:, 1:], residual_np[:, None, :]], axis=1
-                )
-            params = (
-                {"mu": params_mu, "sigma": params_sigma} if collect_params else None
+            output, state, mu, sigma = self.resgen.rollout(
+                batch.env, base_np, ar_state, collect_params=collect_params
             )
+            params = {"mu": mu, "sigma": sigma} if collect_params else None
             return output, state, params

@@ -26,6 +26,7 @@ import numpy as np
 
 from .. import nn
 from ..analysis.graph.spec import Spec, contract
+from ..nn.anomaly import NumericalAnomalyError, annotate_module, is_anomaly_enabled
 from ..nn.tensor import Tensor, concat
 from .config import GenDTConfig
 from .stochastic_lstm import StochasticLSTM
@@ -183,6 +184,103 @@ class ResGen(nn.Module):
         eps = Tensor(self.rng.normal(0.0, 1.0, size=mu.shape))
         residual = mu + log_sigma.exp() * eps
         return residual, mu, log_sigma
+
+    def rollout(
+        self,
+        env: np.ndarray,
+        base: np.ndarray,
+        state: np.ndarray,
+        collect_params: bool = False,
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+        """Autoregressive generation: ``sample`` step by step, on ndarrays.
+
+        Step ``t`` conditions on ``env[:, t]`` and the last ``m`` residuals
+        in ``state``, adds the residual (clipped to +-5) to ``base[:, t]``
+        and shifts it into the state.  It draws, in order: ``z1`` from
+        ``self.rng.normal``, the dropout mask from the dropout layer's
+        ``rng.random`` (only while that layer is active and ``p > 0``), and
+        ``eps`` from ``self.rng.normal``.  Every array op is the one
+        ``sample``'s Tensor ops compute, so the output, the state and the
+        RNG streams are bit-identical to the autodiff path; no Tensor is
+        built.  Under ``repro.nn.detect_anomaly`` each step's MLP head,
+        ``mu`` and residual are checked for NaN/Inf.
+
+        Args:
+            env: [B, L, N_env] environment context.
+            base: [B, L, N_ch] first-stage (``G_n`` + ``G_a``) output.
+            state: [B, m, N_ch] recent residuals, oldest first.
+            collect_params: also return the per-step ``mu`` and ``sigma``.
+
+        Returns:
+            (output [B, L, N_ch], new state [B, m, N_ch], mu, sigma), the
+            last two ``None`` unless ``collect_params``.
+        """
+        hidden, dropout, (head_wt, head_b) = self._array_layers()
+        check = is_anomaly_enabled()
+        env = np.asarray(env, dtype=np.float64)
+        b, length, n_ch = base.shape
+        m = self.ar_window
+        split = m * n_ch
+        output = np.empty_like(base)
+        mus = np.empty_like(base) if collect_params else None
+        sigmas = np.empty_like(base) if collect_params else None
+        for t in range(length):
+            recent = state.reshape(b, split)
+            z1 = self.rng.normal(0.0, 1.0, size=(b, self.n_noise))
+            x = np.concatenate([env[:, t, :], z1, recent], axis=-1)
+            for weight_t, bias, slope in hidden:
+                x = x @ weight_t + bias
+                x = x * np.where(x > 0, 1.0, slope)
+            if dropout is not None:
+                keep = 1.0 - dropout.p
+                x = x * ((dropout.rng.random(x.shape) < keep) / keep)
+            out = x @ head_wt + head_b
+            gains = 1.0 / (1.0 + np.exp(-np.clip(out[:, :split], -60.0, 60.0))) * (1.0 / m)
+            log_sigma = np.clip(out[:, split:], -5.0, 2.0)
+            mu = (gains * recent).reshape(b, m, n_ch).sum(axis=-2)
+            eps = self.rng.normal(0.0, 1.0, size=mu.shape)
+            residual = mu + np.exp(log_sigma) * eps
+            if check:
+                _check_finite(t, head=out, mu=mu, residual=residual)
+            residual = np.clip(residual, -5.0, 5.0)
+            output[:, t] = base[:, t] + residual
+            if collect_params:
+                mus[:, t] = mu
+                sigmas[:, t] = np.exp(log_sigma)
+            state = np.concatenate([state[:, 1:], residual[:, None, :]], axis=1)
+        return output, state, mus, sigmas
+
+    def _array_layers(self):
+        """The MLP's weights for :meth:`rollout`, read once per call.
+
+        Returns ``([(W.T, b, slope)] per hidden layer, the dropout layer if
+        it is active with ``p > 0`` else None, (W.T, b) of the head)``.
+        """
+        layers = list(self.mlp.net)  # (Linear, LeakyReLU)*, [Dropout], Linear
+        head = layers.pop()
+        dropout = layers.pop() if layers and isinstance(layers[-1], nn.Dropout) else None
+        if dropout is not None and not (
+            (dropout.training or dropout.force_active) and dropout.p > 0.0
+        ):
+            dropout = None
+        hidden = [
+            (linear.weight.data.T, linear.bias.data, act.negative_slope)
+            for linear, act in zip(layers[::2], layers[1::2])
+        ]
+        return hidden, dropout, (head.weight.data.T, head.bias.data)
+
+
+def _check_finite(step: int, **arrays: np.ndarray) -> None:
+    """Raise ``NumericalAnomalyError`` naming ResGen if an array is non-finite."""
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
+            err = NumericalAnomalyError(
+                f"ResGen generation step {step} produced non-finite {name}",
+                op=f"ResGen.rollout:{name}",
+                phase="forward",
+            )
+            annotate_module(err, "ResGen")
+            raise err
 
 
 @contract(
