@@ -1,10 +1,11 @@
-"""Symbolic graph verification overhead: cheap, and one-shot at fit time.
+"""Graph verification overhead: cheap, and one-shot at fit time.
 
 ``GenDT.fit``/``GenDT.load`` verify the generator graph before touching any
 data (see ``GenDT._verify_generator``).  That is only acceptable if the
-check is (i) fast in absolute terms — it traces shadow arrays through the
-whole generator, so "fast" needs pinning — and (ii) paid exactly once per
-fit, never per epoch, so training cost is independent of epoch count.
+check is (i) fast in absolute terms — it runs the whole generator forward
+on probe inputs and walks the autodiff graph, so "fast" needs pinning — and
+(ii) paid exactly once per fit, never per epoch, so training cost is
+independent of epoch count.
 """
 
 import time
@@ -32,7 +33,7 @@ def test_verify_gendt_generator_under_one_second(benchmark):
     best = min(times)
     record_result(
         "verify_overhead",
-        "Symbolic verification of GenDTGenerator (full contract + grad audit)\n"
+        "Graph verification of GenDTGenerator (full contract + grad audit)\n"
         f"  best of {REPEATS}: {best * 1e3:.1f} ms",
     )
     # ISSUE acceptance bound: a full generator verification stays under 1 s.

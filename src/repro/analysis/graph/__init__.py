@@ -1,28 +1,20 @@
-"""Symbolic graph verification for :mod:`repro.nn` models.
+"""Graph verification for :mod:`repro.nn` models.
 
-Traces a module's real ``forward`` over :class:`SymbolicTensor` probes —
-named dims, tiny shadow arrays, no real compute — checking the per-module
-``@contract`` shape/dtype declarations and auditing gradient flow (dead
-weights, ``detach()``/``no_grad``-severed paths).
+Runs a module's real entry method on concrete probe inputs — each free
+named dim bound to a distinct small prime — checking the per-module
+``@contract`` shape declarations at every module boundary, and auditing
+gradient flow (dead weights, ``detach()``/``no_grad``-severed paths) by
+walking the autodiff graph back from the outputs.
 
 Only the contract *language* (:mod:`~repro.analysis.graph.spec`) is imported
 eagerly: model modules decorate themselves with :func:`contract`, so this
 package must stay import-light to avoid a cycle with ``repro.nn``.  The
-tracer and verifier load on the first :func:`verify` call.
+verifier loads on the first :func:`verify` call.
 """
 
-from .spec import ANY, Contract, Dim, DimEnv, Spec, contract, render_dims
+from .spec import ANY, Contract, DimEnv, Spec, contract
 
-__all__ = [
-    "ANY",
-    "Contract",
-    "Dim",
-    "DimEnv",
-    "Spec",
-    "contract",
-    "render_dims",
-    "verify",
-]
+__all__ = ["ANY", "Contract", "DimEnv", "Spec", "contract", "verify"]
 
 
 def verify(module, contract=None, raise_on_error=False):

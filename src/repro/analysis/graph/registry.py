@@ -5,9 +5,10 @@ and :mod:`repro.nn.lstm` gets a small representative instance here so the
 CLI (and the CI gate) can verify the whole model zoo in one sweep.
 
 :func:`seeded_defects` additionally builds modules with *known* graph bugs —
-a mis-sized ResGen AR window, an accidental broadcast in a residual add, and
-a parameter unreachable from the loss — used by ``verify-graph --self-test``
-to prove the verifier actually catches the defect classes it claims to.
+a mis-sized ResGen AR window, a parameter unreachable from the outputs, and
+a head whose gradient path is cut by ``detach()`` — used by
+``verify-graph --self-test`` to prove the verifier actually catches the
+defect classes it claims to.
 
 This module imports the model packages, so it must only be loaded from the
 CLI/tests, never from :mod:`repro.analysis.graph` itself.
@@ -40,113 +41,78 @@ __all__ = ["DefectEntry", "RegistryEntry", "seeded_defects", "shipped_entries"]
 
 @dataclass(frozen=True)
 class RegistryEntry:
-    """One verifiable shipped model: name, description, seeded builder."""
+    """One verifiable shipped model: name, description, builder from an RNG."""
 
     name: str
     description: str
-    build: Callable[[int], nn.Module]
+    make: Callable[[np.random.Generator], nn.Module]
+
+    def build(self, seed: int = 0) -> nn.Module:
+        return self.make(np.random.default_rng(seed))
 
 
 @dataclass(frozen=True)
-class DefectEntry:
+class DefectEntry(RegistryEntry):
     """A deliberately broken module and a substring the error must contain."""
 
-    name: str
-    description: str
-    build: Callable[[int], nn.Module]
     expect: str
-
-
-def _build_linear(seed: int = 0) -> nn.Module:
-    return nn.Linear(12, 6, np.random.default_rng(seed))
-
-
-def _build_mlp(seed: int = 0) -> nn.Module:
-    return nn.MLP(12, [16, 8], 4, np.random.default_rng(seed), dropout=0.2)
-
-
-def _build_lstm_cell(seed: int = 0) -> nn.Module:
-    return nn.LSTMCell(9, 14, np.random.default_rng(seed))
-
-
-def _build_lstm(seed: int = 0) -> nn.Module:
-    return nn.LSTM(9, 14, np.random.default_rng(seed), num_layers=2)
-
-
-def _build_lstm_regressor(seed: int = 0) -> nn.Module:
-    return nn.LSTMRegressor(9, 14, 3, np.random.default_rng(seed))
-
-
-def _build_stochastic_lstm(seed: int = 0) -> nn.Module:
-    return StochasticLSTM(9, 14, np.random.default_rng(seed))
-
-
-def _build_gnn_node(seed: int = 0) -> nn.Module:
-    return GnnNodeNetwork(N_CELL_FEATURES, small_config(), np.random.default_rng(seed))
-
-
-def _build_aggregation(seed: int = 0) -> nn.Module:
-    return AggregationNetwork(2, small_config(), np.random.default_rng(seed))
-
-
-def _build_resgen(seed: int = 0) -> nn.Module:
-    return ResGen(28, 2, small_config(), np.random.default_rng(seed))
-
-
-def _build_discriminator(seed: int = 0) -> nn.Module:
-    return Discriminator(2, small_config(), np.random.default_rng(seed))
-
-
-def _build_gendt_generator(seed: int = 0) -> nn.Module:
-    return GenDTGenerator(2, 28, small_config(), np.random.default_rng(seed))
-
-
-def _build_gendt_generator_no_resgen(seed: int = 0) -> nn.Module:
-    return GenDTGenerator(
-        2, 28, small_config(use_resgen=False), np.random.default_rng(seed)
-    )
-
-
-def _build_lstm_gnn(seed: int = 0) -> nn.Module:
-    return _LstmGnnNet(N_CELL_FEATURES, 16, 2, np.random.default_rng(seed))
-
-
-def _build_dg_generator(seed: int = 0) -> nn.Module:
-    return _DGGenerator(10, 4, 16, 2, np.random.default_rng(seed))
-
-
-def _build_dg_discriminator(seed: int = 0) -> nn.Module:
-    return _DGDiscriminator(10, 2, 16, np.random.default_rng(seed))
 
 
 def shipped_entries() -> List[RegistryEntry]:
     """Every shipped contracted model class, smallest sensible instance."""
     return [
-        RegistryEntry("linear", "nn.Linear affine layer", _build_linear),
-        RegistryEntry("mlp", "nn.MLP with dropout", _build_mlp),
-        RegistryEntry("lstm_cell", "nn.LSTMCell single step", _build_lstm_cell),
-        RegistryEntry("lstm", "nn.LSTM, 2 stacked layers", _build_lstm),
-        RegistryEntry("lstm_regressor", "nn.LSTMRegressor", _build_lstm_regressor),
+        RegistryEntry("linear", "nn.Linear affine layer", lambda rng: nn.Linear(12, 6, rng)),
+        RegistryEntry(
+            "mlp", "nn.MLP with dropout",
+            lambda rng: nn.MLP(12, [16, 8], 4, rng, dropout=0.2),
+        ),
+        RegistryEntry(
+            "lstm_cell", "nn.LSTMCell single step", lambda rng: nn.LSTMCell(9, 14, rng)
+        ),
+        RegistryEntry(
+            "lstm", "nn.LSTM, 2 stacked layers", lambda rng: nn.LSTM(9, 14, rng, num_layers=2)
+        ),
+        RegistryEntry(
+            "lstm_regressor", "nn.LSTMRegressor", lambda rng: nn.LSTMRegressor(9, 14, 3, rng)
+        ),
         RegistryEntry(
             "stochastic_lstm", "GenDT SRNN layer (noise-injected LSTM)",
-            _build_stochastic_lstm,
+            lambda rng: StochasticLSTM(9, 14, rng),
         ),
-        RegistryEntry("gnn_node", "G_n node network", _build_gnn_node),
-        RegistryEntry("aggregation", "G_a aggregation network", _build_aggregation),
-        RegistryEntry("resgen", "G_r residual generator", _build_resgen),
-        RegistryEntry("discriminator", "GenDT discriminator R", _build_discriminator),
+        RegistryEntry(
+            "gnn_node", "G_n node network",
+            lambda rng: GnnNodeNetwork(N_CELL_FEATURES, small_config(), rng),
+        ),
+        RegistryEntry(
+            "aggregation", "G_a aggregation network",
+            lambda rng: AggregationNetwork(2, small_config(), rng),
+        ),
+        RegistryEntry(
+            "resgen", "G_r residual generator", lambda rng: ResGen(28, 2, small_config(), rng)
+        ),
+        RegistryEntry(
+            "discriminator", "GenDT discriminator R",
+            lambda rng: Discriminator(2, small_config(), rng),
+        ),
         RegistryEntry(
             "gendt_generator", "full GenDT generator (teacher-forced)",
-            _build_gendt_generator,
+            lambda rng: GenDTGenerator(2, 28, small_config(), rng),
         ),
         RegistryEntry(
             "gendt_generator_no_resgen", "GenDT generator, ResGen ablated",
-            _build_gendt_generator_no_resgen,
+            lambda rng: GenDTGenerator(2, 28, small_config(use_resgen=False), rng),
         ),
-        RegistryEntry("lstm_gnn", "LSTM-GNN baseline network", _build_lstm_gnn),
-        RegistryEntry("dg_generator", "DoppelGANger stage-2 generator", _build_dg_generator),
         RegistryEntry(
-            "dg_discriminator", "DoppelGANger discriminator", _build_dg_discriminator
+            "lstm_gnn", "LSTM-GNN baseline network",
+            lambda rng: _LstmGnnNet(N_CELL_FEATURES, 16, 2, rng),
+        ),
+        RegistryEntry(
+            "dg_generator", "DoppelGANger stage-2 generator",
+            lambda rng: _DGGenerator(10, 4, 16, 2, rng),
+        ),
+        RegistryEntry(
+            "dg_discriminator", "DoppelGANger discriminator",
+            lambda rng: _DGDiscriminator(10, 2, 16, rng),
         ),
     ]
 
@@ -154,26 +120,6 @@ def shipped_entries() -> List[RegistryEntry]:
 # ----------------------------------------------------------------------
 # Seeded defects: modules with known graph bugs the verifier must catch.
 # ----------------------------------------------------------------------
-@contract(
-    inputs={"x": Spec("B", "L", "C")},
-    outputs=Spec("B", "L", "C"),
-    dims={"C": "head.out_features"},
-)
-class _BroadcastResidualNet(nn.Module):
-    """Defect: the residual add manufactures a plain size-1 axis via reshape,
-    silently broadcasting the *last step* over the whole sequence."""
-
-    def __init__(self, n_channels: int, rng: np.random.Generator) -> None:
-        super().__init__()
-        self.head = nn.Linear(n_channels, n_channels, rng)
-
-    def forward(self, x):
-        base = self.head(x)
-        last = base[:, -1, :]
-        residual = last.reshape(x.shape[0], 1, self.head.out_features)
-        return base + residual
-
-
 @contract(
     inputs={"x": Spec("B", "F")},
     outputs=Spec("B", "O"),
@@ -207,52 +153,34 @@ class _DetachedHeadNet(nn.Module):
         return self.stem(x).detach()
 
 
-def _build_miswindowed_resgen(seed: int = 0) -> nn.Module:
+def _miswindowed_resgen(rng: np.random.Generator) -> nn.Module:
     config = small_config()
-    module = ResGen(28, 2, config, np.random.default_rng(seed))
+    module = ResGen(28, 2, config, rng)
     # Simulates loading weights trained with a different AR window m: the
     # recent-residuals input no longer matches the MLP's first layer.
     module.ar_window = config.resgen_ar_window + 2
     return module
 
 
-def _build_broadcast_residual(seed: int = 0) -> nn.Module:
-    return _BroadcastResidualNet(3, np.random.default_rng(seed))
-
-
-def _build_dead_weight(seed: int = 0) -> nn.Module:
-    return _DeadWeightNet(np.random.default_rng(seed))
-
-
-def _build_detached_head(seed: int = 0) -> nn.Module:
-    return _DetachedHeadNet(np.random.default_rng(seed))
-
-
 def seeded_defects() -> List[DefectEntry]:
-    """(name, builder, expected-error-substring) triples for --self-test."""
+    """Broken modules and the substring each report must contain, for --self-test."""
     return [
         DefectEntry(
             "resgen_miswindowed",
             "ResGen AR window m disagrees with the trained MLP input width",
-            _build_miswindowed_resgen,
+            _miswindowed_resgen,
             "mlp",
-        ),
-        DefectEntry(
-            "broadcast_residual",
-            "residual add silently broadcasts a reshape-made size-1 axis",
-            _build_broadcast_residual,
-            "broadcast",
         ),
         DefectEntry(
             "dead_weight",
             "registered parameter unreachable from the outputs",
-            _build_dead_weight,
+            _DeadWeightNet,
             "dead",
         ),
         DefectEntry(
             "detached_head",
             "gradient path severed by detach()",
-            _build_detached_head,
+            _DetachedHeadNet,
             "severed",
         ),
     ]

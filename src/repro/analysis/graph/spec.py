@@ -1,37 +1,32 @@
-"""Contract specification language for the symbolic graph verifier.
+"""Contract specification language for the graph verifier.
 
 This module is deliberately a *leaf*: it imports nothing from ``repro.nn``
 or the rest of :mod:`repro.analysis.graph`, so model modules can decorate
 themselves with :func:`contract` without creating an import cycle (the
-tracer imports the model packages, which import this file).
+verifier imports the model packages, which import this file).
 
 The pieces:
 
-* :class:`Dim` — an ``int`` subclass carrying a symbolic ``name`` (``"L"``,
-  ``"H"``, ``"N_ch"``…) and an ``origin`` tag describing where a size-1 axis
-  came from.  Being an ``int`` means symbolic shapes pass straight through
-  numpy interop in traced forwards (``rng.normal(size=shape)``,
-  ``range(steps)``, ``np.zeros((b, h))``).
 * :class:`Spec` — one tensor's expected shape (named dims / literal ints /
-  a leading ``"..."`` ellipsis), plus optional dtype and requires_grad.
+  a leading ``"..."`` ellipsis).
 * :data:`ANY` — "do not check this value".
 * :class:`Contract` + the :func:`contract` decorator — a module's entry
   method, its input/output spec trees, and the ``dims`` mapping that binds
-  symbolic names to the concrete architecture (ints, dotted attribute
-  paths, or callables on the module instance).
-* :class:`DimEnv` — the binding environment of one verification run: known
-  name→value bindings, fresh probe values for free dims, and the reverse
-  value→name map used to name dims of arrays lifted mid-trace.
+  dim names to the concrete architecture (ints, dotted attribute paths, or
+  callables on the module instance).
+* :class:`DimEnv` — the probe environment of one verification run: known
+  name→value bindings, fresh probe sizes for free dims, and probe values.
 """
 
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+import operator
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-__all__ = ["ANY", "Contract", "Dim", "DimEnv", "Spec", "contract", "render_dims"]
+__all__ = ["ANY", "Contract", "DimEnv", "Spec", "contract"]
 
 
 class _Any:
@@ -43,55 +38,11 @@ class _Any:
 
 ANY = _Any()
 
-#: ``origin`` values of a size-1 axis that may legitimately broadcast.
-#: Anything else (a plain 1 from a reshape/slice) is flagged as accidental.
-INTENTIONAL_ORIGINS = ("external", "keepdims", "spec")
-
-
-class Dim(int):
-    """A symbolic dimension: an ``int`` with a name and an origin tag.
-
-    Arithmetic on Dims degrades to plain ints (``b * n_c`` loses the names),
-    which is correct: derived sizes are re-named, when unambiguous, through
-    :meth:`DimEnv.lookup`.
-    """
-
-    def __new__(
-        cls, value: int, name: Optional[str] = None, origin: Optional[str] = None
-    ) -> "Dim":
-        self = super().__new__(cls, int(value))
-        self.name = name
-        self.origin = origin
-        return self
-
-    def render(self) -> str:
-        if self.name:
-            return self.name
-        return str(int(self))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        if self.name:
-            return f"Dim({int(self)}, {self.name!r})"
-        return f"Dim({int(self)})"
-
-
-def as_dim(value: Any) -> Dim:
-    return value if isinstance(value, Dim) else Dim(int(value))
-
-
-def render_dims(dims: Iterable[Any]) -> str:
-    """``[B, L, 28]``-style rendering of a symbolic or concrete shape."""
-    parts = []
-    for d in dims:
-        parts.append(d.render() if isinstance(d, Dim) else str(int(d)))
-    return "[" + ", ".join(parts) + "]"
-
-
 ShapeEntry = Union[str, int]
 
 
 class Spec:
-    """Expected shape (and optionally dtype / requires_grad) of one tensor.
+    """Expected shape of one tensor.
 
     ``Spec("B", "L", "H")`` — three named dims; names bind per contract
     check, so ``"B"`` unifies across every input/output of one module call.
@@ -103,20 +54,12 @@ class Spec:
     default probe builder then materializes a numpy array.
     """
 
-    __slots__ = ("shape", "dtype", "requires_grad", "array")
+    __slots__ = ("shape", "array")
 
-    def __init__(
-        self,
-        *shape: ShapeEntry,
-        dtype: Optional[Any] = None,
-        requires_grad: Optional[bool] = None,
-        array: bool = False,
-    ) -> None:
+    def __init__(self, *shape: ShapeEntry, array: bool = False) -> None:
         if "..." in shape[1:]:
             raise ValueError("'...' is only supported as the leading entry")
         self.shape: Tuple[ShapeEntry, ...] = shape
-        self.dtype = None if dtype is None else np.dtype(dtype)
-        self.requires_grad = requires_grad
         self.array = array
 
     @property
@@ -129,8 +72,7 @@ class Spec:
         return self.shape[1:] if self.has_ellipsis else self.shape
 
     def render(self, binding: Optional[Mapping[str, int]] = None) -> str:
-        parts = [str(entry) for entry in self.shape]
-        text = "[" + ", ".join(parts) + "]"
+        text = "[" + ", ".join(str(entry) for entry in self.shape) + "]"
         if binding:
             bound = [
                 f"{entry}={binding[entry]}"
@@ -152,7 +94,7 @@ DimValue = Union[int, str, Callable[[Any], int]]
 class Contract:
     """A module's graph contract: entry method, input/output specs, dims."""
 
-    __slots__ = ("method", "inputs", "outputs", "dims", "build_inputs", "audit")
+    __slots__ = ("method", "inputs", "outputs", "dims", "build_inputs")
 
     def __init__(
         self,
@@ -161,14 +103,12 @@ class Contract:
         dims: Optional[Mapping[str, DimValue]] = None,
         method: str = "forward",
         build_inputs: Optional[Callable[[Any, "DimEnv"], Tuple[tuple, dict]]] = None,
-        audit: bool = True,
     ) -> None:
         self.method = method
         self.inputs: Dict[str, SpecTree] = dict(inputs or {})
         self.outputs = outputs
         self.dims: Dict[str, DimValue] = dict(dims or {})
         self.build_inputs = build_inputs
-        self.audit = audit
 
     def bind_dims(self, module: Any) -> Dict[str, int]:
         """Evaluate the ``dims`` mapping against a concrete module instance."""
@@ -177,10 +117,7 @@ class Contract:
             if isinstance(value, int):
                 bound[name] = value
             elif isinstance(value, str):
-                target = module
-                for part in value.split("."):
-                    target = getattr(target, part)
-                bound[name] = int(target)
+                bound[name] = int(operator.attrgetter(value)(module))
             elif callable(value):
                 bound[name] = int(value(module))
             else:
@@ -191,44 +128,23 @@ class Contract:
         return bound
 
     def signature_names(self, module: Any) -> List[str]:
-        """Positional parameter names of the entry method (without self)."""
-        fn = getattr(type(module), self.method)
-        names = []
-        for pname, param in inspect.signature(fn).parameters.items():
-            if pname == "self":
-                continue
-            if param.kind in (
-                inspect.Parameter.VAR_POSITIONAL,
-                inspect.Parameter.VAR_KEYWORD,
-            ):
-                continue
-            names.append(pname)
-        return names
+        """Named parameters of the entry method, without ``self``."""
+        params = inspect.signature(getattr(type(module), self.method)).parameters.values()
+        return [
+            p.name for p in params
+            if p.name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
+        ]
 
 
-def contract(
-    inputs: Optional[Mapping[str, SpecTree]] = None,
-    outputs: SpecTree = None,
-    dims: Optional[Mapping[str, DimValue]] = None,
-    method: str = "forward",
-    build_inputs: Optional[Callable[[Any, "DimEnv"], Tuple[tuple, dict]]] = None,
-    audit: bool = True,
-):
+def contract(**fields: Any):
     """Class decorator attaching a :class:`Contract` as ``__graph_contract__``.
 
-    The verifier checks the contract whenever the module is *called* during
-    a symbolic trace (nested modules included) and uses it to build probe
-    inputs when the module is verified standalone.
+    Takes the :class:`Contract` fields as keywords.  The verifier checks the
+    contract whenever the module is *called* during verification (nested
+    modules included) and uses it to build probe inputs when the module is
+    verified standalone.
     """
-
-    spec = Contract(
-        inputs=inputs,
-        outputs=outputs,
-        dims=dims,
-        method=method,
-        build_inputs=build_inputs,
-        audit=audit,
-    )
+    spec = Contract(**fields)
 
     def decorate(cls):
         cls.__graph_contract__ = spec
@@ -237,63 +153,28 @@ def contract(
     return decorate
 
 
-#: Fresh-dim probe candidates.  Distinct small primes so free dims (B, L,
-#: N_c…) rarely collide with architecture sizes; collisions degrade only
-#: the cosmetic reverse naming, never the value checks.
+#: Fresh-dim probe sizes.  Distinct small primes so free dims (B, L, N_c…)
+#: do not collide with each other or with the architecture sizes bound first.
 _PROBE_CANDIDATES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 
 class DimEnv:
-    """Name→value bindings plus the reverse map for one verification run."""
+    """Name→value bindings and probe values for one verification run."""
 
-    def __init__(self) -> None:
-        self.bindings: Dict[str, int] = {}
-        self._reverse: Dict[int, Optional[str]] = {}  # None == ambiguous
+    def __init__(self, bindings: Optional[Mapping[str, int]] = None) -> None:
+        self.bindings: Dict[str, int] = dict(bindings or {})
+        # Probe values come from this fixed local stream, never from a
+        # module's generator, so verification leaves seeded streams alone.
+        self._rng = np.random.default_rng(0)  # repro: noqa[SEED001] (fixed probe stream)
 
-    def bind(self, name: str, value: int) -> Dim:
-        value = int(value)
-        existing = self.bindings.get(name)
-        if existing is not None and existing != value:
-            raise ValueError(
-                f"dim {name!r} bound to both {existing} and {value}"
-            )
-        self.bindings[name] = value
-        if value > 1:  # never reverse-map size 1; it is too common
-            if value in self._reverse and self._reverse[value] != name:
-                self._reverse[value] = None  # ambiguous
-            else:
-                self._reverse[value] = name
-        return Dim(value, name=name, origin="spec")
+    def fresh(self, name: str) -> int:
+        """Bind ``name`` to an unused probe size (or return its binding)."""
+        if name not in self.bindings:
+            used = set(self.bindings.values())
+            self.bindings[name] = next(c for c in _PROBE_CANDIDATES if c not in used)
+        return self.bindings[name]
 
-    def bind_all(self, bound: Mapping[str, int]) -> None:
-        for name, value in bound.items():
-            self.bind(name, value)
-
-    def fresh(self, name: str) -> Dim:
-        """Bind ``name`` to an unused probe value (or return its binding)."""
-        if name in self.bindings:
-            return Dim(self.bindings[name], name=name, origin="spec")
-        used = set(self.bindings.values())
-        for candidate in _PROBE_CANDIDATES:
-            if candidate not in used:
-                return self.bind(name, candidate)
-        raise RuntimeError("probe candidates exhausted")  # pragma: no cover
-
-    def lookup(self, value: int) -> Optional[str]:
-        """Unambiguous name for a concrete size, if any."""
-        return self._reverse.get(int(value))
-
-    def name_shape(self, shape: Iterable[int], origin: Optional[str] = None) -> Tuple[Dim, ...]:
-        """Symbolic dims for a concrete shape via the reverse map.
-
-        Size-1 axes get the given ``origin`` (lifted external arrays pass
-        ``"external"`` so their broadcast-1s are treated as intentional).
-        """
-        dims = []
-        for size in shape:
-            size = int(size)
-            if size == 1:
-                dims.append(Dim(1, origin=origin))
-            else:
-                dims.append(Dim(size, name=self.lookup(size)))
-        return tuple(dims)
+    def probe(self, *shape: int) -> np.ndarray:
+        """Non-zero probe values of the given shape."""
+        values = self._rng.standard_normal(shape)
+        return np.where(values == 0.0, 1.0, values)

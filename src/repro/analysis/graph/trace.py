@@ -1,184 +1,87 @@
-"""Trace sessions: run a real ``Module.forward`` over symbolic tensors.
+"""Trace sessions: run a real module method on concrete probes, checking contracts.
 
-A :class:`TraceSession` installs two hooks for the duration of one
-verification run:
-
-* a *tensor hook* in :mod:`repro.nn.tensor` — ``Tensor(...)`` construction
-  inside traced code lifts the data into a :class:`SymbolicTensor`, real
-  tensor ops report their outputs for parameter-lineage bookkeeping, and the
-  ``concat``/``stack``/``where``/``lstm_sequence`` free functions dispatch
-  to their symbolic counterparts when any operand is symbolic;
-* a *call hook* in :mod:`repro.nn.module` — every ``module(...)`` call is
-  routed through :meth:`TraceSession.call_module`, which records the dotted
-  module path (for violation messages) and checks the module's
-  ``@contract`` declaration against the actual symbolic inputs/outputs.
-
-No real compute happens beyond tiny probe-sized shadow arrays; the shipped
-forwards run unmodified.
+A :class:`TraceSession` installs the *call hook* of :mod:`repro.nn.module`
+for the duration of one verification run.  Every ``module(...)`` call is
+then routed through :meth:`TraceSession.call_module`, which records the
+dotted module path (for error messages), checks the module's ``@contract``
+against the real input and output shapes, and re-raises any numpy
+``ValueError``/``IndexError`` from inside the call as a
+:class:`~repro.runtime.errors.GraphContractError` naming the innermost
+module.  The shipped forwards run unmodified on probe-sized data.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ...nn import module as module_mod
-from ...nn import tensor as tensor_mod
 from ...nn.module import Module
-from ...nn.tensor import Tensor, is_grad_enabled
+from ...nn.tensor import Tensor
 from ...runtime.errors import GraphContractError
-from .spec import ANY, Contract, Dim, DimEnv, Spec, render_dims
-from .symbolic import SymbolicTensor, sym_concat, sym_lstm_sequence, sym_stack, sym_where
+from .spec import ANY, Contract, DimEnv, Spec
 
 __all__ = ["TraceSession"]
 
-_EMPTY = frozenset()
-
 
 class TraceSession:
-    """One symbolic trace of a module tree: hooks, paths, lineage, checks."""
+    """One verification run over a module tree: call hook, paths, checks."""
 
-    def __init__(self, root: Module, env: Optional[DimEnv] = None, audit: bool = True) -> None:
-        self.root = root
-        self.env = env if env is not None else DimEnv()
-        self.audit = audit
+    def __init__(self, root: Module, env: DimEnv) -> None:
+        self.env = env
         # Dotted-path stack of modules currently executing (innermost last).
-        # Named path_stack, not stack: the stack() hook method must stay
-        # callable on the instance.
-        self.path_stack: List[str] = [type(root).__name__]
+        self.path_stack: List[str] = []
         self.paths: Dict[int, str] = {}
         self._name_modules(root, type(root).__name__)
-        self.param_names: Dict[int, str] = {
-            id(param): name for name, param in root.named_parameters()
-        }
-        # Lineage of *real* tensors created during the trace (e.g. weight.T):
-        # id -> (grad_roots, data_roots).  ``_keep`` pins the objects so ids
-        # are never recycled while the session lives.
-        self.lineage: Dict[int, Tuple[frozenset, frozenset]] = {}
-        self._keep: List[Tensor] = []
-        #: First sever event per parameter: root name -> (op, module path).
-        self.severed: Dict[str, Tuple[str, str]] = {}
 
     def _name_modules(self, module: Module, path: str) -> None:
         self.paths[id(module)] = path
         for name, child in module._modules.items():
             self._name_modules(child, f"{path}.{name}")
 
-    # ------------------------------------------------------------------
-    # Session state used by the symbolic ops
-    # ------------------------------------------------------------------
     def current_path(self) -> str:
         return self.path_stack[-1]
 
-    def record_sever(self, op: str, roots: frozenset) -> None:
-        for root in roots:
-            self.severed.setdefault(root, (op, self.current_path()))
-
-    def roots_of(self, value: Any) -> Tuple[frozenset, frozenset]:
-        """(grad_roots, data_roots) reaching a real or symbolic tensor."""
-        if isinstance(value, SymbolicTensor):
-            return value.grad_roots, value.data_roots
-        name = self.param_names.get(id(value))
-        if name is not None:
-            roots = frozenset((name,))
-            return roots, roots
-        return self.lineage.get(id(value), (_EMPTY, _EMPTY))
-
-    def coerce(self, value: Any) -> SymbolicTensor:
-        """Lift any operand (symbolic, real tensor, array, scalar) to symbolic."""
-        if isinstance(value, SymbolicTensor):
-            return value
-        if isinstance(value, Tensor):
-            grad_roots, data_roots = self.roots_of(value)
-            shadow = np.asarray(value.data, dtype=np.float64)
-            return SymbolicTensor(
-                dims=self.env.name_shape(shadow.shape, origin="external"),
-                shadow=shadow,
-                requires_grad=value.requires_grad and is_grad_enabled(),
-                grad_roots=grad_roots,
-                data_roots=data_roots,
-                session=self,
-            )
-        shadow = np.asarray(value, dtype=np.float64)
-        return SymbolicTensor(
-            dims=self.env.name_shape(shadow.shape, origin="external"),
-            shadow=shadow,
-            session=self,
-        )
-
     # ------------------------------------------------------------------
-    # Tensor hooks (installed into repro.nn.tensor)
-    # ------------------------------------------------------------------
-    def lift_new(self, data: Any, requires_grad: bool) -> SymbolicTensor:
-        """Intercept ``Tensor(data)`` construction inside traced code."""
-        sym = self.coerce(data)
-        if requires_grad and is_grad_enabled() and not sym.requires_grad:
-            sym = SymbolicTensor(
-                dims=sym.dims,
-                shadow=sym.shadow,
-                requires_grad=True,
-                grad_roots=sym.grad_roots,
-                data_roots=sym.data_roots,
-                session=self,
-            )
-        return sym
-
-    def note_real(self, out: Tensor, parents: Sequence[Any]) -> None:
-        """Track parameter lineage through ops on *real* tensors."""
-        grad_roots: frozenset = _EMPTY
-        data_roots: frozenset = _EMPTY
-        for parent in parents:
-            g, d = self.roots_of(parent)
-            grad_roots = grad_roots | g
-            data_roots = data_roots | d
-        if not data_roots:
-            return
-        if not is_grad_enabled():
-            if grad_roots and self.audit:
-                self.record_sever("no_grad", grad_roots)
-            grad_roots = _EMPTY
-        self.lineage[id(out)] = (grad_roots, data_roots)
-        self._keep.append(out)
-
-    def concat(self, tensors: Sequence[Any], axis: int) -> Optional[SymbolicTensor]:
-        if not any(isinstance(t, SymbolicTensor) for t in tensors):
-            return None
-        return sym_concat(self, tensors, axis)
-
-    def stack(self, tensors: Sequence[Any], axis: int) -> Optional[SymbolicTensor]:
-        if not any(isinstance(t, SymbolicTensor) for t in tensors):
-            return None
-        return sym_stack(self, tensors, axis)
-
-    def where(self, condition: Any, a: Any, b: Any) -> Optional[SymbolicTensor]:
-        if not any(isinstance(v, SymbolicTensor) for v in (condition, a, b)):
-            return None
-        return sym_where(self, condition, a, b)
-
-    def lstm_sequence(self, *operands: Any, noise: Any):
-        if not any(isinstance(v, SymbolicTensor) for v in operands):
-            return None
-        return sym_lstm_sequence(self, *operands, noise=noise)
-
-    # ------------------------------------------------------------------
-    # Module-call hook (installed into repro.nn.module)
+    # Module calls
     # ------------------------------------------------------------------
     def call_module(self, module: Module, args: tuple, kwargs: dict):
-        path = self.paths.get(id(module), type(module).__name__)
-        self.path_stack.append(path)
+        """The call hook: ``module(*args, **kwargs)`` under contract checks."""
+        contract = getattr(type(module), "__graph_contract__", None)
+        if contract is not None and contract.method != "forward":
+            contract = None  # __call__ enters forward, not the contract's method
+        out, _ = self.invoke(module, "forward", contract, args, kwargs)
+        return out
+
+    def invoke(
+        self,
+        module: Module,
+        method: str,
+        contract: Optional[Contract],
+        args: tuple,
+        kwargs: dict,
+    ) -> Tuple[Any, Dict[str, int]]:
+        """Run ``module.<method>`` checking ``contract``; returns (output, binding)."""
+        self.path_stack.append(self.paths.get(id(module), type(module).__name__))
         try:
-            contract = getattr(type(module), "__graph_contract__", None)
-            binding: Optional[Dict[str, int]] = None
-            checked = contract is not None and contract.method == "forward"
-            if checked:
-                binding = dict(contract.bind_dims(module))
+            binding: Dict[str, int] = {}
+            if contract is not None:
+                binding = contract.bind_dims(module)
                 self.check_inputs(module, contract, args, kwargs, binding)
-            out = module.forward(*args, **kwargs)
-            if checked and contract.outputs is not None:
-                self.check_value(out, contract.outputs, binding, "output", contract.method)
-            return out
+            try:
+                out = getattr(module, method)(*args, **kwargs)
+            except (ValueError, IndexError) as exc:
+                path = self.current_path()
+                raise GraphContractError(
+                    f"{path}.{method}: {type(exc).__name__}: {exc}",
+                    module_path=path,
+                    op=method,
+                ) from exc
+            if contract is not None and contract.outputs is not None:
+                self.check_value(out, contract.outputs, binding, "output", method)
+            return out, binding
         finally:
             self.path_stack.pop()
 
@@ -193,15 +96,13 @@ class TraceSession:
         kwargs: dict,
         binding: Dict[str, int],
     ) -> None:
-        names = contract.signature_names(module)
-        bound = dict(zip(names, args))
+        bound = dict(zip(contract.signature_names(module), args))
         bound.update(kwargs)
         for name, spec_tree in contract.inputs.items():
-            if name not in bound or bound[name] is None:
-                continue  # defaulted argument: nothing to check
-            self.check_value(bound[name], spec_tree, binding, name, contract.method)
+            if bound.get(name) is not None:  # a defaulted argument is not checked
+                self.check_value(bound[name], spec_tree, binding, name, contract.method)
 
-    def _fail_contract(
+    def _fail(
         self, method: str, label: str, detail: str,
         expected: Optional[str] = None, actual: Optional[str] = None,
     ) -> None:
@@ -229,7 +130,7 @@ class TraceSession:
             return
         if isinstance(spec_tree, Mapping):
             if not isinstance(value, Mapping):
-                self._fail_contract(
+                self._fail(
                     method, label,
                     f"expected a mapping of tensors, got {type(value).__name__}",
                 )
@@ -246,7 +147,7 @@ class TraceSession:
                     if isinstance(value, (tuple, list))
                     else type(value).__name__
                 )
-                self._fail_contract(
+                self._fail(
                     method, label,
                     f"expected a {len(spec_tree)}-element sequence, got {got}",
                 )
@@ -255,77 +156,32 @@ class TraceSession:
             return
         raise TypeError(f"unsupported spec tree entry for {label!r}: {spec_tree!r}")
 
-    @staticmethod
-    def _dims_of(value: Any) -> Optional[Tuple[Tuple[Dim, ...], Any, Optional[bool]]]:
-        """(dims, dtype, requires_grad) of a checkable value, else None."""
-        if isinstance(value, SymbolicTensor):
-            return value.dims, value.shadow.dtype, value.requires_grad
-        if isinstance(value, Tensor):
-            dims = tuple(Dim(int(s)) for s in value.data.shape)
-            return dims, value.data.dtype, value.requires_grad
-        if isinstance(value, np.ndarray):
-            return tuple(Dim(int(s)) for s in value.shape), value.dtype, None
-        if isinstance(value, (int, float, np.floating, np.integer)):
-            return (), np.asarray(value).dtype, None
-        return None
-
     def _check_tensor(
         self, value: Any, spec: Spec, binding: Dict[str, int],
         label: str, method: str,
     ) -> None:
-        described = self._dims_of(value)
-        if described is None:
-            self._fail_contract(
-                method, label, f"expected a tensor, got {type(value).__name__}"
-            )
-        dims, dtype, requires_grad = described
-        fixed = spec.fixed
-        if spec.has_ellipsis:
-            if len(dims) < len(fixed):
-                self._fail_contract(
-                    method, label,
-                    f"rank drift: needs at least rank {len(fixed)}, got rank {len(dims)}",
-                    expected=spec.render(binding), actual=render_dims(dims),
-                )
-            tail = dims[len(dims) - len(fixed):] if fixed else ()
+        if isinstance(value, (Tensor, np.ndarray, int, float, np.number)):
+            shape = tuple(np.shape(value))
         else:
-            if len(dims) != len(fixed):
-                self._fail_contract(
-                    method, label,
-                    f"rank drift: expected rank {len(fixed)}, got rank {len(dims)}",
-                    expected=spec.render(binding), actual=render_dims(dims),
-                )
-            tail = dims
-        for entry, dim in zip(fixed, tail):
+            self._fail(method, label, f"expected a tensor, got {type(value).__name__}")
+        fixed = spec.fixed
+        expected, actual = spec.render(binding), str(list(shape))
+        if len(shape) < len(fixed) or (not spec.has_ellipsis and len(shape) != len(fixed)):
+            needs = "at least rank" if spec.has_ellipsis else "rank"
+            self._fail(
+                method, label,
+                f"rank drift: expected {needs} {len(fixed)}, got rank {len(shape)}",
+                expected=expected, actual=actual,
+            )
+        for entry, size in zip(fixed, shape[len(shape) - len(fixed):]):
             if isinstance(entry, str):
-                expected_value = binding.get(entry)
-                if expected_value is None:
-                    binding[entry] = int(dim)
-                elif int(dim) != expected_value:
-                    self._fail_contract(
-                        method, label,
-                        f"dim {entry!r} should be {expected_value}, got {int(dim)}",
-                        expected=spec.render(binding), actual=render_dims(dims),
-                    )
-            elif int(entry) != int(dim):
-                self._fail_contract(
-                    method, label,
-                    f"fixed dim should be {int(entry)}, got {int(dim)}",
-                    expected=spec.render(binding), actual=render_dims(dims),
-                )
-        if spec.dtype is not None:
-            actual_dtype = np.dtype(dtype)
-            if actual_dtype != spec.dtype:
-                detail = f"dtype should be {spec.dtype}, got {actual_dtype}"
-                if actual_dtype.itemsize < spec.dtype.itemsize:
-                    detail += " (precision truncation, e.g. float64 -> float32)"
-                self._fail_contract(method, label, detail)
-        if spec.requires_grad is not None and requires_grad is not None:
-            if bool(requires_grad) != spec.requires_grad:
-                self._fail_contract(
-                    method, label,
-                    f"requires_grad should be {spec.requires_grad}, got {bool(requires_grad)}",
-                )
+                want = binding.setdefault(entry, size)
+                detail = f"dim {entry!r} should be {want}, got {size}"
+            else:
+                want = int(entry)
+                detail = f"fixed dim should be {want}, got {size}"
+            if size != want:
+                self._fail(method, label, detail, expected=expected, actual=actual)
 
     # ------------------------------------------------------------------
     # Probe construction for standalone verification
@@ -342,26 +198,13 @@ class TraceSession:
 
     def _build_value(self, spec_tree: Any, label: str) -> Any:
         if isinstance(spec_tree, Spec):
-            dims: List[Dim] = []
-            for entry in spec_tree.shape:
-                if entry == "...":
-                    dims.append(self.env.fresh("B"))
-                elif isinstance(entry, str):
-                    dims.append(self.env.fresh(entry))
-                else:
-                    dims.append(Dim(int(entry), origin="spec"))
-            shadow = np.zeros(
-                tuple(int(d) for d in dims),
-                dtype=spec_tree.dtype if spec_tree.dtype is not None else np.float64,
-            )
-            if spec_tree.array:
-                return shadow
-            return SymbolicTensor(
-                dims=tuple(dims),
-                shadow=shadow,
-                requires_grad=bool(spec_tree.requires_grad),
-                session=self,
-            )
+            shape = [
+                self.env.fresh("B" if entry == "..." else entry)
+                if isinstance(entry, str) else int(entry)
+                for entry in spec_tree.shape
+            ]
+            values = self.env.probe(*shape)
+            return values if spec_tree.array else Tensor(values)
         if isinstance(spec_tree, (tuple, list)):
             return tuple(
                 self._build_value(sub, f"{label}[{i}]") for i, sub in enumerate(spec_tree)
@@ -374,24 +217,17 @@ class TraceSession:
         raise GraphContractError(
             f"cannot build a probe for input {label!r} declared as {spec_tree!r}; "
             "give the contract a build_inputs callable",
-            module_path=self.current_path(),
             op=f"probe:{label}",
         )
 
-    # ------------------------------------------------------------------
-    # Hook lifecycle
-    # ------------------------------------------------------------------
     @contextlib.contextmanager
     def active(self):
-        """Install the tensor + module hooks for the duration of the trace."""
-        prev_tensor = tensor_mod._set_symbolic_hook(self)
-        prev_module = module_mod._set_call_hook(self)
-        if prev_tensor is not None or prev_module is not None:
-            tensor_mod._set_symbolic_hook(prev_tensor)
-            module_mod._set_call_hook(prev_module)
-            raise RuntimeError("a symbolic trace is already active; traces do not nest")
+        """Install the module call hook for the duration of the run."""
+        previous = module_mod._set_call_hook(self)
+        if previous is not None:
+            module_mod._set_call_hook(previous)
+            raise RuntimeError("a graph verification is already active; runs do not nest")
         try:
             yield self
         finally:
-            tensor_mod._set_symbolic_hook(prev_tensor)
-            module_mod._set_call_hook(prev_module)
+            module_mod._set_call_hook(None)

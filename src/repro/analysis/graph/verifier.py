@@ -1,21 +1,25 @@
-"""The verifier: one-shot symbolic verification of a contracted module.
+"""The verifier: one-shot verification of a contracted module on concrete probes.
 
-:func:`verify` builds probe inputs from the module's ``@contract``, traces
-the entry method with :class:`~repro.analysis.graph.trace.TraceSession`
-(shape/dtype contract checks fire inside the trace), then runs the
-gradient-flow audit over the symbolic outputs:
+:func:`verify` builds probe inputs from the module's ``@contract`` (each free
+named dim gets a distinct small prime, values come from a fixed local
+generator), runs the real entry method under a
+:class:`~repro.analysis.graph.trace.TraceSession` (shape contracts are
+checked at every module boundary), then audits gradient flow:
 
-* **dead parameters** — registered parameters whose value never reaches any
-  output (a mis-wired or orphaned submodule);
-* **severed parameters** — parameters that reach an output, but only
-  through ``detach()``/``no_grad`` paths, so no gradient can flow back;
-* **no grad path** — a module with trainable parameters whose outputs carry
-  no gradient path at all.
+* it walks the autodiff graph (``Tensor._parents``) back from the outputs
+  and collects the parameters it reaches;
+* each parameter the walk misses is perturbed once and the forward re-run:
+  if the outputs move, the parameter reaches them only through
+  ``detach()``/``no_grad`` (**severed**); if not, it is **dead** (a
+  mis-wired or orphaned submodule);
+* a module with parameters whose outputs reach none of them has **no grad
+  path**.
 
-Determinism: traced forwards draw from the module's own
-``np.random.Generator`` objects (noise injection, dropout, z0/z1).  The
-verifier snapshots every generator reachable from the module tree before
-tracing and restores it after, so calling :func:`verify` inside
+No backward pass runs, so no ``.grad`` changes, and no ``train``/``eval``
+mode flag is touched.  Forwards draw from the module's own
+``np.random.Generator`` objects (noise injection, dropout, z0/z1); the
+verifier snapshots every generator reachable from the module tree and
+restores it after each run, so calling :func:`verify` inside
 ``GenDT.fit``/``GenDT.load`` does not shift the seeded streams — training is
 bit-identical with verification on or off.
 """
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -32,7 +36,6 @@ from ...nn.module import Module
 from ...nn.tensor import Tensor
 from ...runtime.errors import GraphContractError
 from .spec import Contract, DimEnv
-from .symbolic import SymbolicTensor
 from .trace import TraceSession
 
 __all__ = ["Report", "verify"]
@@ -46,7 +49,7 @@ class Report:
     method: str
     violations: List[GraphContractError] = field(default_factory=list)
     dead_params: List[str] = field(default_factory=list)
-    severed_params: List[Tuple[str, str, str]] = field(default_factory=list)
+    severed_params: List[str] = field(default_factory=list)
     no_grad_output: bool = False
     bound_dims: Dict[str, int] = field(default_factory=dict)
     n_params: int = 0
@@ -69,13 +72,11 @@ class Report:
         for violation in self.violations:
             lines.append(f"      contract violation: {violation}")
         for name in self.dead_params:
-            lines.append(
-                f"      dead parameter (unreachable from outputs): {name}"
-            )
-        for name, op, path in self.severed_params:
+            lines.append(f"      dead parameter (unreachable from outputs): {name}")
+        for name in self.severed_params:
             lines.append(
                 f"      severed gradient: {name} reaches the output only "
-                f"through {op!r} at {path}"
+                "through detach()/no_grad"
             )
         if self.no_grad_output:
             lines.append(
@@ -90,8 +91,8 @@ class Report:
         details = []
         if self.dead_params:
             details.append(f"dead parameters {self.dead_params}")
-        for name, op, path in self.severed_params:
-            details.append(f"gradient to {name!r} severed by {op!r} at {path}")
+        if self.severed_params:
+            details.append(f"gradient to {self.severed_params} severed by detach()/no_grad")
         if self.no_grad_output:
             details.append("outputs have no grad path to any parameter")
         return GraphContractError(
@@ -111,8 +112,8 @@ def _collect_generators(module: Module) -> List[np.random.Generator]:
     return list(found.values())
 
 
-def _collect_outputs(value: Any, into: List[SymbolicTensor]) -> None:
-    if isinstance(value, SymbolicTensor):
+def _collect_outputs(value: Any, into: List[Tensor]) -> List[Tensor]:
+    if isinstance(value, Tensor):
         into.append(value)
     elif isinstance(value, (tuple, list)):
         for item in value:
@@ -120,18 +121,27 @@ def _collect_outputs(value: Any, into: List[SymbolicTensor]) -> None:
     elif isinstance(value, dict):
         for item in value.values():
             _collect_outputs(item, into)
-    elif isinstance(value, Tensor):
-        # A traced method returning a *real* tensor means the value never
-        # passed through a traced op; the grad audit treats it as opaque.
-        pass
+    return into
+
+
+def _reached_ids(outputs: List[Tensor]) -> set:
+    """Ids of every tensor on an autodiff path into ``outputs``."""
+    seen: set = set()
+    stack = list(outputs)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return seen
 
 
 def verify(
     module: Module,
     contract: Optional[Contract] = None,
     raise_on_error: bool = False,
-) -> Report:
-    """Symbolically verify a module against its ``@contract``.
+) -> "Report":
+    """Verify a module against its ``@contract`` by running it on probes.
 
     Args:
         module: any :class:`repro.nn.Module` whose class (or the explicit
@@ -142,8 +152,8 @@ def verify(
             returning a failing report.
 
     Returns:
-        A :class:`Report`; ``report.ok`` is True when every shape/dtype
-        contract holds and the gradient-flow audit is clean.
+        A :class:`Report`; ``report.ok`` is True when every shape contract
+        holds and the gradient-flow audit is clean.
     """
     if contract is None:
         contract = getattr(type(module), "__graph_contract__", None)
@@ -153,52 +163,53 @@ def verify(
             "decorate the class or pass contract= explicitly"
         )
 
-    generators = _collect_generators(module)
-    snapshots = [copy.deepcopy(rng.bit_generator.state) for rng in generators]
-
-    env = DimEnv()
+    params = dict(module.named_parameters())
     bound = contract.bind_dims(module)
-    env.bind_all(bound)
-    session = TraceSession(module, env=env, audit=contract.audit)
+    env = DimEnv(bound)
+    session = TraceSession(module, env)
     report = Report(
         module=type(module).__name__,
         method=contract.method,
         bound_dims=dict(bound),
-        n_params=len(session.param_names),
+        n_params=len(params),
     )
+    generators = _collect_generators(module)
+    snapshots = [copy.deepcopy(rng.bit_generator.state) for rng in generators]
 
-    outputs: List[SymbolicTensor] = []
+    def run(checked: Optional[Contract]) -> Any:
+        try:
+            with session.active():
+                return session.invoke(module, contract.method, checked, args, kwargs)
+        finally:
+            for rng, state in zip(generators, snapshots):
+                rng.bit_generator.state = state
+
     try:
-        with session.active():
-            try:
-                args, kwargs = session.build_probe_inputs(module, contract)
-                binding = dict(bound)
-                session.check_inputs(module, contract, args, kwargs, binding)
-                result = getattr(module, contract.method)(*args, **kwargs)
-                if contract.outputs is not None:
-                    session.check_value(
-                        result, contract.outputs, binding, "output", contract.method
-                    )
-                report.bound_dims = dict(binding)
-                _collect_outputs(result, outputs)
-            except GraphContractError as exc:
-                report.violations.append(exc)
-    finally:
-        for rng, state in zip(generators, snapshots):
-            rng.bit_generator.state = state
+        args, kwargs = session.build_probe_inputs(module, contract)
+        result, report.bound_dims = run(contract)
+    except GraphContractError as exc:
+        report.violations.append(exc)
+        result = None
+    outputs = _collect_outputs(result, [])
 
-    if contract.audit and not report.violations and outputs:
-        registered = set(session.param_names.values())
-        grad_reached: set = set()
-        data_reached: set = set()
-        for out in outputs:
-            grad_reached |= out.grad_roots
-            data_reached |= out.data_roots
-        report.dead_params = sorted(registered - data_reached)
-        for name in sorted((data_reached - grad_reached) & registered):
-            op, path = session.severed.get(name, ("detach/no_grad", report.module))
-            report.severed_params.append((name, op, path))
-        report.no_grad_output = bool(registered) and not grad_reached
+    if outputs:
+        reached = _reached_ids(outputs)
+        unreached = [name for name, p in params.items() if id(p) not in reached]
+        report.no_grad_output = bool(params) and len(unreached) == len(params)
+        # A parameter the walk misses is dead unless perturbing it moves the
+        # outputs, in which case its path is severed.
+        for name in unreached:
+            param = params[name]
+            original = param.data
+            param.data = original + env.probe(*original.shape)  # repro: noqa[TEN001] (restored below)
+            try:
+                moved = _collect_outputs(run(None)[0], [])
+            finally:
+                param.data = original  # repro: noqa[TEN001] (the original array, bit for bit)
+            if all(np.array_equal(a.data, b.data, equal_nan=True) for a, b in zip(outputs, moved)):
+                report.dead_params.append(name)
+            else:
+                report.severed_params.append(name)
 
     if raise_on_error and not report.ok:
         raise report.first_error()

@@ -421,7 +421,7 @@ class ServingSleepsUseBackoffSchedule(Rule):
 class ExportedModulesNeedContracts(Rule):
     """SHP001: exported ``nn.Module`` subclasses must declare a ``@contract``.
 
-    The symbolic graph verifier (:mod:`repro.analysis.graph`) can only
+    The graph verifier (:mod:`repro.analysis.graph`) can only
     check what the contracts declare, so every model class in the exported
     model packages — ``repro/core``, ``repro/baselines``, and the sequence
     modules in ``repro/nn/lstm.py`` — must carry a ``@contract(...)``

@@ -36,10 +36,9 @@ from .base import BaselineModel, ContextEncodingMixin
 
 def _dg_probe(module: "_DGGenerator", env) -> Tuple[tuple, dict]:
     """Probe (metadata, length) pair; length is a plain int argument."""
-    b = int(env.fresh("B"))
-    length = int(env.fresh("T"))
+    b, length = env.fresh("B"), env.fresh("T")
     n_meta = module.lstm.input_size - module.n_noise
-    return ((np.zeros((b, n_meta)), length), {})
+    return ((env.probe(b, n_meta), length), {})
 
 
 @contract(

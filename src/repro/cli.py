@@ -292,7 +292,7 @@ def cmd_verify_graph(args) -> int:
                 "ok": report.ok,
                 "violations": [str(v) for v in report.violations],
                 "dead_params": report.dead_params,
-                "severed_params": [list(s) for s in report.severed_params],
+                "severed_params": report.severed_params,
                 "no_grad_output": report.no_grad_output,
                 "bound_dims": report.bound_dims,
             }
@@ -463,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser(
         "verify-graph",
-        help="symbolically verify model graphs (shape/dtype contracts + "
+        help="verify model graphs on concrete probes (shape contracts + "
              "gradient-flow audit)",
     )
     p_verify.add_argument(

@@ -16,15 +16,13 @@ from .networks import AggregationNetwork, GnnNodeNetwork, ResGen
 
 
 def _probe_batch(module: "GenDTGenerator", env) -> Tuple[tuple, dict]:
-    """Symbolic probe ModelBatch for graph verification (fresh B, N_c, L)."""
-    b = int(env.fresh("B"))
-    n_c = int(env.fresh("N_c"))
-    length = int(env.fresh("L"))
+    """Probe ModelBatch for graph verification (fresh B, N_c, L)."""
+    b, n_c, length = env.fresh("B"), env.fresh("N_c"), env.fresh("L")
     batch = ModelBatch(
-        cell_x=np.zeros((b, n_c, length, N_CELL_FEATURES)),
+        cell_x=env.probe(b, n_c, length, N_CELL_FEATURES),
         cell_mask=np.ones((b, n_c)),
-        env=np.zeros((b, length, module.n_env)),
-        target=np.zeros((b, length, module.n_channels)),
+        env=env.probe(b, length, module.n_env),
+        target=env.probe(b, length, module.n_channels),
         scenarios=["probe"] * b,
     )
     return (batch,), {}

@@ -14,7 +14,6 @@ seeded by ``seed`` at construction, so each call continues that stream.
 
 from __future__ import annotations
 
-import zipfile
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -31,9 +30,7 @@ from ..geo.trajectory import Trajectory
 from ..radio.kpis import KPI, KpiSpec
 from ..radio.simulator import DriveTestRecord
 from ..world.region import Region
-from .. import nn
-from ..runtime.checkpoint import is_checkpoint, read_checkpoint, write_checkpoint
-from ..runtime.errors import CheckpointCorruptError
+from ..runtime.checkpoint import read_checkpoint, write_checkpoint
 from ..runtime.guards import HealthGuard
 from ..runtime.validate import validate_trajectory, validate_windows
 from .config import GenDTConfig
@@ -137,7 +134,7 @@ class GenDT:
         )
         self.trainer = GenDTTrainer(self.generator, self.config, self.rng)
         if verify_graph:
-            # One-shot symbolic shape/dtype + gradient-flow check before any
+            # One-shot shape-contract + gradient-flow check before any
             # training compute; restores all RNG streams, so training is
             # bit-identical with verification on or off.
             self._verify_generator()
@@ -349,77 +346,44 @@ class GenDT:
         write_checkpoint(path, arrays, meta)
 
     def _verify_generator(self) -> None:
-        """Symbolically verify the generator graph (raises on violation)."""
+        """Verify the generator graph on concrete probes (raises on violation)."""
         from ..analysis.graph import verify
 
         verify(self.generator, raise_on_error=True)
 
-    def load(
-        self, path: Union[str, Path], n_env: int = 28, verify_graph: bool = True
-    ) -> None:
+    def load(self, path: Union[str, Path], verify_graph: bool = True) -> None:
         """Restore a model saved with :meth:`save` (same config required).
 
-        Accepts both the checksummed checkpoint container and (for backward
-        compatibility) legacy ``.npz`` archives written by older versions.
-        ``n_env`` is only a fallback for legacy files; checkpoints record it.
-
         Raises:
-            CheckpointCorruptError: the file is missing, fails checksum
-                verification, or (legacy path) is a malformed/truncated
-                ``.npz`` archive — always carrying the offending path.
+            CheckpointCorruptError: the file is missing or is not an intact
+                checkpoint container (bad magic, checksum mismatch,
+                truncation), always carrying the offending path.
             ValueError: the checkpoint's KPI list does not match this
                 model's (message names the checkpoint path).
         """
-        if is_checkpoint(path):
-            arrays, meta = read_checkpoint(path)
-            # Validate KPI compatibility before instantiating the generator:
-            # a channel-count mismatch would otherwise surface as an opaque
-            # weight-shape error from load_state_dict.
-            if meta is not None and meta.get("kpis") != self.kpi_names:
-                raise ValueError(
-                    f"checkpoint {path}: KPIs {meta.get('kpis')} do not match "
-                    f"model {self.kpi_names}"
-                )
-            state = {
+        arrays, meta = read_checkpoint(path)
+        # Validate KPI compatibility before instantiating the generator:
+        # a channel-count mismatch would otherwise surface as an opaque
+        # weight-shape error from load_state_dict.
+        if meta.get("kpis") != self.kpi_names:
+            raise ValueError(
+                f"checkpoint {path}: KPIs {meta.get('kpis')} do not match "
+                f"model {self.kpi_names}"
+            )
+        self._n_env = int(meta["n_env"])
+        self.generator = GenDTGenerator(
+            n_channels=self.kpi_spec.n_channels,
+            n_env=self._n_env,
+            config=self.config,
+            rng=self.rng,
+        )
+        self.generator.load_state_dict(
+            {
                 name.partition(".")[2]: value
                 for name, value in arrays.items()
                 if name.startswith("model.")
             }
-            n_env = int(meta.get("n_env") or n_env)
-            self.generator = GenDTGenerator(
-                n_channels=self.kpi_spec.n_channels,
-                n_env=n_env,
-                config=self.config,
-                rng=self.rng,
-            )
-            self.generator.load_state_dict(state)
-        else:
-            self.generator = GenDTGenerator(
-                n_channels=self.kpi_spec.n_channels,
-                n_env=n_env,
-                config=self.config,
-                rng=self.rng,
-            )
-            try:
-                meta = nn.load_module(self.generator, path)
-            except FileNotFoundError as exc:
-                raise CheckpointCorruptError(
-                    f"checkpoint not found: {exc}", path=str(path)
-                ) from exc
-            except (KeyError, OSError, ValueError, zipfile.BadZipFile) as exc:
-                # np.load raises BadZipFile/OSError on truncation, KeyError on
-                # a missing array, ValueError on un-unpicklable garbage.
-                raise CheckpointCorruptError(
-                    f"malformed legacy .npz archive: {exc!r}", path=str(path)
-                ) from exc
-        if meta is None:
-            raise ValueError(f"missing metadata in checkpoint {path}")
-        if meta["kpis"] != self.kpi_names:
-            raise ValueError(
-                f"checkpoint {path}: KPIs {meta['kpis']} do not match "
-                f"model {self.kpi_names}"
-            )
-        self._n_env = n_env
+        )
         self.env_normalizer = EnvFeatureNormalizer.from_state(
             {k: np.asarray(v) for k, v in meta["env_normalizer"].items()}
         )

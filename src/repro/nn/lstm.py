@@ -17,7 +17,6 @@ import numpy as np
 
 from ..analysis.graph.spec import ANY, Spec, contract
 from . import init
-from . import tensor as _tensor
 from .module import Module, Parameter
 from .tensor import Tensor
 
@@ -170,6 +169,30 @@ class _Recurrence:
         return d_x, d_w_ih, d_w_hh, d_bias, d_h, d_c
 
 
+def _check_shapes(x, weight_ih, weight_hh, bias, h0, c0) -> None:
+    """Raise ValueError naming the first :func:`lstm_sequence` input that does not fit."""
+    if len(x) != 3 or len(weight_hh) != 2:
+        raise ValueError(
+            f"lstm_sequence: x must be [B, T, I] and weight_hh [4H, H], "
+            f"got x {list(x)} and weight_hh {list(weight_hh)}"
+        )
+    batch, _, n_in = x
+    hidden = weight_hh[1]
+    expected = {
+        "weight_ih": (weight_ih, (4 * hidden, n_in)),
+        "weight_hh": (weight_hh, (4 * hidden, hidden)),
+        "bias": (bias, (4 * hidden,)),
+        "h0": (h0, (batch, hidden)),
+        "c0": (c0, (batch, hidden)),
+    }
+    for name, (shape, want) in expected.items():
+        if tuple(shape) != want:
+            raise ValueError(
+                f"lstm_sequence: {name} has shape {list(shape)}, expected "
+                f"{list(want)} for x {list(x)} and hidden size {hidden}"
+            )
+
+
 def lstm_sequence(
     x,
     weight_ih,
@@ -195,13 +218,13 @@ def lstm_sequence(
     Returns:
         ``(hs, (h, c))``: the hidden state at every step ``[B, T, H]`` and
         the final state.  Gradients flow from all three to all six inputs.
+
+    Raises:
+        ValueError: an input's shape does not fit ``x`` and ``weight_hh``;
+            the message names the input (e.g. ``weight_ih``).
     """
-    hook = _tensor._symbolic_hook
-    if hook is not None:
-        symbolic = hook.lstm_sequence(x, weight_ih, weight_hh, bias, h0, c0, noise=noise)
-        if symbolic is not None:
-            return symbolic
     inputs = tuple(Tensor._coerce(v) for v in (x, weight_ih, weight_hh, bias, h0, c0))
+    _check_shapes(*(v.shape for v in inputs))
     run = _Recurrence(*(v.data for v in inputs), noise)
     final_grads = {}
 

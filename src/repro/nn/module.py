@@ -17,10 +17,10 @@ from .anomaly import NumericalAnomalyError, annotate_module
 from .tensor import Tensor
 
 
-# Module-call hook for symbolic tracing (see repro.analysis.graph.trace).
+# Module-call hook for graph verification (see repro.analysis.graph.trace).
 # While installed, every Module.__call__ routes through the hook, which
 # pushes the dotted module path, checks the module's @contract, and invokes
-# forward() itself.  ``None`` outside a verification trace.
+# forward() itself.  ``None`` outside a verification run.
 _call_hook = None
 
 

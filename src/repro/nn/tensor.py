@@ -47,23 +47,6 @@ def is_grad_enabled() -> bool:
     return _grad_enabled
 
 
-# Symbolic-trace hook (see repro.analysis.graph.trace).  While installed,
-# ``Tensor(...)`` construction lifts data into SymbolicTensors, every real
-# op reports its output for parameter-lineage tracking, and the
-# concat/stack/where free functions (and ``repro.nn.lstm.lstm_sequence``)
-# dispatch to their symbolic versions when any operand is symbolic.
-# ``None`` outside a verification trace.
-_symbolic_hook = None
-
-
-def _set_symbolic_hook(hook):
-    """Install (or clear, with None) the trace hook; returns the previous one."""
-    global _symbolic_hook
-    previous = _symbolic_hook
-    _symbolic_hook = hook
-    return previous
-
-
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -97,15 +80,6 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name", "_anomaly_ctx")
 
     __array_priority__ = 100  # ensure ndarray + Tensor dispatches to Tensor
-
-    def __new__(cls, data=None, requires_grad=False, _parents=(), name=None):
-        # During a symbolic trace, plain Tensor construction lifts into a
-        # SymbolicTensor so shapes stay named through the whole forward.
-        # Parameter (and other subclasses) stay real: tracing works on the
-        # module's actual weights via their shadow arrays.
-        if _symbolic_hook is not None and cls is Tensor:
-            return _symbolic_hook.lift_new(data, requires_grad)
-        return object.__new__(cls)
 
     def __init__(
         self,
@@ -176,13 +150,7 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
         requires = _grad_enabled and any(p.requires_grad for p in parents)
-        # Raw construction: bypasses the symbolic lifting in __new__ so real
-        # op outputs stay real even while a trace hook is installed (mixed
-        # real/symbolic expressions report their lineage via note_real).
-        out = object.__new__(Tensor)
-        Tensor.__init__(out, data, requires_grad=False)
-        if _symbolic_hook is not None:
-            _symbolic_hook.note_real(out, parents)
+        out = Tensor(data)
         if _anomaly.enabled:
             _anomaly_note_forward(out, out.data)
         if requires:
@@ -516,10 +484,6 @@ class Tensor:
 # ----------------------------------------------------------------------
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
-    if _symbolic_hook is not None:
-        symbolic = _symbolic_hook.concat(tensors, axis)
-        if symbolic is not None:
-            return symbolic
     tensors = [Tensor._coerce(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
@@ -538,10 +502,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis with gradient support."""
-    if _symbolic_hook is not None:
-        symbolic = _symbolic_hook.stack(tensors, axis)
-        if symbolic is not None:
-            return symbolic
     tensors = [Tensor._coerce(t) for t in tensors]
     out_data = np.stack([t.data for t in tensors], axis=axis)
 
@@ -557,10 +517,6 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def where(condition: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
     """Elementwise select with gradient flowing to both branches."""
-    if _symbolic_hook is not None:
-        symbolic = _symbolic_hook.where(condition, a, b)
-        if symbolic is not None:
-            return symbolic
     a = Tensor._coerce(a)
     b = Tensor._coerce(b)
     cond = np.asarray(condition, dtype=bool)

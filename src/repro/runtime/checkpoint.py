@@ -112,6 +112,8 @@ def read_checkpoint(path: PathLike) -> Tuple[Dict[str, np.ndarray], Dict[str, An
     path = Path(path)
     try:
         raw = path.read_bytes()
+    except FileNotFoundError as exc:
+        raise CheckpointCorruptError(f"checkpoint not found: {exc}", path=str(path)) from exc
     except OSError as exc:
         raise CheckpointCorruptError(f"unreadable: {exc}", path=str(path)) from exc
     if len(raw) < len(MAGIC) + 8 or raw[: len(MAGIC)] != MAGIC:

@@ -122,15 +122,15 @@ class GenerationFaultError(GenDTRuntimeError):
 
 
 class GraphContractError(GenDTRuntimeError):
-    """A model graph failed symbolic verification (see repro.analysis.graph).
+    """A model graph failed verification (see repro.analysis.graph).
 
-    Raised at *definition/load time* — before any real compute — when a
-    traced module violates its ``@contract`` shape/dtype declaration, an op
-    performs an accidental broadcast, or the gradient-flow audit finds dead
-    or severed parameters.  ``module_path`` is the dotted location inside
-    the traced module tree (e.g. ``GenDTGenerator.resgen.mlp``), ``op`` the
-    offending tensor operation or contract role, and ``expected``/``actual``
-    the rendered symbolic shapes.
+    Raised at *fit/load time* — before any training or generation — when a
+    module run on probe inputs violates its ``@contract`` shape declaration,
+    raises a numpy shape error, or the gradient-flow audit finds dead or
+    severed parameters.  ``module_path`` is the dotted location inside the
+    module tree (e.g. ``GenDTGenerator.resgen.mlp``), ``op`` the offending
+    method or contract role, and ``expected``/``actual`` the rendered
+    shapes.
     """
 
     def __init__(

@@ -1,11 +1,12 @@
-"""Tests for the symbolic graph verifier (repro.analysis.graph).
+"""Tests for the graph verifier (repro.analysis.graph).
 
 Covers the three layers of the subsystem: the verifier itself (clean models
 pass, the seeded defect classes are caught with named module paths and
-symbolic shapes), the integration points (raise_on_error, RNG restoration so
-fit/load-time verification cannot shift seeded streams), and the tooling on
-top (verify-graph CLI exit codes, the SHP001 lint rule, lint --select /
---ignore / --format json).
+shapes), the integration points (raise_on_error, and freedom from side
+effects — RNG streams, ``.grad`` and ``training`` flags — so fit/load-time
+verification cannot change training), and the tooling on top (verify-graph
+CLI exit codes, the SHP001 lint rule, lint --select / --ignore / --format
+json).
 """
 
 import json
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import cli, nn
+from repro.core import GenDT, small_config
 from repro.analysis.engine import lint_file
 from repro.analysis.engine import main as lint_main
 from repro.analysis.graph import verify
@@ -48,7 +50,7 @@ def test_report_format_clean_line():
 
 
 # ---------------------------------------------------------------------------
-# Seeded defects are detected, with module paths and symbolic shapes.
+# Seeded defects are detected, with module paths and shapes.
 # ---------------------------------------------------------------------------
 
 
@@ -64,16 +66,10 @@ def test_miswindowed_resgen_names_module_path_and_shapes():
     report = verify(DEFECTS["resgen_miswindowed"].build(0))
     text = report.format()
     # The failure is localised to the submodule that received the bad input,
-    # and the message shows the symbolic shape, not just raw integers.
+    # and the message names the contract dim, not just raw integers.
     assert "ResGen.mlp" in text
-    assert "Fin" in text
-
-
-def test_broadcast_residual_reports_axis():
-    report = verify(DEFECTS["broadcast_residual"].build(0))
-    text = report.format()
-    assert "accidental broadcast" in text
-    assert "axis" in text
+    assert "'Fin' should be 38, got 42" in text
+    assert "got [5, 42]" in text
 
 
 def test_dead_weight_lists_exact_parameters():
@@ -85,20 +81,18 @@ def test_dead_weight_lists_exact_parameters():
 def test_detached_head_reports_severed_path_and_no_grad_output():
     report = verify(DEFECTS["detached_head"].build(0))
     assert report.no_grad_output
-    severed = {name: op for name, op, _path in report.severed_params}
-    assert severed.get("stem.weight") == "detach"
-    assert severed.get("stem.bias") == "detach"
+    assert sorted(report.severed_params) == ["stem.bias", "stem.weight"]
+    assert not report.dead_params
 
 
 def test_lstm_sequence_twin_checks_weight_shapes():
-    # A recurrent weight that no longer fits the input is caught by the
-    # symbolic lstm_sequence op, inside the module that called it.
+    # A recurrent weight that no longer fits the input is caught by
+    # lstm_sequence's own shape check, inside the module that called it.
     lstm = SHIPPED["stochastic_lstm"].build(0)
     lstm.cell.weight_ih = nn.Parameter(np.zeros((4 * 14, 8)))
     with pytest.raises(GraphContractError) as excinfo:
         verify(lstm, raise_on_error=True)
     err = excinfo.value
-    assert err.op == "lstm_sequence"
     assert err.module_path == "StochasticLSTM"
     assert "weight_ih" in str(err)
 
@@ -112,9 +106,18 @@ def test_raise_on_error_raises_graph_contract_error():
 
 def test_verify_is_free_of_rng_side_effects():
     # fit()/load() verify the generator up front; that must not advance any
-    # seeded stream, or training becomes nondeterministic vs. the seed.
+    # seeded stream, or training becomes nondeterministic vs. the seed.  Nor
+    # may it touch gradients or train/eval flags.
     build = SHIPPED["gendt_generator"].build
     verified, untouched = build(11), build(11)
+    params = verified.parameters()
+    for i, param in enumerate(params):
+        param.grad = np.full(param.shape, float(i)) if i % 2 else None
+    submodules = list(verified.modules())
+    for i, sub in enumerate(submodules):
+        sub.training = i % 3 != 0
+    grads = [None if p.grad is None else p.grad.copy() for p in params]
+    flags = [sub.training for sub in submodules]
     report = verify(verified)
     assert report.ok, report.format()
     rngs_a = _collect_generators(verified)
@@ -124,6 +127,34 @@ def test_verify_is_free_of_rng_side_effects():
         np.testing.assert_array_equal(
             rng_a.standard_normal(8), rng_b.standard_normal(8)
         )
+    for param, grad in zip(params, grads):
+        if grad is None:
+            assert param.grad is None
+        else:
+            np.testing.assert_array_equal(param.grad, grad)
+    assert [sub.training for sub in submodules] == flags
+
+
+def test_verify_leaves_defect_weights_unchanged():
+    # The severed/dead re-check perturbs a weight and must restore it exactly.
+    for name in ("dead_weight", "detached_head"):
+        module = DEFECTS[name].build(0)
+        before = module.state_dict()
+        verify(module)
+        for key, value in module.state_dict().items():
+            np.testing.assert_array_equal(value, before[key])
+
+
+def test_fit_weights_identical_with_and_without_verification(tiny_dataset_a, tiny_split):
+    config = dict(epochs=1, hidden_size=8, batch_len=20, train_step=10, minibatch_windows=16)
+    states = []
+    for verify_graph in (True, False):
+        model = GenDT(tiny_dataset_a.region, kpis=["rsrp"], config=small_config(**config), seed=5)
+        model.fit(tiny_split.train, verify_graph=verify_graph)
+        states.append(model.generator.state_dict())
+    assert states[0].keys() == states[1].keys()
+    for key, value in states[0].items():
+        np.testing.assert_array_equal(value, states[1][key])
 
 
 def test_verify_rejects_module_without_contract():

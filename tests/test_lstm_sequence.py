@@ -105,6 +105,30 @@ def test_no_grad_builds_no_graph_and_draws_the_same_noise():
     assert states[0] == states[1]
 
 
+@pytest.mark.parametrize(
+    "index, name, bad_shape",
+    [
+        (1, "weight_ih", (20, 2)),
+        (2, "weight_hh", (16, 5)),
+        (3, "bias", (16,)),
+        (4, "h0", (3, 5)),
+        (5, "c0", (2, 4)),
+    ],
+)
+def test_shape_mismatch_names_the_input(index, name, bad_shape):
+    arrays = _arrays(2, 4, 3, 5)
+    arrays[index] = np.zeros(bad_shape)
+    with pytest.raises(ValueError, match=f"lstm_sequence: {name} has shape"):
+        lstm_sequence(*[Tensor(a) for a in arrays])
+
+
+def test_input_rank_is_checked():
+    arrays = _arrays(2, 4, 3, 5)
+    arrays[0] = arrays[0][:, 0]
+    with pytest.raises(ValueError, match=r"x must be \[B, T, I\]"):
+        lstm_sequence(*[Tensor(a) for a in arrays])
+
+
 class TestModules:
     def test_stochastic_lstm_matches_reference(self):
         lstm = StochasticLSTM(3, 6, np.random.default_rng(0))

@@ -1,4 +1,4 @@
-"""Edge cases and failure injection for the nn engine and serialization."""
+"""Edge cases and failure injection for the nn engine."""
 
 import numpy as np
 import pytest
@@ -95,33 +95,6 @@ class TestOptimizerEdgeCases:
         w = nn.Parameter(np.zeros(2))
         opt = nn.SGD([w], lr=0.1)
         assert opt.clip_grad_norm(1.0) == 0.0
-
-
-class TestSerializationEdgeCases:
-    def test_meta_with_nested_structures(self, tmp_path):
-        rng = np.random.default_rng(0)
-        layer = nn.Linear(2, 2, rng)
-        meta = {"kpis": ["rsrp", "rsrq"], "norm": {"mean": [1.0, 2.0]}, "n": 3}
-        path = tmp_path / "m.npz"
-        nn.save_module(layer, path, meta=meta)
-        loaded = nn.load_module(layer, path)
-        assert loaded == meta
-
-    def test_creates_parent_directories(self, tmp_path):
-        rng = np.random.default_rng(0)
-        layer = nn.Linear(2, 2, rng)
-        path = tmp_path / "deep" / "nested" / "m.npz"
-        nn.save_module(layer, path)
-        assert path.exists()
-
-    def test_load_into_wrong_architecture_fails(self, tmp_path):
-        rng = np.random.default_rng(0)
-        src = nn.Linear(2, 2, rng)
-        dst = nn.Linear(3, 2, rng)
-        path = tmp_path / "m.npz"
-        nn.save_module(src, path)
-        with pytest.raises(ValueError):
-            nn.load_module(dst, path)
 
 
 class TestLSTMEdgeCases:

@@ -96,23 +96,3 @@ class TestStateDict:
         state["gain"] = np.zeros(5)
         with pytest.raises(ValueError):
             model.load_state_dict(state)
-
-
-class TestSerialization:
-    def test_save_load_npz(self, tmp_path):
-        model_a = TwoLayer(make_rng())
-        model_b = TwoLayer(np.random.default_rng(1))
-        path = tmp_path / "model.npz"
-        nn.save_module(model_a, path, meta={"kpis": ["rsrp"]})
-        meta = nn.load_module(model_b, path)
-        assert meta == {"kpis": ["rsrp"]}
-        x = np.ones((1, 4))
-        np.testing.assert_allclose(
-            model_b(nn.Tensor(x)).numpy(), model_a(nn.Tensor(x)).numpy()
-        )
-
-    def test_save_without_meta(self, tmp_path):
-        model = TwoLayer(make_rng())
-        path = tmp_path / "bare.npz"
-        nn.save_module(model, path)
-        assert nn.load_module(model, path) is None

@@ -28,23 +28,6 @@ class TestCheckpointCorruption:
         assert excinfo.value.path == str(missing)
         assert "not found" in str(excinfo.value)
 
-    def test_truncated_legacy_npz_raises_structured_error(
-        self, trained_gendt, tmp_path
-    ):
-        # A legacy .npz save, torn mid-write.
-        import repro.nn as nn
-
-        legacy = tmp_path / "legacy.npz"
-        nn.save_module(trained_gendt.generator, legacy, meta=trained_gendt._checkpoint_meta())
-        data = legacy.read_bytes()
-        legacy.write_bytes(data[: len(data) // 3])
-
-        model = copy.copy(trained_gendt)
-        with pytest.raises(CheckpointCorruptError) as excinfo:
-            model.load(legacy)
-        assert excinfo.value.path == str(legacy)
-        assert "malformed legacy" in str(excinfo.value)
-
     def test_garbage_file_raises_structured_error(self, trained_gendt, tmp_path):
         garbage = tmp_path / "garbage.npz"
         garbage.write_bytes(b"this is not an archive at all")
@@ -52,6 +35,7 @@ class TestCheckpointCorruption:
         with pytest.raises(CheckpointCorruptError) as excinfo:
             model.load(garbage)
         assert excinfo.value.path == str(garbage)
+        assert "bad magic" in str(excinfo.value)
 
     def test_kpi_mismatch_names_checkpoint_path(
         self, trained_gendt, tiny_dataset_a, tmp_path

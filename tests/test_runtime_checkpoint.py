@@ -152,27 +152,6 @@ class TestOptimizerState:
         assert fresh._velocity  # restored
 
 
-class TestSerializationSuffix:
-    """The np.savez suffix trap: save/load must agree on the real filename."""
-
-    def test_suffixless_path_round_trips(self, tmp_path):
-        layer = nn.Linear(3, 2, rng=np.random.default_rng(0))
-        bare = tmp_path / "ckpt"  # no .npz
-        nn.save_module(layer, bare, meta={"n": 1})
-        assert (tmp_path / "ckpt.npz").exists()
-        clone = nn.Linear(3, 2, rng=np.random.default_rng(1))
-        meta = nn.load_module(clone, bare)  # same bare path now loads
-        assert meta == {"n": 1}
-        for (_, a), (_, b) in zip(layer.named_parameters(), clone.named_parameters()):
-            np.testing.assert_array_equal(a.data, b.data)
-
-    def test_explicit_npz_unchanged(self, tmp_path):
-        layer = nn.Linear(2, 2, rng=np.random.default_rng(0))
-        nn.save_module(layer, tmp_path / "m.npz")
-        assert (tmp_path / "m.npz").exists()
-        assert nn.load_module(layer, tmp_path / "m.npz") is None
-
-
 class TestTrainingResume:
     """save -> resume-from-epoch-k reproduces an uninterrupted run bit-exactly."""
 
@@ -245,20 +224,3 @@ class TestModelPersistenceFormat:
         )
         with pytest.raises(CheckpointCorruptError):
             clone.load(path)
-
-    def test_legacy_npz_still_loads(self, trained_gendt, tmp_path):
-        """Old-format archives written by save_module stay loadable."""
-        from repro import nn as nn_mod
-
-        path = tmp_path / "legacy.npz"
-        meta = trained_gendt._checkpoint_meta()
-        meta.pop("n_env")
-        nn_mod.save_module(trained_gendt.generator, path, meta=meta)
-        clone = GenDT(
-            trained_gendt.region, kpis=["rsrp", "rsrq"],
-            config=trained_gendt.config, seed=0,
-        )
-        clone.load(path)
-        np.testing.assert_allclose(
-            clone.target_normalizer.mean, trained_gendt.target_normalizer.mean
-        )

@@ -1,14 +1,13 @@
 """Finite-difference gradcheck for every differentiable op in repro.nn.tensor.
 
-The symbolic verifier (repro.analysis.graph) carries its own table of which
-ops propagate gradients (``DIFFERENTIABLE_OPS``).  This suite does two
-things:
+This suite does two things:
 
 * checks each op's analytic backward against a central-difference numeric
   gradient, and
-* asserts the gradcheck case table covers *exactly* the symbolic op table,
-  so adding an op to one without the other fails loudly instead of letting
-  the two drift apart.
+* derives the list of node-building ops from the engine's own source (every
+  public ``Tensor`` method and module function that calls ``_make(``) and
+  asserts each has a gradcheck case, so a new op without a gradient test
+  fails loudly.
 
 Inputs are chosen away from kinks (relu/abs at 0, clip at its bounds) so
 the central difference is valid.  ``lstm_sequence`` runs with its SRNN noise
@@ -17,11 +16,14 @@ denominator constant, so its central difference is taken of the composite
 reference with those values frozen at the checked point.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
-from repro.analysis.graph.symbolic import DIFFERENTIABLE_OPS, NON_DIFFERENTIABLE_OPS
 from repro.nn import SRNNNoise, lstm_sequence
+from repro.nn import lstm as lstm_module
+from repro.nn import tensor as tensor_module
 from repro.nn.tensor import Tensor, concat, no_grad, stack, where
 from tests.lstm_reference import reference_lstm_sequence
 
@@ -162,12 +164,47 @@ CASES = {
 }
 
 
-def test_case_table_matches_symbolic_op_table():
-    # The anti-drift contract: every op the symbolic tracer claims is
-    # differentiable has a gradcheck, and vice versa.
-    assert set(CASES) == set(DIFFERENTIABLE_OPS)
-    assert "detach" in NON_DIFFERENTIABLE_OPS
-    assert not set(CASES) & set(NON_DIFFERENTIABLE_OPS)
+#: Case names for dunder methods whose name is not the op's name.
+_DUNDER_OPS = {"truediv": "div"}
+
+
+def _calls_make(fn):
+    return "_make(" in inspect.getsource(fn)
+
+
+def _is_public(name):
+    return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
+
+
+def node_building_ops():
+    """Names of the ops that record an autodiff node, read from the engine source."""
+    ops = set()
+    for fn in vars(tensor_module.Tensor).values():
+        # fn.__name__, not the attribute: aliases such as __radd__ = __add__
+        # are the same op.
+        if inspect.isfunction(fn) and _is_public(fn.__name__) and _calls_make(fn):
+            name = fn.__name__.strip("_")
+            ops.add(_DUNDER_OPS.get(name, name))
+    for module in (tensor_module, lstm_module):
+        for name, fn in vars(module).items():
+            if (
+                inspect.isfunction(fn)
+                and fn.__module__ == module.__name__
+                and _is_public(name)
+                and _calls_make(fn)
+            ):
+                ops.add(name)
+    return ops
+
+
+def test_every_node_building_op_has_a_gradcheck_case():
+    # The anti-drift contract: an op that records an autodiff node and has
+    # no gradcheck case fails here.  The composites (sub, sqrt, mean, var)
+    # build on the ops found here and are checked as well.
+    ops = node_building_ops()
+    assert {"add", "matmul", "getitem", "concat", "where", "lstm_sequence"} <= ops
+    missing = ops - set(CASES)
+    assert not missing, f"ops without a gradcheck case: {sorted(missing)}"
 
 
 def _numeric_grad(fn, arrays, arg_index, weights):
