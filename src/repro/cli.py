@@ -52,6 +52,20 @@ def _split(dataset, seed: int):
     return split_per_scenario(dataset, 0.3, 200.0, np.random.default_rng(seed))
 
 
+def _load_model(args, dataset):
+    """The checkpointed GenDT model for ``dataset``'s region."""
+    from .core import GenDT, small_config
+
+    config = small_config(
+        epochs=1, hidden_size=args.hidden, batch_len=25, train_step=5
+    )
+    model = GenDT(
+        dataset.region, kpis=args.kpis.split(","), config=config, seed=args.seed
+    )
+    model.load(args.checkpoint)
+    return model
+
+
 def cmd_simulate(args) -> int:
     from .datasets import dataset_stats
     from .eval import format_table
@@ -120,15 +134,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    from .core import GenDT, small_config
-
     dataset = _make_dataset(args)
-    kpis = args.kpis.split(",")
-    config = small_config(
-        epochs=1, hidden_size=args.hidden, batch_len=25, train_step=5
-    )
-    model = GenDT(dataset.region, kpis=kpis, config=config, seed=args.seed)
-    model.load(args.checkpoint)
+    model = _load_model(args, dataset)
 
     rng = np.random.default_rng(args.seed + 1)
     route = dataset.region.roads.random_walk_route(
@@ -140,7 +147,7 @@ def cmd_generate(args) -> int:
     series = model.generate(trajectory)
 
     out = Path(args.out)
-    header = "t_s,lat,lon," + ",".join(kpis)
+    header = "t_s,lat,lon," + ",".join(model.kpi_names)
     rows = np.column_stack([trajectory.t, trajectory.lat, trajectory.lon, series])
     np.savetxt(out, rows, delimiter=",", header=header, comments="")
     print(f"generated {len(trajectory)} samples -> {out}")
@@ -151,21 +158,15 @@ def cmd_generate_campaign(args) -> int:
     import json
 
     from .baselines.fdas import FDaS
-    from .core import GenDT, small_config
     from .serving import CampaignConfig, CampaignRunner
 
     dataset = _make_dataset(args)
-    kpis = args.kpis.split(",")
-    config = small_config(
-        epochs=1, hidden_size=args.hidden, batch_len=25, train_step=5
-    )
-    model = GenDT(dataset.region, kpis=kpis, config=config, seed=args.seed)
-    model.load(args.checkpoint)
+    model = _load_model(args, dataset)
 
     fdas = None
     if not args.no_fdas:
         split = _split(dataset, args.seed)
-        fdas = FDaS(kpis=kpis, seed=args.seed + 2)
+        fdas = FDaS(kpis=model.kpi_names, seed=args.seed + 2)
         fdas.fit(split.train)
 
     rng = np.random.default_rng(args.seed + 1)
@@ -225,15 +226,12 @@ def cmd_generate_campaign(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .core import GenDT, small_config
     from .eval import compare_methods, format_table, average_rows
 
     dataset = _make_dataset(args)
     split = _split(dataset, args.seed)
-    kpis = args.kpis.split(",")
-    config = small_config(epochs=1, hidden_size=args.hidden, batch_len=25, train_step=5)
-    model = GenDT(dataset.region, kpis=kpis, config=config, seed=args.seed)
-    model.load(args.checkpoint)
+    model = _load_model(args, dataset)
+    kpis = model.kpi_names
     on_error = "skip" if args.skip_failures else "raise"
     results = compare_methods(
         {"gendt": model.generate}, split.test, kpis, on_error=on_error

@@ -34,7 +34,7 @@ from ..runtime.checkpoint import read_checkpoint, write_checkpoint
 from ..runtime.guards import HealthGuard
 from ..runtime.validate import validate_trajectory, validate_windows
 from .config import GenDTConfig
-from .features import ModelBatch, WindowAssembler
+from .features import WindowAssembler
 from .generator import GenDTGenerator
 from .training import GenDTTrainer, TrainingHistory, make_minibatches
 
@@ -97,7 +97,6 @@ class GenDT:
         keep_last: int = 3,
         resume_from: Optional[Union[str, Path]] = None,
         detect_anomaly: bool = False,
-        verify_graph: bool = True,
     ) -> TrainingHistory:
         """Fit the generator (and refit normalizers) on measurement records.
 
@@ -133,19 +132,12 @@ class GenDT:
             rng=self.rng,
         )
         self.trainer = GenDTTrainer(self.generator, self.config, self.rng)
-        if verify_graph:
-            # One-shot shape-contract + gradient-flow check before any
-            # training compute; restores all RNG streams, so training is
-            # bit-identical with verification on or off.
-            self._verify_generator()
-        assembler = WindowAssembler(
-            self.cell_transform,
-            self.env_normalizer,
-            self.target_normalizer,
-            self.config.max_cells,
-        )
+        # One-shot shape-contract + gradient-flow check before any training
+        # compute; it restores all RNG streams, so it does not change what
+        # training computes.
+        self._verify_generator()
         batches = make_minibatches(
-            assembler, windows, self.config.minibatch_windows, self.rng
+            self._assembler(), windows, self.config.minibatch_windows, self.rng
         )
         history = self.trainer.fit(
             batches,
@@ -176,9 +168,8 @@ class GenDT:
         """
         self._require_fitted()
         windows = self.build_training_windows(records)
-        assembler = self._assembler()
         batches = make_minibatches(
-            assembler, windows, self.config.minibatch_windows, self.rng
+            self._assembler(), windows, self.config.minibatch_windows, self.rng
         )
         return self.trainer.fit(
             batches, epochs=epochs, verbose=verbose, detect_anomaly=detect_anomaly
@@ -202,26 +193,37 @@ class GenDT:
     def generate_normalized(
         self,
         trajectory: Trajectory,
+        n_draws: int = 1,
         collect_params: bool = False,
-        stochastic: Optional[bool] = None,
         first_stage_only: bool = False,
         window_hook: Optional[
             Callable[[int, np.ndarray], Optional[np.ndarray]]
         ] = None,
     ) -> Dict[str, np.ndarray]:
-        """Generate in normalized space; used internally and by uncertainty.
+        """Generate ``n_draws`` series in normalized space, as one batch.
 
-        ``first_stage_only`` skips ResGen residual sampling (deterministic
-        base output).  ``window_hook(index, out)`` is invoked after each
-        generation window with the window index and its [L, N_ch] output; it
-        may return a replacement array, return ``None`` to keep the output,
-        or raise to abort the trajectory.  The serving layer
+        The trajectory is validated and its context windows are built once;
+        every window is generated for all draws in one
+        :meth:`GenDTGenerator.generate_batch` call, each draw carrying its
+        own ResGen autoregressive state.  ``n_draws > 1`` consumes the
+        generation RNG in a different order than as many ``n_draws=1``
+        calls would: same distribution, different values.
+
+        ``first_stage_only`` skips ResGen residual sampling and SRNN noise:
+        the base output, random only through the denoising noise ``z0``.
+        ``window_hook(index, out)`` is invoked after each generation window
+        with the window index and its [n_draws, L, N_ch] output; it may
+        return a replacement array, return ``None`` to keep the output, or
+        raise to abort the trajectory.  The serving layer
         (:mod:`repro.serving`) uses the hook for per-window deadline checks
         and deterministic fault injection.
 
-        Returns {"series": [T, N_ch], optionally "mu"/"sigma": [T, N_ch]}.
+        Returns {"series": [n_draws, T, N_ch], optionally "mu"/"sigma":
+        [n_draws, T, N_ch]}.
         """
         self._require_fitted()
+        if n_draws < 1:
+            raise ValueError("n_draws must be >= 1")
         validate_trajectory(trajectory)
         length = self._batch_len(len(trajectory))
         windows = self.context.generation_windows(trajectory, length)
@@ -229,26 +231,26 @@ class GenDT:
         assembler = self._assembler()
         m = self.config.resgen_ar_window
         n_ch = self.kpi_spec.n_channels
-        series = np.full((len(trajectory), n_ch), np.nan)
+        series = np.full((n_draws, len(trajectory), n_ch), np.nan)
         mu = np.full_like(series, np.nan) if collect_params else None
         sigma = np.full_like(series, np.nan) if collect_params else None
-        ar_state = np.zeros((1, m, n_ch))
+        ar_state = np.zeros((n_draws, m, n_ch))
         for index, window in enumerate(windows):
-            batch = assembler.assemble([window], with_target=False)
+            batch = assembler.assemble([window] * n_draws, with_target=False)
             out, ar_state, params = self.generator.generate_batch(
-                batch, ar_state=ar_state, stochastic=stochastic,
+                batch, ar_state=ar_state,
+                stochastic=False if first_stage_only else None,
                 collect_params=collect_params, first_stage_only=first_stage_only,
             )
-            window_out = out[0]
             if window_hook is not None:
-                replaced = window_hook(index, window_out)
+                replaced = window_hook(index, out)
                 if replaced is not None:
-                    window_out = np.asarray(replaced)
+                    out = np.asarray(replaced)
             start, stop = window.start, window.start + window.length
-            series[start:stop] = window_out
+            series[:, start:stop] = out
             if collect_params and params is not None:
-                mu[start:stop] = params["mu"][0]
-                sigma[start:stop] = params["sigma"][0]
+                mu[:, start:stop] = params["mu"]
+                sigma[:, start:stop] = params["sigma"]
         result = {"series": series}
         if collect_params:
             result["mu"] = mu
@@ -258,7 +260,6 @@ class GenDT:
     def generate(
         self,
         trajectory: Trajectory,
-        stochastic: Optional[bool] = None,
         first_stage_only: bool = False,
         window_hook: Optional[
             Callable[[int, np.ndarray], Optional[np.ndarray]]
@@ -279,15 +280,14 @@ class GenDT:
         runtime.
         """
         normalized = self.generate_normalized(
-            trajectory, stochastic=stochastic, first_stage_only=first_stage_only,
-            window_hook=window_hook,
+            trajectory, first_stage_only=first_stage_only, window_hook=window_hook
         )
-        series = self.target_normalizer.denormalize(normalized["series"])
-        return self._clip(series)
+        return self._physical(normalized["series"])[0]
 
     def generate_samples(self, trajectory: Trajectory, n_samples: int) -> np.ndarray:
-        """Multiple independent generations, [n_samples, T, n_kpis]."""
-        return np.stack([self.generate(trajectory) for _ in range(n_samples)])
+        """Independent generations as one batch, [n_samples, T, n_kpis]."""
+        normalized = self.generate_normalized(trajectory, n_draws=n_samples)
+        return self._physical(normalized["series"])
 
     def generate_expected(self, trajectory: Trajectory, n_samples: int = 4) -> np.ndarray:
         """Monte-Carlo estimate of the *conditional mean* KPI series.
@@ -298,20 +298,19 @@ class GenDT:
         :meth:`generate` returns one stochastic draw whose sampling noise
         would propagate into the downstream prediction.
         """
-        draws = [
-            self.target_normalizer.denormalize(
-                self.generate_normalized(trajectory)["series"]
-            )
-            for _ in range(n_samples)
-        ]
-        return self._clip(np.mean(draws, axis=0))
+        draws = self.generate_normalized(trajectory, n_draws=n_samples)["series"]
+        return self._clip(self.target_normalizer.denormalize(draws).mean(axis=0))
+
+    def _physical(self, normalized: np.ndarray) -> np.ndarray:
+        """Denormalize and clip a [..., N_ch] series to physical KPI units."""
+        return self._clip(self.target_normalizer.denormalize(normalized))
 
     def _clip(self, series: np.ndarray) -> np.ndarray:
         clipped = self.kpi_spec.clip(series)
         # Serving-cell channel (handover use case): snap to integers.
         for idx, kpi in enumerate(self.kpi_spec.kpis):
             if kpi == KPI.SERVING_CELL:
-                clipped[:, idx] = np.round(clipped[:, idx])
+                clipped[..., idx] = np.round(clipped[..., idx])
         return clipped
 
     # ------------------------------------------------------------------
@@ -351,7 +350,7 @@ class GenDT:
 
         verify(self.generator, raise_on_error=True)
 
-    def load(self, path: Union[str, Path], verify_graph: bool = True) -> None:
+    def load(self, path: Union[str, Path]) -> None:
         """Restore a model saved with :meth:`save` (same config required).
 
         Raises:
@@ -391,8 +390,7 @@ class GenDT:
             {k: np.asarray(v) for k, v in meta["target_normalizer"].items()}
         )
         self.trainer = GenDTTrainer(self.generator, self.config, self.rng)
-        if verify_graph:
-            # Catches weight/config mismatches (e.g. a changed AR window)
-            # that pass load_state_dict but would mis-broadcast at runtime.
-            self._verify_generator()
+        # Catches weight/config mismatches (e.g. a changed AR window) that
+        # pass load_state_dict but would mis-broadcast at runtime.
+        self._verify_generator()
         self._fitted = True

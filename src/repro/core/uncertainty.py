@@ -8,13 +8,14 @@ the *variation of the parameters themselves* under MC dropout reflects
 ``U(G) = (1/T) * sum_t [ std(sigma_t) + std(mu_t) ]``
 
 averages, over time, the standard deviation of each parameter across
-``n_passes`` stochastic forward passes with dropout forced on.
+``n_passes`` stochastic forward passes with dropout forced on, generated
+as one batch of ``n_passes`` draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -49,16 +50,12 @@ def mc_dropout_uncertainty(
         raise RuntimeError("uncertainty probe requires ResGen (use_resgen=True)")
     model.generator.resgen.force_dropout(True)
     try:
-        mus: List[np.ndarray] = []
-        sigmas: List[np.ndarray] = []
-        for _ in range(n_passes):
-            out = model.generate_normalized(trajectory, collect_params=True)
-            mus.append(out["mu"])
-            sigmas.append(out["sigma"])
+        out = model.generate_normalized(
+            trajectory, n_draws=n_passes, collect_params=True
+        )
     finally:
         model.generator.resgen.force_dropout(False)
-    mu_stack = np.stack(mus)        # [P, T, N_ch]
-    sigma_stack = np.stack(sigmas)
+    mu_stack, sigma_stack = out["mu"], out["sigma"]  # [P, T, N_ch]
     per_step = mu_stack.std(axis=0) + sigma_stack.std(axis=0)  # [T, N_ch]
     return UncertaintyEstimate(
         model_uncertainty=float(per_step.mean()),

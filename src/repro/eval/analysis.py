@@ -18,19 +18,8 @@ from ..metrics.fidelity import evaluate_series
 from ..radio.simulator import DriveTestRecord
 
 
-def serving_cell_distances(record: DriveTestRecord, deployment) -> np.ndarray:
-    """Distance from the device to its serving cell at every step (Fig. 16)."""
-    traj = record.trajectory
-    out = np.empty(len(traj))
-    for t, cell_id in enumerate(record.serving_cell_id):
-        out[t] = deployment.distances_m(traj.lat[t], traj.lon[t])[
-            deployment.cell_ids().index(int(cell_id))
-        ]
-    return out
-
-
 def serving_cell_distances_fast(record: DriveTestRecord, deployment) -> np.ndarray:
-    """Vectorized variant of :func:`serving_cell_distances`."""
+    """Distance from the device to its serving cell at every step (Fig. 16)."""
     traj = record.trajectory
     id_to_col = {cid: j for j, cid in enumerate(deployment.cell_ids())}
     cols = np.array([id_to_col[int(c)] for c in record.serving_cell_id])

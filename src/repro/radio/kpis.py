@@ -150,12 +150,12 @@ class KpiSpec:
         return [k.value for k in self.kpis]
 
     def clip(self, values: np.ndarray) -> np.ndarray:
-        """Clip a [T, n_channels] array to physical KPI ranges; snap CQI."""
+        """Clip a [..., n_channels] array to physical KPI ranges; snap CQI."""
         out = np.array(values, dtype=float, copy=True)
         for idx, kpi in enumerate(self.kpis):
             if kpi in KPI_RANGES:
                 lo, hi = KPI_RANGES[kpi]
-                out[:, idx] = np.clip(out[:, idx], lo, hi)
+                out[..., idx] = np.clip(out[..., idx], lo, hi)
             if kpi == KPI.CQI:
-                out[:, idx] = np.round(out[:, idx])
+                out[..., idx] = np.round(out[..., idx])
         return out

@@ -5,8 +5,8 @@ The ladder's three rungs trade fidelity for robustness:
 
 1. ``full`` — the complete stochastic GenDT pipeline (G_n + G_a + ResGen),
    the paper's headline generator;
-2. ``first_stage`` — the first-stage output (``stochastic=False``, ResGen
-   residual sampling skipped): loses the shadowing texture but keeps all
+2. ``first_stage`` — the first-stage output (``first_stage_only=True``:
+   ResGen residual sampling skipped): loses the shadowing texture but keeps all
    context conditioning, and cannot be destabilized by the autoregressive
    residual loop.  SRNN sampling is off; the only randomness left is the
    denoising noise ``z0``, drawn from the model's seeded generation RNG —
@@ -100,20 +100,17 @@ class LadderExecutor:
             return self.model.generate(trajectory, window_hook=window_hook)
         if level == LEVEL_FIRST_STAGE:
             return self.model.generate(
-                trajectory,
-                stochastic=False,
-                first_stage_only=True,
-                window_hook=window_hook,
+                trajectory, first_stage_only=True, window_hook=window_hook
             )
         if level == LEVEL_FDAS:
             if self.fdas is None:
                 raise RuntimeError("no FDaS fallback configured")
             series = self.fdas.generate(trajectory)
             # The fallback gets the same chaos surface as the model rungs:
-            # its whole output counts as window 0 for the hook.
+            # its whole output counts as window 0 of a single draw.
             if window_hook is not None:
-                replaced = window_hook(0, series)
+                replaced = window_hook(0, series[None])
                 if replaced is not None:
-                    series = np.asarray(replaced)
+                    series = np.asarray(replaced)[0]
             return series
         raise ValueError(f"unknown ladder level {level!r}")

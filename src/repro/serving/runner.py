@@ -5,9 +5,11 @@ returns one structured :class:`~repro.serving.envelope.GenerationEnvelope`
 per trajectory — it never lets a single bad request abort the batch.  The
 isolation layers, in the order a request meets them:
 
-1. **Admission / quarantine** — :func:`validate_trajectory` and
-   :func:`validate_windows` run per request; a failure quarantines that
-   trajectory with a machine-readable reason instead of raising.
+1. **Admission / quarantine** — :func:`validate_trajectory` runs per
+   request at admission; the model validates the context windows where it
+   builds them, once per request.  Either failure quarantines that
+   trajectory with a machine-readable reason instead of raising, and a
+   window failure does not count against the circuit breaker.
 2. **Deadlines** — a wall-clock budget per trajectory and per campaign,
    checked at every generation window; expiry yields a clean partial result
    (``deadline_exceeded`` for the trajectory that tripped it,
@@ -43,7 +45,7 @@ from ..runtime.errors import (
     GenerationFaultError,
 )
 from ..runtime.retry import REAL_SLEEP
-from ..runtime.validate import validate_trajectory, validate_windows
+from ..runtime.validate import validate_trajectory
 from .breaker import CircuitBreaker
 from .envelope import (
     STATUS_CANCELLED,
@@ -224,14 +226,7 @@ class CampaignRunner:
             envelope.elapsed_s = self._clock() - started_s
             return envelope
 
-        # 1. Admission: quarantine instead of raising.
-        try:
-            validate_trajectory(trajectory)
-            windows = model.context.generation_windows(
-                trajectory, model._batch_len(len(trajectory))
-            )
-            validate_windows(windows)
-        except ContextValidationError as exc:
+        def quarantine(exc: ContextValidationError) -> GenerationEnvelope:
             record("quarantined", exc.index, "admission", str(exc))
             return finish(
                 GenerationEnvelope(
@@ -240,6 +235,12 @@ class CampaignRunner:
                     quarantine_reason={"error": str(exc), "index": exc.index},
                 )
             )
+
+        # 1. Admission: quarantine instead of raising.
+        try:
+            validate_trajectory(trajectory)
+        except ContextValidationError as exc:
+            return quarantine(exc)
 
         # 2-4. Ladder with breaker and deadlines.
         progress = {"windows": 0}
@@ -275,6 +276,10 @@ class CampaignRunner:
                             resamples=resamples,
                         )
                     )
+                except ContextValidationError as exc:
+                    # Bad context windows, met where the model builds them:
+                    # the request's fault, not the model's.
+                    return quarantine(exc)
                 except GenerationFaultError as exc:
                     record("exception", exc.window, level, str(exc))
                     if uses_model:

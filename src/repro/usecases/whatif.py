@@ -114,13 +114,9 @@ def run_what_if(
     n_samples: int = 3,
 ) -> WhatIfOutcome:
     """Generate under baseline and edited deployments (averaged samples)."""
-    baseline = np.mean(
-        [model.generate(trajectory) for _ in range(n_samples)], axis=0
-    )
+    baseline = model.generate_samples(trajectory, n_samples).mean(axis=0)
     with deployment_override(model, edited_deployment):
-        edited = np.mean(
-            [model.generate(trajectory) for _ in range(n_samples)], axis=0
-        )
+        edited = model.generate_samples(trajectory, n_samples).mean(axis=0)
     return WhatIfOutcome(
         kpi_names=list(model.kpi_names), baseline=baseline, edited=edited
     )

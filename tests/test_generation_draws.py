@@ -1,0 +1,207 @@
+"""The draw axis of generation: one batch per window, context built once.
+
+``GenDT.generate_normalized(trajectory, n_draws=n)`` validates the
+trajectory and builds its context windows once, then generates every window
+for all ``n`` draws in one ``generate_batch`` call.  The campaign runner
+leaves window building to that call, so each request's windows are built
+once, and a window that fails validation there quarantines the request.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+from repro.baselines.fdas import FDaS
+from repro.context.windows import ContextBuilder
+from repro.core import GenDT, GenDTGenerator, mc_dropout_uncertainty, small_config
+from repro.radio.kpis import KPI, KpiSpec
+from repro.serving import (
+    STATUS_OK,
+    STATUS_QUARANTINED,
+    CampaignConfig,
+    CampaignRunner,
+    FaultPlan,
+    ManualClock,
+)
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """Counts window builds and ``generate_batch`` calls (with their row counts)."""
+    counts = {"windows": 0, "batches": 0, "rows": []}
+    build, generate_batch = ContextBuilder.windows_for_trajectory, GenDTGenerator.generate_batch
+
+    def counted_build(self, *args, **kwargs):
+        counts["windows"] += 1
+        return build(self, *args, **kwargs)
+
+    def counted_batch(self, batch, *args, **kwargs):
+        counts["batches"] += 1
+        counts["rows"].append(batch.n_windows)
+        return generate_batch(self, batch, *args, **kwargs)
+
+    monkeypatch.setattr(ContextBuilder, "windows_for_trajectory", counted_build)
+    monkeypatch.setattr(GenDTGenerator, "generate_batch", counted_batch)
+    return counts
+
+
+def n_windows(model, trajectory) -> int:
+    return len(model.context.generation_windows(trajectory, model._batch_len(len(trajectory))))
+
+
+def make_runner(model, fdas=None, plan=None, **config_kwargs):
+    clock = ManualClock()
+    config = CampaignConfig(seed=42, **config_kwargs)
+    return CampaignRunner(
+        model, fdas=fdas, config=config, fault_plan=plan, clock=clock, sleep=clock.sleep
+    )
+
+
+class TestOneBatchPerWindow:
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_generate_samples_builds_windows_once(self, trained_gendt, tiny_split, calls, n):
+        traj = tiny_split.test[0].trajectory
+        expected_batches = n_windows(trained_gendt, traj)
+        calls["windows"] = 0
+        samples = trained_gendt.generate_samples(traj, n)
+        assert samples.shape == (n, len(traj), 2)
+        assert calls["windows"] == 1
+        assert calls["batches"] == expected_batches
+        assert calls["rows"] == [n] * expected_batches
+
+    def test_mc_dropout_builds_windows_once(self, trained_gendt, tiny_split, calls):
+        traj = tiny_split.test[0].trajectory
+        expected_batches = n_windows(trained_gendt, traj)
+        calls["windows"] = 0
+        estimate = mc_dropout_uncertainty(trained_gendt, traj, n_passes=4)
+        assert estimate.n_passes == 4
+        assert calls["windows"] == 1
+        assert calls["batches"] == expected_batches
+        assert calls["rows"] == [4] * expected_batches
+
+    def test_window_hook_sees_the_draw_stack(self, trained_gendt, tiny_split):
+        traj = tiny_split.test[0].trajectory
+        shapes = []
+        out = trained_gendt.generate_normalized(
+            traj, n_draws=3, window_hook=lambda i, block: shapes.append(block.shape)
+        )
+        length = trained_gendt._batch_len(len(traj))
+        assert shapes == [(3, length, 2)] * n_windows(trained_gendt, traj)
+        assert out["series"].shape == (3, len(traj), 2)
+        assert np.all(np.isfinite(out["series"]))
+
+    def test_draws_differ(self, trained_gendt, tiny_split):
+        samples = trained_gendt.generate_samples(tiny_split.test[0].trajectory, 3)
+        assert not np.allclose(samples[0], samples[1])
+        assert not np.allclose(samples[1], samples[2])
+
+    def test_rejects_zero_draws(self, trained_gendt, tiny_split):
+        with pytest.raises(ValueError, match="n_draws"):
+            trained_gendt.generate_normalized(tiny_split.test[0].trajectory, n_draws=0)
+
+
+def test_deterministic_draws_equal_the_single_draw(tiny_dataset_a, tiny_split):
+    # No denoising noise, no SRNN noise, no ResGen sampling: every draw of the
+    # batch is the same deterministic function of the context.
+    config = small_config(
+        epochs=1, hidden_size=8, batch_len=20, train_step=10,
+        n_noise_node=0, use_stochastic_layers=False,
+    )
+    model = GenDT(tiny_dataset_a.region, kpis=["rsrp", "rsrq"], config=config, seed=4)
+    model.fit(tiny_split.train)
+    traj = tiny_split.test[0].trajectory
+    single = model.generate_normalized(traj, first_stage_only=True)["series"]
+    stack = model.generate_normalized(traj, n_draws=3, first_stage_only=True)["series"]
+    assert single.shape == (1, len(traj), 2)
+    assert stack.shape == (3, len(traj), 2)
+    for row in stack:
+        np.testing.assert_allclose(row, single[0], rtol=0, atol=1e-12)
+
+
+def test_kpi_clip_on_a_draw_stack_equals_clipping_each_draw():
+    spec = KpiSpec([KPI.RSRP, KPI.RSRQ, KPI.CQI])
+    rng = np.random.default_rng(0)
+    stack = rng.normal([-90.0, -10.0, 8.0], [40.0, 10.0, 10.0], size=(4, 30, 3))
+    clipped = spec.clip(stack)
+    for draw, clipped_draw in zip(stack, clipped):
+        np.testing.assert_array_equal(clipped_draw, spec.clip(draw))
+    # The stack does get clipped on its channel axis.
+    assert clipped[..., 0].max() <= -44.0
+    assert np.array_equal(clipped[..., 2], np.round(clipped[..., 2]))
+
+
+class TestCampaignWindows:
+    def test_runner_builds_each_requests_windows_once(self, trained_gendt, tiny_split, calls):
+        routes = [r.trajectory for r in tiny_split.test[:3]]
+        result = make_runner(trained_gendt).run(routes)
+        assert [e.status for e in result.envelopes] == [STATUS_OK] * 3
+        assert calls["windows"] == len(routes)
+
+
+class TestWindowValidationAtTheModel:
+    """Non-finite environment context, met where the model builds windows."""
+
+    BAD_SAMPLE = 45  # window 2 at batch_len 20
+
+    @pytest.fixture()
+    def routes(self, tiny_split):
+        good = [r.trajectory for r in tiny_split.test[:2]]
+        bad = copy.deepcopy(good[0])
+        return [good[0], bad, good[1]]
+
+    @pytest.fixture()
+    def nan_env(self, trained_gendt, routes, monkeypatch):
+        environment = trained_gendt.context.environment
+        features = environment.features
+
+        def poisoned(trajectory):
+            out = features(trajectory)
+            if trajectory is routes[1]:
+                out = out.copy()
+                out[self.BAD_SAMPLE, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(environment, "features", poisoned)
+
+    @pytest.fixture()
+    def fdas(self, tiny_split):
+        fdas = FDaS(kpis=["rsrp", "rsrq"], seed=0)
+        fdas.fit(tiny_split.train)
+        return fdas
+
+    def test_quarantined_with_window_index_breaker_closed(
+        self, trained_gendt, routes, nan_env, fdas
+    ):
+        assert trained_gendt._batch_len(len(routes[1])) == 20
+        runner = make_runner(trained_gendt, fdas, breaker_threshold=1)
+        result = runner.run(routes)
+        assert [e.status for e in result.envelopes] == [
+            STATUS_OK, STATUS_QUARANTINED, STATUS_OK,
+        ]
+        quarantined = result.envelopes[1]
+        assert quarantined.quarantine_reason["index"] == 2
+        assert "environment" in quarantined.quarantine_reason["error"]
+        assert quarantined.series is None
+        assert [(f.kind, f.window, f.level) for f in quarantined.faults] == [
+            ("quarantined", 2, "admission"),
+        ]
+        # Bad context is the request's fault, not the model's.
+        assert runner.breaker.state == "closed"
+        assert runner.breaker.transitions == []
+        assert [e.level for e in result.envelopes] == ["full", None, "full"]
+
+    def test_served_by_fdas_while_breaker_open(self, trained_gendt, routes, nan_env, fdas):
+        plan = FaultPlan().inject("exception", trajectory=0, window=0, level="full")
+        runner = make_runner(trained_gendt, fdas, plan, breaker_threshold=1)
+        result = runner.run(routes[:2])
+        assert runner.breaker.state == "open"
+        served = result.envelopes[1]
+        assert served.status == STATUS_OK
+        assert served.level == "fdas"
+        assert served.series.shape == (len(routes[1]), 2)
+
+    def test_served_by_fdas_at_fdas_start_level(self, trained_gendt, routes, nan_env, fdas):
+        result = make_runner(trained_gendt, fdas, start_level="fdas").run(routes)
+        assert [e.status for e in result.envelopes] == [STATUS_OK] * 3
+        assert [e.level for e in result.envelopes] == ["fdas"] * 3

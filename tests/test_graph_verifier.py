@@ -145,12 +145,18 @@ def test_verify_leaves_defect_weights_unchanged():
             np.testing.assert_array_equal(value, before[key])
 
 
-def test_fit_weights_identical_with_and_without_verification(tiny_dataset_a, tiny_split):
+def test_fit_weights_identical_with_and_without_verification(
+    tiny_dataset_a, tiny_split, monkeypatch
+):
+    import repro.analysis.graph as graph
+
     config = dict(epochs=1, hidden_size=8, batch_len=20, train_step=10, minibatch_windows=16)
     states = []
-    for verify_graph in (True, False):
+    for verifying in (True, False):
+        if not verifying:
+            monkeypatch.setattr(graph, "verify", lambda *args, **kwargs: None)
         model = GenDT(tiny_dataset_a.region, kpis=["rsrp"], config=small_config(**config), seed=5)
-        model.fit(tiny_split.train, verify_graph=verify_graph)
+        model.fit(tiny_split.train)
         states.append(model.generator.state_dict())
     assert states[0].keys() == states[1].keys()
     for key, value in states[0].items():
