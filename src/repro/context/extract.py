@@ -11,9 +11,11 @@ we extract
   area fractions + 14 PoI counts) within ``env_radius_m`` (500 m) of the
   device.
 
-Environment queries are cached on a coarse location grid: consecutive
-trajectory samples are metres apart while the context radius is 500 m, so
-nearby samples share their context.
+Environment context is a pure function of the device's 50 m location cell:
+it is evaluated at the cell's centre, so every sample in a cell gets the
+same 26 values whatever route, direction or earlier call brought it there.
+A trajectory's new cells are computed together in one vectorised pass and
+cached by cell.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geo.trajectory import Trajectory
-from ..radio.cells import Cell, CellDeployment
+from ..radio.cells import CellDeployment
 from ..world.region import Region
 
 #: Number of raw per-cell context attributes (paper: N_c = 5).
@@ -80,7 +82,6 @@ class NetworkContextExtractor:
 
     def window_features(
         self,
-        trajectory: Trajectory,
         distances: np.ndarray,
         cell_indices: Sequence[int],
         start: int,
@@ -91,50 +92,54 @@ class NetworkContextExtractor:
         Attribute order matches the paper: lat, lon, p_max, direction,
         distance(t).
         """
-        length = stop - start
-        out = np.empty((length, len(cell_indices), N_CELL_ATTRIBUTES))
-        for j, idx in enumerate(cell_indices):
-            cell = self.deployment.cells[idx]
-            out[:, j, 0] = cell.lat
-            out[:, j, 1] = cell.lon
-            out[:, j, 2] = cell.p_max_dbm
-            out[:, j, 3] = cell.direction_deg
-            out[:, j, 4] = distances[start:stop, idx]
-        return out
+        cells = np.asarray(cell_indices, dtype=int)
+        static = self.deployment.attributes[cells]
+        return np.concatenate(
+            [
+                np.broadcast_to(static, (stop - start,) + static.shape),
+                distances[start:stop, cells][:, :, None],
+            ],
+            axis=2,
+        )
+
+
+#: Side of the square location cells environment context is evaluated on (m).
+ENV_CELL_M = 50.0
 
 
 class EnvironmentContextExtractor:
-    """Extracts the 26-attribute environment context along a trajectory."""
+    """Extracts the 26-attribute environment context along a trajectory.
 
-    def __init__(
-        self,
-        region: Region,
-        radius_m: float = 500.0,
-        cache_grid_m: float = 50.0,
-    ) -> None:
+    Context is evaluated at the centre of each :data:`ENV_CELL_M` location
+    cell and cached by cell, so it depends on the location only.
+    """
+
+    def __init__(self, region: Region, radius_m: float = 500.0) -> None:
         self.region = region
         self.radius_m = radius_m
-        self.cache_grid_m = cache_grid_m
         self._cache: Dict[Tuple[int, int], np.ndarray] = {}
 
     def features_at(self, lat: float, lon: float) -> np.ndarray:
         """26-vector at a single location (land-use fractions then PoI counts)."""
-        x, y = self.region.frame.to_xy(lat, lon)
-        key = (int(float(x) // self.cache_grid_m), int(float(y) // self.cache_grid_m))
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        land = self.region.land_use.fractions_within(lat, lon, self.radius_m)
-        pois = self.region.pois.counts_within(lat, lon, self.radius_m)
-        features = np.concatenate([land, pois])
-        self._cache[key] = features
-        return features
+        return self._features(np.array([lat]), np.array([lon]))[0]
 
     def features(self, trajectory: Trajectory) -> np.ndarray:
         """Environment context for every timestep, [T, 26]."""
-        return np.stack(
-            [self.features_at(lat, lon) for lat, lon in zip(trajectory.lat, trajectory.lon)]
-        )
+        return self._features(trajectory.lat, trajectory.lon)
+
+    def _features(self, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+        frame = self.region.frame
+        x, y = frame.to_xy(lat, lon)
+        ix, iy = ((v // ENV_CELL_M).astype(int).tolist() for v in (x, y))
+        keys = list(zip(ix, iy))
+        missed = list(dict.fromkeys(key for key in keys if key not in self._cache))
+        if missed:
+            centres = (np.array(missed, dtype=float) + 0.5) * ENV_CELL_M
+            c_lat, c_lon = frame.to_latlon(centres[:, 0], centres[:, 1])
+            land = self.region.land_use.fractions_within(c_lat, c_lon, self.radius_m)
+            pois = self.region.pois.counts_within(c_lat, c_lon, self.radius_m)
+            self._cache.update(zip(missed, np.concatenate([land, pois], axis=1)))
+        return np.stack([self._cache[key] for key in keys])
 
 
 @dataclass(frozen=True)

@@ -106,9 +106,7 @@ class ContextBuilder:
             cell_idx = self.network.window_cells(
                 distances, start, stop, max_cells=self.config.max_cells
             )
-            features = self.network.window_features(
-                trajectory, distances, cell_idx, start, stop
-            )
+            features = self.network.window_features(distances, cell_idx, start, stop)
             windows.append(
                 ContextWindow(
                     cell_features=features,

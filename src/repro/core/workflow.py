@@ -118,9 +118,6 @@ class RetrainingResult:
     model: GenDT
     steps: List[RetrainingStep] = field(default_factory=list)
 
-    def uncertainty_series(self) -> List[float]:
-        return [s.model_uncertainty for s in self.steps]
-
     @property
     def total_failures(self) -> int:
         """Transient measurement failures absorbed across the whole run."""

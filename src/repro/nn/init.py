@@ -20,13 +20,6 @@ def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: float
     return rng.uniform(-bound, bound, size=shape)
 
 
-def xavier_normal(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier normal initialization."""
-    fan_in, fan_out = _fans(shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
 def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator, negative_slope: float = 0.2) -> np.ndarray:
     """He initialization tuned for leaky-ReLU activations."""
     fan_in, _ = _fans(shape)

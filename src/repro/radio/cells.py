@@ -51,6 +51,10 @@ class CellDeployment:
         self._xy = np.column_stack(frame.to_xy(
             np.array([c.lat for c in cells]), np.array([c.lon for c in cells])
         ))
+        #: Static context attributes per cell, [N, 4]: lat, lon, p_max, direction.
+        self.attributes = np.array(
+            [[c.lat, c.lon, c.p_max_dbm, c.direction_deg] for c in cells], dtype=float
+        )
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -79,12 +83,6 @@ class CellDeployment:
             for i in order
             if dists[i] <= max_distance_m
         ]
-
-    def density_per_km2(self, area_km2: float) -> float:
-        """Cell density for a region of the given area."""
-        if area_km2 <= 0:
-            raise ValueError("area must be positive")
-        return len(self.cells) / area_km2
 
 
 def deploy_city(

@@ -117,14 +117,6 @@ def linear_to_db(linear: Array) -> Array:
     return 10.0 * np.log10(np.maximum(np.asarray(linear, dtype=float), 1e-30))
 
 
-def dbm_to_mw(dbm: Array) -> Array:
-    return db_to_linear(dbm)
-
-
-def mw_to_dbm(mw: Array) -> Array:
-    return linear_to_db(mw)
-
-
 def thermal_noise_dbm(bandwidth_hz: float, noise_figure_db: float = 7.0) -> float:
     """Thermal noise floor: -174 dBm/Hz + 10log10(BW) + receiver noise figure."""
     return -174.0 + 10.0 * np.log10(bandwidth_hz) + noise_figure_db

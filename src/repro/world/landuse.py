@@ -10,7 +10,7 @@ breaks up the radial symmetry so the raster has realistic texture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,29 +71,44 @@ class LandUseRaster:
             return out[0]
         return out
 
-    def fractions_within(self, lat: float, lon: float, radius_m: float) -> np.ndarray:
-        """Mean class fractions over pixels within ``radius_m`` of the point.
+    def fractions_within(self, lat, lon, radius_m: float) -> np.ndarray:
+        """Mean class fractions over pixels within ``radius_m`` of point(s).
 
         This is the paper's land-use environment context: percentage area of
-        each class around the device location.
+        each class around the device location.  A pixel counts when its
+        centre lies in the disk; pixels outside the raster are dropped.  A
+        point whose disk holds no pixel centre (far outside the raster) gets
+        the mean of the pixel block around its clipped pixel instead.
+        Returns [..., N_LAND_USE].
         """
         x, y = self.frame.to_xy(lat, lon)
-        x, y = float(x), float(y)
+        shape = np.shape(x)
+        x, y = np.ravel(x), np.ravel(y)
         rows, cols = self.shape
         r_pix = max(1, int(np.ceil(radius_m / self.pixel_m)))
-        row0, col0 = self._pixel_of_xy(np.array([x]), np.array([y]))
-        row0, col0 = int(row0[0]), int(col0[0])
-        r_lo, r_hi = max(0, row0 - r_pix), min(rows, row0 + r_pix + 1)
-        c_lo, c_hi = max(0, col0 - r_pix), min(cols, col0 + r_pix + 1)
-        block = self.fractions[r_lo:r_hi, c_lo:c_hi]
-        # Circular mask over the block.
-        rr = (np.arange(r_lo, r_hi) + 0.5) * self.pixel_m + self.y_min
-        cc = (np.arange(c_lo, c_hi) + 0.5) * self.pixel_m + self.x_min
-        dist2 = (rr[:, None] - y) ** 2 + (cc[None, :] - x) ** 2
-        mask = dist2 <= radius_m**2
-        if not mask.any():
-            return block.reshape(-1, N_LAND_USE).mean(axis=0)
-        return block[mask].mean(axis=0)
+        row0, col0 = self._pixel_of_xy(x, y)
+        total = np.zeros((len(x), N_LAND_USE))
+        n_pixels = np.zeros(len(x))
+        # Per pixel offset, not per [point, block] array: memory stays O(points x classes).
+        for d_row in range(-r_pix, r_pix + 1):
+            row = row0 + d_row
+            row_in = (row >= 0) & (row < rows)
+            dy2 = ((row + 0.5) * self.pixel_m + self.y_min - y) ** 2
+            for d_col in range(-r_pix, r_pix + 1):
+                col = col0 + d_col
+                dx2 = ((col + 0.5) * self.pixel_m + self.x_min - x) ** 2
+                hit = row_in & (col >= 0) & (col < cols) & (dy2 + dx2 <= radius_m**2)
+                pixel = self.fractions[np.clip(row, 0, rows - 1), np.clip(col, 0, cols - 1)]
+                total += pixel * hit[:, None]
+                n_pixels += hit
+        out = total / np.maximum(n_pixels, 1.0)[:, None]
+        for i in np.flatnonzero(n_pixels == 0):
+            block = self.fractions[
+                max(0, row0[i] - r_pix) : row0[i] + r_pix + 1,
+                max(0, col0[i] - r_pix) : col0[i] + r_pix + 1,
+            ]
+            out[i] = block.reshape(-1, N_LAND_USE).mean(axis=0)
+        return out.reshape(shape + (N_LAND_USE,))
 
     def clutter_at(self, lat, lon) -> np.ndarray:
         """Scalar clutter factor in [0, 1] (propagation input) at point(s)."""

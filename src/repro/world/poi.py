@@ -4,15 +4,15 @@ Substitutes the OpenStreetMap Overpass queries: PoIs of each class are drawn
 from inhomogeneous Poisson processes whose intensity tracks urban-ness (cafes
 and shops cluster in city cores, motorway nodes follow highway corridors).
 The query the context pipeline needs is "count of each PoI class within a
-radius of a point", served by a per-class uniform grid index.
+radius of a point", served by one k-d tree per class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from ..geo.coords import LocalFrame
 from .attributes import POI_CLASSES
@@ -41,54 +41,35 @@ _HIGHWAY_CLASSES = ("motorways", "parking")
 
 
 class PoiIndex:
-    """Spatially-indexed PoI points for radius-count queries."""
+    """PoI points per class, with one k-d tree each for radius-count queries."""
 
-    def __init__(self, frame: LocalFrame, points_xy: Dict[str, np.ndarray], cell_m: float = 500.0) -> None:
+    def __init__(self, frame: LocalFrame, points_xy: Dict[str, np.ndarray]) -> None:
         self.frame = frame
-        self.cell_m = cell_m
-        self._points: Dict[str, np.ndarray] = {}
-        self._buckets: Dict[str, Dict[Tuple[int, int], np.ndarray]] = {}
-        for cls in POI_CLASSES:
-            pts = np.asarray(points_xy.get(cls, np.zeros((0, 2))), dtype=float).reshape(-1, 2)
-            self._points[cls] = pts
-            buckets: Dict[Tuple[int, int], List[int]] = {}
-            for i, (x, y) in enumerate(pts):
-                key = (int(np.floor(x / cell_m)), int(np.floor(y / cell_m)))
-                buckets.setdefault(key, []).append(i)
-            self._buckets[cls] = {k: np.asarray(v) for k, v in buckets.items()}
+        self._trees: Dict[str, cKDTree] = {
+            cls: cKDTree(np.asarray(points_xy.get(cls, np.zeros((0, 2))), dtype=float).reshape(-1, 2))
+            for cls in POI_CLASSES
+        }
 
     def total_points(self, cls: Optional[str] = None) -> int:
         if cls is not None:
-            return len(self._points[cls])
-        return sum(len(p) for p in self._points.values())
+            return self._trees[cls].n
+        return sum(tree.n for tree in self._trees.values())
 
-    def count_within(self, lat: float, lon: float, radius_m: float, cls: str) -> int:
-        """Number of PoIs of class ``cls`` within ``radius_m`` of the point."""
+    def counts_within(self, lat, lon, radius_m: float) -> np.ndarray:
+        """PoIs of each class within ``radius_m`` of point(s), [..., N_POI].
+
+        Classes are in canonical order; a point at exactly ``radius_m`` counts.
+        """
         x, y = self.frame.to_xy(lat, lon)
-        x, y = float(x), float(y)
-        pts = self._points[cls]
-        if len(pts) == 0:
-            return 0
-        k_r = int(np.ceil(radius_m / self.cell_m))
-        kx0 = int(np.floor(x / self.cell_m))
-        ky0 = int(np.floor(y / self.cell_m))
-        count = 0
-        buckets = self._buckets[cls]
-        r2 = radius_m**2
-        for kx in range(kx0 - k_r, kx0 + k_r + 1):
-            for ky in range(ky0 - k_r, ky0 + k_r + 1):
-                idx = buckets.get((kx, ky))
-                if idx is None:
-                    continue
-                sel = pts[idx]
-                count += int(np.sum((sel[:, 0] - x) ** 2 + (sel[:, 1] - y) ** 2 <= r2))
-        return count
-
-    def counts_within(self, lat: float, lon: float, radius_m: float) -> np.ndarray:
-        """Counts for all classes in canonical order, shape [N_POI]."""
-        return np.array(
-            [self.count_within(lat, lon, radius_m, cls) for cls in POI_CLASSES], dtype=float
-        )
+        centres = np.stack([np.ravel(x), np.ravel(y)], axis=1)
+        counts = np.stack(
+            [
+                self._trees[cls].query_ball_point(centres, radius_m, return_length=True)
+                for cls in POI_CLASSES
+            ],
+            axis=1,
+        ).astype(float)
+        return counts.reshape(np.shape(x) + (len(POI_CLASSES),))
 
 
 def generate_pois(

@@ -19,6 +19,12 @@ from typing import Dict
 
 import numpy as np
 
+from repro.core import GenDT, small_config
+from repro.core.uncertainty import mc_dropout_uncertainty
+from repro.datasets import make_dataset_a
+from repro.metrics import dtw, hwd
+from repro.serving import CampaignConfig, CampaignRunner
+
 FIXTURE = Path(__file__).with_name("expected.json")
 
 KPIS = ["rsrp", "rsrq"]
@@ -27,12 +33,6 @@ ROUTE_SAMPLES = 60
 
 
 def compute() -> Dict[str, np.ndarray]:
-    from repro.core import GenDT, small_config
-    from repro.core.uncertainty import mc_dropout_uncertainty
-    from repro.datasets import make_dataset_a
-    from repro.metrics import dtw, hwd
-    from repro.serving import CampaignConfig, CampaignRunner
-
     dataset = make_dataset_a(
         seed=7, samples_per_scenario=120, trajectories_per_scenario=2, with_qoe=False
     )

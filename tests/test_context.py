@@ -15,6 +15,9 @@ from repro.context import (
     TargetNormalizer,
     window_starts,
 )
+from repro.context.extract import ENV_CELL_M
+from repro.geo import Trajectory, from_waypoints
+from repro.world import POI_CLASSES
 
 
 class TestWindowStarts:
@@ -74,15 +77,26 @@ class TestNetworkContext:
     def test_window_features_schema(self, extractor, sample_trajectory):
         distances = extractor.distances(sample_trajectory)
         cells = extractor.window_cells(distances, 0, 20, max_cells=4)
-        features = extractor.window_features(sample_trajectory, distances, cells, 0, 20)
+        features = extractor.window_features(distances, cells, 0, 20)
         assert features.shape == (20, len(cells), N_CELL_ATTRIBUTES)
         # Static attributes constant over the window; distance varies.
         assert np.all(features[0, :, 0] == features[-1, :, 0])  # lat
         assert np.all(features[:, :, 4] >= 0)                   # distance
+        for j, idx in enumerate(cells):
+            cell = extractor.deployment.cells[idx]
+            static = [cell.lat, cell.lon, cell.p_max_dbm, cell.direction_deg]
+            assert np.array_equal(features[:, j, :4], np.tile(static, (20, 1)))
+            assert np.array_equal(features[:, j, 4], distances[0:20, idx])
 
     def test_invalid_ds(self, small_region):
         with pytest.raises(ValueError):
             NetworkContextExtractor(small_region.deployment, d_s_m=0.0)
+
+
+def location_cells(region, trajectory):
+    """The 50 m location cell of every sample, as (ix, iy) rows."""
+    x, y = region.frame.to_xy(trajectory.lat, trajectory.lon)
+    return np.stack([x // ENV_CELL_M, y // ENV_CELL_M], axis=1).astype(int)
 
 
 class TestEnvironmentContext:
@@ -99,6 +113,119 @@ class TestEnvironmentContext:
         extractor.features(sample_trajectory)
         n_cache = len(extractor._cache)
         assert n_cache < len(sample_trajectory)  # nearby samples share entries
+
+    def test_features_at_is_one_point_of_features(self, small_region, sample_trajectory):
+        env = EnvironmentContextExtractor(small_region).features(sample_trajectory)
+        extractor = EnvironmentContextExtractor(small_region)
+        for t in (0, 17, len(sample_trajectory) - 1):
+            point = extractor.features_at(sample_trajectory.lat[t], sample_trajectory.lon[t])
+            assert np.array_equal(point, env[t])
+
+    def test_reversed_trajectory_gives_reversed_features(self, small_region, sample_trajectory):
+        forward = EnvironmentContextExtractor(small_region).features(sample_trajectory)
+        t, lat, lon = sample_trajectory.t, sample_trajectory.lat, sample_trajectory.lon
+        backward = EnvironmentContextExtractor(small_region).features(
+            Trajectory(t, lat[::-1], lon[::-1])
+        )
+        assert np.array_equal(backward, forward[::-1])
+
+    def test_features_independent_of_earlier_routes(self, small_region, sample_trajectory):
+        fresh = EnvironmentContextExtractor(small_region).features(sample_trajectory)
+        warmed = EnvironmentContextExtractor(small_region)
+        rng = np.random.default_rng(21)
+        roads = small_region.roads
+        for _ in range(2):
+            route = roads.random_walk_route(rng, 3000.0, city="testcity")
+            warmed.features(roads.route_to_trajectory(route, 6.0, 1.0, "warm", rng))
+        # A walk back along the same streets visits the same cells first.
+        path = list(zip(sample_trajectory.lat, sample_trajectory.lon))[::-1]
+        warmed.features(from_waypoints(path, speed_mps=1.4, interval_s=1.0))
+        assert np.array_equal(warmed.features(sample_trajectory), fresh)
+
+    def test_shared_road_segment_gets_identical_context(self, small_region):
+        """Spatial consistency: the same place gets the same conditioning.
+
+        A walk and a bus share the middle of their routes, driven in
+        opposite directions, each through its own extractor; wherever their
+        samples fall in the same location cell, the environment context
+        must be identical.
+        """
+        rng = np.random.default_rng(8)
+        nodes = small_region.roads.random_walk_route(rng, 2500.0, city="testcity")
+        walk = from_waypoints(nodes[:-2], speed_mps=1.4, interval_s=1.0)
+        bus = from_waypoints(nodes[2:][::-1], speed_mps=7.3, interval_s=1.0)
+        walk_env = EnvironmentContextExtractor(small_region).features(walk)
+        bus_env = EnvironmentContextExtractor(small_region).features(bus)
+        walk_cells = location_cells(small_region, walk)
+        bus_cells = location_cells(small_region, bus)
+        shared = 0
+        for j, cell in enumerate(bus_cells):
+            same = np.flatnonzero((walk_cells == cell).all(axis=1))
+            for i in same:
+                assert np.array_equal(walk_env[i], bus_env[j])
+            shared += len(same) > 0
+        assert 20 <= shared < len(bus)
+
+
+class TestVectorisedEnvironmentQueries:
+    """Batched land-use and PoI queries against a per-point brute force."""
+
+    RADIUS_M = 500.0
+
+    @pytest.fixture(scope="class")
+    def points(self, small_region):
+        land_use = small_region.land_use
+        rows, cols = land_use.shape
+        x_max = land_use.x_min + cols * land_use.pixel_m
+        y_max = land_use.y_min + rows * land_use.pixel_m
+        rng = np.random.default_rng(4)
+        inside = rng.uniform([land_use.x_min, land_use.y_min], [x_max, y_max], size=(300, 2))
+        edges = np.array([
+            [land_use.x_min, land_use.y_min], [x_max, y_max], [land_use.x_min, 0.0],
+            [0.0, y_max], [x_max - 1e-6, land_use.y_min + 1e-6],
+        ])
+        near = np.array([[land_use.x_min - 300.0, 0.0], [x_max + 300.0, y_max + 10.0]])
+        far = np.array([[land_use.x_min - 2000.0, 0.0], [x_max + 5000.0, y_max + 5000.0]])
+        xy = np.concatenate([inside, edges, near, far])
+        lat, lon = small_region.frame.to_latlon(xy[:, 0], xy[:, 1])
+        return xy, lat, lon
+
+    def test_fractions_match_per_point_brute_force(self, small_region, points):
+        xy, lat, lon = points
+        land_use = small_region.land_use
+        rows, cols = land_use.shape
+        centre_y = (np.arange(rows) + 0.5) * land_use.pixel_m + land_use.y_min
+        centre_x = (np.arange(cols) + 0.5) * land_use.pixel_m + land_use.x_min
+        r_pix = int(np.ceil(self.RADIUS_M / land_use.pixel_m))
+        expected, fallbacks = [], 0
+        for x, y in xy:
+            in_disk = (centre_y[:, None] - y) ** 2 + (centre_x[None, :] - x) ** 2 <= self.RADIUS_M**2
+            if in_disk.any():
+                expected.append(land_use.fractions[in_disk].mean(axis=0))
+                continue
+            fallbacks += 1
+            row = int(np.clip((y - land_use.y_min) // land_use.pixel_m, 0, rows - 1))
+            col = int(np.clip((x - land_use.x_min) // land_use.pixel_m, 0, cols - 1))
+            block = land_use.fractions[
+                max(0, row - r_pix) : row + r_pix + 1, max(0, col - r_pix) : col + r_pix + 1
+            ]
+            expected.append(block.reshape(-1, block.shape[-1]).mean(axis=0))
+        assert fallbacks == 2  # the far points exercise the fallback branch
+        got = land_use.fractions_within(lat, lon, self.RADIUS_M)
+        np.testing.assert_allclose(got, np.array(expected), rtol=0, atol=1e-12)
+
+    def test_poi_counts_match_per_point_brute_force(self, small_region, points):
+        xy, lat, lon = points
+        pois = small_region.pois
+        expected = np.array([
+            [
+                np.count_nonzero(((pois._trees[cls].data - point) ** 2).sum(axis=1) <= self.RADIUS_M**2)
+                for cls in POI_CLASSES
+            ]
+            for point in xy
+        ])
+        assert expected.sum() > 0
+        assert np.array_equal(pois.counts_within(lat, lon, self.RADIUS_M), expected)
 
 
 class TestContextBuilder:

@@ -31,13 +31,6 @@ def test_fixture_names_match(outputs, expected):
     assert sorted(outputs) == sorted(expected)
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "fit.loss", "fit.weights", "generate", "generate_samples",
-        "campaign.0", "campaign.1", "campaign.2", "campaign.3", "campaign.dtw_hwd",
-        "mc_dropout",
-    ],
-)
+@pytest.mark.parametrize("name", sorted(scenario.load()))
 def test_matches_golden(outputs, expected, name):
     np.testing.assert_allclose(outputs[name], expected[name], rtol=1e-9, atol=1e-12)

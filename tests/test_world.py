@@ -32,6 +32,11 @@ class TestAttributeSchema:
         assert "motorways" in POI_CLASSES
 
 
+#: Batched query points: the city centre, a nearby point, one far outside the raster.
+BATCH_LAT = np.array([51.5, 51.51, 52.5])
+BATCH_LON = np.array([-0.1, -0.09, 1.0])
+
+
 @pytest.fixture(scope="module")
 def land_use():
     rng = np.random.default_rng(0)
@@ -72,6 +77,10 @@ class TestLandUse:
         frac = land_use.fractions_within(51.5, -0.1, 500.0)
         assert frac.shape == (N_LAND_USE,)
         assert frac.sum() == pytest.approx(1.0, abs=1e-9)
+        batch = land_use.fractions_within(BATCH_LAT, BATCH_LON, 500.0)
+        assert batch.shape == (len(BATCH_LAT), N_LAND_USE)
+        np.testing.assert_allclose(batch.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(batch[0], frac, rtol=0, atol=1e-12)
 
     def test_query_outside_raster_clamps(self, land_use):
         out = land_use.fractions_at(52.5, 1.0)  # far outside
@@ -89,10 +98,16 @@ class TestPois:
         counts = pois.counts_within(51.5, -0.1, 500.0)
         assert counts.shape == (N_POI,)
         assert np.all(counts >= 0)
+        batch = pois.counts_within(BATCH_LAT, BATCH_LON, 500.0)
+        assert batch.shape == (len(BATCH_LAT), N_POI)
+        assert np.array_equal(batch[0], counts)
 
     def test_counts_monotone_in_radius(self, pois):
         small = pois.counts_within(51.5, -0.1, 200.0)
         large = pois.counts_within(51.5, -0.1, 800.0)
+        assert np.all(large >= small)
+        small = pois.counts_within(BATCH_LAT, BATCH_LON, 200.0)
+        large = pois.counts_within(BATCH_LAT, BATCH_LON, 800.0)
         assert np.all(large >= small)
 
     def test_urban_core_has_more_pois(self, pois, land_use):
@@ -100,6 +115,8 @@ class TestPois:
         edge_lat, edge_lon = land_use.frame.to_latlon(1800.0, 1800.0)
         edge = pois.counts_within(float(edge_lat), float(edge_lon), 500.0).sum()
         assert center >= edge
+        both = pois.counts_within(np.array([51.5, edge_lat]), np.array([-0.1, edge_lon]), 500.0)
+        assert np.array_equal(both.sum(axis=1), [center, edge])
 
     def test_total_points_consistent(self, pois):
         assert pois.total_points() == sum(
