@@ -2,17 +2,26 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import nn
 from ..analysis.graph.spec import ANY, Spec, contract
-from ..nn.tensor import Tensor, concat
+from ..nn.tensor import Tensor
 from ..context.normalize import N_CELL_FEATURES
 from .config import GenDTConfig
 from .features import ModelBatch, recent_values_matrix
 from .networks import AggregationNetwork, GnnNodeNetwork, ResGen
+
+#: Most ``G_n`` rows (windows x draws x ``max_cells``) one first-stage call
+#: takes at generation.  Cost per row bottoms out near here, and larger calls
+#: grow peak memory (the LSTM keeps its per-step buffers even under
+#: ``no_grad``).
+FIRST_STAGE_ROWS = 96
+
+#: ``window_hook(index, out)``: see :meth:`GenDTGenerator.generate_batch`.
+WindowHook = Callable[[int, np.ndarray], Optional[np.ndarray]]
 
 
 def _probe_batch(module: "GenDTGenerator", env) -> Tuple[tuple, dict]:
@@ -55,7 +64,7 @@ class GenDTGenerator(nn.Module):
 
     During training ResGen is teacher-forced with the real recent values;
     during generation it consumes its own output autoregressively, carrying
-    state across generation batches (that is what keeps long series
+    state across generation windows (that is what keeps long series
     coherent, §4.3.3).
     """
 
@@ -82,28 +91,31 @@ class GenDTGenerator(nn.Module):
     # ------------------------------------------------------------------
     # Shared first stage
     # ------------------------------------------------------------------
-    def h_avg(self, batch: ModelBatch, stochastic: Optional[bool] = None) -> Tensor:
+    def h_avg(self, batch: ModelBatch) -> Tensor:
         """Graph-level hidden series [B, L, H] from the cell context."""
-        b, n_cells, length, n_feat = batch.cell_x.shape
-        flat = Tensor(batch.cell_x.reshape(b * n_cells, length, n_feat))
+        return self._h_avg(batch.cell_x, batch.cell_mask)
+
+    def _h_avg(
+        self, cell_x: np.ndarray, cell_mask: np.ndarray, stochastic: Optional[bool] = None
+    ) -> Tensor:
+        b, n_cells, length, n_feat = cell_x.shape
+        flat = Tensor(cell_x.reshape(b * n_cells, length, n_feat))
         hidden = self.node_net(flat, stochastic=stochastic)
         h = hidden.reshape(b, n_cells, length, hidden.shape[-1])
-        mask = batch.cell_mask[:, :, None, None]
-        counts = np.maximum(batch.cell_mask.sum(axis=1), 1.0)[:, None, None]
+        mask = cell_mask[:, :, None, None]
+        counts = np.maximum(cell_mask.sum(axis=1), 1.0)[:, None, None]
         masked = h * Tensor(mask)
         return masked.sum(axis=1) * Tensor(1.0 / counts)
 
     # ------------------------------------------------------------------
     # Training-time forward (teacher forcing)
     # ------------------------------------------------------------------
-    def forward_teacher_forced(
-        self, batch: ModelBatch, stochastic: Optional[bool] = None
-    ) -> Dict[str, Tensor]:
+    def forward_teacher_forced(self, batch: ModelBatch) -> Dict[str, Tensor]:
         """Generate with real recent values feeding ResGen (training mode)."""
         if batch.target is None:
             raise ValueError("teacher forcing requires targets")
-        h_avg = self.h_avg(batch, stochastic=stochastic)
-        base = self.agg_net(h_avg, stochastic=stochastic)
+        h_avg = self.h_avg(batch)
+        base = self.agg_net(h_avg)
         out: Dict[str, Tensor] = {"h_avg": h_avg, "base": base}
         if self.resgen is not None:
             # ResGen is autoregressive over the *residual* process
@@ -128,48 +140,100 @@ class GenDTGenerator(nn.Module):
     def generate_batch(
         self,
         batch: ModelBatch,
-        ar_state: Optional[np.ndarray] = None,
-        stochastic: Optional[bool] = None,
+        starts: Optional[Sequence[int]] = None,
+        n_draws: int = 1,
         collect_params: bool = False,
         first_stage_only: bool = False,
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[Dict[str, np.ndarray]]]:
-        """Generate one batch of windows autoregressively.
+        window_hook: Optional[WindowHook] = None,
+    ) -> Tuple[np.ndarray, Optional[Dict[str, np.ndarray]]]:
+        """Generate ``n_draws`` series over one trajectory's windows.
 
-        ``G_n`` and ``G_a`` run under ``no_grad``; the ResGen loop runs on
-        ndarrays (:meth:`ResGen.rollout`), bit-identical to stepping the
-        autodiff :meth:`ResGen.sample`.
+        ``batch`` holds the trajectory's windows in order, one row each
+        (targets ignored); window ``i`` covers samples ``starts[i]`` to
+        ``starts[i] + L`` (default: back to back).  ``G_n`` and ``G_a``
+        start every window from zero state, so they run for all windows x
+        draws under ``no_grad`` in calls of at most
+        :data:`FIRST_STAGE_ROWS` ``G_n`` rows.  ResGen then rolls window by
+        window (:meth:`ResGen.rollout`), carrying each draw's AR state from
+        one window into the next.  A window that overlaps the one before it
+        (the tail window, anchored at ``T - L``) is rolled over its whole
+        length and overwrites the overlap.
 
         Args:
-            batch: assembled windows (targets ignored).
-            ar_state: [B, m, N_ch] recent *residual* values carried from the
-                previous generation batch (zeros at trajectory start).
-            stochastic: override for the SRNN noise.
+            batch: the trajectory's assembled windows.
+            starts: each window's first sample; consecutive windows may
+                overlap but must leave no gap.
+            n_draws: independent series to generate.
             collect_params: also return ResGen's (mu, sigma) series — used by
                 the MC-dropout uncertainty probe.
-            first_stage_only: skip ResGen residual sampling and return the
-                ``G_n`` + ``G_a`` base output only.  Combined with
-                ``stochastic=False`` this is the deterministic middle rung of
-                the serving degradation ladder (:mod:`repro.serving`).
+            first_stage_only: skip ResGen and all noise (``z0`` at its mean,
+                no SRNN noise): the deterministic ``G_n`` + ``G_a`` base
+                output, the middle rung of the serving degradation ladder
+                (:mod:`repro.serving`).  Draws nothing from the RNG.
+            window_hook: ``window_hook(index, out)`` runs after each window
+                with its output, [n_draws, L, N_ch]; it may return a
+                replacement array, return ``None`` to keep ``out``, or raise
+                to abort.  The AR state follows ResGen's own output.
 
         Returns:
-            (generated [B, L, N_ch] in normalized space,
-             new ar_state [B, m, N_ch],
-             optional {"mu": [B, L, N_ch], "sigma": [B, L, N_ch]}).
+            (series [n_draws, T, N_ch] in normalized space,
+             {"mu", "sigma"} each [n_draws, T, N_ch] if ``collect_params``
+             and ResGen ran, else None).
         """
-        with nn.no_grad():
-            h_avg = self.h_avg(batch, stochastic=stochastic)
-            base = self.agg_net(h_avg, stochastic=stochastic)
-            base_np = base.numpy()
-            b, _, n_ch = base_np.shape
-            m = self.resgen.ar_window if self.resgen is not None else 1
-            if ar_state is None:
-                ar_state = np.zeros((b, m, n_ch))
-            if self.resgen is None or first_stage_only:
-                new_state = np.concatenate([ar_state, base_np], axis=1)[:, -m:]
-                return base_np, new_state, None
+        if n_draws < 1:
+            raise ValueError("n_draws must be >= 1")
+        length = batch.length
+        if starts is None:
+            starts = range(0, batch.n_windows * length, length)
+        base = self._first_stage(batch, n_draws, first_stage_only)
+        n_ch = base.shape[-1]
+        series = np.empty((n_draws, starts[-1] + length, n_ch))
+        roll = self.resgen is not None and not first_stage_only
+        params = (
+            {"mu": np.empty_like(series), "sigma": np.empty_like(series)}
+            if roll and collect_params
+            else None
+        )
+        state = np.zeros((n_draws, self.resgen.ar_window, n_ch)) if roll else None
+        done = 0
+        for index, start in enumerate(starts):
+            if not start <= done < start + length:
+                raise ValueError("generation windows must tile the series in order")
+            done = start
+            new = slice(done - start, length)
+            out = base[index, :, new]
+            if roll:
+                env = batch.env[index, new]
+                env = np.broadcast_to(env, (n_draws,) + env.shape)
+                out, state, mu, sigma = self.resgen.rollout(
+                    env, out, state, collect_params=collect_params
+                )
+                if params is not None:
+                    params["mu"][:, done:start + length] = mu
+                    params["sigma"][:, done:start + length] = sigma
+            if window_hook is not None:
+                replaced = window_hook(index, out)
+                if replaced is not None:
+                    out = np.asarray(replaced)
+            series[:, done:start + length] = out
+            done = start + length
+        return series, params
 
-            output, state, mu, sigma = self.resgen.rollout(
-                batch.env, base_np, ar_state, collect_params=collect_params
-            )
-            params = {"mu": mu, "sigma": sigma} if collect_params else None
-            return output, state, params
+    def _first_stage(self, batch: ModelBatch, n_draws: int, deterministic: bool) -> np.ndarray:
+        """``G_n`` + ``G_a`` output for every window x draw, [W, n_draws, L, N_ch].
+
+        Rows are window-major, and each call takes whole windows: at most
+        :data:`FIRST_STAGE_ROWS` ``G_n`` rows, but never less than one window.
+        """
+        n_windows, n_cells = batch.cell_mask.shape
+        per_call = max(1, FIRST_STAGE_ROWS // (n_draws * n_cells))
+        stochastic = False if deterministic else None
+        base = []
+        with nn.no_grad():
+            for lo in range(0, n_windows, per_call):
+                cell_x = np.repeat(batch.cell_x[lo:lo + per_call], n_draws, axis=0)
+                mask = np.repeat(batch.cell_mask[lo:lo + per_call], n_draws, axis=0)
+                h_avg = self._h_avg(cell_x, mask, stochastic)
+                base.append(self.agg_net(h_avg, stochastic=stochastic).numpy())
+        base = np.concatenate(base)
+        return base.reshape(n_windows, n_draws, *base.shape[1:])

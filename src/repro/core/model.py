@@ -15,7 +15,7 @@ seeded by ``seed`` at construction, so each call continues that stream.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from ..runtime.guards import HealthGuard
 from ..runtime.validate import validate_trajectory, validate_windows
 from .config import GenDTConfig
 from .features import WindowAssembler
-from .generator import GenDTGenerator
+from .generator import GenDTGenerator, WindowHook
 from .training import GenDTTrainer, TrainingHistory, make_minibatches
 
 
@@ -196,16 +196,14 @@ class GenDT:
         n_draws: int = 1,
         collect_params: bool = False,
         first_stage_only: bool = False,
-        window_hook: Optional[
-            Callable[[int, np.ndarray], Optional[np.ndarray]]
-        ] = None,
+        window_hook: Optional[WindowHook] = None,
     ) -> Dict[str, np.ndarray]:
-        """Generate ``n_draws`` series in normalized space, as one batch.
+        """Generate ``n_draws`` series in normalized space, in one call.
 
-        The trajectory is validated and its context windows are built once;
-        every window is generated for all draws in one
-        :meth:`GenDTGenerator.generate_batch` call, each draw carrying its
-        own ResGen autoregressive state.  ``n_draws > 1`` consumes the
+        The trajectory is validated, and its context windows are built and
+        assembled once; one :meth:`GenDTGenerator.generate_batch` call then
+        generates every window for all draws, each draw carrying its own
+        ResGen autoregressive state.  ``n_draws > 1`` consumes the
         generation RNG in a different order than as many ``n_draws=1``
         calls would: same distribution, different values.
 
@@ -222,48 +220,26 @@ class GenDT:
         [n_draws, T, N_ch]}.
         """
         self._require_fitted()
-        if n_draws < 1:
-            raise ValueError("n_draws must be >= 1")
         validate_trajectory(trajectory)
-        length = self._batch_len(len(trajectory))
-        windows = self.context.generation_windows(trajectory, length)
+        windows = self.context.generation_windows(
+            trajectory, self._batch_len(len(trajectory))
+        )
         validate_windows(windows)
-        assembler = self._assembler()
-        m = self.config.resgen_ar_window
-        n_ch = self.kpi_spec.n_channels
-        series = np.full((n_draws, len(trajectory), n_ch), np.nan)
-        mu = np.full_like(series, np.nan) if collect_params else None
-        sigma = np.full_like(series, np.nan) if collect_params else None
-        ar_state = np.zeros((n_draws, m, n_ch))
-        for index, window in enumerate(windows):
-            batch = assembler.assemble([window] * n_draws, with_target=False)
-            out, ar_state, params = self.generator.generate_batch(
-                batch, ar_state=ar_state,
-                stochastic=False if first_stage_only else None,
-                collect_params=collect_params, first_stage_only=first_stage_only,
-            )
-            if window_hook is not None:
-                replaced = window_hook(index, out)
-                if replaced is not None:
-                    out = np.asarray(replaced)
-            start, stop = window.start, window.start + window.length
-            series[:, start:stop] = out
-            if collect_params and params is not None:
-                mu[:, start:stop] = params["mu"]
-                sigma[:, start:stop] = params["sigma"]
-        result = {"series": series}
-        if collect_params:
-            result["mu"] = mu
-            result["sigma"] = sigma
-        return result
+        series, params = self.generator.generate_batch(
+            self._assembler().assemble(windows, with_target=False),
+            starts=[window.start for window in windows],
+            n_draws=n_draws,
+            collect_params=collect_params,
+            first_stage_only=first_stage_only,
+            window_hook=window_hook,
+        )
+        return {"series": series, **(params or {})}
 
     def generate(
         self,
         trajectory: Trajectory,
         first_stage_only: bool = False,
-        window_hook: Optional[
-            Callable[[int, np.ndarray], Optional[np.ndarray]]
-        ] = None,
+        window_hook: Optional[WindowHook] = None,
     ) -> np.ndarray:
         """Generate the KPI time series for a trajectory, in physical units.
 

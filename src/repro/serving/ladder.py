@@ -23,15 +23,13 @@ the next one, and the achieved level is recorded in the result envelope.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
+from ..core.generator import WindowHook
 from ..geo.trajectory import Trajectory
 from .envelope import DEGRADATION_LEVELS
-
-#: ``window_hook`` signature shared with :meth:`GenDT.generate_normalized`.
-WindowHook = Callable[[int, np.ndarray], Optional[np.ndarray]]
 
 LEVEL_FULL, LEVEL_FIRST_STAGE, LEVEL_FDAS = DEGRADATION_LEVELS
 

@@ -6,7 +6,7 @@ environment context and the last ``m`` generated residuals.  The array loop
 in ``ResGen.rollout`` must match it bit for bit, outputs and RNG draws alike.
 """
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,37 +18,50 @@ from repro.nn.tensor import Tensor
 def reference_generate_batch(
     generator,
     batch: ModelBatch,
-    ar_state: Optional[np.ndarray] = None,
-    stochastic: Optional[bool] = None,
+    starts: Optional[Sequence[int]] = None,
+    n_draws: int = 1,
     collect_params: bool = False,
     first_stage_only: bool = False,
-) -> Tuple[np.ndarray, np.ndarray, Optional[Dict[str, np.ndarray]]]:
-    """Same signature and result as ``GenDTGenerator.generate_batch``."""
-    with nn.no_grad():
-        h_avg = generator.h_avg(batch, stochastic=stochastic)
-        base = generator.agg_net(h_avg, stochastic=stochastic)
-        base_np = base.numpy()
-        b, length, n_ch = base_np.shape
-        m = generator.resgen.ar_window if generator.resgen is not None else 1
-        if ar_state is None:
-            ar_state = np.zeros((b, m, n_ch))
-        if generator.resgen is None or first_stage_only:
-            new_state = np.concatenate([ar_state, base_np], axis=1)[:, -m:]
-            return base_np, new_state, None
+) -> Tuple[np.ndarray, Optional[Dict[str, np.ndarray]]]:
+    """Same signature (without the window hook) and result as ``GenDTGenerator.generate_batch``.
 
-        output = np.empty_like(base_np)
-        params_mu = np.empty_like(base_np) if collect_params else None
-        params_sigma = np.empty_like(base_np) if collect_params else None
-        state = ar_state.copy()
-        for t in range(length):
-            env_t = Tensor(batch.env[:, t, :])
-            recent_t = Tensor(state.reshape(b, m * n_ch))
-            residual, mu, log_sigma = generator.resgen.sample(env_t, recent_t)
-            residual_np = np.clip(residual.numpy(), -5.0, 5.0)
-            output[:, t] = base_np[:, t] + residual_np
-            if collect_params:
-                params_mu[:, t] = mu.numpy()
-                params_sigma[:, t] = np.exp(log_sigma.numpy())
-            state = np.concatenate([state[:, 1:], residual_np[:, None, :]], axis=1)
-        params = {"mu": params_mu, "sigma": params_sigma} if collect_params else None
-        return output, state, params
+    The first stage runs as one call over all windows x draws, which is what
+    ``generate_batch`` does for batches within its first-stage row budget.
+    """
+    length = batch.length
+    starts = range(0, batch.n_windows * length, length) if starts is None else starts
+    stochastic = False if first_stage_only else None
+    with nn.no_grad():
+        cell_x = np.repeat(batch.cell_x, n_draws, axis=0)
+        mask = np.repeat(batch.cell_mask, n_draws, axis=0)
+        rows, n_cells, _, n_feat = cell_x.shape
+        flat = Tensor(cell_x.reshape(rows * n_cells, length, n_feat))
+        hidden = generator.node_net(flat, stochastic=stochastic)
+        hidden = hidden.reshape(rows, n_cells, length, hidden.shape[-1])
+        counts = np.maximum(mask.sum(axis=1), 1.0)[:, None, None]
+        h_avg = (hidden * Tensor(mask[:, :, None, None])).sum(axis=1) * Tensor(1.0 / counts)
+        base = generator.agg_net(h_avg, stochastic=stochastic).numpy()
+        base = base.reshape(batch.n_windows, n_draws, length, base.shape[-1])
+
+        n_ch = base.shape[-1]
+        series = np.empty((n_draws, starts[-1] + length, n_ch))
+        mu = np.empty_like(series)
+        sigma = np.empty_like(series)
+        roll = generator.resgen is not None and not first_stage_only
+        m = generator.resgen.ar_window if roll else 0
+        state = np.zeros((n_draws, m, n_ch))
+        for index, start in enumerate(starts):
+            for t in range(length):
+                out = base[index, :, t]
+                if roll:
+                    env_t = Tensor(np.repeat(batch.env[index, t][None], n_draws, axis=0))
+                    recent_t = Tensor(state.reshape(n_draws, m * n_ch))
+                    residual, mu_t, log_sigma = generator.resgen.sample(env_t, recent_t)
+                    residual_np = np.clip(residual.numpy(), -5.0, 5.0)
+                    out = out + residual_np
+                    mu[:, start + t] = mu_t.numpy()
+                    sigma[:, start + t] = np.exp(log_sigma.numpy())
+                    state = np.concatenate([state[:, 1:], residual_np[:, None, :]], axis=1)
+                series[:, start + t] = out
+    params = {"mu": mu, "sigma": sigma} if roll and collect_params else None
+    return series, params

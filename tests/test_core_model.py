@@ -39,15 +39,16 @@ class TestGeneratorAssembly:
         assert "mu" in out and "log_sigma" in out
 
     def test_generate_batch_autoregressive_state(self, batch, trained_gendt):
+        # The batch's windows tile one series; ResGen's AR state starts at
+        # zero and runs on across the window boundaries.
         gen = trained_gendt.generator
-        m = gen.resgen.ar_window
-        out, state, params = gen.generate_batch(batch, collect_params=True)
-        assert out.shape == batch.target.shape
-        assert state.shape == (batch.n_windows, m, 2)
-        # AR state carries the recent residuals; bounded by the safety clip.
-        assert np.all(np.abs(state) <= 5.0)
+        out, params = gen.generate_batch(batch, collect_params=True)
+        length = batch.length
+        assert out.shape == (1, batch.n_windows * length, 2)
         assert params["mu"].shape == out.shape
         assert np.all(params["sigma"] > 0)
+        assert np.all(params["mu"][:, 0] == 0.0)
+        assert np.all(params["mu"][:, length] != 0.0)
 
     def test_empty_assembly_rejected(self, trained_gendt):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""The draw axis of generation: one batch per window, context built once.
+"""The draw axis of generation: one call per request, context built once.
 
 ``GenDT.generate_normalized(trajectory, n_draws=n)`` validates the
 trajectory and builds its context windows once, then generates every window
@@ -15,6 +15,8 @@ import pytest
 from repro.baselines.fdas import FDaS
 from repro.context.windows import ContextBuilder
 from repro.core import GenDT, GenDTGenerator, mc_dropout_uncertainty, small_config
+from repro.core.generator import FIRST_STAGE_ROWS
+from repro.core.networks import GnnNodeNetwork
 from repro.radio.kpis import KPI, KpiSpec
 from repro.serving import (
     STATUS_OK,
@@ -62,23 +64,23 @@ class TestOneBatchPerWindow:
     @pytest.mark.parametrize("n", [3, 5])
     def test_generate_samples_builds_windows_once(self, trained_gendt, tiny_split, calls, n):
         traj = tiny_split.test[0].trajectory
-        expected_batches = n_windows(trained_gendt, traj)
+        windows = n_windows(trained_gendt, traj)
         calls["windows"] = 0
         samples = trained_gendt.generate_samples(traj, n)
         assert samples.shape == (n, len(traj), 2)
         assert calls["windows"] == 1
-        assert calls["batches"] == expected_batches
-        assert calls["rows"] == [n] * expected_batches
+        assert calls["batches"] == 1
+        assert calls["rows"] == [windows]
 
     def test_mc_dropout_builds_windows_once(self, trained_gendt, tiny_split, calls):
         traj = tiny_split.test[0].trajectory
-        expected_batches = n_windows(trained_gendt, traj)
+        windows = n_windows(trained_gendt, traj)
         calls["windows"] = 0
         estimate = mc_dropout_uncertainty(trained_gendt, traj, n_passes=4)
         assert estimate.n_passes == 4
         assert calls["windows"] == 1
-        assert calls["batches"] == expected_batches
-        assert calls["rows"] == [4] * expected_batches
+        assert calls["batches"] == 1
+        assert calls["rows"] == [windows]
 
     def test_window_hook_sees_the_draw_stack(self, trained_gendt, tiny_split):
         traj = tiny_split.test[0].trajectory
@@ -99,6 +101,34 @@ class TestOneBatchPerWindow:
     def test_rejects_zero_draws(self, trained_gendt, tiny_split):
         with pytest.raises(ValueError, match="n_draws"):
             trained_gendt.generate_normalized(tiny_split.test[0].trajectory, n_draws=0)
+
+
+class TestOneCallPerRequest:
+    @pytest.fixture()
+    def g_n_rows(self, monkeypatch):
+        rows, forward = [], GnnNodeNetwork.forward
+
+        def counted(self, cell_inputs, *args, **kwargs):
+            rows.append(cell_inputs.shape[0])
+            return forward(self, cell_inputs, *args, **kwargs)
+
+        monkeypatch.setattr(GnnNodeNetwork, "forward", counted)
+        return rows
+
+    def test_route_over_the_row_budget_is_one_call(
+        self, trained_gendt, tiny_split, calls, g_n_rows
+    ):
+        first, second, third = (r.trajectory for r in tiny_split.test[:3])
+        traj = first.concat(second).concat(third)
+        windows = n_windows(trained_gendt, traj)
+        assert windows * trained_gendt.config.max_cells > FIRST_STAGE_ROWS
+        series = trained_gendt.generate(traj)
+        assert series.shape == (len(traj), 2)
+        assert calls["batches"] == 1
+        assert calls["rows"] == [windows]
+        assert len(g_n_rows) > 1
+        assert max(g_n_rows) <= FIRST_STAGE_ROWS
+        assert sum(g_n_rows) == windows * trained_gendt.config.max_cells
 
 
 def test_deterministic_draws_equal_the_single_draw(tiny_dataset_a, tiny_split):

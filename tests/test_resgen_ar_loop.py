@@ -2,9 +2,9 @@
 
 ``GenDTGenerator.generate_batch`` runs the autoregressive ResGen loop on
 ndarrays.  It must reproduce the Tensor loop of ``tests/resgen_reference.py``
-bit for bit — outputs, carried state, ``(mu, sigma)`` and every RNG draw —
-in every dropout configuration, and still report NaNs under
-``detect_anomaly``.
+bit for bit — outputs, ``(mu, sigma)`` and every RNG draw, with the AR state
+carried across windows — in every dropout configuration, and still report
+NaNs under ``detect_anomaly``.
 """
 
 import itertools
@@ -57,10 +57,9 @@ def _pair(m, p, training=True, force=False):
 
 
 def _assert_same(new, ref, gen_new, gen_ref):
-    out_new, state_new, params_new = new
-    out_ref, state_ref, params_ref = ref
-    assert np.array_equal(out_new, out_ref)
-    assert np.array_equal(state_new, state_ref)
+    series_new, params_new = new
+    series_ref, params_ref = ref
+    assert np.array_equal(series_new, series_ref)
     if params_ref is None:
         assert params_new is None
     else:
@@ -74,15 +73,15 @@ def _assert_same(new, ref, gen_new, gen_ref):
     list(itertools.product((1, 3), (1, 3), (0.0, 0.2), (True, False), (True, False))),
 )
 def test_rollout_bit_identical_to_reference(b, m, p, training, force):
+    # b windows of one trajectory, two draws: the AR state chains the windows.
     gen_new, gen_ref = _pair(m, p, training, force)
     batch = _batch(b)
-    ar_state = np.random.default_rng(3).normal(0.0, 0.5, size=(b, m, N_CH))
-    new = gen_new.generate_batch(batch, ar_state=ar_state.copy(), collect_params=True)
-    ref = reference_generate_batch(gen_ref, batch, ar_state=ar_state.copy(), collect_params=True)
+    new = gen_new.generate_batch(batch, n_draws=2, collect_params=True)
+    ref = reference_generate_batch(gen_ref, batch, n_draws=2, collect_params=True)
     _assert_same(new, ref, gen_new, gen_ref)
-    # The carried state chains windows: a second call continues both streams alike.
-    new = gen_new.generate_batch(batch, ar_state=new[1], collect_params=True)
-    ref = reference_generate_batch(gen_ref, batch, ar_state=ref[1], collect_params=True)
+    # A second call continues both RNG streams alike.
+    new = gen_new.generate_batch(batch, n_draws=2, collect_params=True)
+    ref = reference_generate_batch(gen_ref, batch, n_draws=2, collect_params=True)
     _assert_same(new, ref, gen_new, gen_ref)
 
 
@@ -100,9 +99,10 @@ def test_dropout_layer_with_zero_p_draws_nothing():
     "kwargs",
     [
         {"collect_params": False},
-        {"stochastic": False},
+        # Tail window: the last window starts inside the one before it.
+        {"starts": (0, LENGTH, 2 * LENGTH - 4), "collect_params": True},
         {"first_stage_only": True},
-        {"first_stage_only": True, "stochastic": False},
+        {"first_stage_only": True, "n_draws": 2},
     ],
 )
 def test_generate_batch_options_unchanged(kwargs):
@@ -133,7 +133,7 @@ class TestAnomalyDetection:
         gen = _generator(3, 0.2)
         gen.resgen.mlp.net.layer0.weight.data[0, 0] = np.nan
         batch = _batch(1)
-        out, _, _ = gen.generate_batch(batch)  # off: silent, as the Tensor ops were
+        out, _ = gen.generate_batch(batch)  # off: silent, as the Tensor ops were
         assert np.isnan(out).any()
         with detect_anomaly():
             with pytest.raises(NumericalAnomalyError) as excinfo:

@@ -174,5 +174,5 @@ class TestValidateWindows:
         hole.cell_ids = []
         batch = trained_gendt._assembler().assemble([hole], with_target=True)
         assert batch.cell_mask.sum() == 0
-        out, _, _ = trained_gendt.generator.generate_batch(batch)
+        out, _ = trained_gendt.generator.generate_batch(batch)
         assert np.all(np.isfinite(out))
