@@ -156,8 +156,9 @@ class GenDTGenerator(nn.Module):
         :data:`FIRST_STAGE_ROWS` ``G_n`` rows.  ResGen then rolls window by
         window (:meth:`ResGen.rollout`), carrying each draw's AR state from
         one window into the next.  A window that overlaps the one before it
-        (the tail window, anchored at ``T - L``) is rolled over its whole
-        length and overwrites the overlap.
+        (the tail window, anchored at ``T - L``) is rolled over its new
+        samples only, so the AR state is contiguous and every sample is
+        generated once.
 
         Args:
             batch: the trajectory's assembled windows.
@@ -171,7 +172,7 @@ class GenDTGenerator(nn.Module):
                 output, the middle rung of the serving degradation ladder
                 (:mod:`repro.serving`).  Draws nothing from the RNG.
             window_hook: ``window_hook(index, out)`` runs after each window
-                with its output, [n_draws, L, N_ch]; it may return a
+                with its new samples, [n_draws, new, N_ch]; it may return a
                 replacement array, return ``None`` to keep ``out``, or raise
                 to abort.  The AR state follows ResGen's own output.
 
@@ -199,7 +200,6 @@ class GenDTGenerator(nn.Module):
         for index, start in enumerate(starts):
             if not start <= done < start + length:
                 raise ValueError("generation windows must tile the series in order")
-            done = start
             new = slice(done - start, length)
             out = base[index, :, new]
             if roll:

@@ -210,11 +210,12 @@ class GenDT:
         ``first_stage_only`` skips ResGen residual sampling and SRNN noise:
         the base output, random only through the denoising noise ``z0``.
         ``window_hook(index, out)`` is invoked after each generation window
-        with the window index and its [n_draws, L, N_ch] output; it may
-        return a replacement array, return ``None`` to keep the output, or
-        raise to abort the trajectory.  The serving layer
-        (:mod:`repro.serving`) uses the hook for per-window deadline checks
-        and deterministic fault injection.
+        with the window index and its new samples, [n_draws, new, N_ch]
+        (``new`` is ``L`` except for a tail window that overlaps the one
+        before it); it may return a replacement array, return ``None`` to
+        keep the output, or raise to abort the trajectory.  The serving
+        layer (:mod:`repro.serving`) uses the hook for per-window deadline
+        checks and deterministic fault injection.
 
         Returns {"series": [n_draws, T, N_ch], optionally "mu"/"sigma":
         [n_draws, T, N_ch]}.

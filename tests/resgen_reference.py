@@ -50,8 +50,9 @@ def reference_generate_batch(
         roll = generator.resgen is not None and not first_stage_only
         m = generator.resgen.ar_window if roll else 0
         state = np.zeros((n_draws, m, n_ch))
+        done = 0
         for index, start in enumerate(starts):
-            for t in range(length):
+            for t in range(done - start, length):
                 out = base[index, :, t]
                 if roll:
                     env_t = Tensor(np.repeat(batch.env[index, t][None], n_draws, axis=0))
@@ -63,5 +64,6 @@ def reference_generate_batch(
                     sigma[:, start + t] = np.exp(log_sigma.numpy())
                     state = np.concatenate([state[:, 1:], residual_np[:, None, :]], axis=1)
                 series[:, start + t] = out
+            done = start + length
     params = {"mu": mu, "sigma": sigma} if roll and collect_params else None
     return series, params

@@ -16,7 +16,7 @@ from repro.baselines.fdas import FDaS
 from repro.context.windows import ContextBuilder
 from repro.core import GenDT, GenDTGenerator, mc_dropout_uncertainty, small_config
 from repro.core.generator import FIRST_STAGE_ROWS
-from repro.core.networks import GnnNodeNetwork
+from repro.core.networks import GnnNodeNetwork, ResGen
 from repro.radio.kpis import KPI, KpiSpec
 from repro.serving import (
     STATUS_OK,
@@ -129,6 +129,36 @@ class TestOneCallPerRequest:
         assert len(g_n_rows) > 1
         assert max(g_n_rows) <= FIRST_STAGE_ROWS
         assert sum(g_n_rows) == windows * trained_gendt.config.max_cells
+
+
+class TestTailWindow:
+    """The last window, anchored at ``T - L``, rolls only its new samples."""
+
+    @pytest.fixture()
+    def steps(self, monkeypatch):
+        steps, rollout = [], ResGen.rollout
+
+        def counted(self, env, base, *args, **kwargs):
+            steps.append(base.shape[:2])
+            return rollout(self, env, base, *args, **kwargs)
+
+        monkeypatch.setattr(ResGen, "rollout", counted)
+        return steps
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_resgen_steps_sum_to_the_route_length(self, trained_gendt, tiny_split, steps, n):
+        traj = tiny_split.test[0].trajectory.slice(0, 110)
+        length = trained_gendt._batch_len(len(traj))
+        assert len(traj) % length != 0
+        hooked = []
+        out = trained_gendt.generate_normalized(
+            traj, n_draws=n, window_hook=lambda i, block: hooked.append(block.shape)
+        )
+        assert all(draws == n for draws, _ in steps)
+        assert sum(samples for _, samples in steps) == len(traj)
+        assert hooked == [(n, samples, 2) for _, samples in steps]
+        assert hooked[-1][1] == len(traj) % length
+        assert np.all(np.isfinite(out["series"]))
 
 
 def test_deterministic_draws_equal_the_single_draw(tiny_dataset_a, tiny_split):
