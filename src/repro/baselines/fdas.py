@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import stats
@@ -83,13 +83,13 @@ class FDaS(BaselineModel):
         for idx, name in enumerate(self.kpi_names):
             self.fits[name] = fit_best_distribution(stacked[:, idx])
 
-    def reseed(self, seed: int) -> None:
-        """Reset the sampling RNG.
+    def reseed(self, seed: Union[int, Sequence[int]]) -> None:
+        """Reset the sampling RNG to ``np.random.default_rng(seed)``.
 
         The serving runner (:class:`repro.serving.CampaignRunner`) calls
-        this before a seeded campaign so FDaS-rung fallbacks are
-        byte-identical across re-runs; the fitted distributions are
-        untouched.
+        this before each request of a seeded campaign so FDaS-rung
+        fallbacks are byte-identical across re-runs; the fitted
+        distributions are untouched.
         """
         self.rng = np.random.default_rng(seed)
 

@@ -8,8 +8,9 @@ This is the public face of the reproduction: an operator-style workflow of
 
 mirroring paper Figure 5 (input: trajectory; the model annotates it with
 network + environment context internally; output: multi-KPI time series).
-``generate`` takes no seed: its draws come from the model's own generator,
-seeded by ``seed`` at construction, so each call continues that stream.
+``generate`` takes no seed: its draws come from the model's own generator
+(``model.rng``), seeded by ``seed`` at construction, so each call continues
+that stream.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class GenDT:
         self.kpi_spec = KpiSpec([KPI(k) for k in kpis])
         self.config = config or GenDTConfig()
         self.config.validate()
-        self.rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(seed)
         ctx = context_config or ContextConfig(max_cells=self.config.max_cells)
         self.context = ContextBuilder(region, ctx)
         self.cell_transform = CellFeatureTransform(region.frame)
@@ -64,6 +65,16 @@ class GenDT:
         self.trainer: Optional[GenDTTrainer] = None
         self._fitted = False
         self._n_env: Optional[int] = None
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The one generator that training, generation and every submodule draw from.
+
+        Read-only: the submodules hold this object, so rebinding it would
+        leave them on the old stream.  Reseed it in place instead, with
+        ``model.rng.bit_generator.state = ...``.
+        """
+        return self._rng
 
     # ------------------------------------------------------------------
     # Fitting

@@ -26,7 +26,9 @@ isolation layers, in the order a request meets them:
 Clock and sleep are injectable (:class:`ManualClock`), and combined with a
 :class:`~repro.serving.faults.FaultPlan` plus ``CampaignConfig.seed`` every
 run is deterministic: the chaos tests re-run whole campaigns and compare
-the JSONL output byte-for-byte.
+the JSONL output byte-for-byte.  With a seed, each request draws from its
+own stream, so its output depends only on the seed, its index and its
+trajectory, not on what the other requests did.
 """
 
 from __future__ import annotations
@@ -87,9 +89,14 @@ class ManualClock:
 class CampaignConfig:
     """Tunables for one campaign run.
 
-    ``seed`` (when set) reseeds the model's generation RNG — and the FDaS
-    fallback's — before the campaign starts, making a re-run with the same
-    trajectories and :class:`FaultPlan` byte-identical.
+    ``seed`` (when set) gives every request its own stream: before request
+    ``index`` is served, the model's generation RNG is set in place from
+    ``np.random.default_rng([seed, index])`` and the FDaS fallback's from
+    ``[seed, index, 1]``; its re-samples and demotions continue those
+    streams.  A request's output then depends only on the seed, its index
+    and its trajectory, and a re-run with the same trajectories and
+    :class:`FaultPlan` is byte-identical.  Without a seed, requests continue
+    the model's own stream.
     """
 
     trajectory_deadline_s: Optional[float] = None
@@ -154,8 +161,6 @@ class CampaignRunner:
     # ------------------------------------------------------------------
     def run(self, trajectories: Sequence[Trajectory]) -> CampaignResult:
         """Serve every trajectory; never raises for per-request faults."""
-        if self.config.seed is not None:
-            self._reseed(self.config.seed)
         result = CampaignResult()
         started_s = self._clock()
         campaign_deadline = (
@@ -241,6 +246,13 @@ class CampaignRunner:
             validate_trajectory(trajectory)
         except ContextValidationError as exc:
             return quarantine(exc)
+
+        seed = self.config.seed
+        if seed is not None:
+            stream = np.random.default_rng([seed, index]).bit_generator.state
+            model.rng.bit_generator.state = stream
+            if self.executor.fdas is not None:
+                self.executor.fdas.reseed([seed, index, 1])
 
         # 2-4. Ladder with breaker and deadlines.
         progress = {"windows": 0}
@@ -390,13 +402,3 @@ class CampaignRunner:
             return replacement
 
         return hook
-
-    # ------------------------------------------------------------------
-    # Determinism
-    # ------------------------------------------------------------------
-    def _reseed(self, seed: int) -> None:
-        """Reset generation RNG state in place (shared by every submodule)."""
-        state = np.random.default_rng(seed).bit_generator.state
-        self.executor.model.rng.bit_generator.state = state
-        if self.executor.fdas is not None:
-            self.executor.fdas.reseed(seed + 1)

@@ -55,7 +55,7 @@ def compute() -> Dict[str, np.ndarray]:
 
     records = dataset.records[:4]
     routes = [r.trajectory.slice(0, ROUTE_SAMPLES) for r in records]
-    model.rng = np.random.default_rng(11)
+    model.rng.bit_generator.state = np.random.default_rng(11).bit_generator.state
     out["generate"] = model.generate(routes[0])
     out["generate_samples"] = model.generate_samples(routes[1], 3)
 
@@ -69,7 +69,7 @@ def compute() -> Dict[str, np.ndarray]:
         fidelity.append([dtw(truth, generated, band=ROUTE_SAMPLES // 10), hwd(truth, generated)])
     out["campaign.dtw_hwd"] = np.array(fidelity)
 
-    model.rng = np.random.default_rng(13)
+    model.rng.bit_generator.state = np.random.default_rng(13).bit_generator.state
     estimate = mc_dropout_uncertainty(model, routes[2], n_passes=4)
     out["mc_dropout"] = np.array([estimate.model_uncertainty, estimate.data_uncertainty])
     return out

@@ -331,3 +331,55 @@ class TestCampaignConfig:
     def test_rejects_unknown_start_level(self):
         with pytest.raises(ValueError, match="unknown ladder level"):
             CampaignConfig(start_level="turbo").validate()
+
+
+class TestPerRequestSeeds:
+    """With ``CampaignConfig.seed``, request ``i`` draws from its own stream."""
+
+    def variant(self, change, trajectories):
+        routes, plan = list(trajectories), None
+        if change == "shortened":
+            routes[0] = routes[0].slice(0, 50)
+        elif change == "quarantined":
+            routes[0] = copy.deepcopy(routes[0])
+            routes[0].lat[3] = np.nan
+        else:  # faulted once at the full rung, then re-sampled
+            plan = FaultPlan().inject("nan_output", trajectory=0, level="full")
+        return routes, plan
+
+    @pytest.mark.parametrize("change", ["shortened", "quarantined", "resampled"])
+    def test_request_unchanged_by_the_others(
+        self, trained_gendt, fitted_fdas, campaign_trajectories, change
+    ):
+        runner, _ = make_runner(trained_gendt, fitted_fdas)
+        reference = runner.run(campaign_trajectories)
+        routes, plan = self.variant(change, campaign_trajectories)
+        runner, _ = make_runner(trained_gendt, fitted_fdas, plan)
+        result = runner.run(routes)
+        first = result.envelopes[0]
+        assert (first.status, first.resamples) == {
+            "shortened": (STATUS_OK, 0),
+            "quarantined": (STATUS_QUARANTINED, 0),
+            "resampled": (STATUS_OK, 1),
+        }[change]
+        for index in (1, 2):
+            assert result.envelopes[index].status == STATUS_OK
+            np.testing.assert_array_equal(
+                result.envelopes[index].series, reference.envelopes[index].series
+            )
+
+    def test_model_rng_is_read_only(self, trained_gendt):
+        with pytest.raises(AttributeError):
+            trained_gendt.rng = np.random.default_rng(0)
+
+    def test_same_seed_campaigns_equal_after_an_in_place_reseed(
+        self, trained_gendt, fitted_fdas, campaign_trajectories
+    ):
+        trained_gendt.rng.bit_generator.state = np.random.default_rng(11).bit_generator.state
+        first, _ = make_runner(trained_gendt, fitted_fdas, seed=5)
+        second, _ = make_runner(trained_gendt, fitted_fdas, seed=5)
+        for a, b in zip(
+            first.run(campaign_trajectories).envelopes,
+            second.run(campaign_trajectories).envelopes,
+        ):
+            np.testing.assert_array_equal(a.series, b.series)
