@@ -218,8 +218,8 @@ class GenDT:
         generation RNG in a different order than as many ``n_draws=1``
         calls would: same distribution, different values.
 
-        ``first_stage_only`` skips ResGen residual sampling and SRNN noise:
-        the base output, random only through the denoising noise ``z0``.
+        ``first_stage_only`` skips ResGen residual sampling and all noise
+        (SRNN noise off, ``z0`` at its mean): the deterministic base output.
         ``window_hook(index, out)`` is invoked after each generation window
         with the window index and its new samples, [n_draws, new, N_ch]
         (``new`` is ``L`` except for a tail window that overlaps the one

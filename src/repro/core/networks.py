@@ -61,10 +61,12 @@ class GnnNodeNetwork(nn.Module):
         self.rng = rng
 
     def forward(self, cell_inputs: Tensor, stochastic: Optional[bool] = None) -> Tensor:
+        """``stochastic=False`` draws no noise: ``z0`` at its mean 0, no SRNN noise."""
         rows, steps, _ = cell_inputs.shape
         # z0: denoising noise, concatenated to every step's input (§4.3.1).
-        z0 = Tensor(self.rng.normal(0.0, 1.0, size=(rows, steps, self.n_noise)))
-        hidden, _ = self.lstm(concat([cell_inputs, z0], axis=2), stochastic=stochastic)
+        shape = (rows, steps, self.n_noise)
+        z0 = np.zeros(shape) if stochastic is False else self.rng.normal(0.0, 1.0, size=shape)
+        hidden, _ = self.lstm(concat([cell_inputs, Tensor(z0)], axis=2), stochastic=stochastic)
         return hidden
 
 

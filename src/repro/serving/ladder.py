@@ -8,9 +8,9 @@ The ladder's three rungs trade fidelity for robustness:
 2. ``first_stage`` — the first-stage output (``first_stage_only=True``:
    ResGen residual sampling skipped): loses the shadowing texture but keeps all
    context conditioning, and cannot be destabilized by the autoregressive
-   residual loop.  SRNN sampling is off; the only randomness left is the
-   denoising noise ``z0``, drawn from the model's seeded generation RNG —
-   deterministic conditional on that RNG's state;
+   residual loop.  It draws no noise (SRNN sampling off, the denoising noise
+   ``z0`` at its mean 0), so it is a deterministic function of the
+   trajectory and leaves the model's RNG untouched;
 3. ``fdas`` — the context-free fit-distribution-and-sample baseline
    (:class:`repro.baselines.fdas.FDaS`): statistically plausible marginals
    with no model call at all, so it also serves while the circuit breaker

@@ -12,11 +12,13 @@ import copy
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.baselines.fdas import FDaS
 from repro.context.windows import ContextBuilder
 from repro.core import GenDT, GenDTGenerator, mc_dropout_uncertainty, small_config
 from repro.core.generator import FIRST_STAGE_ROWS
 from repro.core.networks import GnnNodeNetwork, ResGen
+from repro.nn.tensor import Tensor
 from repro.radio.kpis import KPI, KpiSpec
 from repro.serving import (
     STATUS_OK,
@@ -159,6 +161,29 @@ class TestTailWindow:
         assert hooked == [(n, samples, 2) for _, samples in steps]
         assert hooked[-1][1] == len(traj) % length
         assert np.all(np.isfinite(out["series"]))
+
+
+def test_first_stage_batched_equals_per_window(trained_gendt, tiny_split):
+    # G_n and G_a for one window at a time, without noise, against the
+    # batched first stage of every window and draw.
+    model, gen = trained_gendt, trained_gendt.generator
+    traj = tiny_split.test[0].trajectory.slice(0, 110)
+    windows = model.context.generation_windows(traj, model._batch_len(len(traj)))
+    expected, done = np.empty((len(traj), 2)), 0
+    with nn.no_grad():
+        for window in windows:
+            batch = model._assembler().assemble([window], with_target=False)
+            _, n_cells, length, n_feat = batch.cell_x.shape
+            flat = Tensor(batch.cell_x.reshape(n_cells, length, n_feat))
+            hidden = gen.node_net(flat, stochastic=False).numpy()
+            mask = batch.cell_mask[0]
+            h_avg = (hidden * mask[:, None, None]).sum(axis=0) / max(mask.sum(), 1.0)
+            base = gen.agg_net(Tensor(h_avg[None]), stochastic=False).numpy()[0]
+            expected[done:window.start + length] = base[done - window.start:]
+            done = window.start + length
+    series = model.generate_normalized(traj, n_draws=2, first_stage_only=True)["series"]
+    for draw in series:
+        np.testing.assert_allclose(draw, expected, rtol=0, atol=1e-12)
 
 
 def test_deterministic_draws_equal_the_single_draw(tiny_dataset_a, tiny_split):

@@ -229,15 +229,25 @@ class TestDegradationLadder:
     def test_first_stage_rung_deterministic_given_rng_state(
         self, trained_gendt, fitted_fdas, campaign_trajectories
     ):
-        # SRNN sampling and the ResGen loop are disabled on this rung; the
-        # only randomness left is the denoising noise z0 drawn from the
-        # model's generation RNG, so fixing its state fixes the output.
+        # SRNN sampling and the ResGen loop are disabled on this rung and
+        # the denoising noise z0 sits at its mean, so fixing the model's
+        # RNG state fixes the output.
         executor = LadderExecutor(trained_gendt, fdas=fitted_fdas)
         state = trained_gendt.rng.bit_generator.state
         first = executor.attempt(campaign_trajectories[0], "first_stage")
         trained_gendt.rng.bit_generator.state = state
         second = executor.attempt(campaign_trajectories[0], "first_stage")
         np.testing.assert_array_equal(first, second)
+
+    def test_first_stage_rung_draws_nothing(
+        self, trained_gendt, fitted_fdas, campaign_trajectories
+    ):
+        executor = LadderExecutor(trained_gendt, fdas=fitted_fdas)
+        state = trained_gendt.rng.bit_generator.state
+        first = executor.attempt(campaign_trajectories[0], "first_stage")
+        second = executor.attempt(campaign_trajectories[0], "first_stage")
+        np.testing.assert_array_equal(first, second)
+        assert trained_gendt.rng.bit_generator.state == state
 
     def test_mismatched_fdas_layout_rejected(self, trained_gendt, tiny_split):
         wrong = FDaS(kpis=["rsrp"], seed=0)
