@@ -9,7 +9,7 @@ can mean-pool over real cells only (the paper's ``h_avg``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,14 +39,12 @@ class ModelBatch:
         env: [B, L, 26 + N_KINEMATIC_FEATURES] normalized environment
             context plus kinematic conditioning.
         target: [B, L, N_ch] normalized targets, or None at generation time.
-        scenarios: per-window scenario tags (for per-scenario evaluation).
     """
 
     cell_x: np.ndarray
     cell_mask: np.ndarray
     env: np.ndarray
     target: Optional[np.ndarray]
-    scenarios: List[str]
 
     @property
     def n_windows(self) -> int:
@@ -110,7 +108,6 @@ class WindowAssembler:
             cell_mask=cell_mask,
             env=env,
             target=target,
-            scenarios=[w.scenario for w in windows],
         )
 
 

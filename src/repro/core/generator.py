@@ -15,9 +15,9 @@ from .features import ModelBatch, recent_values_matrix
 from .networks import AggregationNetwork, GnnNodeNetwork, ResGen
 
 #: Most ``G_n`` rows (windows x draws x ``max_cells``) one first-stage call
-#: takes at generation.  Cost per row bottoms out near here, and larger calls
-#: grow peak memory (the LSTM keeps its per-step buffers even under
-#: ``no_grad``).
+#: takes at generation; a call takes whole windows, at least one.  Cost per
+#: row bottoms out near here, and larger calls grow peak memory (the LSTM
+#: keeps its per-step buffers even under ``no_grad``).
 FIRST_STAGE_ROWS = 96
 
 #: ``window_hook(index, out)``: see :meth:`GenDTGenerator.generate_batch`.
@@ -32,7 +32,6 @@ def _probe_batch(module: "GenDTGenerator", env) -> Tuple[tuple, dict]:
         cell_mask=np.ones((b, n_c)),
         env=env.probe(b, length, module.n_env),
         target=env.probe(b, length, module.n_channels),
-        scenarios=["probe"] * b,
     )
     return (batch,), {}
 
@@ -95,9 +94,7 @@ class GenDTGenerator(nn.Module):
         """Graph-level hidden series [B, L, H] from the cell context."""
         return self._h_avg(batch.cell_x, batch.cell_mask)
 
-    def _h_avg(
-        self, cell_x: np.ndarray, cell_mask: np.ndarray, stochastic: Optional[bool] = None
-    ) -> Tensor:
+    def _h_avg(self, cell_x: np.ndarray, cell_mask: np.ndarray, stochastic=None) -> Tensor:
         b, n_cells, length, n_feat = cell_x.shape
         flat = Tensor(cell_x.reshape(b * n_cells, length, n_feat))
         hidden = self.node_net(flat, stochastic=stochastic)
@@ -146,85 +143,58 @@ class GenDTGenerator(nn.Module):
         first_stage_only: bool = False,
         window_hook: Optional[WindowHook] = None,
     ) -> Tuple[np.ndarray, Optional[Dict[str, np.ndarray]]]:
-        """Generate ``n_draws`` series over one trajectory's windows.
+        """Generate ``n_draws`` series over one trajectory's windows, in normalized space.
 
-        ``batch`` holds the trajectory's windows in order, one row each
-        (targets ignored); window ``i`` covers samples ``starts[i]`` to
-        ``starts[i] + L`` (default: back to back).  ``G_n`` and ``G_a``
-        start every window from zero state, so they run for all windows x
-        draws under ``no_grad`` in calls of at most
-        :data:`FIRST_STAGE_ROWS` ``G_n`` rows.  ResGen then rolls window by
-        window (:meth:`ResGen.rollout`), carrying each draw's AR state from
-        one window into the next.  A window that overlaps the one before it
-        (the tail window, anchored at ``T - L``) is rolled over its new
-        samples only, so the AR state is contiguous and every sample is
-        generated once.
+        ``batch`` holds the windows in order, one row each (targets ignored);
+        window ``i`` covers samples ``starts[i]`` to ``starts[i] + L``
+        (default: back to back), overlapping the one before it or not, but
+        with no gap.  ``G_n`` and ``G_a`` start each window from zero state,
+        so :meth:`_first_stage` runs them for all windows x draws at once.
+        ResGen (:meth:`ResGen.rollout`) then rolls window by window, each
+        draw's AR state carried across; an overlapping (tail) window rolls
+        its new samples only.  ``window_hook(index, out)`` gets those,
+        [n_draws, new, N_ch], after each window; it may return a replacement
+        (the AR state keeps ResGen's own output), ``None``, or raise.
 
-        Args:
-            batch: the trajectory's assembled windows.
-            starts: each window's first sample; consecutive windows may
-                overlap but must leave no gap.
-            n_draws: independent series to generate.
-            collect_params: also return ResGen's (mu, sigma) series — used by
-                the MC-dropout uncertainty probe.
-            first_stage_only: skip ResGen and all noise (``z0`` at its mean,
-                no SRNN noise): the deterministic ``G_n`` + ``G_a`` base
-                output, the middle rung of the serving degradation ladder
-                (:mod:`repro.serving`).  Draws nothing from the RNG.
-            window_hook: ``window_hook(index, out)`` runs after each window
-                with its new samples, [n_draws, new, N_ch]; it may return a
-                replacement array, return ``None`` to keep ``out``, or raise
-                to abort.  The AR state follows ResGen's own output.
+        ``first_stage_only`` skips ResGen and all noise (``z0`` at its mean,
+        no SRNN noise): the deterministic middle rung of the serving ladder
+        (:mod:`repro.serving`), which draws nothing from the RNG.
+        ``collect_params`` also returns ResGen's per-step ``mu`` and
+        ``sigma``, for the MC-dropout uncertainty probe.
 
-        Returns:
-            (series [n_draws, T, N_ch] in normalized space,
-             {"mu", "sigma"} each [n_draws, T, N_ch] if ``collect_params``
-             and ResGen ran, else None).
+        Returns (series [n_draws, T, N_ch], {"mu", "sigma"} of the same
+        shape if ``collect_params`` and ResGen ran, else None).
         """
         if n_draws < 1:
             raise ValueError("n_draws must be >= 1")
-        length = batch.length
-        if starts is None:
-            starts = range(0, batch.n_windows * length, length)
+        length, n_env = batch.length, batch.env.shape[-1]
+        starts = range(0, batch.n_windows * length, length) if starts is None else starts
         base = self._first_stage(batch, n_draws, first_stage_only)
-        n_ch = base.shape[-1]
-        series = np.empty((n_draws, starts[-1] + length, n_ch))
         roll = self.resgen is not None and not first_stage_only
-        params = (
-            {"mu": np.empty_like(series), "sigma": np.empty_like(series)}
-            if roll and collect_params
-            else None
-        )
-        state = np.zeros((n_draws, self.resgen.ar_window, n_ch)) if roll else None
-        done = 0
+        state = np.zeros((n_draws, self.resgen.ar_window, base.shape[-1])) if roll else None
+        outs, mus, sigmas, done = [], [], [], 0
         for index, start in enumerate(starts):
             if not start <= done < start + length:
                 raise ValueError("generation windows must tile the series in order")
             new = slice(done - start, length)
             out = base[index, :, new]
             if roll:
-                env = batch.env[index, new]
-                env = np.broadcast_to(env, (n_draws,) + env.shape)
-                out, state, mu, sigma = self.resgen.rollout(
-                    env, out, state, collect_params=collect_params
-                )
-                if params is not None:
-                    params["mu"][:, done:start + length] = mu
-                    params["sigma"][:, done:start + length] = sigma
+                env = np.broadcast_to(batch.env[index, new], (n_draws, out.shape[1], n_env))
+                out, state, mu, sigma = self.resgen.rollout(env, out, state, collect_params)
+                mus.append(mu)
+                sigmas.append(sigma)
             if window_hook is not None:
                 replaced = window_hook(index, out)
-                if replaced is not None:
-                    out = np.asarray(replaced)
-            series[:, done:start + length] = out
+                out = out if replaced is None else np.asarray(replaced)
+            outs.append(out)
             done = start + length
-        return series, params
+        params = None
+        if roll and collect_params:
+            params = {"mu": np.concatenate(mus, axis=1), "sigma": np.concatenate(sigmas, axis=1)}
+        return np.concatenate(outs, axis=1), params
 
     def _first_stage(self, batch: ModelBatch, n_draws: int, deterministic: bool) -> np.ndarray:
-        """``G_n`` + ``G_a`` output for every window x draw, [W, n_draws, L, N_ch].
-
-        Rows are window-major, and each call takes whole windows: at most
-        :data:`FIRST_STAGE_ROWS` ``G_n`` rows, but never less than one window.
-        """
+        """``G_n`` + ``G_a`` output per window x draw, [W, n_draws, L, N_ch]."""
         n_windows, n_cells = batch.cell_mask.shape
         per_call = max(1, FIRST_STAGE_ROWS // (n_draws * n_cells))
         stochastic = False if deterministic else None

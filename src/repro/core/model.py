@@ -68,11 +68,10 @@ class GenDT:
 
     @property
     def rng(self) -> np.random.Generator:
-        """The one generator that training, generation and every submodule draw from.
+        """The generator that training, generation and every submodule draw from.
 
-        Read-only: the submodules hold this object, so rebinding it would
-        leave them on the old stream.  Reseed it in place instead, with
-        ``model.rng.bit_generator.state = ...``.
+        Read-only, because the submodules hold this object: reseed it in
+        place (``model.rng.bit_generator.state = ...``).
         """
         return self._rng
 
@@ -211,38 +210,26 @@ class GenDT:
     ) -> Dict[str, np.ndarray]:
         """Generate ``n_draws`` series in normalized space, in one call.
 
-        The trajectory is validated, and its context windows are built and
-        assembled once; one :meth:`GenDTGenerator.generate_batch` call then
-        generates every window for all draws, each draw carrying its own
-        ResGen autoregressive state.  ``n_draws > 1`` consumes the
-        generation RNG in a different order than as many ``n_draws=1``
+        The trajectory is validated, and its context windows are built,
+        validated and assembled once; one
+        :meth:`GenDTGenerator.generate_batch` call then generates every
+        window for all draws (see there for ``collect_params``,
+        ``first_stage_only`` and ``window_hook``, which the serving layer
+        uses for per-window deadlines and fault injection).  ``n_draws > 1``
+        consumes the RNG in a different order than as many ``n_draws=1``
         calls would: same distribution, different values.
 
-        ``first_stage_only`` skips ResGen residual sampling and all noise
-        (SRNN noise off, ``z0`` at its mean): the deterministic base output.
-        ``window_hook(index, out)`` is invoked after each generation window
-        with the window index and its new samples, [n_draws, new, N_ch]
-        (``new`` is ``L`` except for a tail window that overlaps the one
-        before it); it may return a replacement array, return ``None`` to
-        keep the output, or raise to abort the trajectory.  The serving
-        layer (:mod:`repro.serving`) uses the hook for per-window deadline
-        checks and deterministic fault injection.
-
-        Returns {"series": [n_draws, T, N_ch], optionally "mu"/"sigma":
-        [n_draws, T, N_ch]}.
+        Returns {"series": [n_draws, T, N_ch], and "mu"/"sigma" of the same
+        shape if ``collect_params`` and ResGen ran}.
         """
         self._require_fitted()
         validate_trajectory(trajectory)
-        windows = self.context.generation_windows(
-            trajectory, self._batch_len(len(trajectory))
-        )
+        windows = self.context.generation_windows(trajectory, self._batch_len(len(trajectory)))
         validate_windows(windows)
         series, params = self.generator.generate_batch(
             self._assembler().assemble(windows, with_target=False),
-            starts=[window.start for window in windows],
-            n_draws=n_draws,
-            collect_params=collect_params,
-            first_stage_only=first_stage_only,
+            starts=[window.start for window in windows], n_draws=n_draws,
+            collect_params=collect_params, first_stage_only=first_stage_only,
             window_hook=window_hook,
         )
         return {"series": series, **(params or {})}

@@ -94,11 +94,10 @@ class LadderExecutor:
         The caller validates the output (:func:`output_is_valid`) and
         decides whether to re-sample or demote.
         """
-        if level == LEVEL_FULL:
-            return self.model.generate(trajectory, window_hook=window_hook)
-        if level == LEVEL_FIRST_STAGE:
+        if self.uses_model(level):
             return self.model.generate(
-                trajectory, first_stage_only=True, window_hook=window_hook
+                trajectory, first_stage_only=level == LEVEL_FIRST_STAGE,
+                window_hook=window_hook,
             )
         if level == LEVEL_FDAS:
             if self.fdas is None:

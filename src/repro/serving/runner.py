@@ -89,14 +89,12 @@ class ManualClock:
 class CampaignConfig:
     """Tunables for one campaign run.
 
-    ``seed`` (when set) gives every request its own stream: before request
-    ``index`` is served, the model's generation RNG is set in place from
-    ``np.random.default_rng([seed, index])`` and the FDaS fallback's from
-    ``[seed, index, 1]``; its re-samples and demotions continue those
-    streams.  A request's output then depends only on the seed, its index
-    and its trajectory, and a re-run with the same trajectories and
-    :class:`FaultPlan` is byte-identical.  Without a seed, requests continue
-    the model's own stream.
+    ``seed`` (when set) gives request ``index`` its own streams: the model's
+    generation RNG is set in place from ``np.random.default_rng([seed,
+    index])`` and the FDaS fallback's from ``[seed, index, 1]`` before it is
+    served, and its re-samples and demotions continue them.  Its output then
+    depends only on the seed, its index and its trajectory.  Without a seed,
+    requests continue the model's own stream.
     """
 
     trajectory_deadline_s: Optional[float] = None
@@ -292,29 +290,19 @@ class CampaignRunner:
                     # Bad context windows, met where the model builds them:
                     # the request's fault, not the model's.
                     return quarantine(exc)
-                except GenerationFaultError as exc:
-                    record("exception", exc.window, level, str(exc))
+                except Exception as exc:
+                    # Fault-isolation boundary: no error from the generator
+                    # aborts the campaign.  A raw one is normalized into the
+                    # taxonomy before it is recorded.
+                    if not isinstance(exc, GenDTRuntimeError):
+                        exc = GenerationFaultError(
+                            f"unexpected {type(exc).__name__}: {exc}",
+                            trajectory=index, kind="exception",
+                        )
+                    record("exception", getattr(exc, "window", -1), level, str(exc))
                     if uses_model:
                         self.breaker.record_failure()
                     break  # infrastructure fault: demote, don't re-sample
-                except GenDTRuntimeError as exc:
-                    record("exception", -1, level, str(exc))
-                    if uses_model:
-                        self.breaker.record_failure()
-                    break
-                except Exception as exc:
-                    # Fault-isolation boundary: a raw error from deep inside
-                    # the generator must not abort the campaign.  Normalize
-                    # it into the taxonomy before recording.
-                    wrapped = GenerationFaultError(
-                        f"unexpected {type(exc).__name__}: {exc}",
-                        trajectory=index, kind="exception",
-                    )
-                    wrapped.__cause__ = exc
-                    record("exception", -1, level, str(wrapped))
-                    if uses_model:
-                        self.breaker.record_failure()
-                    break
                 if output_is_valid(series):
                     if uses_model:
                         self.breaker.record_success()

@@ -41,7 +41,6 @@ def _batch(b: int, seed: int = 11) -> ModelBatch:
         cell_mask=mask,
         env=rng.normal(size=(b, LENGTH, N_ENV)),
         target=None,
-        scenarios=["walk"] * b,
     )
 
 
