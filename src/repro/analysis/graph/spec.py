@@ -159,10 +159,15 @@ _PROBE_CANDIDATES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 
 class DimEnv:
-    """Name→value bindings and probe values for one verification run."""
+    """Name→value bindings and probe values for one verification run.
 
-    def __init__(self, bindings: Optional[Mapping[str, int]] = None) -> None:
+    Probe values are drawn in float64 and cast to ``dtype``, the verified
+    module's parameter dtype, so a float32 module is verified in float32.
+    """
+
+    def __init__(self, bindings: Optional[Mapping[str, int]] = None, dtype=np.float64) -> None:
         self.bindings: Dict[str, int] = dict(bindings or {})
+        self.dtype = dtype
         # Probe values come from this fixed local stream, never from a
         # module's generator, so verification leaves seeded streams alone.
         self._rng = np.random.default_rng(0)  # repro: noqa[SEED001] (fixed probe stream)
@@ -177,4 +182,4 @@ class DimEnv:
     def probe(self, *shape: int) -> np.ndarray:
         """Non-zero probe values of the given shape."""
         values = self._rng.standard_normal(shape)
-        return np.where(values == 0.0, 1.0, values)
+        return np.where(values == 0.0, 1.0, values).astype(self.dtype, copy=False)

@@ -165,7 +165,8 @@ def verify(
 
     params = dict(module.named_parameters())
     bound = contract.bind_dims(module)
-    env = DimEnv(bound)
+    dtype = next(iter(params.values())).data.dtype if params else np.float64
+    env = DimEnv(bound, dtype)
     session = TraceSession(module, env)
     report = Report(
         module=type(module).__name__,

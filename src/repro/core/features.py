@@ -54,6 +54,14 @@ class ModelBatch:
     def length(self) -> int:
         return self.cell_x.shape[2]
 
+    def astype(self, dtype) -> "ModelBatch":
+        """This batch with its arrays in ``dtype`` (an array already in it is not copied)."""
+
+        def cast(array: Optional[np.ndarray]) -> Optional[np.ndarray]:
+            return None if array is None else array.astype(dtype, copy=False)
+
+        return ModelBatch(cast(self.cell_x), cast(self.cell_mask), cast(self.env), cast(self.target))
+
 
 class WindowAssembler:
     """Applies normalizers and pads windows into :class:`ModelBatch` arrays."""
@@ -121,16 +129,17 @@ def recent_values_matrix(series: np.ndarray, ar_window: int, initial: Optional[n
             the previous generation batch); zeros if omitted.
 
     Returns:
-        [B, L, m * N_ch] where row t holds ``x[t-m], ..., x[t-1]`` flattened.
+        [B, L, m * N_ch] in ``series``' dtype, where row t holds
+        ``x[t-m], ..., x[t-1]`` flattened.
     """
     b, length, n_ch = series.shape
     if initial is None:
-        initial = np.zeros((b, ar_window, n_ch))
+        initial = np.zeros((b, ar_window, n_ch), series.dtype)
     if initial.shape != (b, ar_window, n_ch):
         raise ValueError("initial must be [B, m, N_ch]")
     padded = np.concatenate([initial, series], axis=1)
     # windows[:, t] is padded[:, t : t + m] with the window axis last.
     windows = np.lib.stride_tricks.sliding_window_view(padded, ar_window, axis=1)[:, :length]
-    out = np.empty((b, length, ar_window, n_ch))
+    out = np.empty((b, length, ar_window, n_ch), series.dtype)
     out[...] = windows.transpose(0, 1, 3, 2)
     return out.reshape(b, length, ar_window * n_ch)

@@ -16,9 +16,18 @@ from .networks import AggregationNetwork, GnnNodeNetwork, ResGen
 
 #: Most ``G_n`` rows (windows x draws x ``max_cells``) one first-stage call
 #: takes at generation; a call takes whole windows, at least one.  Cost per
-#: row bottoms out near here, and larger calls grow peak memory (the LSTM
-#: keeps its per-step buffers even under ``no_grad``).
+#: row bottoms out near here, and larger calls grow peak memory: the LSTM
+#: keeps its per-step buffers even under ``no_grad``, at H=100 and L=50
+#: about 0.2 MB per row in float32, so about 20 MB for a full call (float64
+#: doubles both).
 FIRST_STAGE_ROWS = 96
+
+#: The dtype GenDT's generator and discriminator compute in: parameters,
+#: activations, BPTT, Adam state and the ResGen rollout.  Initial weights
+#: and every random draw are made in float64, as before, and then cast, so
+#: the RNG stream does not depend on it.  Outputs in physical units are
+#: float64 (``TargetNormalizer.denormalize``).
+COMPUTE_DTYPE = np.float32
 
 #: ``window_hook(index, out)``: see :meth:`GenDTGenerator.generate_batch`.
 WindowHook = Callable[[int, np.ndarray], Optional[np.ndarray]]
@@ -65,6 +74,9 @@ class GenDTGenerator(nn.Module):
     during generation it consumes its own output autoregressively, carrying
     state across generation windows (that is what keeps long series
     coherent, §4.3.3).
+
+    The weights are initialised in float64 and then cast to
+    :data:`COMPUTE_DTYPE`; a batch is cast to that dtype where it enters.
     """
 
     def __init__(
@@ -86,12 +98,19 @@ class GenDTGenerator(nn.Module):
         else:
             self.resgen = None
         self.rng = rng
+        self.astype(COMPUTE_DTYPE)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the parameters, which every computation follows."""
+        return self.agg_net.head.weight.data.dtype
 
     # ------------------------------------------------------------------
     # Shared first stage
     # ------------------------------------------------------------------
     def h_avg(self, batch: ModelBatch) -> Tensor:
         """Graph-level hidden series [B, L, H] from the cell context."""
+        batch = batch.astype(self.dtype)
         return self._h_avg(batch.cell_x, batch.cell_mask)
 
     def _h_avg(self, cell_x: np.ndarray, cell_mask: np.ndarray, stochastic=None) -> Tensor:
@@ -111,6 +130,7 @@ class GenDTGenerator(nn.Module):
         """Generate with real recent values feeding ResGen (training mode)."""
         if batch.target is None:
             raise ValueError("teacher forcing requires targets")
+        batch = batch.astype(self.dtype)
         h_avg = self.h_avg(batch)
         base = self.agg_net(h_avg)
         out: Dict[str, Tensor] = {"h_avg": h_avg, "base": base}
@@ -163,15 +183,17 @@ class GenDTGenerator(nn.Module):
         ``sigma``, for the MC-dropout uncertainty probe.
 
         Returns (series [n_draws, T, N_ch], {"mu", "sigma"} of the same
-        shape if ``collect_params`` and ResGen ran, else None).
+        shape if ``collect_params`` and ResGen ran, else None), in
+        :attr:`dtype`.
         """
         if n_draws < 1:
             raise ValueError("n_draws must be >= 1")
+        batch = batch.astype(self.dtype)
         length, n_env = batch.length, batch.env.shape[-1]
         starts = range(0, batch.n_windows * length, length) if starts is None else starts
         base = self._first_stage(batch, n_draws, first_stage_only)
         roll = self.resgen is not None and not first_stage_only
-        state = np.zeros((n_draws, self.resgen.ar_window, base.shape[-1])) if roll else None
+        state = np.zeros((n_draws, self.resgen.ar_window, base.shape[-1]), base.dtype) if roll else None
         outs, mus, sigmas, done = [], [], [], 0
         for index, start in enumerate(starts):
             if not start <= done < start + length:

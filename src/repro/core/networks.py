@@ -63,10 +63,12 @@ class GnnNodeNetwork(nn.Module):
     def forward(self, cell_inputs: Tensor, stochastic: Optional[bool] = None) -> Tensor:
         """``stochastic=False`` draws no noise: ``z0`` at its mean 0, no SRNN noise."""
         rows, steps, _ = cell_inputs.shape
-        # z0: denoising noise, concatenated to every step's input (§4.3.1).
+        # z0: denoising noise, concatenated to every step's input (§4.3.1),
+        # drawn in float64 and cast to the input's dtype.
         shape = (rows, steps, self.n_noise)
         z0 = np.zeros(shape) if stochastic is False else self.rng.normal(0.0, 1.0, size=shape)
-        hidden, _ = self.lstm(concat([cell_inputs, Tensor(z0)], axis=2), stochastic=stochastic)
+        z0 = Tensor(z0.astype(cell_inputs.data.dtype, copy=False))
+        hidden, _ = self.lstm(concat([cell_inputs, z0], axis=2), stochastic=stochastic)
         return hidden
 
 
@@ -170,7 +172,7 @@ class ResGen(nn.Module):
             (mu, log_sigma), each [..., N_ch].
         """
         noise_shape = env.shape[:-1] + (self.n_noise,)
-        z1 = Tensor(self.rng.normal(0.0, 1.0, size=noise_shape))
+        z1 = Tensor(self.rng.normal(0.0, 1.0, size=noise_shape).astype(env.data.dtype, copy=False))
         out = self.mlp(concat([env, z1, recent], axis=-1))
         m, n_ch = self.ar_window, self.n_channels
         gains = out[..., : m * n_ch].sigmoid() * (1.0 / m)
@@ -183,7 +185,7 @@ class ResGen(nn.Module):
     def sample(self, env: Tensor, recent: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
         """Reparameterized residual sample; returns (residual, mu, log_sigma)."""
         mu, log_sigma = self.distribution(env, recent)
-        eps = Tensor(self.rng.normal(0.0, 1.0, size=mu.shape))
+        eps = Tensor(self.rng.normal(0.0, 1.0, size=mu.shape).astype(mu.data.dtype, copy=False))
         residual = mu + log_sigma.exp() * eps
         return residual, mu, log_sigma
 
@@ -202,8 +204,9 @@ class ResGen(nn.Module):
         ``self.rng.normal``, the dropout mask from the dropout layer's
         ``rng.random`` (only while that layer is active and ``p > 0``), and
         ``eps`` from ``self.rng.normal``.  Every array op is the one
-        ``sample``'s Tensor ops compute, so the output, the state and the
-        RNG streams are bit-identical to the autodiff path; no Tensor is
+        ``sample``'s Tensor ops compute, in the parameters' dtype (draws are
+        made in float64 and cast), so the output, the state and the RNG
+        streams are bit-identical to the autodiff path; no Tensor is
         built.  Under ``repro.nn.detect_anomaly`` each step's MLP head,
         ``mu`` and residual are checked for NaN/Inf.
 
@@ -219,7 +222,8 @@ class ResGen(nn.Module):
         """
         hidden, dropout, (head_wt, head_b) = self._array_layers()
         check = is_anomaly_enabled()
-        env = np.asarray(env, dtype=np.float64)
+        dtype = head_wt.dtype
+        env = np.asarray(env, dtype=dtype)
         b, length, n_ch = base.shape
         m = self.ar_window
         split = m * n_ch
@@ -228,19 +232,19 @@ class ResGen(nn.Module):
         sigmas = np.empty_like(base) if collect_params else None
         for t in range(length):
             recent = state.reshape(b, split)
-            z1 = self.rng.normal(0.0, 1.0, size=(b, self.n_noise))
+            z1 = self.rng.normal(0.0, 1.0, size=(b, self.n_noise)).astype(dtype, copy=False)
             x = np.concatenate([env[:, t, :], z1, recent], axis=-1)
             for weight_t, bias, slope in hidden:
                 x = x @ weight_t + bias
-                x = x * np.where(x > 0, 1.0, slope)
+                x = x * np.where(x > 0, 1.0, slope).astype(dtype, copy=False)
             if dropout is not None:
                 keep = 1.0 - dropout.p
-                x = x * ((dropout.rng.random(x.shape) < keep) / keep)
+                x = x * ((dropout.rng.random(x.shape) < keep) / keep).astype(dtype, copy=False)
             out = x @ head_wt + head_b
             gains = 1.0 / (1.0 + np.exp(-np.clip(out[:, :split], -60.0, 60.0))) * (1.0 / m)
             log_sigma = np.clip(out[:, split:], -5.0, 2.0)
             mu = (gains * recent).reshape(b, m, n_ch).sum(axis=-2)
-            eps = self.rng.normal(0.0, 1.0, size=mu.shape)
+            eps = self.rng.normal(0.0, 1.0, size=mu.shape).astype(dtype, copy=False)
             residual = mu + np.exp(log_sigma) * eps
             if check:
                 _check_finite(t, head=out, mu=mu, residual=residual)

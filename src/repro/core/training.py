@@ -56,7 +56,11 @@ class TrainingHistory:
 
 
 class GenDTTrainer:
-    """Alternating generator/discriminator optimization over window batches."""
+    """Alternating generator/discriminator optimization over window batches.
+
+    The discriminator is initialised in float64 and cast to the generator's
+    dtype, and :meth:`fit` casts its batches to it once.
+    """
 
     def __init__(
         self,
@@ -75,7 +79,7 @@ class GenDTTrainer:
         if config.lambda_adv > 0:
             self.discriminator = Discriminator(
                 generator.n_channels, config, rng
-            )
+            ).astype(generator.dtype)
             self.d_optimizer = nn.Adam(
                 self.discriminator.parameters(), lr=config.lr_discriminator
             )
@@ -172,6 +176,7 @@ class GenDTTrainer:
         """
         if not batches:
             raise ValueError("no training batches")
+        batches = [batch.astype(self.generator.dtype) for batch in batches]
         epochs = epochs or self.config.epochs
         manager: Optional[CheckpointManager] = None
         if checkpoint_every is not None and checkpoint_every > 0:

@@ -92,7 +92,7 @@ class Dropout(Module):
             return x
         keep = 1.0 - self.p
         mask = (self.rng.random(x.shape) < keep) / keep
-        return x * Tensor(mask)
+        return x * Tensor(mask.astype(x.data.dtype, copy=False))
 
 
 class Sequential(Module):

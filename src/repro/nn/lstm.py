@@ -73,7 +73,8 @@ class _Recurrence:
     """One :func:`lstm_sequence` forward, keeping what BPTT needs.
 
     Arrays are time-major (``[T, B, ...]``); gates use the layout
-    ``[input, forget, cell, output]`` along the last axis.
+    ``[input, forget, cell, output]`` along the last axis.  Every buffer
+    has ``x``'s dtype (the inputs share one, see :func:`_check_inputs`).
     """
 
     def __init__(self, x, weight_ih, weight_hh, bias, h0, c0, noise: Optional[SRNNNoise]):
@@ -90,14 +91,17 @@ class _Recurrence:
         gates = gates.reshape(steps, batch, 4 * hidden)
         gates += bias
         w_hh_t = np.ascontiguousarray(weight_hh.T)
-        self.h_in = np.empty((steps, batch, hidden))
-        self.c_in = np.empty((steps, batch, hidden))
-        self.tanh_c = np.empty((steps, batch, hidden))
-        self.hs = np.empty((steps, batch, hidden))
+        dtype = x.dtype
+        self.h_in = np.empty((steps, batch, hidden), dtype)
+        self.c_in = np.empty((steps, batch, hidden), dtype)
+        self.tanh_c = np.empty((steps, batch, hidden), dtype)
+        self.hs = np.empty((steps, batch, hidden), dtype)
         if noise is not None:
             # Drawn up front; one call yields the same stream as a draw of
-            # [B, H] for h and then for c at every step.
+            # [B, H] for h and then for c at every step.  Drawn in float64
+            # and then cast, so the stream is the same at either dtype.
             uniform = noise.rng.uniform(0.0, 1.0, size=(steps, 2, batch, hidden))
+            uniform = uniform.astype(dtype, copy=False)
             self.renorm_h: List[tuple] = []
             self.renorm_c: List[tuple] = []
         h, c = h0, c0
@@ -131,20 +135,21 @@ class _Recurrence:
         the inputs whose gradient is wanted; the others come back as None.
         """
         steps, batch, hidden = self.hs.shape
+        dtype = self.hs.dtype
         i, f, g, o = (self.gates[..., k * hidden : (k + 1) * hidden] for k in range(4))
         # Per-step factors that do not depend on the incoming gradient,
         # computed for all steps at once: d gates = d_c * k[i, f, g] and
         # d_h * k[o]; d_c picks up d_h * k_c.
-        k_gates = np.empty((steps, batch, 4, hidden))
+        k_gates = np.empty((steps, batch, 4, hidden), dtype)
         np.multiply(g, i * (1.0 - i), out=k_gates[:, :, 0])
         np.multiply(self.c_in, f * (1.0 - f), out=k_gates[:, :, 1])
         np.multiply(i, 1.0 - g * g, out=k_gates[:, :, 2])
         np.multiply(self.tanh_c, o * (1.0 - o), out=k_gates[:, :, 3])
         k_c = o * (1.0 - self.tanh_c * self.tanh_c)
         d_out = None if d_hs is None else d_hs.transpose(1, 0, 2)
-        d_h = np.zeros((batch, hidden)) if d_h is None else d_h
-        d_c = np.zeros((batch, hidden)) if d_c is None else d_c
-        d_gates = np.empty((steps, batch, 4, hidden))
+        d_h = np.zeros((batch, hidden), dtype) if d_h is None else d_h
+        d_c = np.zeros((batch, hidden), dtype) if d_c is None else d_c
+        d_gates = np.empty((steps, batch, 4, hidden), dtype)
         for t in range(steps - 1, -1, -1):
             if d_out is not None:
                 d_h = d_h + d_out[t]
@@ -169,15 +174,19 @@ class _Recurrence:
         return d_x, d_w_ih, d_w_hh, d_bias, d_h, d_c
 
 
-def _check_shapes(x, weight_ih, weight_hh, bias, h0, c0) -> None:
-    """Raise ValueError naming the first :func:`lstm_sequence` input that does not fit."""
-    if len(x) != 3 or len(weight_hh) != 2:
+def _check_inputs(x, weight_ih, weight_hh, bias, h0, c0) -> None:
+    """Raise ValueError naming the first :func:`lstm_sequence` input that does not fit.
+
+    The inputs must fit ``x`` and ``weight_hh`` in shape and share ``x``'s
+    dtype, so a stray float64 array cannot silently promote a float32 run.
+    """
+    if x.ndim != 3 or weight_hh.ndim != 2:
         raise ValueError(
             f"lstm_sequence: x must be [B, T, I] and weight_hh [4H, H], "
-            f"got x {list(x)} and weight_hh {list(weight_hh)}"
+            f"got x {list(x.shape)} and weight_hh {list(weight_hh.shape)}"
         )
-    batch, _, n_in = x
-    hidden = weight_hh[1]
+    batch, _, n_in = x.shape
+    hidden = weight_hh.shape[1]
     expected = {
         "weight_ih": (weight_ih, (4 * hidden, n_in)),
         "weight_hh": (weight_hh, (4 * hidden, hidden)),
@@ -185,11 +194,17 @@ def _check_shapes(x, weight_ih, weight_hh, bias, h0, c0) -> None:
         "h0": (h0, (batch, hidden)),
         "c0": (c0, (batch, hidden)),
     }
-    for name, (shape, want) in expected.items():
-        if tuple(shape) != want:
+    for name, (value, want) in expected.items():
+        if value.shape != want:
             raise ValueError(
-                f"lstm_sequence: {name} has shape {list(shape)}, expected "
-                f"{list(want)} for x {list(x)} and hidden size {hidden}"
+                f"lstm_sequence: {name} has shape {list(value.shape)}, expected "
+                f"{list(want)} for x {list(x.shape)} and hidden size {hidden}"
+            )
+    for name, (value, _) in expected.items():
+        if value.dtype != x.dtype:
+            raise ValueError(
+                f"lstm_sequence: {name} is {value.dtype}, but x is {x.dtype}; "
+                f"all six inputs must share one dtype"
             )
 
 
@@ -220,11 +235,12 @@ def lstm_sequence(
         the final state.  Gradients flow from all three to all six inputs.
 
     Raises:
-        ValueError: an input's shape does not fit ``x`` and ``weight_hh``;
-            the message names the input (e.g. ``weight_ih``).
+        ValueError: an input's shape does not fit ``x`` and ``weight_hh``,
+            or its dtype is not ``x``'s; the message names the input (e.g.
+            ``weight_ih``).
     """
     inputs = tuple(Tensor._coerce(v) for v in (x, weight_ih, weight_hh, bias, h0, c0))
-    _check_shapes(*(v.shape for v in inputs))
+    _check_inputs(*(v.data for v in inputs))
     run = _Recurrence(*(v.data for v in inputs), noise)
     final_grads = {}
 
@@ -290,7 +306,8 @@ class LSTMCell(Module):
         return h, c
 
     def zero_state(self, batch_size: int) -> Tuple[Tensor, Tensor]:
-        zeros = np.zeros((batch_size, self.hidden_size))
+        """Zero ``(h, c)``, each [batch_size, hidden_size], in the weights' dtype."""
+        zeros = np.zeros((batch_size, self.hidden_size), self.weight_hh.data.dtype)
         return Tensor(zeros), Tensor(zeros.copy())
 
 

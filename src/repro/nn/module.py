@@ -33,10 +33,13 @@ def _set_call_hook(hook):
 
 
 class Parameter(Tensor):
-    """A trainable tensor; always created with ``requires_grad=True``."""
+    """A trainable tensor; always created with ``requires_grad=True``.
+
+    Like :class:`Tensor`, it keeps a float32 or float64 array's dtype.
+    """
 
     def __init__(self, data, name: Optional[str] = None) -> None:
-        super().__init__(np.asarray(data, dtype=np.float64), requires_grad=True, name=name)
+        super().__init__(data, requires_grad=True, name=name)
 
 
 class Module:
@@ -94,6 +97,12 @@ class Module:
         for param in self.parameters():
             param.grad = None
 
+    def astype(self, dtype) -> "Module":
+        """Cast every parameter to ``dtype`` in place (rounding its values); returns self."""
+        for param in self.parameters():
+            param.data = param.data.astype(dtype, copy=False)
+        return self
+
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
@@ -102,7 +111,11 @@ class Module:
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load a state dict produced by :meth:`state_dict` (strict)."""
+        """Load a state dict produced by :meth:`state_dict` (strict).
+
+        Values are cast to each parameter's current dtype, so a float64
+        checkpoint loads into a float32 model and the other way round.
+        """
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
@@ -112,7 +125,7 @@ class Module:
                 f"unexpected={sorted(unexpected)}"
             )
         for name, param in own.items():
-            value = np.asarray(state[name], dtype=np.float64)
+            value = np.asarray(state[name], dtype=param.data.dtype)
             if value.shape != param.data.shape:
                 raise ValueError(
                     f"shape mismatch for {name}: "

@@ -32,6 +32,7 @@ class Optimizer:
     # Slot arrays are keyed by the parameter's *index* in ``self.params``
     # (id() keys don't survive a process boundary); the order of
     # ``Module.parameters()`` is deterministic, so index keying is stable.
+    # Slots load in their parameter's dtype.
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:
         return {"lr": np.array([self.lr])}
@@ -100,7 +101,7 @@ class SGD(Optimizer):
         for i, param in enumerate(self.params):
             key = f"velocity.{i}"
             if key in state:
-                self._velocity[id(param)] = np.array(state[key], dtype=np.float64)
+                self._velocity[id(param)] = np.array(state[key], dtype=param.data.dtype)
 
 
 class Adam(Optimizer):
@@ -162,5 +163,5 @@ class Adam(Optimizer):
         self._v.clear()
         for i, param in enumerate(self.params):
             if f"m.{i}" in state:
-                self._m[id(param)] = np.array(state[f"m.{i}"], dtype=np.float64)
-                self._v[id(param)] = np.array(state[f"v.{i}"], dtype=np.float64)
+                self._m[id(param)] = np.array(state[f"m.{i}"], dtype=param.data.dtype)
+                self._v[id(param)] = np.array(state[f"v.{i}"], dtype=param.data.dtype)

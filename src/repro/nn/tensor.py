@@ -7,6 +7,11 @@ installed; the design deliberately mirrors the subset of the PyTorch tensor
 API that the rest of the code base needs (``matmul``, ``sigmoid``, ``tanh``,
 reductions, indexing, concatenation) so the model code reads conventionally.
 
+Ops follow their input's dtype: a tensor keeps a float32 or float64 array's
+dtype (anything else becomes float64), and a Python scalar operand takes the
+tensor's dtype, as numpy's own scalars do.  GenDT computes in float32; the
+baselines and the gradient checks in float64, through the same code.
+
 Gradients flow through a dynamically-recorded DAG.  Calling
 :meth:`Tensor.backward` topologically sorts the graph reachable from the
 output and accumulates ``.grad`` arrays on every tensor created with
@@ -24,6 +29,9 @@ from .anomaly import check_backward as _anomaly_check_backward
 from .anomaly import note_forward as _anomaly_note_forward
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
+
+#: Array dtypes a Tensor keeps; any other data becomes float64.
+FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 _grad_enabled = True
 
@@ -90,7 +98,8 @@ class Tensor:
     ) -> None:
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=np.float64)
+        keep = isinstance(data, (np.ndarray, np.generic)) and data.dtype in FLOAT_DTYPES
+        self.data = np.asarray(data) if keep else np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad) and _grad_enabled
         self._backward: Optional[Callable[[np.ndarray], None]] = None
@@ -143,6 +152,12 @@ class Tensor:
     def _coerce(value: ArrayLike) -> "Tensor":
         return value if isinstance(value, Tensor) else Tensor(value)
 
+    def _operand(self, value: ArrayLike) -> "Tensor":
+        """``value`` as the other operand of an op: a Python scalar takes this tensor's dtype."""
+        if isinstance(value, (int, float)):
+            return Tensor(np.asarray(value, dtype=self.data.dtype))
+        return self._coerce(value)
+
     def _make(
         self,
         data: np.ndarray,
@@ -160,8 +175,9 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad`` into ``self.grad``, which keeps this tensor's dtype."""
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad.astype(self.data.dtype)
         else:
             self.grad += grad
 
@@ -169,7 +185,7 @@ class Tensor:
     # Arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other = self._coerce(other)
+        other = self._operand(other)
         out_data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -190,13 +206,13 @@ class Tensor:
         return self._make(-self.data, (self,), backward)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        return self + (-self._coerce(other))
+        return self + (-self._operand(other))
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return self._coerce(other) + (-self)
+        return self._operand(other) + (-self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other = self._coerce(other)
+        other = self._operand(other)
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -210,7 +226,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = self._coerce(other)
+        other = self._operand(other)
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -224,7 +240,7 @@ class Tensor:
         return self._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return self._coerce(other) / self
+        return self._operand(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         out_data = self.data**exponent
@@ -239,7 +255,7 @@ class Tensor:
         return self.matmul(other)
 
     def matmul(self, other: ArrayLike) -> "Tensor":
-        other = self._coerce(other)
+        other = self._operand(other)
         out_data = self.data @ other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -313,7 +329,7 @@ class Tensor:
 
     def leaky_relu(self, negative_slope: float = 0.2) -> "Tensor":
         mask = self.data > 0
-        scale = np.where(mask, 1.0, negative_slope)
+        scale = np.where(mask, 1.0, negative_slope).astype(self.data.dtype, copy=False)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -446,7 +462,7 @@ class Tensor:
             if self.size != 1:
                 raise RuntimeError("grad must be supplied for non-scalar outputs")
             grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=np.float64)
+        grad = np.asarray(grad, dtype=self.data.dtype)
 
         order: List[Tensor] = []
         seen = set()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import GenDT, small_config
+from repro.core import generator as generator_module
 from repro.datasets import (
     DriveTestDataset,
     make_dataset_a,
@@ -73,13 +74,25 @@ def tiny_split(tiny_dataset_a):
     return split_per_scenario(tiny_dataset_a, 0.3, 200.0, rng)
 
 
+def _fit_tiny_gendt(dataset, split) -> GenDT:
+    config = small_config(epochs=3, hidden_size=12, batch_len=20, train_step=10)
+    model = GenDT(dataset.region, kpis=["rsrp", "rsrq"], config=config, seed=3)
+    model.fit(split.train)
+    return model
+
+
 @pytest.fixture(scope="session")
 def trained_gendt(tiny_dataset_a, tiny_split) -> GenDT:
     """A tiny trained GenDT shared by model/uncertainty/use-case tests."""
-    config = small_config(epochs=3, hidden_size=12, batch_len=20, train_step=10)
-    model = GenDT(tiny_dataset_a.region, kpis=["rsrp", "rsrq"], config=config, seed=3)
-    model.fit(tiny_split.train)
-    return model
+    return _fit_tiny_gendt(tiny_dataset_a, tiny_split)
+
+
+@pytest.fixture(scope="session")
+def trained_gendt_float64(tiny_dataset_a, tiny_split) -> GenDT:
+    """``trained_gendt`` computing in float64, for tests of batching logic at 1e-12."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generator_module, "COMPUTE_DTYPE", np.float64)
+        return _fit_tiny_gendt(tiny_dataset_a, tiny_split)
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@
 step feeds ``ResGen.sample`` (the training path's autodiff forward) with the
 environment context and the last ``m`` generated residuals.  The array loop
 in ``ResGen.rollout`` must match it bit for bit, outputs and RNG draws alike.
+Like ``generate_batch``, it computes in the generator's dtype.
 """
 
 from typing import Dict, Optional, Sequence, Tuple
@@ -28,6 +29,7 @@ def reference_generate_batch(
     The first stage runs as one call over all windows x draws, which is what
     ``generate_batch`` does for batches within its first-stage row budget.
     """
+    batch = batch.astype(generator.dtype)
     length = batch.length
     starts = range(0, batch.n_windows * length, length) if starts is None else starts
     stochastic = False if first_stage_only else None
@@ -44,12 +46,12 @@ def reference_generate_batch(
         base = base.reshape(batch.n_windows, n_draws, length, base.shape[-1])
 
         n_ch = base.shape[-1]
-        series = np.empty((n_draws, starts[-1] + length, n_ch))
+        series = np.empty((n_draws, starts[-1] + length, n_ch), base.dtype)
         mu = np.empty_like(series)
         sigma = np.empty_like(series)
         roll = generator.resgen is not None and not first_stage_only
         m = generator.resgen.ar_window if roll else 0
-        state = np.zeros((n_draws, m, n_ch))
+        state = np.zeros((n_draws, m, n_ch), base.dtype)
         done = 0
         for index, start in enumerate(starts):
             for t in range(done - start, length):

@@ -16,6 +16,7 @@ from repro import nn
 from repro.baselines.fdas import FDaS
 from repro.context.windows import ContextBuilder
 from repro.core import GenDT, GenDTGenerator, mc_dropout_uncertainty, small_config
+from repro.core import generator as generator_module
 from repro.core.generator import FIRST_STAGE_ROWS
 from repro.core.networks import GnnNodeNetwork, ResGen
 from repro.nn.tensor import Tensor
@@ -163,16 +164,15 @@ class TestTailWindow:
         assert np.all(np.isfinite(out["series"]))
 
 
-def test_first_stage_batched_equals_per_window(trained_gendt, tiny_split):
+def _assert_first_stage_batched_equals_per_window(model, traj, atol):
     # G_n and G_a for one window at a time, without noise, against the
     # batched first stage of every window and draw.
-    model, gen = trained_gendt, trained_gendt.generator
-    traj = tiny_split.test[0].trajectory.slice(0, 110)
+    gen = model.generator
     windows = model.context.generation_windows(traj, model._batch_len(len(traj)))
     expected, done = np.empty((len(traj), 2)), 0
     with nn.no_grad():
         for window in windows:
-            batch = model._assembler().assemble([window], with_target=False)
+            batch = model._assembler().assemble([window], with_target=False).astype(gen.dtype)
             _, n_cells, length, n_feat = batch.cell_x.shape
             flat = Tensor(batch.cell_x.reshape(n_cells, length, n_feat))
             hidden = gen.node_net(flat, stochastic=False).numpy()
@@ -183,25 +183,47 @@ def test_first_stage_batched_equals_per_window(trained_gendt, tiny_split):
             done = window.start + length
     series = model.generate_normalized(traj, n_draws=2, first_stage_only=True)["series"]
     for draw in series:
-        np.testing.assert_allclose(draw, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(draw, expected, rtol=0, atol=atol)
 
 
-def test_deterministic_draws_equal_the_single_draw(tiny_dataset_a, tiny_split):
+def test_first_stage_batched_equals_per_window(trained_gendt_float64, tiny_split):
+    traj = tiny_split.test[0].trajectory.slice(0, 110)
+    _assert_first_stage_batched_equals_per_window(trained_gendt_float64, traj, atol=1e-12)
+
+
+def test_first_stage_batched_equals_per_window_float32(trained_gendt, tiny_split):
+    # In float32 the two batchings round differently: max |diff| measured
+    # 1.5e-8 (one float32 ulp near 0.2); the bound is a few ulps at 1.
+    traj = tiny_split.test[0].trajectory.slice(0, 110)
+    _assert_first_stage_batched_equals_per_window(trained_gendt, traj, atol=1e-7)
+
+
+def _assert_deterministic_draws_equal_the_single_draw(dataset, split, atol):
     # No denoising noise, no SRNN noise, no ResGen sampling: every draw of the
     # batch is the same deterministic function of the context.
     config = small_config(
         epochs=1, hidden_size=8, batch_len=20, train_step=10,
         n_noise_node=0, use_stochastic_layers=False,
     )
-    model = GenDT(tiny_dataset_a.region, kpis=["rsrp", "rsrq"], config=config, seed=4)
-    model.fit(tiny_split.train)
-    traj = tiny_split.test[0].trajectory
+    model = GenDT(dataset.region, kpis=["rsrp", "rsrq"], config=config, seed=4)
+    model.fit(split.train)
+    traj = split.test[0].trajectory
     single = model.generate_normalized(traj, first_stage_only=True)["series"]
     stack = model.generate_normalized(traj, n_draws=3, first_stage_only=True)["series"]
     assert single.shape == (1, len(traj), 2)
     assert stack.shape == (3, len(traj), 2)
     for row in stack:
-        np.testing.assert_allclose(row, single[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(row, single[0], rtol=0, atol=atol)
+
+
+def test_deterministic_draws_equal_the_single_draw(tiny_dataset_a, tiny_split, monkeypatch):
+    monkeypatch.setattr(generator_module, "COMPUTE_DTYPE", np.float64)
+    _assert_deterministic_draws_equal_the_single_draw(tiny_dataset_a, tiny_split, atol=1e-12)
+
+
+def test_deterministic_draws_equal_the_single_draw_float32(tiny_dataset_a, tiny_split):
+    # float32: max |diff| measured 0; the bound is a few float32 ulps at 1.
+    _assert_deterministic_draws_equal_the_single_draw(tiny_dataset_a, tiny_split, atol=1e-7)
 
 
 def test_kpi_clip_on_a_draw_stack_equals_clipping_each_draw():
