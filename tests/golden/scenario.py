@@ -5,6 +5,11 @@ each reduced to the arrays a behaviour change would move.  ``compute()``
 returns them as a flat ``{name: array}`` dict; ``tests/test_golden.py``
 compares it with ``expected.json``.
 
+The scenario runs GenDT with ``COMPUTE_DTYPE`` set to float64, so the pins
+hold at rtol 1e-9 on any BLAS build and move only with a change of logic or
+RNG order.  The float32 path is bounded against float64 in
+``tests/test_float32.py``.
+
 Regenerate the fixtures after a deliberate output change (and name the cause
 in CHANGES.md)::
 
@@ -16,10 +21,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import Dict
+from unittest import mock
 
 import numpy as np
 
 from repro.core import GenDT, small_config
+from repro.core import generator as generator_module
 from repro.core.uncertainty import mc_dropout_uncertainty
 from repro.datasets import make_dataset_a
 from repro.metrics import dtw, hwd
@@ -33,6 +40,11 @@ ROUTE_SAMPLES = 60
 
 
 def compute() -> Dict[str, np.ndarray]:
+    with mock.patch.object(generator_module, "COMPUTE_DTYPE", np.float64):
+        return _compute()
+
+
+def _compute() -> Dict[str, np.ndarray]:
     dataset = make_dataset_a(
         seed=7, samples_per_scenario=120, trajectories_per_scenario=2, with_qoe=False
     )

@@ -7,8 +7,11 @@ per-parameter weight summary, the series of ``generate``,
 truth.  A change that moves any of them must re-pin the fixtures (see
 ``tests/golden/scenario.py``) and name the cause in CHANGES.md.
 
-Values are compared at rtol 1e-9 rather than by byte hash, so the gate holds
-across Python and numpy versions whose BLAS rounds differently.
+The scenario runs GenDT in float64 (``COMPUTE_DTYPE`` patched), and values are
+compared at rtol 1e-9 rather than by byte hash, so the gate holds across
+Python and numpy versions whose BLAS rounds differently.  The float32 path
+the library runs by default is bounded against float64 in
+``tests/test_float32.py``.
 """
 
 import numpy as np
