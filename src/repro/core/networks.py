@@ -203,7 +203,7 @@ class ResGen(nn.Module):
         and shifts it into the state.  It draws, in order: ``z1`` from
         ``self.rng.normal``, the dropout mask from the dropout layer's
         ``rng.random`` (only while that layer is active and ``p > 0``), and
-        ``eps`` from ``self.rng.normal``.  Every array op is the one
+        ``eps`` from ``self.rng.normal``.  Every array op yields exactly what
         ``sample``'s Tensor ops compute, in the parameters' dtype (draws are
         made in float64 and cast), so the output, the state and the RNG
         streams are bit-identical to the autodiff path; no Tensor is
@@ -236,10 +236,10 @@ class ResGen(nn.Module):
             x = np.concatenate([env[:, t, :], z1, recent], axis=-1)
             for weight_t, bias, slope in hidden:
                 x = x @ weight_t + bias
-                x = x * np.where(x > 0, 1.0, slope).astype(dtype, copy=False)
+                x = np.where(x > 0, x, x * slope)
             if dropout is not None:
                 keep = 1.0 - dropout.p
-                x = x * ((dropout.rng.random(x.shape) < keep) / keep).astype(dtype, copy=False)
+                x = x * (dropout.rng.random(x.shape) < keep) * dtype.type(1.0 / keep)
             out = x @ head_wt + head_b
             gains = 1.0 / (1.0 + np.exp(-np.clip(out[:, :split], -60.0, 60.0))) * (1.0 / m)
             log_sigma = np.clip(out[:, split:], -5.0, 2.0)
