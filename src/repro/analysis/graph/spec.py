@@ -165,7 +165,7 @@ class DimEnv:
     module's parameter dtype, so a float32 module is verified in float32.
     """
 
-    def __init__(self, bindings: Optional[Mapping[str, int]] = None, dtype=np.float64) -> None:
+    def __init__(self, bindings: Optional[Mapping[str, int]], dtype) -> None:
         self.bindings: Dict[str, int] = dict(bindings or {})
         self.dtype = dtype
         # Probe values come from this fixed local stream, never from a
