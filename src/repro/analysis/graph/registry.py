@@ -69,12 +69,7 @@ def shipped_entries() -> List[RegistryEntry]:
         RegistryEntry(
             "lstm_cell", "nn.LSTMCell single step", lambda rng: nn.LSTMCell(9, 14, rng)
         ),
-        RegistryEntry(
-            "lstm", "nn.LSTM, 2 stacked layers", lambda rng: nn.LSTM(9, 14, rng, num_layers=2)
-        ),
-        RegistryEntry(
-            "lstm_regressor", "nn.LSTMRegressor", lambda rng: nn.LSTMRegressor(9, 14, 3, rng)
-        ),
+        RegistryEntry("lstm", "nn.LSTM over a sequence", lambda rng: nn.LSTM(9, 14, rng)),
         RegistryEntry(
             "stochastic_lstm", "GenDT SRNN layer (noise-injected LSTM)",
             lambda rng: StochasticLSTM(9, 14, rng),

@@ -53,15 +53,19 @@ def _split(dataset, seed: int):
 
 
 def _load_model(args, dataset):
-    """The checkpointed GenDT model for ``dataset``'s region."""
-    from .core import GenDT, small_config
+    """The checkpointed GenDT model for ``dataset``'s region.
 
-    config = small_config(
-        epochs=1, hidden_size=args.hidden, batch_len=25, train_step=5
-    )
-    model = GenDT(
-        dataset.region, kpis=args.kpis.split(","), config=config, seed=args.seed
-    )
+    The checkpoint carries the KPIs and config it was trained with, so the
+    model is built from them rather than from command-line options.
+    """
+    from .core import GenDT, GenDTConfig
+    from .runtime import read_checkpoint
+
+    _, meta = read_checkpoint(args.checkpoint)
+    # A checkpoint that records no config gets the default one, which
+    # GenDT.load then rejects, naming the path and the differing fields.
+    config = GenDTConfig.from_meta(meta.get("config", {}))
+    model = GenDT(dataset.region, kpis=meta["kpis"], config=config, seed=args.seed)
     model.load(args.checkpoint)
     return model
 
@@ -244,21 +248,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    from .analysis import main as lint_main
-
-    argv: List[str] = list(args.paths)
-    if args.select:
-        argv += ["--select", args.select]
-    if args.ignore:
-        argv += ["--ignore", args.ignore]
-    if args.format != "text":
-        argv += ["--format", args.format]
-    if args.list_rules:
-        argv.append("--list-rules")
-    return lint_main(argv)
-
-
 def cmd_verify_graph(args) -> int:
     import json
 
@@ -370,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="generate KPIs for a fresh route")
     _add_common(p_gen)
-    p_gen.add_argument("--kpis", default="rsrp,rsrq")
-    p_gen.add_argument("--hidden", type=int, default=28)
     p_gen.add_argument("--checkpoint", required=True)
     p_gen.add_argument("--route-length-m", type=float, default=2000.0)
     p_gen.add_argument("--speed", type=float, default=8.0)
@@ -384,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="resilient batch generation over many routes (serving runtime)",
     )
     _add_common(p_camp)
-    p_camp.add_argument("--kpis", default="rsrp,rsrq")
-    p_camp.add_argument("--hidden", type=int, default=28)
     p_camp.add_argument("--checkpoint", required=True)
     p_camp.add_argument(
         "--routes", type=int, default=8,
@@ -427,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="fidelity of a checkpoint")
     _add_common(p_eval)
-    p_eval.add_argument("--kpis", default="rsrp,rsrq")
-    p_eval.add_argument("--hidden", type=int, default=28)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument(
         "--skip-failures", action="store_true",
@@ -437,27 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.set_defaults(func=cmd_evaluate)
 
-    p_lint = sub.add_parser("lint", help="run the project static-analysis engine")
-    p_lint.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to lint (default: src)",
+    # ``lint`` takes no options of its own: main() forwards everything after
+    # it, unparsed, to repro.analysis.engine.main, which defines the flags.
+    sub.add_parser(
+        "lint", add_help=False,
+        help="run the project static-analysis engine (repro lint --help)",
     )
-    p_lint.add_argument(
-        "--select", default=None, metavar="RULES",
-        help="comma-separated rule IDs to run (default: all)",
-    )
-    p_lint.add_argument(
-        "--ignore", default=None, metavar="RULES",
-        help="comma-separated rule IDs to skip (applied after --select)",
-    )
-    p_lint.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="violation output format (default: text)",
-    )
-    p_lint.add_argument(
-        "--list-rules", action="store_true", help="print the rule table and exit"
-    )
-    p_lint.set_defaults(func=cmd_lint)
 
     p_verify = sub.add_parser(
         "verify-graph",
@@ -487,7 +455,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        from .analysis import main as lint_main
+
+        return lint_main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.func(args)
 
 

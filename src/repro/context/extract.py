@@ -38,14 +38,21 @@ class NetworkContextExtractor:
 
     Precomputes the [T, N] distance matrix once per trajectory, then serves
     window queries: which cells are relevant in a window, and their [L, 5]
-    raw attribute series.
+    raw attribute series.  The cells are the region's current deployment,
+    read through the region on every query, so swapping
+    ``region.deployment`` (a what-if study) is seen here and by everything
+    else that reads the region.
     """
 
-    def __init__(self, deployment: CellDeployment, d_s_m: float = 2000.0) -> None:
+    def __init__(self, region: Region, d_s_m: float = 2000.0) -> None:
         if d_s_m <= 0:
             raise ValueError("d_s must be positive")
-        self.deployment = deployment
+        self.region = region
         self.d_s_m = d_s_m
+
+    @property
+    def deployment(self) -> CellDeployment:
+        return self.region.deployment
 
     def distances(self, trajectory: Trajectory) -> np.ndarray:
         """Distance from each trajectory point to each cell, [T, N]."""

@@ -32,14 +32,18 @@ from .windows import ContextWindow
 #: Model-facing cell feature dimension after the transform.
 N_CELL_FEATURES = 6
 
+#: Fixed z-scoring of a cell's transmit power p_max (dBm): macro cells sit
+#: around 43 dBm with a few dB of spread.  Fixed rather than fit, so the
+#: encoding is the same for every region a model is transferred to.
+P_MAX_MEAN_DBM = 43.0
+P_MAX_STD_DB = 3.0
+
 
 class CellFeatureTransform:
     """Raw per-cell attributes -> model features (see module docstring)."""
 
-    def __init__(self, frame: LocalFrame, p_max_mean: float = 43.0, p_max_std: float = 3.0) -> None:
+    def __init__(self, frame: LocalFrame) -> None:
         self.frame = frame
-        self.p_max_mean = p_max_mean
-        self.p_max_std = p_max_std
 
     def __call__(
         self, window: ContextWindow, ue_lat: np.ndarray, ue_lon: np.ndarray
@@ -63,7 +67,7 @@ class CellFeatureTransform:
             dy = (float(cy) - uy) / 1000.0
             out[:, j, 0] = dx
             out[:, j, 1] = dy
-            out[:, j, 2] = (raw[:, j, 2] - self.p_max_mean) / self.p_max_std
+            out[:, j, 2] = (raw[:, j, 2] - P_MAX_MEAN_DBM) / P_MAX_STD_DB
             bearing_to_ue = np.degrees(np.arctan2(-dx, -dy)) % 360.0
             dir_rel = np.radians(bearing_to_ue - raw[:, j, 3])
             out[:, j, 3] = np.sin(dir_rel)

@@ -77,7 +77,7 @@ class ContextBuilder:
     def __init__(self, region: Region, config: Optional[ContextConfig] = None) -> None:
         self.region = region
         self.config = config or ContextConfig()
-        self.network = NetworkContextExtractor(region.deployment, self.config.d_s_m)
+        self.network = NetworkContextExtractor(region, self.config.d_s_m)
         self.environment = EnvironmentContextExtractor(region, self.config.env_radius_m)
 
     # ------------------------------------------------------------------

@@ -9,8 +9,9 @@ benchmarks construct smaller configs; the physics does not change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+import json
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, Optional, Tuple
 
 
 @dataclass
@@ -48,6 +49,15 @@ class GenDTConfig:
 
     # Context scope
     max_cells: int = 8                   #: cap on N_b per window
+
+    def to_meta(self) -> Dict[str, Any]:
+        """The fields as checkpoint metadata stores them (JSON: tuples become lists)."""
+        return json.loads(json.dumps(asdict(self)))
+
+    @classmethod
+    def from_meta(cls, meta: Dict[str, Any]) -> "GenDTConfig":
+        """Inverse of :meth:`to_meta`: list-valued fields come back as tuples."""
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in meta.items()})
 
     def validate(self) -> None:
         if self.batch_len is not None and self.batch_len < 2:

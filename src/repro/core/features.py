@@ -119,25 +119,19 @@ class WindowAssembler:
         )
 
 
-def recent_values_matrix(series: np.ndarray, ar_window: int, initial: Optional[np.ndarray] = None) -> np.ndarray:
+def recent_values_matrix(series: np.ndarray, ar_window: int) -> np.ndarray:
     """Teacher-forcing AR inputs: for each t, the previous ``m`` values.
 
     Args:
         series: [B, L, N_ch] (normalized) target series.
         ar_window: m.
-        initial: [B, m, N_ch] values preceding the window (e.g. the tail of
-            the previous generation batch); zeros if omitted.
 
     Returns:
         [B, L, m * N_ch] in ``series``' dtype, where row t holds
-        ``x[t-m], ..., x[t-1]`` flattened.
+        ``x[t-m], ..., x[t-1]`` flattened, zeros before the window's start.
     """
     b, length, n_ch = series.shape
-    if initial is None:
-        initial = np.zeros((b, ar_window, n_ch), series.dtype)
-    if initial.shape != (b, ar_window, n_ch):
-        raise ValueError("initial must be [B, m, N_ch]")
-    padded = np.concatenate([initial, series], axis=1)
+    padded = np.concatenate([np.zeros((b, ar_window, n_ch), series.dtype), series], axis=1)
     # windows[:, t] is padded[:, t : t + m] with the window axis last.
     windows = np.lib.stride_tricks.sliding_window_view(padded, ar_window, axis=1)[:, :length]
     out = np.empty((b, length, ar_window, n_ch), series.dtype)

@@ -49,15 +49,15 @@ class GenDT:
         kpis: Sequence[Union[str, KPI]] = ("rsrp", "rsrq", "sinr", "cqi"),
         config: Optional[GenDTConfig] = None,
         seed: int = 0,
-        context_config: Optional[ContextConfig] = None,
     ) -> None:
         self.region = region
         self.kpi_spec = KpiSpec([KPI(k) for k in kpis])
         self.config = config or GenDTConfig()
         self.config.validate()
         self._rng = np.random.default_rng(seed)
-        ctx = context_config or ContextConfig(max_cells=self.config.max_cells)
-        self.context = ContextBuilder(region, ctx)
+        # Context scope stays at ContextConfig's paper defaults (d_s, the
+        # 500 m environment radius); only the GNN fan-in follows the model.
+        self.context = ContextBuilder(region, ContextConfig(max_cells=self.config.max_cells))
         self.cell_transform = CellFeatureTransform(region.frame)
         self.env_normalizer = EnvFeatureNormalizer()
         self.target_normalizer = TargetNormalizer()
@@ -292,9 +292,10 @@ class GenDT:
     # Persistence
     # ------------------------------------------------------------------
     def _checkpoint_meta(self) -> Dict:
-        """Model-level metadata embedded in checkpoints (normalizers, KPIs)."""
+        """Model-level metadata embedded in checkpoints (KPIs, config, normalizers)."""
         return {
             "kpis": self.kpi_names,
+            "config": self.config.to_meta(),
             "n_env": self._n_env,
             "env_normalizer": {
                 k: v.tolist() for k, v in self.env_normalizer.state().items()
@@ -326,23 +327,34 @@ class GenDT:
         verify(self.generator, raise_on_error=True)
 
     def load(self, path: Union[str, Path]) -> None:
-        """Restore a model saved with :meth:`save` (same config required).
+        """Restore a model saved with :meth:`save` (same KPIs and config required).
 
         Raises:
             CheckpointCorruptError: the file is missing or is not an intact
                 checkpoint container (bad magic, checksum mismatch,
                 truncation), always carrying the offending path.
-            ValueError: the checkpoint's KPI list does not match this
-                model's (message names the checkpoint path).
+            ValueError: the checkpoint's KPI list or config does not match
+                this model's (message names the checkpoint path and, for the
+                config, the differing fields; a checkpoint that records no
+                config differs in all of them).
         """
         arrays, meta = read_checkpoint(path)
-        # Validate KPI compatibility before instantiating the generator:
-        # a channel-count mismatch would otherwise surface as an opaque
-        # weight-shape error from load_state_dict.
+        # Validate compatibility before instantiating the generator: a
+        # mismatch would otherwise surface as an opaque weight-shape error
+        # from load_state_dict, or not at all (batch_len, SRNN layers).
         if meta.get("kpis") != self.kpi_names:
             raise ValueError(
                 f"checkpoint {path}: KPIs {meta.get('kpis')} do not match "
                 f"model {self.kpi_names}"
+            )
+        saved, current = meta.get("config", {}), self.config.to_meta()
+        differing = sorted(
+            k for k in saved.keys() | current.keys()
+            if k not in saved or k not in current or saved[k] != current[k]
+        )
+        if differing:
+            raise ValueError(
+                f"checkpoint {path}: config fields {differing} do not match model"
             )
         self._n_env = int(meta["n_env"])
         self.generator = GenDTGenerator(

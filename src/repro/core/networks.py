@@ -129,7 +129,7 @@ class ResGen(nn.Module):
     context still modulates how correlated (``g``) and how wide (``sigma``)
     the residual is — exactly the environment's physical effect on
     shadowing.  The dropout layer doubles as the MC-dropout probe for model
-    uncertainty (§6.2.1) via ``force_dropout``.
+    uncertainty (§6.2.1), which runs ResGen in training mode.
     """
 
     def __init__(
@@ -154,11 +154,6 @@ class ResGen(nn.Module):
             dropout=config.resgen_dropout,
         )
         self.rng = rng
-
-    def force_dropout(self, active: bool) -> None:
-        """Keep dropout on at generation time (MC-dropout uncertainty)."""
-        for layer in self.mlp.dropout_layers:
-            layer.force_active = active
 
     def distribution(self, env: Tensor, recent: Tensor) -> Tuple[Tensor, Tensor]:
         """Gaussian parameters for a batch of timesteps.
@@ -265,9 +260,7 @@ class ResGen(nn.Module):
         layers = list(self.mlp.net)  # (Linear, LeakyReLU)*, [Dropout], Linear
         head = layers.pop()
         dropout = layers.pop() if layers and isinstance(layers[-1], nn.Dropout) else None
-        if dropout is not None and not (
-            (dropout.training or dropout.force_active) and dropout.p > 0.0
-        ):
+        if dropout is not None and not (dropout.training and dropout.p > 0.0):
             dropout = None
         hidden = [
             (linear.weight.data.T, linear.bias.data, act.negative_slope)

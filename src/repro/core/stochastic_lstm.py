@@ -59,18 +59,15 @@ class StochasticLSTM(nn.Module):
         self.rng = rng
 
     def forward(
-        self,
-        x: Tensor,
-        state: Optional[Tuple[Tensor, Tensor]] = None,
-        stochastic: Optional[bool] = None,
+        self, x: Tensor, stochastic: Optional[bool] = None
     ) -> Tuple[Tensor, Tuple[Tensor, Tensor]]:
-        """Run over a sequence ``[B, T, input_size]`` -> ``[B, T, H]``.
+        """Run over a sequence ``[B, T, input_size]`` from the zero state -> ``[B, T, H]``.
 
         ``stochastic`` overrides the module default (used to disable noise
         for deterministic evaluation).
         """
         use_noise = self.stochastic if stochastic is None else stochastic
-        h, c = self.cell.zero_state(x.shape[0]) if state is None else state
+        h, c = self.cell.zero_state(x.shape[0])
         noise = SRNNNoise(self.rng, self.intensity_h, self.intensity_c) if use_noise else None
         cell = self.cell
         return lstm_sequence(x, cell.weight_ih, cell.weight_hh, cell.bias, h, c, noise=noise)

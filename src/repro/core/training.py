@@ -33,6 +33,11 @@ from .features import ModelBatch, WindowAssembler
 from .generator import GenDTGenerator
 from .networks import Discriminator
 
+#: Weight of the Gaussian-NLL term that calibrates ResGen's (mu, sigma)
+#: head.  Small, so the NLL shapes sigma without pulling the MSE/GAN fit of
+#: the series; every fit uses this value.
+NLL_WEIGHT = 0.1
+
 
 @dataclass
 class TrainingHistory:
@@ -67,12 +72,10 @@ class GenDTTrainer:
         generator: GenDTGenerator,
         config: GenDTConfig,
         rng: np.random.Generator,
-        nll_weight: float = 0.1,
     ) -> None:
         self.generator = generator
         self.config = config
         self.rng = rng
-        self.nll_weight = nll_weight
         self.g_optimizer = nn.Adam(generator.parameters(), lr=config.lr_generator)
         self.discriminator: Optional[Discriminator] = None
         self.d_optimizer: Optional[nn.Adam] = None
@@ -126,7 +129,7 @@ class GenDTTrainer:
             # base network leaves behind.
             residual_target = target - Tensor(out["base"].numpy())
             nll = nn.gaussian_nll(out["mu"], out["log_sigma"], residual_target)
-            loss = loss + self.nll_weight * nll
+            loss = loss + NLL_WEIGHT * nll
             nll_value = nll.item()
         self.g_optimizer.zero_grad()
         loss.backward()

@@ -8,8 +8,8 @@ the *variation of the parameters themselves* under MC dropout reflects
 ``U(G) = (1/T) * sum_t [ std(sigma_t) + std(mu_t) ]``
 
 averages, over time, the standard deviation of each parameter across
-``n_passes`` stochastic forward passes with dropout forced on, generated
-as one batch of ``n_passes`` draws.
+``n_passes`` stochastic forward passes with ResGen in training mode (so its
+dropout is on), generated as one batch of ``n_passes`` draws.
 """
 
 from __future__ import annotations
@@ -48,13 +48,15 @@ def mc_dropout_uncertainty(
     model._require_fitted()
     if model.generator.resgen is None:
         raise RuntimeError("uncertainty probe requires ResGen (use_resgen=True)")
-    model.generator.resgen.force_dropout(True)
+    resgen = model.generator.resgen
+    was_training = resgen.training
+    resgen.train()
     try:
         out = model.generate_normalized(
             trajectory, n_draws=n_passes, collect_params=True
         )
     finally:
-        model.generator.resgen.force_dropout(False)
+        resgen.train(was_training)
     mu_stack, sigma_stack = out["mu"], out["sigma"]  # [P, T, N_ch]
     per_step = mu_stack.std(axis=0) + sigma_stack.std(axis=0)  # [T, N_ch]
     return UncertaintyEstimate(

@@ -72,10 +72,9 @@ class Sigmoid(Module):
 class Dropout(Module):
     """Inverted dropout.
 
-    GenDT uses dropout both as a regularizer inside ResGen and, crucially, as
-    an MC-dropout uncertainty probe at generation time (paper §6.2.1), so the
-    layer supports being forced on via ``force_active`` independently of the
-    module's train/eval mode.
+    Active in training mode only.  GenDT uses dropout both as a regularizer
+    inside ResGen and as an MC-dropout uncertainty probe at generation time
+    (paper §6.2.1), which puts ResGen in training mode for the probe.
     """
 
     def __init__(self, p: float, rng: np.random.Generator) -> None:
@@ -84,11 +83,9 @@ class Dropout(Module):
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
         self.rng = rng
-        self.force_active = False
 
     def forward(self, x: Tensor) -> Tensor:
-        active = self.training or self.force_active
-        if not active or self.p == 0.0:
+        if not self.training or self.p == 0.0:
             return x
         keep = 1.0 - self.p
         mask = (self.rng.random(x.shape) < keep) / keep

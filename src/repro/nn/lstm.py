@@ -4,7 +4,7 @@
 node: a numpy forward loop that keeps each step's gates, and a hand-written
 backward pass through time (BPTT).  It is the only LSTM code path:
 :class:`LSTMCell` is its one-step case, :class:`LSTM` (the discriminator,
-the LSTM-GNN and DoppelGANger baselines) calls it once per layer, and
+the LSTM-GNN and DoppelGANger baselines) calls it once per sequence, and
 GenDT's stochastic variant (SRNN layers, paper §4.3.4 and §A.2, in
 :mod:`repro.core.stochastic_lstm`) calls it with :class:`SRNNNoise`.
 """
@@ -15,7 +15,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.graph.spec import ANY, Spec, contract
+from ..analysis.graph.spec import Spec, contract
 from . import init
 from .module import Module, Parameter
 from .tensor import Tensor
@@ -313,70 +313,24 @@ class LSTMCell(Module):
 
 @contract(
     inputs={"x": Spec("B", "T", "I")},
-    outputs=(Spec("B", "T", "H"), ANY),
+    outputs=(Spec("B", "T", "H"), (Spec("B", "H"), Spec("B", "H"))),
     dims={"I": "input_size", "H": "hidden_size"},
 )
 class LSTM(Module):
-    """Unidirectional (optionally stacked) LSTM over a full sequence.
+    """Unidirectional single-layer LSTM over a full sequence.
 
-    Input is ``[B, T, input_size]``; output is ``[B, T, hidden_size]`` (the
-    hidden states of the top layer at every step) plus the final state of
-    each layer.
+    Input is ``[B, T, input_size]``, starting from the zero state; output
+    is ``[B, T, hidden_size]`` (the hidden state at every step) plus the
+    final ``(h, c)``.
     """
 
-    def __init__(
-        self,
-        input_size: int,
-        hidden_size: int,
-        rng: np.random.Generator,
-        num_layers: int = 1,
-    ) -> None:
+    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator) -> None:
         super().__init__()
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.num_layers = num_layers
-        self._cells: List[LSTMCell] = []
-        for layer in range(num_layers):
-            cell = LSTMCell(input_size if layer == 0 else hidden_size, hidden_size, rng)
-            setattr(self, f"cell{layer}", cell)
-            self._cells.append(cell)
+        self.cell = LSTMCell(input_size, hidden_size, rng)
 
-    def forward(
-        self,
-        x: Tensor,
-        state: Optional[List[Tuple[Tensor, Tensor]]] = None,
-    ) -> Tuple[Tensor, List[Tuple[Tensor, Tensor]]]:
-        if state is None:
-            state = [cell.zero_state(x.shape[0]) for cell in self._cells]
-        new_state: List[Tuple[Tensor, Tensor]] = []
-        for cell, (h, c) in zip(self._cells, state):
-            x, (h, c) = lstm_sequence(x, cell.weight_ih, cell.weight_hh, cell.bias, h, c)
-            new_state.append((h, c))
-        return x, new_state
-
-
-@contract(
-    inputs={"x": Spec("B", "T", "I")},
-    outputs=Spec("B", "T", "O"),
-    dims={"I": "lstm.input_size", "O": "head.out_features"},
-)
-class LSTMRegressor(Module):
-    """LSTM followed by a per-step linear head: ``[B,T,in] -> [B,T,out]``."""
-
-    def __init__(
-        self,
-        input_size: int,
-        hidden_size: int,
-        output_size: int,
-        rng: np.random.Generator,
-        num_layers: int = 1,
-    ) -> None:
-        super().__init__()
-        from .layers import Linear  # local import to avoid a cycle
-
-        self.lstm = LSTM(input_size, hidden_size, rng, num_layers=num_layers)
-        self.head = Linear(hidden_size, output_size, rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        hidden, _ = self.lstm(x)
-        return self.head(hidden)
+    def forward(self, x: Tensor) -> Tuple[Tensor, Tuple[Tensor, Tensor]]:
+        cell = self.cell
+        h, c = cell.zero_state(x.shape[0])
+        return lstm_sequence(x, cell.weight_ih, cell.weight_hh, cell.bias, h, c)

@@ -44,7 +44,10 @@ PathLike = Union[str, Path]
 MAGIC = b"GENDTCK1"
 SCHEMA_VERSION = 1
 
-_CKPT_NAME = re.compile(r"^(?P<prefix>.+)-(?P<epoch>\d{6})\.gendt$")
+#: Name prefix of managed epoch checkpoints (``ckpt-000003.gendt``).  One
+#: directory holds one run's checkpoints, so there is nothing to tell apart.
+_CKPT_PREFIX = "ckpt"
+_CKPT_NAME = re.compile(rf"^{_CKPT_PREFIX}-(?P<epoch>\d{{6}})\.gendt$")
 
 
 # ----------------------------------------------------------------------
@@ -183,15 +186,14 @@ def resolve_checkpoint(path: PathLike) -> Path:
 class CheckpointManager:
     """Writes epoch-indexed checkpoints into a directory, keeping the last N."""
 
-    def __init__(self, directory: PathLike, keep_last: int = 3, prefix: str = "ckpt") -> None:
+    def __init__(self, directory: PathLike, keep_last: int = 3) -> None:
         if keep_last < 1:
             raise ValueError("keep_last must be >= 1")
         self.directory = Path(directory)
         self.keep_last = keep_last
-        self.prefix = prefix
 
     def path_for(self, epoch: int) -> Path:
-        return self.directory / f"{self.prefix}-{epoch:06d}.gendt"
+        return self.directory / f"{_CKPT_PREFIX}-{epoch:06d}.gendt"
 
     def checkpoints(self) -> List[Tuple[int, Path]]:
         """``(epoch, path)`` pairs, oldest first."""
@@ -199,7 +201,7 @@ class CheckpointManager:
         if self.directory.is_dir():
             for entry in self.directory.iterdir():
                 match = _CKPT_NAME.match(entry.name)
-                if match and match.group("prefix") == self.prefix:
+                if match:
                     found.append((int(match.group("epoch")), entry))
         return sorted(found)
 

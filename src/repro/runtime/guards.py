@@ -12,7 +12,7 @@ is lost.  :class:`HealthGuard` watches each optimization step for
 
 and on any trip rolls the trainer back to the last-good snapshot of
 parameters **and** optimizer state, then backs off the learning rates by
-``lr_backoff`` so the same step is unlikely to blow up again.  After
+:data:`LR_BACKOFF` so the same step is unlikely to blow up again.  After
 ``max_recoveries`` rollbacks it gives up and raises
 :class:`~repro.runtime.errors.DivergenceError` — with the trainer left at
 the last-good snapshot, so a checkpoint written afterwards is still sane.
@@ -35,6 +35,20 @@ from .errors import DivergenceError
 
 #: Fault kinds understood by :meth:`HealthGuard.inject_fault`.
 FAULT_KINDS = ("nan_loss", "corrupt_grad", "explode_loss")
+
+# The guard's policy.  Fixed, because it only has to separate healthy steps
+# from broken ones, whose losses differ by orders of magnitude; the one
+# setting callers vary is the rollback budget, ``max_recoveries``.
+#: Learning-rate factor applied to every attached optimizer on each rollback.
+LR_BACKOFF = 0.5
+#: A finite loss above this multiple of the rolling median of recent healthy
+#: losses counts as divergence.
+DIVERGENCE_FACTOR = 25.0
+#: Number of recent healthy losses in the rolling baseline.
+BASELINE_WINDOW = 32
+#: Healthy steps needed before divergence detection arms (early training is
+#: legitimately noisy).
+MIN_BASELINE = 5
 
 
 @dataclass
@@ -60,49 +74,22 @@ class HealthGuard:
     Args:
         max_recoveries: rollback budget for one ``fit`` call; the next trip
             beyond it raises :class:`DivergenceError`.
-        lr_backoff: multiplicative learning-rate decay applied to every
-            attached optimizer on each rollback.
-        divergence_factor: a finite loss larger than ``divergence_factor``
-            times the rolling median of recent healthy losses counts as
-            divergence.
-        baseline_window: number of recent healthy losses in the rolling
-            baseline.
-        min_baseline: healthy steps required before divergence detection
-            arms (early training is legitimately noisy).
-        snapshot_every: take a last-good snapshot every N healthy steps.
+
+    Every healthy step is snapshotted as the new last-good state.
     """
 
-    def __init__(
-        self,
-        max_recoveries: int = 3,
-        lr_backoff: float = 0.5,
-        divergence_factor: float = 25.0,
-        baseline_window: int = 32,
-        min_baseline: int = 5,
-        snapshot_every: int = 1,
-    ) -> None:
+    def __init__(self, max_recoveries: int = 3) -> None:
         if max_recoveries < 0:
             raise ValueError("max_recoveries must be >= 0")
-        if not 0 < lr_backoff <= 1:
-            raise ValueError("lr_backoff must be in (0, 1]")
-        if divergence_factor <= 1:
-            raise ValueError("divergence_factor must exceed 1")
-        if snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
         self.max_recoveries = max_recoveries
-        self.lr_backoff = lr_backoff
-        self.divergence_factor = divergence_factor
-        self.min_baseline = min_baseline
-        self.snapshot_every = snapshot_every
         self.events: List[GuardEvent] = []
         self.recoveries = 0
-        self._losses: Deque[float] = deque(maxlen=baseline_window)
+        self._losses: Deque[float] = deque(maxlen=BASELINE_WINDOW)
         self._injections: List[Dict] = []
         self._modules: List = []
         self._optimizers: List = []
         self._snapshot: Optional[_Snapshot] = None
         self._step = -1
-        self._healthy_steps = 0
         self._grad_fault = False
 
     # ------------------------------------------------------------------
@@ -117,7 +104,6 @@ class HealthGuard:
         self._modules = [m for m in modules if m is not None]
         self._optimizers = [o for o in optimizers if o is not None]
         self._step = -1
-        self._healthy_steps = 0
         self._grad_fault = False
         self._take_snapshot()
 
@@ -167,13 +153,11 @@ class HealthGuard:
             loss_value = float("nan")
         if self._pop_injection("explode_loss"):
             baseline = self._baseline() or 1.0
-            loss_value = baseline * self.divergence_factor * 1e6
+            loss_value = baseline * DIVERGENCE_FACTOR * 1e6
         kind = self._diagnose(loss_value)
         if kind is None:
             self._losses.append(float(loss_value))
-            self._healthy_steps += 1
-            if self._healthy_steps % self.snapshot_every == 0:
-                self._take_snapshot()
+            self._take_snapshot()
             return False
         self._recover(kind, loss_value)
         return True
@@ -182,7 +166,7 @@ class HealthGuard:
     # Internals
     # ------------------------------------------------------------------
     def _baseline(self) -> Optional[float]:
-        if len(self._losses) < self.min_baseline:
+        if len(self._losses) < MIN_BASELINE:
             return None
         return float(np.median(self._losses))
 
@@ -196,7 +180,7 @@ class HealthGuard:
                 if not np.all(np.isfinite(param.data)):
                     return "nonfinite_param"
         baseline = self._baseline()
-        if baseline is not None and abs(loss_value) > self.divergence_factor * max(
+        if baseline is not None and abs(loss_value) > DIVERGENCE_FACTOR * max(
             abs(baseline), 1e-12
         ):
             return "divergence"
@@ -233,7 +217,7 @@ class HealthGuard:
                 recoveries=self.recoveries - 1,
             )
         for optimizer in self._optimizers:
-            optimizer.lr *= self.lr_backoff
+            optimizer.lr *= LR_BACKOFF
         self.events.append(
             GuardEvent(
                 step=self._step, kind=kind, action="rollback",

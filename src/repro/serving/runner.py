@@ -101,8 +101,6 @@ class CampaignConfig:
     campaign_deadline_s: Optional[float] = None
     max_resamples: int = 1
     breaker_threshold: int = 3
-    breaker_cooldown_base_s: float = 1.0
-    breaker_cooldown_factor: float = 2.0
     start_level: str = LEVEL_FULL
     seed: Optional[int] = None
 
@@ -146,10 +144,10 @@ class CampaignRunner:
         self.fault_plan = fault_plan
         self._clock = clock if clock is not None else time.monotonic
         self._sleep = sleep if sleep is not None else REAL_SLEEP
+        # The breaker keeps its default cool-down (1 s, doubling per trip):
+        # the threshold is the setting a campaign varies.
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_threshold,
-            cooldown_base_s=self.config.breaker_cooldown_base_s,
-            cooldown_factor=self.config.breaker_cooldown_factor,
             seed=self.config.seed or 0,
             clock=self._clock,
         )

@@ -78,16 +78,18 @@ def without_cells(deployment: CellDeployment, cell_ids: Sequence[int]) -> CellDe
 # ----------------------------------------------------------------------
 @contextlib.contextmanager
 def deployment_override(model: GenDT, deployment: CellDeployment) -> Iterator[None]:
-    """Temporarily swap the deployment the model's context pipeline reads."""
+    """Temporarily swap the deployment of the region the model serves.
+
+    The model's context pipeline reads cells through its region, so this
+    one rebinding is all it sees.
+    """
     region = model.region
     original = region.deployment
     region.deployment = deployment
-    model.context.network.deployment = deployment
     try:
         yield
     finally:
         region.deployment = original
-        model.context.network.deployment = original
 
 
 @dataclass

@@ -20,6 +20,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["generate"])
 
+    @pytest.mark.parametrize("command", ["generate", "generate-campaign", "evaluate"])
+    @pytest.mark.parametrize("option", [["--hidden", "10"], ["--kpis", "rsrp"]])
+    def test_model_options_come_from_the_checkpoint(self, command, option):
+        # The checkpoint carries its KPIs and config; re-declaring them is an error.
+        with pytest.raises(SystemExit):
+            main([command, "--checkpoint", "m.gendt", *option])
+
 
 class TestCommands:
     def test_simulate_prints_stats(self, capsys):
@@ -40,7 +47,7 @@ class TestCommands:
 
         csv = str(tmp_path / "gen.csv")
         rc = main([
-            "generate", "--samples", "150", "--seed", "3", "--hidden", "10",
+            "generate", "--samples", "150", "--seed", "3",
             "--checkpoint", ckpt, "--route-length-m", "500",
             "--out", csv,
         ])
@@ -51,7 +58,7 @@ class TestCommands:
         assert np.all(data["rsrp"] <= -44) and np.all(data["rsrp"] >= -140)
 
         rc = main([
-            "evaluate", "--samples", "150", "--seed", "3", "--hidden", "10",
+            "evaluate", "--samples", "150", "--seed", "3",
             "--checkpoint", ckpt,
         ])
         assert rc == 0
@@ -86,7 +93,7 @@ class TestGenerateCampaign:
         out = str(tmp_path / "campaign.jsonl")
         rc = main([
             "generate-campaign", "--samples", "150", "--seed", "3",
-            "--hidden", "10", "--checkpoint", ckpt,
+            "--checkpoint", ckpt,
             "--routes", "2", "--route-length-m", "400",
             "--out", out,
         ])

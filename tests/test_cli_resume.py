@@ -7,7 +7,8 @@ from repro.cli import build_parser, main
 from repro.runtime import read_checkpoint
 
 
-COMMON = ["--samples", "120", "--seed", "3", "--hidden", "8"]
+DATA = ["--samples", "120", "--seed", "3"]
+COMMON = [*DATA, "--hidden", "8"]
 
 
 class TestEpochsZero:
@@ -96,7 +97,7 @@ class TestCheckpointedTraining:
         assert rc == 0
         csv = str(tmp_path / "gen.csv")
         rc = main([
-            "generate", *COMMON, "--checkpoint", out,
+            "generate", *DATA, "--checkpoint", out,
             "--route-length-m", "500", "--out", csv,
         ])
         assert rc == 0

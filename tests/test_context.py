@@ -50,7 +50,7 @@ class TestWindowStarts:
 class TestNetworkContext:
     @pytest.fixture(scope="class")
     def extractor(self, small_region):
-        return NetworkContextExtractor(small_region.deployment, d_s_m=1500.0)
+        return NetworkContextExtractor(small_region, d_s_m=1500.0)
 
     def test_distances_shape(self, extractor, sample_trajectory, small_region):
         d = extractor.distances(sample_trajectory)
@@ -90,7 +90,7 @@ class TestNetworkContext:
 
     def test_invalid_ds(self, small_region):
         with pytest.raises(ValueError):
-            NetworkContextExtractor(small_region.deployment, d_s_m=0.0)
+            NetworkContextExtractor(small_region, d_s_m=0.0)
 
 
 def location_cells(region, trajectory):

@@ -130,12 +130,12 @@ class TestNetworks:
         assert not np.allclose(r1.numpy(), r2.numpy())
 
     def test_resgen_force_dropout(self, rng):
+        # The MC-dropout probe forces dropout on by putting ResGen in training mode.
         net = ResGen(26, 1, _config(), rng)
         net.eval()
-        net.force_dropout(True)
-        assert all(layer.force_active for layer in net.mlp.dropout_layers)
-        net.force_dropout(False)
-        assert not any(layer.force_active for layer in net.mlp.dropout_layers)
+        assert not any(layer.training for layer in net.mlp.dropout_layers)
+        net.train()
+        assert all(layer.training for layer in net.mlp.dropout_layers)
 
     def test_discriminator_logit_shape(self, rng):
         config = _config()
@@ -154,28 +154,22 @@ class TestRecentValuesMatrix:
         # t=2 sees x[0], x[1].
         np.testing.assert_allclose(out[0, 2], [0.0, 1.0, 2.0, 3.0])
 
-    def test_initial_state_used(self):
-        series = np.zeros((1, 3, 1))
-        initial = np.array([[[7.0], [8.0]]])
-        out = recent_values_matrix(series, 2, initial=initial)
-        np.testing.assert_allclose(out[0, 0], [7.0, 8.0])
-        np.testing.assert_allclose(out[0, 1], [8.0, 0.0])
-
-    def test_bad_initial_shape(self):
-        with pytest.raises(ValueError):
-            recent_values_matrix(np.zeros((1, 3, 1)), 2, initial=np.zeros((1, 3, 1)))
-
     @pytest.mark.parametrize("with_initial", [False, True])
     @pytest.mark.parametrize("length, m", [(6, 2), (3, 3), (2, 4), (1, 1), (50, 3)])
     def test_equals_per_step_loop(self, length, m, with_initial):
+        # with_initial: values preceding the window are prepended to the
+        # series, and the rows of the prefix are dropped from the result.
         rng = np.random.default_rng(length * 10 + m)
         series = rng.normal(size=(3, length, 2))
-        initial = rng.normal(size=(3, m, 2)) if with_initial else None
-        start = np.zeros((3, m, 2)) if initial is None else initial
-        padded = np.concatenate([start, series], axis=1)
+        initial = rng.normal(size=(3, m, 2)) if with_initial else np.zeros((3, m, 2))
+        padded = np.concatenate([initial, series], axis=1)
         expected = np.empty((3, length, m * 2))
         for t in range(length):
             expected[:, t] = padded[:, t : t + m].reshape(3, m * 2)
-        out = recent_values_matrix(series, m, initial=initial)
+        if with_initial:
+            out = recent_values_matrix(padded, m)[:, m:]
+        else:
+            out = recent_values_matrix(series, m)
         np.testing.assert_array_equal(out, expected)
-        assert out.flags.writeable and out.flags.c_contiguous
+        if not with_initial:
+            assert out.flags.writeable and out.flags.c_contiguous

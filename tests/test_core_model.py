@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import GenDT, GenDTGenerator, WindowAssembler, small_config
+import dataclasses
+
+from repro.core import GenDT, GenDTConfig, GenDTGenerator, WindowAssembler, small_config
 from repro.core.features import ModelBatch
+from repro.runtime import read_checkpoint, write_checkpoint
 
 
 class TestGeneratorAssembly:
@@ -143,6 +146,42 @@ class TestPersistence:
         )
         with pytest.raises((ValueError, KeyError)):
             wrong.load(path)
+
+    def test_checkpoint_carries_its_config(self, trained_gendt, tmp_path):
+        path = tmp_path / "gendt.npz"
+        trained_gendt.save(path)
+        _, meta = read_checkpoint(path)
+        saved = GenDTConfig.from_meta(meta["config"])
+        assert saved == trained_gendt.config
+        assert isinstance(saved.resgen_hidden, tuple)
+
+    def test_load_other_config_names_path_and_fields(self, trained_gendt, tmp_path):
+        path = tmp_path / "gendt.npz"
+        trained_gendt.save(path)
+        config = dataclasses.replace(
+            trained_gendt.config, batch_len=30, use_stochastic_layers=False
+        )
+        other = GenDT(trained_gendt.region, kpis=["rsrp", "rsrq"], config=config)
+        with pytest.raises(ValueError) as excinfo:
+            other.load(path)
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert "batch_len" in message and "use_stochastic_layers" in message
+        assert "hidden_size" not in message
+
+    def test_load_checkpoint_without_config_rejected(self, trained_gendt, tmp_path):
+        path = tmp_path / "gendt.npz"
+        trained_gendt.save(path)
+        arrays, meta = read_checkpoint(path)
+        del meta["config"]
+        write_checkpoint(path, arrays, meta)
+        clone = GenDT(
+            trained_gendt.region, kpis=["rsrp", "rsrq"], config=trained_gendt.config
+        )
+        with pytest.raises(ValueError) as excinfo:
+            clone.load(path)
+        assert str(path) in str(excinfo.value)
+        assert "batch_len" in str(excinfo.value)
 
 
 class TestAblationVariants:

@@ -25,11 +25,29 @@ class TestUncertainty:
             mc_dropout_uncertainty(trained_gendt, tiny_split.test[0].trajectory, n_passes=1)
 
     def test_dropout_restored_after_probe(self, trained_gendt, tiny_split):
+        resgen = trained_gendt.generator.resgen
         mc_dropout_uncertainty(trained_gendt, tiny_split.test[0].trajectory, n_passes=2)
-        assert not any(
-            layer.force_active
-            for layer in trained_gendt.generator.resgen.mlp.dropout_layers
-        )
+        assert resgen.training
+        assert all(layer.training for layer in resgen.mlp.dropout_layers)
+
+    def test_probe_turns_dropout_on_in_eval_mode(self, trained_gendt, tiny_split):
+        traj = tiny_split.test[0].trajectory
+        generator, rng = trained_gendt.generator, trained_gendt.rng
+        state = rng.bit_generator.state
+        in_training = mc_dropout_uncertainty(trained_gendt, traj, n_passes=3)
+        after = rng.bit_generator.state
+        generator.eval()
+        try:
+            rng.bit_generator.state = state
+            in_eval = mc_dropout_uncertainty(trained_gendt, traj, n_passes=3)
+            assert not generator.resgen.training
+            assert not any(layer.training for layer in generator.resgen.mlp.dropout_layers)
+        finally:
+            generator.train()
+            rng.bit_generator.state = after
+        # Dropout was on in both probes: the same draws give the same estimate.
+        assert in_eval.model_uncertainty > 0
+        assert in_eval == in_training
 
     def test_requires_resgen(self, tiny_dataset_a, tiny_split):
         config = small_config(epochs=1, hidden_size=8, use_resgen=False, batch_len=15)

@@ -147,21 +147,19 @@ class TestModules:
         np.testing.assert_allclose(c.data, ref_c.data, rtol=0, atol=1e-12)
         assert lstm.rng.bit_generator.state == noise.rng.bit_generator.state
 
-    def test_stacked_lstm_matches_stepwise_reference(self):
-        lstm = nn.LSTM(3, 5, np.random.default_rng(2), num_layers=2)
+    def test_lstm_matches_stepwise_reference(self):
+        lstm = nn.LSTM(3, 5, np.random.default_rng(2))
         x = np.random.default_rng(3).normal(size=(2, 6, 3))
-        out, state = lstm(Tensor(x))
-        cells = [lstm.cell0, lstm.cell1]
-        hc = [(Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 5)))) for _ in cells]
+        out, (h, c) = lstm(Tensor(x))
+        cell = lstm.cell
+        ref_h, ref_c = Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 5)))
         for t in range(6):
-            inp = Tensor(x[:, t])
-            for k, cell in enumerate(cells):
-                hc[k] = cell_step(inp, *hc[k], cell.weight_ih, cell.weight_hh, cell.bias)
-                inp = hc[k][0]
-            np.testing.assert_allclose(out.data[:, t], inp.data, rtol=0, atol=1e-12)
-        for (h, c), (ref_h, ref_c) in zip(state, hc):
-            np.testing.assert_allclose(h.data, ref_h.data, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(c.data, ref_c.data, rtol=0, atol=1e-12)
+            ref_h, ref_c = cell_step(
+                Tensor(x[:, t]), ref_h, ref_c, cell.weight_ih, cell.weight_hh, cell.bias
+            )
+            np.testing.assert_allclose(out.data[:, t], ref_h.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h.data, ref_h.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c.data, ref_c.data, rtol=0, atol=1e-12)
 
     def test_cell_is_the_one_step_case(self):
         cell = nn.LSTMCell(3, 4, np.random.default_rng(4))

@@ -59,10 +59,10 @@ class TestDropout:
         out = drop(nn.Tensor(np.ones(20000))).numpy()
         assert abs(out.mean() - 1.0) < 0.05
 
-    def test_force_active_in_eval_mode(self, layer_rng):
+    def test_train_after_eval_turns_dropout_back_on(self, layer_rng):
         drop = nn.Dropout(0.5, layer_rng)
         drop.eval()
-        drop.force_active = True
+        drop.train()
         out = drop(nn.Tensor(np.ones(1000))).numpy()
         assert (out == 0).any()
 

@@ -41,25 +41,9 @@ class TestLSTMCell:
 class TestLSTMSequence:
     def test_output_shape(self, lstm_rng):
         lstm = nn.LSTM(3, 6, lstm_rng)
-        out, state = lstm(nn.Tensor(np.ones((2, 5, 3))))
+        out, (h, c) = lstm(nn.Tensor(np.ones((2, 5, 3))))
         assert out.shape == (2, 5, 6)
-        assert len(state) == 1
-        assert state[0][0].shape == (2, 6)
-
-    def test_stacked_layers(self, lstm_rng):
-        lstm = nn.LSTM(3, 6, lstm_rng, num_layers=2)
-        out, state = lstm(nn.Tensor(np.ones((2, 4, 3))))
-        assert out.shape == (2, 4, 6)
-        assert len(state) == 2
-
-    def test_state_carries_information(self, lstm_rng):
-        lstm = nn.LSTM(1, 4, lstm_rng)
-        x1 = nn.Tensor(np.ones((1, 3, 1)))
-        x2 = nn.Tensor(np.zeros((1, 3, 1)))
-        _, state = lstm(x1)
-        out_with_state, _ = lstm(x2, state)
-        out_fresh, _ = lstm(x2)
-        assert not np.allclose(out_with_state.numpy(), out_fresh.numpy())
+        assert h.shape == c.shape == (2, 6)
 
     def test_gradients_reach_all_parameters(self, lstm_rng):
         lstm = nn.LSTM(2, 4, lstm_rng)
@@ -70,9 +54,22 @@ class TestLSTMSequence:
             assert np.any(param.grad != 0), name
 
 
+class _Regressor(nn.Module):
+    """LSTM followed by a per-step linear head: ``[B,T,in] -> [B,T,out]``."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.lstm = nn.LSTM(1, 16, rng)
+        self.head = nn.Linear(16, 1, rng)
+
+    def forward(self, x):
+        hidden, _ = self.lstm(x)
+        return self.head(hidden)
+
+
 class TestLSTMLearning:
     def test_learns_running_mean(self, lstm_rng):
-        model = nn.LSTMRegressor(1, 16, 1, lstm_rng)
+        model = _Regressor(lstm_rng)
         opt = nn.Adam(model.parameters(), lr=1e-2)
         x = lstm_rng.normal(size=(8, 15, 1))
         y = np.cumsum(x, axis=1) / np.arange(1, 16)[None, :, None]
@@ -85,7 +82,7 @@ class TestLSTMLearning:
 
     def test_learns_lagged_copy(self, lstm_rng):
         # y_t = x_{t-1}: pure memory task.
-        model = nn.LSTMRegressor(1, 16, 1, lstm_rng)
+        model = _Regressor(lstm_rng)
         opt = nn.Adam(model.parameters(), lr=1e-2)
         x = lstm_rng.normal(size=(16, 10, 1))
         y = np.concatenate([np.zeros((16, 1, 1)), x[:, :-1]], axis=1)

@@ -45,12 +45,17 @@ def _batch(b: int, seed: int = 11) -> ModelBatch:
 
 
 def _pair(m, p, training=True, force=False):
-    """Two identically seeded generators in the same mode."""
+    """Two identically seeded generators in the same mode.
+
+    ``force`` puts ResGen alone in training mode, as the MC-dropout probe
+    does, so its dropout is on even when the generator is in eval mode.
+    """
     pair = []
     for _ in range(2):
         gen = _generator(m, p)
         gen.train(training)
-        gen.resgen.force_dropout(force)
+        if force:
+            gen.resgen.train()
         pair.append(gen)
     return pair
 
@@ -166,10 +171,9 @@ class TestAnomalyDetection:
 
 def test_fitted_model_dropout_stays_in_training_mode(trained_gendt):
     # Characterization, not a contract: nothing in src/ calls Module.eval(),
-    # so ResGen's dropout is active at generation and force_dropout() is a
-    # no-op for the MC-dropout probe.  See ROADMAP item 5(a); the fix moves
-    # the generation RNG stream and is left to a later change.
+    # so ResGen's dropout is active at generation and the MC-dropout probe's
+    # switch to training mode changes nothing.  See ROADMAP item 3(a); the
+    # fix moves the generation RNG stream and is left to a later change.
     layers = trained_gendt.generator.resgen.mlp.dropout_layers
     assert layers
     assert all(layer.training for layer in layers)
-    assert not any(layer.force_active for layer in layers)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import GenDT, small_config
 from repro.runtime import DivergenceError, HealthGuard
+from repro.runtime.guards import LR_BACKOFF, MIN_BASELINE
 
 
 CFG = dict(epochs=2, hidden_size=8, batch_len=20, train_step=10, minibatch_windows=16)
@@ -18,12 +19,6 @@ class TestGuardConfig:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             HealthGuard(max_recoveries=-1)
-        with pytest.raises(ValueError):
-            HealthGuard(lr_backoff=0.0)
-        with pytest.raises(ValueError):
-            HealthGuard(divergence_factor=1.0)
-        with pytest.raises(ValueError):
-            HealthGuard(snapshot_every=0)
 
     def test_unknown_fault_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -56,20 +51,21 @@ class TestFaultRecovery:
             assert np.all(np.isfinite(param.data))
 
     def test_explode_loss_detected_as_divergence(self, tiny_dataset_a, tiny_split):
-        guard = HealthGuard(max_recoveries=3, min_baseline=3)
-        guard.inject_fault("explode_loss", at_step=4)
+        # Injected after MIN_BASELINE healthy steps, so the baseline is armed.
+        guard = HealthGuard(max_recoveries=3)
+        guard.inject_fault("explode_loss", at_step=MIN_BASELINE + 1)
         model = _fresh_model(tiny_dataset_a)
         model.fit(tiny_split.train, guard=guard)
         assert [e.kind for e in guard.events] == ["divergence"]
 
     def test_lr_backoff_applied_on_rollback(self, tiny_dataset_a, tiny_split):
-        guard = HealthGuard(max_recoveries=3, lr_backoff=0.5)
+        guard = HealthGuard(max_recoveries=3)
         guard.inject_fault("nan_loss", at_step=1)
         model = _fresh_model(tiny_dataset_a)
         lr_before = model.config.lr_generator
         model.fit(tiny_split.train, guard=guard)
-        assert model.trainer.g_optimizer.lr == pytest.approx(lr_before * 0.5)
-        assert guard.events[0].lr_after == pytest.approx(lr_before * 0.5)
+        assert model.trainer.g_optimizer.lr == pytest.approx(lr_before * LR_BACKOFF)
+        assert guard.events[0].lr_after == pytest.approx(lr_before * LR_BACKOFF)
 
     def test_multiple_faults_multiple_recoveries(self, tiny_dataset_a, tiny_split):
         guard = HealthGuard(max_recoveries=5)
@@ -88,6 +84,16 @@ class TestFaultRecovery:
             model.fit(tiny_split.train, guard=guard)
         assert excinfo.value.step == 1
         assert guard.events[-1].action == "fatal"
+
+    def test_fatal_after_budget_of_rollbacks(self, tiny_dataset_a, tiny_split):
+        guard = HealthGuard(max_recoveries=2)
+        for step in (1, 2, 3):  # max_recoveries + 1 faults
+            guard.inject_fault("nan_loss", at_step=step)
+        model = _fresh_model(tiny_dataset_a)
+        with pytest.raises(DivergenceError) as excinfo:
+            model.fit(tiny_split.train, guard=guard)
+        assert excinfo.value.step == 3
+        assert [e.action for e in guard.events] == ["rollback", "rollback", "fatal"]
 
     def test_params_left_at_last_good_snapshot_after_fatal(self, tiny_dataset_a, tiny_split):
         guard = HealthGuard(max_recoveries=0)

@@ -206,9 +206,28 @@ class TestWhatIf:
         edited = with_power_offset(original, 3.0)
         with deployment_override(trained_gendt, edited):
             assert trained_gendt.region.deployment is edited
+            # The network context reads cells through the region: one binding.
+            assert trained_gendt.context.network.region is trained_gendt.region
             assert trained_gendt.context.network.deployment is edited
         assert trained_gendt.region.deployment is original
         assert trained_gendt.context.network.deployment is original
+
+    def test_override_relabels_cells_consistently(self, trained_gendt, tiny_split):
+        # Cell ids and distances must come from the same deployment, or
+        # every window would attach one cell's id to another's context.
+        traj = tiny_split.test[0].trajectory
+        edited = without_cells(
+            trained_gendt.region.deployment,
+            trained_gendt.region.deployment.cell_ids()[::2],
+        )
+        with deployment_override(trained_gendt, edited):
+            windows = trained_gendt.context.generation_windows(traj, 20)
+        column = {cell_id: j for j, cell_id in enumerate(edited.cell_ids())}
+        for window in windows:
+            for j, cell_id in enumerate(window.cell_ids):
+                np.testing.assert_array_equal(
+                    window.cell_features[0, j, :4], edited.attributes[column[cell_id]]
+                )
 
     def test_override_restores_on_exception(self, trained_gendt):
         original = trained_gendt.region.deployment
