@@ -1,9 +1,12 @@
 """The pinned-seed scenario behind the golden fixtures.
 
 One CI-size world, one 2-epoch fit and the model's generation entry points,
-each reduced to the arrays a behaviour change would move.  ``compute()``
-returns them as a flat ``{name: array}`` dict; ``tests/test_golden.py``
-compares it with ``expected.json``.
+each reduced to the arrays a behaviour change would move.  A second small
+Dataset-A build (with QoE) pins the models other than GenDT: the §5.2
+baselines' ``generate`` and the use-case predictors' ``predict``, each fit
+for 1-3 epochs at hidden widths of at most 8.  ``compute()`` returns them as
+a flat ``{name: array}`` dict; ``tests/test_golden.py`` compares it with
+``expected.json``.
 
 The scenario runs GenDT with ``COMPUTE_DTYPE`` set to float64, so the pins
 hold at rtol 1e-9 on any BLAS build and move only with a change of logic or
@@ -25,12 +28,19 @@ from unittest import mock
 
 import numpy as np
 
+from repro.baselines import DoppelGANger, LSTMGNNBaseline, MLPBaseline
 from repro.core import GenDT, small_config
 from repro.core import generator as generator_module
 from repro.core.uncertainty import mc_dropout_uncertainty
 from repro.datasets import make_dataset_a
 from repro.metrics import dtw, hwd
 from repro.serving import CampaignConfig, CampaignRunner
+from repro.usecases import (
+    CellLoadEstimator,
+    LinkBandwidthPredictor,
+    QoEPredictor,
+    bandwidth_features,
+)
 
 FIXTURE = Path(__file__).with_name("expected.json")
 
@@ -41,7 +51,7 @@ ROUTE_SAMPLES = 60
 
 def compute() -> Dict[str, np.ndarray]:
     with mock.patch.object(generator_module, "COMPUTE_DTYPE", np.float64):
-        return _compute()
+        return {**_compute(), **_compute_other_models()}
 
 
 def _compute() -> Dict[str, np.ndarray]:
@@ -84,6 +94,48 @@ def _compute() -> Dict[str, np.ndarray]:
     model.rng.bit_generator.state = np.random.default_rng(13).bit_generator.state
     estimate = mc_dropout_uncertainty(model, routes[2], n_passes=4)
     out["mc_dropout"] = np.array([estimate.model_uncertainty, estimate.data_uncertainty])
+    return out
+
+
+def _compute_other_models() -> Dict[str, np.ndarray]:
+    dataset = make_dataset_a(seed=7, samples_per_scenario=120, trajectories_per_scenario=2)
+    train, test = dataset.records[:-1], dataset.records[-1]
+    route = test.trajectory
+    region = dataset.region
+    baselines = {
+        "mlp": MLPBaseline(region, kpis=KPIS, hidden=(8, 8), max_cells=4, epochs=3, seed=0),
+        "lstm_gnn": LSTMGNNBaseline(
+            region, kpis=KPIS, hidden=8, max_cells=4, epochs=2, max_train_len=40, seed=0
+        ),
+        "orig_dg": DoppelGANger(
+            region, kpis=KPIS, real_context=False, window_len=20, hidden=8, max_cells=4,
+            epochs=1, seed=0,
+        ),
+        "real_context_dg": DoppelGANger(
+            region, kpis=KPIS, real_context=True, window_len=20, hidden=8, max_cells=4,
+            epochs=1, seed=0,
+        ),
+    }
+    out: Dict[str, np.ndarray] = {}
+    for name, baseline in baselines.items():
+        baseline.fit(train)
+        out[f"baseline.{name}"] = baseline.generate(route)
+
+    qoe = QoEPredictor(kpi_names=tuple(KPIS), hidden=(8, 8), epochs=3, seed=0)
+    qoe.fit(train)
+    predicted = qoe.predict(test)
+    out["qoe.throughput_mbps"] = predicted["throughput_mbps"]
+    out["qoe.per"] = predicted["per"]
+
+    load = CellLoadEstimator(hidden=(8, 8), epochs=3, seed=0)
+    load.fit(train, [r.serving_load for r in train])
+    out["cell_load"] = load.predict(test.kpi)
+
+    bandwidth = LinkBandwidthPredictor(n_members=2, hidden=(8,), epochs=3, seed=0)
+    bandwidth.fit(train)
+    features = bandwidth_features(test)
+    out["bandwidth.mean"] = bandwidth.predict(features)
+    out["bandwidth.interval"] = np.stack(bandwidth.predict_interval(features))
     return out
 
 
