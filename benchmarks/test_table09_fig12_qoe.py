@@ -45,7 +45,7 @@ def test_table09_fig12_qoe(benchmark, qoe_setup, bench_methods_a, bench_gendt_a)
     # "Excluded" row: mean-impute RSRP/RSRQ so the predictor sees no signal
     # in those features (the paper retrains without them; mean imputation is
     # the in-distribution equivalent for a fixed predictor).
-    kpi_means = predictor._x_mean[:2]
+    kpi_means = predictor.x_normalizer.mean[:2]
     excluded = evaluate_qoe_prediction(
         predictor, test, [np.tile(kpi_means, (len(r), 1)) for r in test]
     )

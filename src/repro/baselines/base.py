@@ -4,18 +4,19 @@ Every baseline implements ``fit(records)`` / ``generate(trajectory)`` with
 the same signature as :class:`repro.core.GenDT`, so the evaluation harness
 runs all methods through one loop.
 
-The baselines that consume context (MLP, LSTM-GNN, Real-Context DG) share a
-flat per-timestep encoding produced here: the transformed features of the
-``max_cells`` nearest cells (zero-padded) concatenated with the normalized
-environment vector.  This deliberately reflects their architectural
-limitation the paper highlights — a fixed-width flat context instead of
-GenDT's set-valued graph input.
+The baselines that consume context (MLP, LSTM-GNN, Real-Context DG) pad and
+normalize windows with GenDT's own :class:`~repro.core.features.WindowAssembler`.
+The MLP and DG flatten its output to a per-timestep encoding: the transformed
+features of the ``max_cells`` nearest cells (zero-padded) concatenated with
+the normalized environment vector.  This deliberately reflects their
+architectural limitation the paper highlights — a fixed-width flat context
+instead of GenDT's set-valued graph input.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from ..context.normalize import (
     TargetNormalizer,
 )
 from ..context.windows import ContextBuilder, ContextWindow
+from ..core.features import N_KINEMATIC_FEATURES, WindowAssembler
 from ..geo.trajectory import Trajectory
 from ..radio.kpis import KPI, KpiSpec
 from ..radio.simulator import DriveTestRecord
@@ -62,9 +64,14 @@ class ContextEncodingMixin:
         self.max_cells = max_cells
         self.rng = np.random.default_rng(seed)
         self.context = ContextBuilder(region, ContextConfig(max_cells=max_cells))
-        self.cell_transform = CellFeatureTransform(region.frame)
         self.env_normalizer = EnvFeatureNormalizer()
         self.target_normalizer = TargetNormalizer()
+        self.assembler = WindowAssembler(
+            CellFeatureTransform(region.frame),
+            self.env_normalizer,
+            self.target_normalizer,
+            max_cells,
+        )
 
     @property
     def kpi_names(self) -> List[str]:
@@ -80,12 +87,9 @@ class ContextEncodingMixin:
 
     def flat_features(self, window: ContextWindow) -> np.ndarray:
         """Per-timestep flat context [L, max_cells*6 + 26]."""
-        cells = self.cell_transform(window, window.ue_lat, window.ue_lon)
-        length, n_cells, n_feat = cells.shape
-        padded = np.zeros((length, self.max_cells, n_feat))
-        padded[:, : min(n_cells, self.max_cells)] = cells[:, : self.max_cells]
-        env = self.env_normalizer(window.env_features)
-        return np.concatenate([padded.reshape(length, -1), env], axis=1)
+        batch = self.assembler.assemble([window], with_target=False)
+        cells = batch.cell_x[0].transpose(1, 0, 2).reshape(window.length, -1)
+        return np.concatenate([cells, batch.env[0, :, :-N_KINEMATIC_FEATURES]], axis=1)
 
     @property
     def n_flat_features(self) -> int:

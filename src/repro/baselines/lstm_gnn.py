@@ -10,7 +10,7 @@ last point: prediction models struggle to *generate* long series).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .. import nn
 from ..analysis.graph.spec import Spec, contract
 from ..nn.tensor import Tensor
 from ..context.normalize import N_CELL_FEATURES
+from ..core.features import mean_over_cells
 from ..geo.trajectory import Trajectory
 from ..radio.simulator import DriveTestRecord
 from ..world.region import Region
@@ -46,10 +47,7 @@ class _LstmGnnNet(nn.Module):
         b, n_cells, length, n_feat = cell_x.shape
         flat = Tensor(cell_x.reshape(b * n_cells, length, n_feat))
         hidden, _ = self.node_lstm(flat)
-        h = hidden.reshape(b, n_cells, length, hidden.shape[-1])
-        mask = cell_mask[:, :, None, None]
-        counts = np.maximum(cell_mask.sum(axis=1), 1.0)[:, None, None]
-        h_avg = (h * Tensor(mask)).sum(axis=1) * Tensor(1.0 / counts)
+        h_avg = mean_over_cells(hidden.reshape(b, n_cells, length, hidden.shape[-1]), cell_mask)
         out, _ = self.agg_lstm(h_avg)
         return self.head(out)
 
@@ -78,21 +76,10 @@ class LSTMGNNBaseline(ContextEncodingMixin, BaselineModel):
         self.net: Optional[_LstmGnnNet] = None
 
     # ------------------------------------------------------------------
-    def _window_arrays(self, trajectory: Trajectory, length: int):
-        """Whole-series (or capped-length) context arrays for one trajectory."""
-        windows = self.context.windows_for_trajectory(
-            trajectory, length=length, step=length
-        )
-        arrays = []
-        for window in windows:
-            cells = self.cell_transform(window, window.ue_lat, window.ue_lon)
-            n_real = min(window.n_cells, self.max_cells)
-            padded = np.zeros((self.max_cells, window.length, N_CELL_FEATURES))
-            padded[:n_real] = cells[:, : self.max_cells].transpose(1, 0, 2)
-            mask = np.zeros(self.max_cells)
-            mask[:n_real] = 1.0
-            arrays.append((padded, mask, window.start, window.length))
-        return arrays
+    def _windows(self, trajectory: Trajectory, length: int):
+        """Whole-series (or capped-length) windows and their assembled arrays."""
+        windows = self.context.windows_for_trajectory(trajectory, length=length, step=length)
+        return windows, self.assembler.assemble(windows, with_target=False)
 
     def fit(self, records: Sequence[DriveTestRecord], epochs: Optional[int] = None, **kwargs) -> None:
         self._fit_normalizers(records)
@@ -107,15 +94,16 @@ class LSTMGNNBaseline(ContextEncodingMixin, BaselineModel):
             target = self.target_normalizer.normalize(
                 record.kpi_matrix(self.kpi_names)
             )
-            for padded, mask, start, win_len in self._window_arrays(
-                record.trajectory, length
-            ):
-                items.append((padded, mask, target[start : start + win_len]))
+            windows, batch = self._windows(record.trajectory, length)
+            for i, window in enumerate(windows):
+                items.append(
+                    (batch.cell_x[i], batch.cell_mask[i], target[window.start : window.start + length])
+                )
         for _ in range(epochs or self.epochs):
             order = self.rng.permutation(len(items))
             for idx in order:
-                padded, mask, target = items[idx]
-                pred = self.net(padded[None], mask[None])
+                cell_x, mask, target = items[idx]
+                pred = self.net(cell_x[None], mask[None])
                 loss = nn.mse_loss(pred, Tensor(target[None]))
                 optimizer.zero_grad()
                 loss.backward()
@@ -125,10 +113,9 @@ class LSTMGNNBaseline(ContextEncodingMixin, BaselineModel):
         if self.net is None:
             raise RuntimeError("fit before generate")
         out = np.empty((len(trajectory), self.kpi_spec.n_channels))
+        windows, batch = self._windows(trajectory, len(trajectory))
         with nn.no_grad():
-            for padded, mask, start, win_len in self._window_arrays(
-                trajectory, len(trajectory)
-            ):
-                pred = self.net(padded[None], mask[None]).numpy()[0]
-                out[start : start + win_len] = pred
+            for i, window in enumerate(windows):
+                pred = self.net(batch.cell_x[i : i + 1], batch.cell_mask[i : i + 1]).numpy()[0]
+                out[window.start : window.start + window.length] = pred
         return self.clip(self.target_normalizer.denormalize(out))

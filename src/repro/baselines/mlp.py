@@ -32,13 +32,11 @@ class MLPBaseline(ContextEncodingMixin, BaselineModel):
         seed: int = 0,
         lr: float = 1e-3,
         epochs: int = 40,
-        minibatch: int = 256,
     ) -> None:
         self._init_context(region, kpis, max_cells, seed)
         self.hidden = tuple(hidden)
         self.lr = lr
         self.epochs = epochs
-        self.minibatch = minibatch
         self.net: Optional[nn.MLP] = None
 
     def fit(self, records: Sequence[DriveTestRecord], epochs: Optional[int] = None, **kwargs) -> None:
@@ -52,20 +50,8 @@ class MLPBaseline(ContextEncodingMixin, BaselineModel):
             )
         x = np.concatenate(features)
         y = np.concatenate(targets)
-        self.net = nn.MLP(
-            x.shape[1], list(self.hidden), y.shape[1], self.rng
-        )
-        optimizer = nn.Adam(self.net.parameters(), lr=self.lr)
-        n = len(x)
-        for _ in range(epochs or self.epochs):
-            order = self.rng.permutation(n)
-            for start in range(0, n, self.minibatch):
-                idx = order[start : start + self.minibatch]
-                pred = self.net(nn.Tensor(x[idx]))
-                loss = nn.mse_loss(pred, nn.Tensor(y[idx]))
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
+        self.net = nn.MLP(x.shape[1], list(self.hidden), y.shape[1], self.rng)
+        nn.fit_mse(self.net, x, y, epochs=epochs or self.epochs, lr=self.lr, rng=self.rng)
 
     def generate(self, trajectory: Trajectory) -> np.ndarray:
         if self.net is None:

@@ -115,13 +115,14 @@ class EnvFeatureNormalizer:
 
 @dataclass
 class TargetNormalizer:
-    """Per-channel z-normalization of KPI targets."""
+    """Per-column z-normalization: GenDT's KPI targets, and the inputs and
+    targets of the row-wise regressors (:mod:`repro.usecases`)."""
 
     mean: Optional[np.ndarray] = None
     std: Optional[np.ndarray] = None
 
     def fit(self, targets: np.ndarray) -> "TargetNormalizer":
-        """Fit on stacked targets [N, N_ch]."""
+        """Fit on stacked rows [N, N_ch]."""
         self.mean = targets.mean(axis=0)
         self.std = np.maximum(targets.std(axis=0), 1e-6)
         return self

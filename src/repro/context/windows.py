@@ -96,9 +96,6 @@ class ContextBuilder:
         distances = self.network.distances(trajectory)
         env = self.environment.features(trajectory)
         speeds = trajectory.speeds_mps()
-        speeds = (
-            np.concatenate([speeds[:1], speeds]) if len(speeds) else np.zeros(len(trajectory))
-        )
         eff_length = min(length, len(trajectory))
         windows: List[ContextWindow] = []
         for start in window_starts(len(trajectory), eff_length, step):

@@ -3,7 +3,8 @@
 Windows carry variable numbers of visible cells (N_b changes along a
 trajectory); the model consumes fixed-shape batches.  ``assemble`` pads every
 window to ``max_cells`` and returns a validity mask so the aggregation step
-can mean-pool over real cells only (the paper's ``h_avg``).
+can mean-pool over real cells only (the paper's ``h_avg``, see
+:func:`mean_over_cells`).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from ..context.normalize import (
     TargetNormalizer,
 )
 from ..context.windows import ContextWindow
+from ..nn.tensor import Tensor
 
 #: Kinematic conditioning columns appended to the environment features:
 #: per-step speed and the sampling interval.  They are derivable from the
@@ -117,6 +119,21 @@ class WindowAssembler:
             env=env,
             target=target,
         )
+
+
+def mean_over_cells(hidden: Tensor, cell_mask: np.ndarray) -> Tensor:
+    """Mean of per-cell hidden series over each row's real cells.
+
+    Args:
+        hidden: [B, N, L, H] per-cell hidden series.
+        cell_mask: [B, N], 1 for real cells and 0 for padding.
+
+    Returns:
+        [B, L, H]; a row without real cells pools to zeros.
+    """
+    counts = np.maximum(cell_mask.sum(axis=1), 1.0)[:, None, None]
+    masked = hidden * Tensor(cell_mask[:, :, None, None])
+    return masked.sum(axis=1) * Tensor(1.0 / counts)
 
 
 def recent_values_matrix(series: np.ndarray, ar_window: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from ..analysis.graph.spec import ANY, Spec, contract
 from ..nn.tensor import Tensor
 from ..context.normalize import N_CELL_FEATURES
 from .config import GenDTConfig
-from .features import ModelBatch, recent_values_matrix
+from .features import ModelBatch, mean_over_cells, recent_values_matrix
 from .networks import AggregationNetwork, GnnNodeNetwork, ResGen
 
 #: Most ``G_n`` rows (windows x draws x ``max_cells``) one first-stage call
@@ -117,11 +117,7 @@ class GenDTGenerator(nn.Module):
         b, n_cells, length, n_feat = cell_x.shape
         flat = Tensor(cell_x.reshape(b * n_cells, length, n_feat))
         hidden = self.node_net(flat, stochastic=stochastic)
-        h = hidden.reshape(b, n_cells, length, hidden.shape[-1])
-        mask = cell_mask[:, :, None, None]
-        counts = np.maximum(cell_mask.sum(axis=1), 1.0)[:, None, None]
-        masked = h * Tensor(mask)
-        return masked.sum(axis=1) * Tensor(1.0 / counts)
+        return mean_over_cells(hidden.reshape(b, n_cells, length, hidden.shape[-1]), cell_mask)
 
     # ------------------------------------------------------------------
     # Training-time forward (teacher forcing)

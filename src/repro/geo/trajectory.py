@@ -81,10 +81,12 @@ class Trajectory:
         return float(self.step_distances_m().sum())
 
     def speeds_mps(self) -> np.ndarray:
-        """Instantaneous speed per step, shape [T-1]."""
+        """Speed per sample, shape [T]: each step's speed, with the first step's
+        repeated for sample 0 (all zeros when T < 2)."""
         if len(self.t) < 2:
-            return np.zeros(0)
-        return self.step_distances_m() / np.diff(self.t)
+            return np.zeros(len(self.t))
+        speeds = self.step_distances_m() / np.diff(self.t)
+        return np.concatenate([speeds[:1], speeds])
 
     def average_speed_mps(self) -> float:
         if self.duration_s == 0.0:

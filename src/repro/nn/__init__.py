@@ -3,7 +3,8 @@
 The deployment environment for this reproduction has no deep-learning
 framework available, so :mod:`repro.nn` implements the minimal stack GenDT
 needs: a reverse-mode autodiff tensor, module containers, linear/LSTM layers,
-dropout (with MC-dropout support), Adam/SGD, and the GAN/MSE/Gaussian losses.
+dropout (with MC-dropout support), Adam/SGD, the GAN/MSE/Gaussian losses, and
+:func:`fit_mse`, the one minibatch MSE fit loop of the row-wise regressors.
 """
 
 from .tensor import Tensor, as_tensor, concat, is_grad_enabled, no_grad, ones, stack, where, zeros
@@ -11,7 +12,7 @@ from .anomaly import NumericalAnomalyError, detect_anomaly, is_anomaly_enabled
 from .module import Module, Parameter
 from .layers import MLP, Dropout, LeakyReLU, Linear, Sequential, Sigmoid, Tanh
 from .lstm import LSTM, LSTMCell, SRNNNoise, lstm_sequence
-from .optim import SGD, Adam, Optimizer
+from .optim import SGD, Adam, Optimizer, fit_mse
 from .losses import (
     bce_with_logits,
     discriminator_loss,
@@ -51,6 +52,7 @@ __all__ = [
     "Optimizer",
     "SGD",
     "Adam",
+    "fit_mse",
     "mse_loss",
     "mae_loss",
     "bce_with_logits",

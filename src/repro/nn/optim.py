@@ -1,4 +1,4 @@
-"""Gradient-descent optimizers for the numpy NN engine."""
+"""Gradient-descent optimizers for the numpy NN engine, and the MSE fit loop."""
 
 from __future__ import annotations
 
@@ -6,7 +6,12 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .module import Parameter
+from .losses import mse_loss
+from .module import Module, Parameter
+from .tensor import Tensor
+
+#: Rows per minibatch in :func:`fit_mse`.
+MSE_MINIBATCH = 256
 
 
 class Optimizer:
@@ -165,3 +170,29 @@ class Adam(Optimizer):
             if f"m.{i}" in state:
                 self._m[id(param)] = np.array(state[f"m.{i}"], dtype=param.data.dtype)
                 self._v[id(param)] = np.array(state[f"v.{i}"], dtype=param.data.dtype)
+
+
+def fit_mse(
+    model: Module,
+    x: np.ndarray,
+    y: np.ndarray,
+    *,
+    epochs: int,
+    lr: float,
+    rng: np.random.Generator,
+) -> None:
+    """Fit a row-wise regressor by Adam on the MSE over shuffled minibatches.
+
+    Each epoch draws one permutation of the rows of ``x``/``y`` from ``rng``
+    and takes one step per ``MSE_MINIBATCH`` rows of it.
+    """
+    optimizer = Adam(model.parameters(), lr=lr)
+    n = len(x)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, MSE_MINIBATCH):
+            idx = order[start : start + MSE_MINIBATCH]
+            loss = mse_loss(model(Tensor(x[idx])), Tensor(y[idx]))
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()

@@ -132,7 +132,5 @@ class FastFadingModel:
         sigma = np.full(n, self.sigma_db)
         if speed_mps is not None:
             speeds = np.asarray(speed_mps, dtype=float)
-            if len(speeds) == n - 1:  # per-step speeds -> pad
-                speeds = np.concatenate([speeds[:1], speeds])
             sigma = sigma + self.speed_scale * np.clip(speeds, 0.0, 50.0)
         return rng.normal(0.0, 1.0, size=n) * sigma

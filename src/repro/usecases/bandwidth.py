@@ -14,11 +14,12 @@ simulator's throughput ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .. import nn
+from ..context.normalize import TargetNormalizer
 from ..radio.simulator import DriveTestRecord
 
 #: KPI features used by the predictor.
@@ -60,66 +61,42 @@ class LinkBandwidthPredictor:
     hidden: Tuple[int, ...] = (32,)
     epochs: int = 40
     lr: float = 3e-3
-    minibatch: int = 256
     seed: int = 0
-    rng: Optional[np.random.Generator] = None
 
     def __post_init__(self) -> None:
-        # An injected generator wins over the seed (single-entropy-source rule).
-        if self.rng is None:
-            self.rng = np.random.default_rng(self.seed)
+        self.rng = np.random.default_rng(self.seed)
         self.members: List[nn.MLP] = []
-        self._x_mean: Optional[np.ndarray] = None
-        self._x_std: Optional[np.ndarray] = None
-        self._y_mean: float = 0.0
-        self._y_std: float = 1.0
+        self.x_normalizer = TargetNormalizer()
+        self.y_normalizer = TargetNormalizer()
 
     def fit(self, records: Sequence[DriveTestRecord]) -> None:
         x = np.concatenate([bandwidth_features(r) for r in records])
         y = np.concatenate([r.qoe["throughput_mbps"] for r in records])[:, None]
-        self._x_mean = x.mean(axis=0)
-        self._x_std = np.maximum(x.std(axis=0), 1e-6)
-        self._y_mean = float(y.mean())
-        self._y_std = max(float(y.std()), 1e-6)
-        xn = (x - self._x_mean) / self._x_std
-        yn = (y - self._y_mean) / self._y_std
+        xn = self.x_normalizer.fit(x).normalize(x)
+        yn = self.y_normalizer.fit(y).normalize(y)
         n = len(xn)
         self.members = []
         for _ in range(self.n_members):
             # Bagging: each member sees a bootstrap resample.
             sample = self.rng.integers(0, n, size=n)
             member = nn.MLP(x.shape[1], list(self.hidden), 1, self.rng)
-            optimizer = nn.Adam(member.parameters(), lr=self.lr)
-            for _ in range(self.epochs):
-                order = self.rng.permutation(n)
-                for start in range(0, n, self.minibatch):
-                    idx = sample[order[start : start + self.minibatch]]
-                    loss = nn.mse_loss(member(nn.Tensor(xn[idx])), nn.Tensor(yn[idx]))
-                    optimizer.zero_grad()
-                    loss.backward()
-                    optimizer.step()
+            nn.fit_mse(member, xn[sample], yn[sample], epochs=self.epochs, lr=self.lr, rng=self.rng)
             self.members.append(member)
+
+    def _member_predictions(self, features: np.ndarray) -> np.ndarray:
+        """Each member's normalized prediction from a [T, 5] feature matrix, [M, T, 1]."""
+        if not self.members:
+            raise RuntimeError("fit before predict")
+        xn = self.x_normalizer.normalize(features)
+        with nn.no_grad():
+            return np.stack([m(nn.Tensor(xn)).numpy() for m in self.members])
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Bandwidth series (Mbps) from a [T, 5] feature matrix."""
-        if not self.members:
-            raise RuntimeError("fit before predict")
-        xn = (features - self._x_mean) / self._x_std
-        with nn.no_grad():
-            preds = np.stack(
-                [m(nn.Tensor(xn)).numpy()[:, 0] for m in self.members]
-            )
-        mean = preds.mean(axis=0) * self._y_std + self._y_mean
-        return np.maximum(mean, 0.0)
+        mean = self.y_normalizer.denormalize(self._member_predictions(features).mean(axis=0))
+        return np.maximum(mean[:, 0], 0.0)
 
     def predict_interval(self, features: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Ensemble spread as a rough (lower, upper) bandwidth interval."""
-        if not self.members:
-            raise RuntimeError("fit before predict")
-        xn = (features - self._x_mean) / self._x_std
-        with nn.no_grad():
-            preds = np.stack(
-                [m(nn.Tensor(xn)).numpy()[:, 0] for m in self.members]
-            )
-        preds = preds * self._y_std + self._y_mean
+        preds = self.y_normalizer.denormalize(self._member_predictions(features))[..., 0]
         return np.maximum(preds.min(axis=0), 0.0), np.maximum(preds.max(axis=0), 0.0)

@@ -19,6 +19,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import nn
+from ..context.normalize import TargetNormalizer
 from ..radio.simulator import DriveTestRecord
 
 #: KPI features the estimator consumes, in order.
@@ -32,17 +33,12 @@ class CellLoadEstimator:
     hidden: Tuple[int, ...] = (32, 32)
     epochs: int = 60
     lr: float = 1e-3
-    minibatch: int = 256
     seed: int = 0
-    rng: Optional[np.random.Generator] = None
 
     def __post_init__(self) -> None:
-        # An injected generator wins over the seed (single-entropy-source rule).
-        if self.rng is None:
-            self.rng = np.random.default_rng(self.seed)
-        self.net: Optional[nn.MLP] = None
-        self._x_mean: Optional[np.ndarray] = None
-        self._x_std: Optional[np.ndarray] = None
+        self.rng = np.random.default_rng(self.seed)
+        self.net: Optional[nn.Sequential] = None
+        self.x_normalizer = TargetNormalizer()
 
     @staticmethod
     def _features(kpis: Dict[str, np.ndarray]) -> np.ndarray:
@@ -56,29 +52,17 @@ class CellLoadEstimator:
         y = np.concatenate([np.asarray(l, dtype=float) for l in loads])[:, None]
         if len(x) != len(y):
             raise ValueError("KPI and load sample counts differ")
-        self._x_mean = x.mean(axis=0)
-        self._x_std = np.maximum(x.std(axis=0), 1e-6)
-        xn = (x - self._x_mean) / self._x_std
-        self.net = nn.MLP(x.shape[1], list(self.hidden), 1, self.rng)
-        optimizer = nn.Adam(self.net.parameters(), lr=self.lr)
-        n = len(xn)
-        for _ in range(self.epochs):
-            order = self.rng.permutation(n)
-            for start in range(0, n, self.minibatch):
-                idx = order[start : start + self.minibatch]
-                pred = self.net(nn.Tensor(xn[idx])).sigmoid()
-                loss = nn.mse_loss(pred, nn.Tensor(y[idx]))
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
+        xn = self.x_normalizer.fit(x).normalize(x)
+        self.net = nn.Sequential(nn.MLP(x.shape[1], list(self.hidden), 1, self.rng), nn.Sigmoid())
+        nn.fit_mse(self.net, xn, y, epochs=self.epochs, lr=self.lr, rng=self.rng)
 
     def predict(self, kpis: Dict[str, np.ndarray]) -> np.ndarray:
         """Estimated load series in [0, 1] from KPI series."""
         if self.net is None:
             raise RuntimeError("fit before predict")
-        x = (self._features(kpis) - self._x_mean) / self._x_std
+        x = self.x_normalizer.normalize(self._features(kpis))
         with nn.no_grad():
-            out = self.net(nn.Tensor(x)).sigmoid().numpy()
+            out = self.net(nn.Tensor(x)).numpy()
         return out[:, 0]
 
     def predict_from_matrix(self, kpi_matrix: np.ndarray, kpi_names: Sequence[str]) -> np.ndarray:

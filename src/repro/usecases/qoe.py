@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import nn
+from ..context.normalize import TargetNormalizer
 from ..geo.trajectory import Trajectory
 from ..metrics.fidelity import evaluate_series
 from ..radio.simulator import DriveTestRecord
@@ -30,13 +31,11 @@ QOE_TARGETS = ("throughput_mbps", "per")
 def _location_features(trajectory: Trajectory) -> np.ndarray:
     """Per-step location features: normalized offsets and speed."""
     lat0, lon0 = trajectory.centroid()
-    speeds = trajectory.speeds_mps()
-    speeds = np.concatenate([speeds[:1], speeds]) if len(speeds) else np.zeros(len(trajectory))
     return np.column_stack(
         [
             (trajectory.lat - lat0) * 100.0,
             (trajectory.lon - lon0) * 100.0,
-            speeds / 30.0,
+            trajectory.speeds_mps() / 30.0,
         ]
     )
 
@@ -49,20 +48,13 @@ class QoEPredictor:
     hidden: Tuple[int, ...] = (48, 48)
     epochs: int = 60
     lr: float = 1e-3
-    minibatch: int = 256
     seed: int = 0
-    rng: Optional[np.random.Generator] = None
 
     def __post_init__(self) -> None:
-        # An injected generator wins over the seed, so a caller holding one
-        # entropy source (e.g. the CLI master seed) can thread it through.
-        if self.rng is None:
-            self.rng = np.random.default_rng(self.seed)
+        self.rng = np.random.default_rng(self.seed)
         self.net: Optional[nn.MLP] = None
-        self._x_mean: Optional[np.ndarray] = None
-        self._x_std: Optional[np.ndarray] = None
-        self._y_mean: Optional[np.ndarray] = None
-        self._y_std: Optional[np.ndarray] = None
+        self.x_normalizer = TargetNormalizer()
+        self.y_normalizer = TargetNormalizer()
 
     # ------------------------------------------------------------------
     def _features(self, record: DriveTestRecord, kpi_override: Optional[np.ndarray]) -> np.ndarray:
@@ -81,21 +73,10 @@ class QoEPredictor:
     def fit(self, records: Sequence[DriveTestRecord]) -> None:
         x = np.concatenate([self._features(r, None) for r in records])
         y = np.concatenate([self._targets(r) for r in records])
-        self._x_mean, self._x_std = x.mean(axis=0), np.maximum(x.std(axis=0), 1e-6)
-        self._y_mean, self._y_std = y.mean(axis=0), np.maximum(y.std(axis=0), 1e-6)
-        xn = (x - self._x_mean) / self._x_std
-        yn = (y - self._y_mean) / self._y_std
+        xn = self.x_normalizer.fit(x).normalize(x)
+        yn = self.y_normalizer.fit(y).normalize(y)
         self.net = nn.MLP(x.shape[1], list(self.hidden), y.shape[1], self.rng)
-        optimizer = nn.Adam(self.net.parameters(), lr=self.lr)
-        n = len(xn)
-        for _ in range(self.epochs):
-            order = self.rng.permutation(n)
-            for start in range(0, n, self.minibatch):
-                idx = order[start : start + self.minibatch]
-                loss = nn.mse_loss(self.net(nn.Tensor(xn[idx])), nn.Tensor(yn[idx]))
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
+        nn.fit_mse(self.net, xn, yn, epochs=self.epochs, lr=self.lr, rng=self.rng)
 
     def predict(
         self, record: DriveTestRecord, kpi_override: Optional[np.ndarray] = None
@@ -103,11 +84,10 @@ class QoEPredictor:
         """Predict QoE series; ``kpi_override`` substitutes generated KPIs."""
         if self.net is None:
             raise RuntimeError("fit before predict")
-        x = self._features(record, kpi_override)
-        xn = (x - self._x_mean) / self._x_std
+        xn = self.x_normalizer.normalize(self._features(record, kpi_override))
         with nn.no_grad():
             yn = self.net(nn.Tensor(xn)).numpy()
-        y = yn * self._y_std + self._y_mean
+        y = self.y_normalizer.denormalize(yn)
         out = {name: y[:, i] for i, name in enumerate(QOE_TARGETS)}
         out["per"] = np.clip(out["per"], 0.0, 1.0)
         out["throughput_mbps"] = np.maximum(out["throughput_mbps"], 0.0)

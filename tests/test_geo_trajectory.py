@@ -50,7 +50,7 @@ class TestGeometry:
 
     def test_speeds_array_length(self):
         traj = straight_trajectory(10)
-        assert len(traj.speeds_mps()) == 9
+        assert len(traj.speeds_mps()) == 10
 
     def test_bounding_box_contains_all(self):
         traj = straight_trajectory()

@@ -116,11 +116,6 @@ class TestFastFading:
         fast = np.concatenate([fading.sample(2000, rng, np.full(2000, 30.0)) for _ in range(3)])
         assert fast.std() > slow.std() * 1.5
 
-    def test_per_step_speed_padding(self, rng):
-        fading = FastFadingModel()
-        out = fading.sample(10, rng, speed_mps=np.ones(9))  # T-1 speeds OK
-        assert out.shape == (10,)
-
 
 class TestAntennas:
     def test_boresight_is_max_gain(self):
