@@ -19,6 +19,7 @@ import ast
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
+from ..runtime import errors as _errors
 from .engine import FileContext, Violation
 
 #: Registry mapping rule ID -> rule instance.
@@ -149,19 +150,13 @@ class NoSilentBroadExcept(Rule):
 
     BROAD = {"Exception", "BaseException"}
     #: Referencing any of these inside the handler counts as routing the
-    #: failure through the structured taxonomy.
-    ERROR_NAMES = {
-        "GenDTRuntimeError",
-        "DivergenceError",
-        "CheckpointCorruptError",
-        "ContextValidationError",
-        "MeasurementError",
-        "NumericalAnomalyError",
-        "DeadlineExceeded",
-        "CircuitOpenError",
-        "GenerationFaultError",
-        "GraphContractError",
-    }
+    #: failure through the structured taxonomy: the GenDTRuntimeError class
+    #: tree of ``repro.runtime.errors``.
+    ERROR_NAMES = frozenset(
+        name
+        for name, obj in vars(_errors).items()
+        if isinstance(obj, type) and issubclass(obj, _errors.GenDTRuntimeError)
+    )
 
     def _is_broad(self, handler: ast.ExceptHandler) -> bool:
         if handler.type is None:

@@ -36,7 +36,7 @@ from .checkpoint import (
     write_checkpoint,
 )
 from .retry import REAL_SLEEP, backoff_schedule, retry
-from .validate import validate_route, validate_trajectory, validate_windows
+from .validate import validate_trajectory, validate_windows
 
 __all__ = [
     "GenDTRuntimeError",
@@ -63,6 +63,5 @@ __all__ = [
     "backoff_schedule",
     "REAL_SLEEP",
     "validate_trajectory",
-    "validate_route",
     "validate_windows",
 ]

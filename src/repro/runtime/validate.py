@@ -70,20 +70,6 @@ def validate_trajectory(trajectory: Trajectory) -> None:
         )
 
 
-def validate_route(route_latlon: Sequence) -> None:
-    """Reject empty or non-finite waypoint routes before trajectory building."""
-    if len(route_latlon) == 0:
-        raise ContextValidationError("empty route (no waypoints)", index=-1)
-    points = np.asarray(route_latlon, dtype=float)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ContextValidationError("route must be a sequence of (lat, lon) pairs")
-    bad = ~np.all(np.isfinite(points), axis=1)
-    if np.any(bad):
-        raise ContextValidationError(
-            "non-finite route waypoint", index=_first_bad_index(bad)
-        )
-
-
 def validate_windows(windows: Sequence) -> List[int]:
     """Check assembled context windows; returns indices of empty-cell windows.
 

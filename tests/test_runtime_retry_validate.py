@@ -8,7 +8,6 @@ from repro.runtime import (
     ContextValidationError,
     backoff_schedule,
     retry,
-    validate_route,
     validate_trajectory,
     validate_windows,
 )
@@ -131,20 +130,6 @@ class TestValidateTrajectory:
         bad = _trajectory([0, 1, 2], [51.5, np.inf, 51.5], [-0.1, -0.1, -0.1])
         with pytest.raises(ContextValidationError):
             trained_gendt.generate(bad)
-
-
-class TestValidateRoute:
-    def test_empty_route_rejected(self):
-        with pytest.raises(ContextValidationError):
-            validate_route([])
-
-    def test_nan_waypoint_reports_index(self):
-        with pytest.raises(ContextValidationError) as excinfo:
-            validate_route([(51.5, -0.1), (np.nan, -0.1)])
-        assert excinfo.value.index == 1
-
-    def test_valid_route_passes(self):
-        validate_route([(51.5, -0.1), (51.6, -0.2)])
 
 
 class TestValidateWindows:
