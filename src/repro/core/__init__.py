@@ -9,12 +9,6 @@ from .training import GenDTTrainer, TrainingHistory, make_minibatches
 from .model import GenDT
 from .uncertainty import UncertaintyEstimate, mc_dropout_uncertainty, subset_uncertainties
 from .active import ActiveLearningResult, ActiveLearningStep, run_active_learning
-from .workflow import (
-    RetrainingResult,
-    RetrainingStep,
-    retrain_in_new_region,
-    transfer_model,
-)
 
 __all__ = [
     "GenDTConfig",
@@ -38,8 +32,4 @@ __all__ = [
     "ActiveLearningResult",
     "ActiveLearningStep",
     "run_active_learning",
-    "transfer_model",
-    "retrain_in_new_region",
-    "RetrainingResult",
-    "RetrainingStep",
 ]

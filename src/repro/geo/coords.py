@@ -34,15 +34,6 @@ def haversine_m(
     return out
 
 
-def bearing_deg(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Initial bearing from point 1 to point 2, degrees clockwise from north."""
-    phi1, phi2 = math.radians(lat1), math.radians(lat2)
-    dlon = math.radians(lon2 - lon1)
-    y = math.sin(dlon) * math.cos(phi2)
-    x = math.cos(phi1) * math.sin(phi2) - math.sin(phi1) * math.cos(phi2) * math.cos(dlon)
-    return math.degrees(math.atan2(y, x)) % 360.0
-
-
 @dataclass(frozen=True)
 class LocalFrame:
     """Equirectangular local tangent frame anchored at (lat0, lon0).

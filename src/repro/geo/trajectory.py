@@ -9,8 +9,8 @@ operations the datasets, context pipeline and evaluation harness need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,15 +92,6 @@ class Trajectory:
         if self.duration_s == 0.0:
             return 0.0
         return self.length_m() / self.duration_s
-
-    def bounding_box(self) -> Tuple[float, float, float, float]:
-        """(lat_min, lat_max, lon_min, lon_max)."""
-        return (
-            float(self.lat.min()),
-            float(self.lat.max()),
-            float(self.lon.min()),
-            float(self.lon.max()),
-        )
 
     def centroid(self) -> Tuple[float, float]:
         return float(self.lat.mean()), float(self.lon.mean())

@@ -3,36 +3,30 @@
 The deployment environment for this reproduction has no deep-learning
 framework available, so :mod:`repro.nn` implements the minimal stack GenDT
 needs: a reverse-mode autodiff tensor, module containers, linear/LSTM layers,
-dropout (with MC-dropout support), Adam/SGD, the GAN/MSE/Gaussian losses, and
+dropout (with MC-dropout support), Adam, the GAN/MSE/Gaussian losses, and
 :func:`fit_mse`, the one minibatch MSE fit loop of the row-wise regressors.
 """
 
-from .tensor import Tensor, as_tensor, concat, is_grad_enabled, no_grad, ones, stack, where, zeros
+from .tensor import Tensor, concat, no_grad, stack
 from .anomaly import NumericalAnomalyError, detect_anomaly, is_anomaly_enabled
 from .module import Module, Parameter
-from .layers import MLP, Dropout, LeakyReLU, Linear, Sequential, Sigmoid, Tanh
+from .layers import MLP, Dropout, LeakyReLU, Linear, Sequential, Sigmoid
 from .lstm import LSTM, LSTMCell, SRNNNoise, lstm_sequence
-from .optim import SGD, Adam, Optimizer, fit_mse
+from .optim import Adam, Optimizer, fit_mse
 from .losses import (
     bce_with_logits,
     discriminator_loss,
     gaussian_nll,
     generator_adversarial_loss,
-    mae_loss,
     mse_loss,
 )
 from . import init
 
 __all__ = [
     "Tensor",
-    "as_tensor",
     "concat",
     "stack",
-    "where",
-    "zeros",
-    "ones",
     "no_grad",
-    "is_grad_enabled",
     "detect_anomaly",
     "is_anomaly_enabled",
     "NumericalAnomalyError",
@@ -40,7 +34,6 @@ __all__ = [
     "Parameter",
     "Linear",
     "LeakyReLU",
-    "Tanh",
     "Sigmoid",
     "Dropout",
     "Sequential",
@@ -50,11 +43,9 @@ __all__ = [
     "SRNNNoise",
     "lstm_sequence",
     "Optimizer",
-    "SGD",
     "Adam",
     "fit_mse",
     "mse_loss",
-    "mae_loss",
     "bce_with_logits",
     "discriminator_loss",
     "generator_adversarial_loss",

@@ -59,11 +59,6 @@ class LeakyReLU(Module):
         return x.leaky_relu(self.negative_slope)
 
 
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
 class Sigmoid(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.sigmoid()

@@ -13,11 +13,6 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     return (diff * diff).mean()
 
 
-def mae_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error."""
-    return (pred - target).abs().mean()
-
-
 def bce_with_logits(logits: Tensor, target: float) -> Tensor:
     """Numerically stable binary cross-entropy against a constant label.
 

@@ -78,10 +78,6 @@ class Module:
         for child in self._modules.values():
             yield from child.modules()
 
-    def num_parameters(self) -> int:
-        """Total number of scalar parameters."""
-        return sum(p.size for p in self.parameters())
-
     # ------------------------------------------------------------------
     # Modes
     # ------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -59,54 +59,6 @@ class Optimizer:
                 if param.grad is not None:
                     param.grad *= scale
         return norm
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float = 1e-2,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for param in self.params:
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                vel = self._velocity.get(id(param))
-                if vel is None:
-                    vel = np.zeros_like(param.data)
-                vel = self.momentum * vel + grad
-                self._velocity[id(param)] = vel
-                grad = vel
-            param.data -= self.lr * grad
-
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        state = super().state_dict()
-        for i, param in enumerate(self.params):
-            vel = self._velocity.get(id(param))
-            if vel is not None:
-                state[f"velocity.{i}"] = vel.copy()
-        return state
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        super().load_state_dict(state)
-        self._velocity.clear()
-        for i, param in enumerate(self.params):
-            key = f"velocity.{i}"
-            if key in state:
-                self._velocity[id(param)] = np.array(state[key], dtype=param.data.dtype)
 
 
 class Adam(Optimizer):

@@ -20,7 +20,7 @@ output and accumulates ``.grad`` arrays on every tensor created with
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,11 +48,6 @@ class no_grad:
     def __exit__(self, *exc) -> None:
         global _grad_enabled
         _grad_enabled = self._prev
-
-
-def is_grad_enabled() -> bool:
-    """Return whether operations currently record the autodiff graph."""
-    return _grad_enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -337,17 +332,6 @@ class Tensor:
 
         return self._make(self.data * scale, (self,), backward)
 
-    def softplus(self) -> "Tensor":
-        clipped = np.clip(self.data, -60.0, 60.0)
-        out_data = np.log1p(np.exp(-np.abs(clipped))) + np.maximum(clipped, 0.0)
-        sig = 1.0 / (1.0 + np.exp(-clipped))
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * sig)
-
-        return self._make(out_data, (self,), backward)
-
     def abs(self) -> "Tensor":
         sign = np.sign(self.data)
 
@@ -393,11 +377,6 @@ class Tensor:
         else:
             count = int(np.prod([self.shape[a] for a in axis]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def var(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        mu = self.mean(axis=axis, keepdims=True)
-        centered = self - mu
-        return (centered * centered).mean(axis=axis, keepdims=keepdims)
 
     # ------------------------------------------------------------------
     # Shape manipulation
@@ -545,16 +524,3 @@ def where(condition: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
             b._accumulate(_unbroadcast(grad * ~cond, b.shape))
 
     return a._make(out_data, (a, b), backward)
-
-
-def as_tensor(value: ArrayLike) -> Tensor:
-    """Coerce ``value`` to a (non-differentiable) Tensor."""
-    return Tensor._coerce(value)
-
-
-def zeros(shape: Union[int, Tuple[int, ...]], requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(shape: Union[int, Tuple[int, ...]], requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)

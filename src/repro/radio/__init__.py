@@ -17,7 +17,7 @@ from .kpis import (
     spectral_efficiency_from_cqi,
     thermal_noise_dbm,
 )
-from .antenna import OmniAntenna, SectorAntenna, wrap_angle_deg
+from .antenna import SectorAntenna, wrap_angle_deg
 from .propagation import FastFadingModel, PathlossModel, ShadowingModel
 from .cells import Cell, CellDeployment, deploy_city, deploy_highway
 from .association import (
@@ -48,7 +48,6 @@ __all__ = [
     "linear_to_db",
     "thermal_noise_dbm",
     "SectorAntenna",
-    "OmniAntenna",
     "wrap_angle_deg",
     "PathlossModel",
     "ShadowingModel",

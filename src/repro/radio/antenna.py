@@ -39,17 +39,6 @@ class SectorAntenna:
         return self.max_gain_dbi - attenuation
 
 
-@dataclass(frozen=True)
-class OmniAntenna:
-    """Omnidirectional pattern (small cells)."""
-
-    max_gain_dbi: float = 5.0
-
-    def gain_dbi(self, offset_deg: Array) -> Array:
-        offset = np.asarray(offset_deg, dtype=float)
-        return np.broadcast_to(np.float64(self.max_gain_dbi), offset.shape).copy() if offset.ndim else self.max_gain_dbi
-
-
 def wrap_angle_deg(angle: Array) -> Array:
     """Wrap an angle (difference) into [-180, 180)."""
     return (np.asarray(angle, dtype=float) + 180.0) % 360.0 - 180.0

@@ -10,7 +10,7 @@ city-centre cases ~15-30 cells/km², highway cases ~3-8 cells/km²).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -30,10 +30,6 @@ class Cell:
     direction_deg: float
     antenna: SectorAntenna = field(default_factory=SectorAntenna)
     site_id: int = -1
-
-    def context_features(self, distance_m: float) -> np.ndarray:
-        """The paper's 5 per-cell context attributes for one timestamp."""
-        return np.array([self.lat, self.lon, self.p_max_dbm, self.direction_deg, distance_m])
 
 
 class CellDeployment:

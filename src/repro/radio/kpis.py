@@ -135,9 +135,6 @@ class KpiSpec:
     def n_channels(self) -> int:
         return len(self.kpis)
 
-    def index_of(self, kpi: KPI) -> int:
-        return self.kpis.index(KPI(kpi))
-
     def names(self) -> List[str]:
         return [k.value for k in self.kpis]
 

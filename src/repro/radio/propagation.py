@@ -66,27 +66,6 @@ class ShadowingModel:
     decorrelation_m: float = 80.0
     clutter_sigma_scale: float = 2.5
 
-    def sample_along(
-        self,
-        step_distances_m: np.ndarray,
-        rng: np.random.Generator,
-        clutter: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Sample a correlated shadowing trace of length ``len(steps)+1`` (dB)."""
-        steps = np.asarray(step_distances_m, dtype=float)
-        n = len(steps) + 1
-        sigma = np.full(n, self.sigma_db)
-        if clutter is not None:
-            sigma = sigma + self.clutter_sigma_scale * np.clip(clutter, 0.0, 1.0)
-        trace = np.empty(n)
-        trace[0] = rng.normal(0.0, sigma[0])
-        rho = np.exp(-np.maximum(steps, 0.0) / self.decorrelation_m)
-        innovations = rng.normal(0.0, 1.0, size=n - 1)
-        for k in range(1, n):
-            r = rho[k - 1]
-            trace[k] = r * trace[k - 1] + np.sqrt(max(1.0 - r * r, 0.0)) * sigma[k] * innovations[k - 1]
-        return trace
-
     def sample_along_multi(
         self,
         step_distances_m: np.ndarray,

@@ -9,7 +9,7 @@ The pieces a production GenDT deployment leans on when things go wrong:
 * :mod:`~repro.runtime.checkpoint` — atomic, checksummed, resumable
   training checkpoints with rotating retention;
 * :mod:`~repro.runtime.retry` — exponential backoff with deterministic
-  jitter for the Fig. 14 measurement loop;
+  jitter for the serving circuit breaker, and the one real sleep;
 * :mod:`~repro.runtime.validate` — generation-boundary input validation.
 """
 
@@ -29,13 +29,12 @@ from .checkpoint import (
     SCHEMA_VERSION,
     CheckpointManager,
     capture_trainer_state,
-    is_checkpoint,
     read_checkpoint,
     resolve_checkpoint,
     restore_trainer_state,
     write_checkpoint,
 )
-from .retry import REAL_SLEEP, backoff_schedule, retry
+from .retry import REAL_SLEEP, backoff_schedule
 from .validate import validate_trajectory, validate_windows
 
 __all__ = [
@@ -55,11 +54,9 @@ __all__ = [
     "SCHEMA_VERSION",
     "write_checkpoint",
     "read_checkpoint",
-    "is_checkpoint",
     "resolve_checkpoint",
     "capture_trainer_state",
     "restore_trainer_state",
-    "retry",
     "backoff_schedule",
     "REAL_SLEEP",
     "validate_trajectory",

@@ -159,15 +159,6 @@ def read_checkpoint(path: PathLike) -> Tuple[Dict[str, np.ndarray], Dict[str, An
     return arrays, header.get("meta", {})
 
 
-def is_checkpoint(path: PathLike) -> bool:
-    """Magic-byte sniff: is ``path`` a GenDT checkpoint container?"""
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(len(MAGIC)) == MAGIC
-    except OSError:
-        return False
-
-
 def resolve_checkpoint(path: PathLike) -> Path:
     """Resolve a checkpoint argument: a file is itself; a directory resolves
     to its newest (highest-epoch) managed checkpoint."""

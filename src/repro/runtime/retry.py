@@ -1,30 +1,23 @@
-"""Generic retry with exponential backoff and deterministic jitter.
+"""Exponential backoff with deterministic jitter, and the one real sleep.
 
-Used by the Fig. 14 ③ measurement loop (``core.workflow``): a drive-test
-campaign step that fails transiently is retried with growing delays instead
-of aborting a multi-hour active-learning run.  The jitter source is a seeded
-:class:`numpy.random.Generator` and the sleep function is injectable, so
-tests exercise the full backoff schedule without touching the wall clock.
+The serving layer's circuit breaker (``serving.breaker``) takes its
+cool-downs from :func:`backoff_schedule`, so two runs with the same seed back
+off identically.  The jitter source is a seeded
+:class:`numpy.random.Generator` and the sleep is injectable, so tests
+exercise the full schedule without touching the wall clock.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional, Tuple, Type, TypeVar
 
 import numpy as np
-
-T = TypeVar("T")
 
 #: The wall-clock sleep used when a caller wants real delays.  Serving-layer
 #: code must reference this (or take an injected sleep) instead of naming
 #: ``time.sleep`` directly — lint rule RTY001 enforces it, so every real
 #: cool-down flows through one audited spot and stays injectable in tests.
 REAL_SLEEP = time.sleep
-
-#: Sentinel distinguishing "use the real clock" from an explicit ``None``
-#: (= do not sleep at all, e.g. under test or when the callee is a simulator).
-_REAL_SLEEP = REAL_SLEEP
 
 
 def backoff_schedule(
@@ -34,66 +27,13 @@ def backoff_schedule(
     jitter: float = 0.25,
     seed: int = 0,
 ) -> list:
-    """The deterministic delay sequence ``retry`` would use (for inspection)."""
+    """``retries`` deterministic delays: ``backoff * factor**k`` with seeded jitter.
+
+    Delay ``k`` (0-based) is scaled by a jitter in ``[1 - jitter, 1 + jitter]``
+    drawn from a generator seeded with ``seed``.
+    """
     rng = np.random.default_rng(seed)
     return [
         backoff * factor**attempt * (1.0 + jitter * float(rng.uniform(-1.0, 1.0)))
         for attempt in range(retries)
     ]
-
-
-def retry(
-    fn: Callable[[], T],
-    retries: int = 2,
-    backoff: float = 0.5,
-    factor: float = 2.0,
-    jitter: float = 0.25,
-    retry_on: Tuple[Type[BaseException], ...] = (Exception,),
-    seed: int = 0,
-    sleep: Optional[Callable[[float], None]] = _REAL_SLEEP,
-    on_retry: Optional[Callable[[int, BaseException, float], None]] = None,
-) -> T:
-    """Call ``fn`` with up to ``retries`` retries on exceptions in ``retry_on``.
-
-    Delay before retry ``k`` (0-based) is ``backoff * factor**k`` scaled by a
-    deterministic jitter in ``[1 - jitter, 1 + jitter]`` drawn from a
-    generator seeded with ``seed`` — two runs with the same seed back off
-    identically.  ``sleep=None`` skips the delays entirely (the schedule is
-    still computed, so ``on_retry`` sees the same delays either way).
-
-    Args:
-        fn: zero-argument callable to execute.
-        retries: retry budget *after* the first attempt.
-        backoff: base delay in seconds.
-        factor: exponential growth factor.
-        jitter: relative jitter amplitude.
-        retry_on: exception classes that trigger a retry; anything else
-            propagates immediately.
-        seed: seed for the jitter generator.
-        sleep: delay function; ``None`` disables sleeping.
-        on_retry: ``(attempt, exception, delay)`` callback fired before each
-            retry — use it to count/log transient failures.
-
-    Returns:
-        ``fn()``'s result from the first successful attempt.
-
-    Raises:
-        the last exception, once the retry budget is exhausted.
-    """
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
-    if backoff < 0 or factor <= 0 or not 0 <= jitter < 1:
-        raise ValueError("invalid backoff schedule parameters")
-    delays = backoff_schedule(retries, backoff, factor, jitter, seed)
-    for attempt in range(retries + 1):
-        try:
-            return fn()
-        except retry_on as exc:
-            if attempt >= retries:
-                raise
-            delay = delays[attempt]
-            if on_retry is not None:
-                on_retry(attempt, exc, delay)
-            if sleep is not None:
-                sleep(delay)
-    raise AssertionError("unreachable")  # pragma: no cover

@@ -14,11 +14,11 @@ machine:
 * **half-open** — the probe's outcome decides: success closes the breaker,
   failure re-opens it with the *next* (longer) cool-down.
 
-Cool-downs come from :func:`repro.runtime.retry.backoff_schedule` — the same
-deterministic exponential-with-jitter schedule the measurement loop uses —
-so successive trips back off exponentially and two runs with the same seed
-cool down identically.  The clock is injectable; tests drive the state
-machine with a fake clock and never sleep.
+Cool-downs come from :func:`repro.runtime.retry.backoff_schedule`, a
+deterministic exponential-with-jitter schedule, so successive trips back off
+exponentially and two runs with the same seed cool down identically.  The
+clock is injectable; tests drive the state machine with a fake clock and
+never sleep.
 """
 
 from __future__ import annotations

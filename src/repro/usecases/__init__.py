@@ -7,7 +7,7 @@ from .handover import (
     handover_intervals_from_series,
     real_handover_intervals,
 )
-from .cell_load import CellLoadEstimator, LOAD_FEATURES, serving_load_ground_truth
+from .cell_load import CellLoadEstimator, LOAD_FEATURES
 from .bandwidth import (
     BANDWIDTH_FEATURES,
     LinkBandwidthPredictor,
@@ -18,13 +18,10 @@ from .video_qoe import (
     DEFAULT_LADDER,
     PlayerConfig,
     VideoSession,
-    compare_sessions,
     simulate_session,
 )
 from .whatif import (
-    WhatIfOutcome,
     deployment_override,
-    run_what_if,
     with_new_site,
     with_power_offset,
     without_cells,
@@ -40,7 +37,6 @@ __all__ = [
     "real_handover_intervals",
     "CellLoadEstimator",
     "LOAD_FEATURES",
-    "serving_load_ground_truth",
     "LinkBandwidthPredictor",
     "BANDWIDTH_FEATURES",
     "bandwidth_features",
@@ -49,11 +45,8 @@ __all__ = [
     "VideoSession",
     "DEFAULT_LADDER",
     "simulate_session",
-    "compare_sessions",
-    "WhatIfOutcome",
     "with_power_offset",
     "with_new_site",
     "without_cells",
     "deployment_override",
-    "run_what_if",
 ]

@@ -13,7 +13,7 @@ this use case for lack of ground truth; our substrate has it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,20 +64,3 @@ class CellLoadEstimator:
         with nn.no_grad():
             out = self.net(nn.Tensor(x)).numpy()
         return out[:, 0]
-
-    def predict_from_matrix(self, kpi_matrix: np.ndarray, kpi_names: Sequence[str]) -> np.ndarray:
-        """Same, from a [T, n] generated-KPI matrix with named columns."""
-        kpis = {name: kpi_matrix[:, i] for i, name in enumerate(kpi_names)}
-        missing = [f for f in LOAD_FEATURES if f not in kpis]
-        if missing:
-            raise ValueError(f"matrix lacks required KPIs: {missing}")
-        return self.predict(kpis)
-
-
-def serving_load_ground_truth(
-    record: DriveTestRecord, loads_matrix: np.ndarray, candidate_ids: Sequence[int]
-) -> np.ndarray:
-    """Extract the serving cell's load series from a [T, N] load matrix."""
-    id_to_col = {cid: j for j, cid in enumerate(candidate_ids)}
-    cols = np.array([id_to_col[int(c)] for c in record.serving_cell_id])
-    return loads_matrix[np.arange(len(record)), cols]

@@ -19,8 +19,8 @@ combined into a 1-5 MOS-like score with the usual impairment weighting
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
@@ -121,21 +121,3 @@ def simulate_session(
         buffer_levels[t] = buffer_s
 
     return VideoSession(bitrates_mbps=bitrates, buffer_s=buffer_levels, stalled=stalled)
-
-
-def compare_sessions(
-    real_throughput: np.ndarray,
-    generated_throughput: np.ndarray,
-    config: PlayerConfig = PlayerConfig(),
-) -> Dict[str, Dict[str, float]]:
-    """Session metrics from real vs generated throughput (use-case check)."""
-    out: Dict[str, Dict[str, float]] = {}
-    for name, series in (("real", real_throughput), ("generated", generated_throughput)):
-        session = simulate_session(series, config)
-        out[name] = {
-            "avg_bitrate_mbps": session.average_bitrate_mbps,
-            "stall_ratio": session.stall_ratio,
-            "n_switches": float(session.n_switches),
-            "qoe_score": session.qoe_score(),
-        }
-    return out

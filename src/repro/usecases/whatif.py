@@ -4,20 +4,17 @@ GenDT conditions on the operator's cell database, so deployment changes can
 be evaluated *before* building them: edit the deployment, regenerate the KPI
 series for the routes of interest, and compare.  This module provides the
 deployment-editing operations the paper's examples mention (new cells,
-power changes, decommissioning) and a small study runner that swaps the
-edited deployment into a trained model's context pipeline, regenerates, and
-restores the original.
+power changes, decommissioning) and a context manager that swaps an edited
+deployment into a trained model's context pipeline and restores the
+original on exit.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence
+from dataclasses import replace
+from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
-from ..geo.trajectory import Trajectory
 from ..radio.cells import Cell, CellDeployment
 from ..core.model import GenDT
 
@@ -74,7 +71,7 @@ def without_cells(deployment: CellDeployment, cell_ids: Sequence[int]) -> CellDe
 
 
 # ----------------------------------------------------------------------
-# Study runner
+# Deployment override
 # ----------------------------------------------------------------------
 @contextlib.contextmanager
 def deployment_override(model: GenDT, deployment: CellDeployment) -> Iterator[None]:
@@ -90,35 +87,3 @@ def deployment_override(model: GenDT, deployment: CellDeployment) -> Iterator[No
         yield
     finally:
         region.deployment = original
-
-
-@dataclass
-class WhatIfOutcome:
-    """Generated KPI series under baseline and edited deployments."""
-
-    kpi_names: List[str]
-    baseline: np.ndarray    #: [T, n_kpis]
-    edited: np.ndarray      #: [T, n_kpis]
-
-    def mean_delta(self, kpi: str) -> float:
-        """Mean change of one KPI (edited - baseline)."""
-        idx = self.kpi_names.index(kpi)
-        return float(self.edited[:, idx].mean() - self.baseline[:, idx].mean())
-
-    def summary(self) -> Dict[str, float]:
-        return {kpi: self.mean_delta(kpi) for kpi in self.kpi_names}
-
-
-def run_what_if(
-    model: GenDT,
-    trajectory: Trajectory,
-    edited_deployment: CellDeployment,
-    n_samples: int = 3,
-) -> WhatIfOutcome:
-    """Generate under baseline and edited deployments (averaged samples)."""
-    baseline = model.generate_samples(trajectory, n_samples).mean(axis=0)
-    with deployment_override(model, edited_deployment):
-        edited = model.generate_samples(trajectory, n_samples).mean(axis=0)
-    return WhatIfOutcome(
-        kpi_names=list(model.kpi_names), baseline=baseline, edited=edited
-    )

@@ -50,11 +50,6 @@ class PoiIndex:
             for cls in POI_CLASSES
         }
 
-    def total_points(self, cls: Optional[str] = None) -> int:
-        if cls is not None:
-            return self._trees[cls].n
-        return sum(tree.n for tree in self._trees.values())
-
     def counts_within(self, lat, lon, radius_m: float) -> np.ndarray:
         """PoIs of each class within ``radius_m`` of point(s), [..., N_POI].
 

@@ -1,9 +1,9 @@
-"""Coordinate math: haversine, bearings, local frames."""
+"""Coordinate math: haversine, local frames."""
 
 import numpy as np
 import pytest
 
-from repro.geo import LocalFrame, bearing_deg, haversine_m
+from repro.geo import LocalFrame, haversine_m
 
 
 class TestHaversine:
@@ -30,18 +30,6 @@ class TestHaversine:
         out = haversine_m(lats, 0.0, lats + 0.01, 0.0)
         assert out.shape == (2,)
         assert np.all(out > 1000)
-
-
-class TestBearing:
-    def test_north(self):
-        assert bearing_deg(50.0, 0.0, 51.0, 0.0) == pytest.approx(0.0, abs=0.1)
-
-    def test_east(self):
-        assert bearing_deg(0.0, 0.0, 0.0, 1.0) == pytest.approx(90.0, abs=0.1)
-
-    def test_south_west_quadrant(self):
-        bearing = bearing_deg(51.0, 0.0, 50.0, -1.0)
-        assert 180.0 < bearing < 270.0
 
 
 class TestLocalFrame:

@@ -52,12 +52,6 @@ class TestGeometry:
         traj = straight_trajectory(10)
         assert len(traj.speeds_mps()) == 10
 
-    def test_bounding_box_contains_all(self):
-        traj = straight_trajectory()
-        lat_min, lat_max, lon_min, lon_max = traj.bounding_box()
-        assert np.all((traj.lat >= lat_min) & (traj.lat <= lat_max))
-        assert np.all((traj.lon >= lon_min) & (traj.lon <= lon_max))
-
     def test_min_distance_to_self_is_zero(self):
         traj = straight_trajectory()
         assert traj.min_distance_to(traj) == pytest.approx(0.0, abs=1e-6)

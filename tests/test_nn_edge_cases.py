@@ -8,13 +8,6 @@ from repro.nn.tensor import Tensor, concat, stack
 
 
 class TestNumericalRobustness:
-    def test_softplus_extremes_finite(self):
-        t = Tensor(np.array([-1e4, 0.0, 1e4]), requires_grad=True)
-        out = t.softplus()
-        assert np.all(np.isfinite(out.numpy()))
-        out.sum().backward()
-        assert np.all(np.isfinite(t.grad))
-
     def test_log_of_tiny_values(self):
         t = Tensor(np.array([1e-300]))
         assert np.isfinite(t.log().numpy()).all()
@@ -93,7 +86,7 @@ class TestOptimizerEdgeCases:
 
     def test_clip_with_all_none_grads(self):
         w = nn.Parameter(np.zeros(2))
-        opt = nn.SGD([w], lr=0.1)
+        opt = nn.Adam([w], lr=0.1)
         assert opt.clip_grad_norm(1.0) == 0.0
 
 

@@ -29,10 +29,6 @@ class TestParameterRegistration:
             "fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias", "gain",
         }
 
-    def test_num_parameters(self):
-        model = TwoLayer(make_rng())
-        assert model.num_parameters() == 4 * 8 + 8 + 8 * 2 + 2 + 2
-
     def test_parameter_always_requires_grad(self):
         param = nn.Parameter(np.zeros(3))
         assert param.requires_grad

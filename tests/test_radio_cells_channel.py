@@ -59,11 +59,6 @@ class TestDeployments:
         lats = np.array([c.lat for c in cells])
         assert np.all(np.abs(lats - 51.5) < 0.01)
 
-    def test_cell_context_features(self, city_cells):
-        features = city_cells[0].context_features(distance_m=432.1)
-        assert features.shape == (5,)
-        assert features[4] == 432.1
-
 
 class TestCellDeployment:
     @pytest.fixture(scope="class")

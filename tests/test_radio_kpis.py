@@ -104,10 +104,6 @@ class TestKpiSpec:
         spec = KpiSpec(["rsrp", "rsrq"])
         assert spec.kpis == (KPI.RSRP, KPI.RSRQ)
 
-    def test_index_of(self):
-        spec = KpiSpec(["rsrq", "rsrp"])
-        assert spec.index_of("rsrp") == 1
-
     def test_clip_enforces_ranges(self):
         spec = KpiSpec(["rsrp", "cqi"])
         raw = np.array([[-200.0, 30.0], [0.0, -5.0]])

@@ -5,7 +5,6 @@ import pytest
 
 from repro.radio import (
     FastFadingModel,
-    OmniAntenna,
     PathlossModel,
     SectorAntenna,
     ShadowingModel,
@@ -51,7 +50,7 @@ class TestShadowing:
     def test_trace_length(self, rng):
         model = ShadowingModel()
         steps = np.full(99, 10.0)
-        trace = model.sample_along(steps, rng)
+        trace = model.sample_along_multi(steps, 1, rng)[:, 0]
         assert trace.shape == (100,)
 
     def test_autocorrelation_decays_with_distance(self):
@@ -59,10 +58,10 @@ class TestShadowing:
         rng = np.random.default_rng(0)
         # Small steps -> high lag-1 correlation; huge steps -> none.
         small = np.stack([
-            model.sample_along(np.full(400, 5.0), rng) for _ in range(20)
+            model.sample_along_multi(np.full(400, 5.0), 1, rng)[:, 0] for _ in range(20)
         ])
         large = np.stack([
-            model.sample_along(np.full(400, 500.0), rng) for _ in range(20)
+            model.sample_along_multi(np.full(400, 500.0), 1, rng)[:, 0] for _ in range(20)
         ])
 
         def lag1(traces):
@@ -77,7 +76,7 @@ class TestShadowing:
         model = ShadowingModel(sigma_db=6.0, clutter_sigma_scale=0.0)
         rng = np.random.default_rng(1)
         traces = np.stack([
-            model.sample_along(np.full(200, 50.0), rng) for _ in range(100)
+            model.sample_along_multi(np.full(200, 50.0), 1, rng)[:, 0] for _ in range(100)
         ])
         assert traces.std() == pytest.approx(6.0, rel=0.15)
 
@@ -99,8 +98,8 @@ class TestShadowing:
         model = ShadowingModel(sigma_db=4.0, clutter_sigma_scale=4.0)
         rng = np.random.default_rng(4)
         steps = np.full(500, 200.0)
-        calm = np.stack([model.sample_along(steps, rng, clutter=np.zeros(501)) for _ in range(30)])
-        rough = np.stack([model.sample_along(steps, rng, clutter=np.ones(501)) for _ in range(30)])
+        calm = np.stack([model.sample_along_multi(steps, 1, rng, clutter=np.zeros(501))[:, 0] for _ in range(30)])
+        rough = np.stack([model.sample_along_multi(steps, 1, rng, clutter=np.ones(501))[:, 0] for _ in range(30)])
         assert rough.std() > calm.std()
 
 
@@ -139,11 +138,6 @@ class TestAntennas:
     def test_symmetry(self):
         ant = SectorAntenna()
         assert ant.gain_dbi(40.0) == pytest.approx(float(ant.gain_dbi(-40.0)))
-
-    def test_omni_constant(self):
-        ant = OmniAntenna(max_gain_dbi=5.0)
-        gains = ant.gain_dbi(np.array([0.0, 90.0, 180.0]))
-        np.testing.assert_allclose(gains, 5.0)
 
     def test_wrap_angle(self):
         assert wrap_angle_deg(190.0) == pytest.approx(-170.0)

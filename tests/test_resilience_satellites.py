@@ -1,6 +1,5 @@
 """Resilience hardening around the serving work: checkpoint corruption
-surfaced as the structured taxonomy type, transfer-time context validation,
-generation-boundary edge cases, sparse-measurement layout checks, and the
+surfaced as the structured taxonomy type, generation-boundary edge cases, sparse-measurement layout checks, and the
 evaluation harness's skip-and-continue mode.
 """
 
@@ -10,8 +9,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.fdas import FDaS
-from repro.core import GenDT, small_config
-from repro.core.workflow import transfer_model
+from repro.core import GenDT
 from repro.datasets.mdt import SparseMeasurements
 from repro.eval.harness import evaluate_method
 from repro.geo.trajectory import Trajectory
@@ -53,36 +51,6 @@ class TestCheckpointCorruption:
         message = str(excinfo.value)
         assert str(path) in message
         assert "do not match" in message
-
-
-class TestTransferValidation:
-    def test_transfer_to_compatible_region_passes(
-        self, trained_gendt, tiny_dataset_b
-    ):
-        transferred = transfer_model(trained_gendt, tiny_dataset_b.region)
-        assert transferred.region is tiny_dataset_b.region
-
-    def test_transfer_rejects_mismatched_env_taxonomy(
-        self, trained_gendt, tiny_dataset_b
-    ):
-        region = copy.copy(tiny_dataset_b.region)
-        # A region built against a narrower land-use taxonomy: drop a class.
-        region.land_use = copy.copy(region.land_use)
-        region.land_use.fractions = region.land_use.fractions[..., :-1]
-        with pytest.raises(ContextValidationError) as excinfo:
-            transfer_model(trained_gendt, region)
-        message = str(excinfo.value)
-        assert "environment features" in message
-        assert "n_env" in message
-
-    def test_unfitted_model_still_requires_fit_first(self, tiny_dataset_a):
-        model = GenDT(
-            tiny_dataset_a.region,
-            kpis=["rsrp", "rsrq"],
-            config=small_config(epochs=1),
-        )
-        with pytest.raises(RuntimeError, match="fit"):
-            transfer_model(model, tiny_dataset_a.region)
 
 
 class TestValidateEdgeCases:

@@ -1,4 +1,4 @@
-"""retry(): backoff semantics; validate: generation-boundary input checks."""
+"""backoff_schedule: deterministic jitter; validate: generation-boundary input checks."""
 
 import numpy as np
 import pytest
@@ -7,54 +7,12 @@ from repro.geo.trajectory import Trajectory
 from repro.runtime import (
     ContextValidationError,
     backoff_schedule,
-    retry,
     validate_trajectory,
     validate_windows,
 )
 
 
-class TestRetry:
-    def test_success_first_try_no_sleep(self):
-        slept = []
-        assert retry(lambda: 7, retries=3, sleep=slept.append) == 7
-        assert slept == []
-
-    def test_fails_then_succeeds(self):
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise RuntimeError("transient")
-            return "ok"
-
-        slept = []
-        assert retry(flaky, retries=2, backoff=0.1, sleep=slept.append) == "ok"
-        assert calls["n"] == 3
-        assert len(slept) == 2
-        assert slept[1] > slept[0]  # exponential growth dominates jitter
-
-    def test_budget_exhausted_reraises_last(self):
-        def always_fails():
-            raise KeyError("nope")
-
-        with pytest.raises(KeyError):
-            retry(always_fails, retries=2, sleep=None)
-
-    def test_retry_on_filters_exception_types(self):
-        def raises_type_error():
-            raise TypeError("not retryable here")
-
-        calls = {"n": 0}
-
-        def counting():
-            calls["n"] += 1
-            raise TypeError("x")
-
-        with pytest.raises(TypeError):
-            retry(counting, retries=5, retry_on=(ValueError,), sleep=None)
-        assert calls["n"] == 1  # no retries for a non-matching type
-
+class TestBackoffSchedule:
     def test_jitter_deterministic_per_seed(self):
         a = backoff_schedule(4, backoff=0.5, seed=13)
         b = backoff_schedule(4, backoff=0.5, seed=13)
@@ -64,27 +22,6 @@ class TestRetry:
         # Exponential envelope with 25% jitter.
         for k, delay in enumerate(a):
             assert 0.75 * 0.5 * 2**k <= delay <= 1.25 * 0.5 * 2**k
-
-    def test_on_retry_callback_sees_schedule(self):
-        seen = []
-
-        def fails():
-            raise RuntimeError("x")
-
-        with pytest.raises(RuntimeError):
-            retry(
-                fails, retries=2, backoff=1.0, jitter=0.0, sleep=None,
-                on_retry=lambda attempt, exc, delay: seen.append((attempt, delay)),
-            )
-        assert seen == [(0, 1.0), (1, 2.0)]
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            retry(lambda: 1, retries=-1)
-        with pytest.raises(ValueError):
-            retry(lambda: 1, backoff=-0.1)
-        with pytest.raises(ValueError):
-            retry(lambda: 1, jitter=1.5)
 
 
 def _trajectory(t, lat, lon):

@@ -125,7 +125,6 @@ CASES = {
         lambda: [_away_from_zero((2, 3), 19)],
         lambda a: a.leaky_relu(negative_slope=0.1),
     ),
-    "softplus": Case(lambda: [_smooth((2, 3), 20)], lambda a: a.softplus()),
     "abs": Case(lambda: [_away_from_zero((2, 3), 21)], lambda a: a.abs()),
     "clip": Case(
         # Data in (-1.5, 1.5) minus (-0.1, 0.1); bounds at ±0.9 leave every
@@ -138,7 +137,6 @@ CASES = {
         lambda: [_smooth((2, 3, 4), 24)],
         lambda a: a.mean(axis=0, keepdims=True),
     ),
-    "var": Case(lambda: [_smooth((2, 5), 25)], lambda a: a.var(axis=1)),
     "reshape": Case(lambda: [_smooth((2, 6), 26)], lambda a: a.reshape(3, 4)),
     "transpose": Case(
         lambda: [_smooth((2, 3, 4), 27)], lambda a: a.transpose(2, 0, 1)
@@ -199,7 +197,7 @@ def node_building_ops():
 
 def test_every_node_building_op_has_a_gradcheck_case():
     # The anti-drift contract: an op that records an autodiff node and has
-    # no gradcheck case fails here.  The composites (sub, sqrt, mean, var)
+    # no gradcheck case fails here.  The composites (sub, sqrt, mean)
     # build on the ops found here and are checked as well.
     ops = node_building_ops()
     assert {"add", "matmul", "getitem", "concat", "where", "lstm_sequence"} <= ops

@@ -7,12 +7,9 @@ from repro.usecases import (
     CellLoadEstimator,
     LinkBandwidthPredictor,
     PlayerConfig,
-    WhatIfOutcome,
     bandwidth_features,
-    compare_sessions,
     deployment_override,
     handover_indicator,
-    run_what_if,
     simulate_session,
     with_new_site,
     with_power_offset,
@@ -48,18 +45,6 @@ class TestCellLoadEstimator:
         err_const = np.abs(truth.mean() - truth).mean()
         # RSRQ/SINR do carry load information in the link budget.
         assert err_model < err_const * 1.15
-
-    def test_predict_from_matrix(self, fitted):
-        estimator, records = fitted
-        record = records[0]
-        matrix = record.kpi_matrix(["rsrq", "sinr"])
-        pred = estimator.predict_from_matrix(matrix, ["rsrq", "sinr"])
-        assert pred.shape == (len(record),)
-
-    def test_matrix_missing_kpi_rejected(self, fitted):
-        estimator, _ = fitted
-        with pytest.raises(ValueError):
-            estimator.predict_from_matrix(np.zeros((5, 1)), ["rsrp"])
 
     def test_misaligned_fit_rejected(self, tiny_dataset_a):
         estimator = CellLoadEstimator()
@@ -161,13 +146,6 @@ class TestVideoQoE:
         with pytest.raises(ValueError):
             simulate_session(np.zeros(0))
 
-    def test_compare_sessions_keys(self, rng):
-        out = compare_sessions(np.full(60, 5.0), np.full(60, 4.0))
-        assert set(out) == {"real", "generated"}
-        assert set(out["real"]) == {
-            "avg_bitrate_mbps", "stall_ratio", "n_switches", "qoe_score",
-        }
-
 
 class TestWhatIf:
     def test_power_offset(self, small_region):
@@ -236,11 +214,3 @@ class TestWhatIf:
             with deployment_override(trained_gendt, edited):
                 raise RuntimeError("boom")
         assert trained_gendt.region.deployment is original
-
-    def test_run_what_if_outcome(self, trained_gendt, tiny_split):
-        traj = tiny_split.test[0].trajectory
-        edited = with_power_offset(trained_gendt.region.deployment, 6.0)
-        outcome = run_what_if(trained_gendt, traj, edited, n_samples=2)
-        assert outcome.baseline.shape == outcome.edited.shape
-        assert set(outcome.summary()) == set(trained_gendt.kpi_names)
-        assert np.isfinite(outcome.mean_delta("rsrp"))

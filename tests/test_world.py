@@ -118,11 +118,6 @@ class TestPois:
         both = pois.counts_within(np.array([51.5, edge_lat]), np.array([-0.1, edge_lon]), 500.0)
         assert np.array_equal(both.sum(axis=1), [center, edge])
 
-    def test_total_points_consistent(self, pois):
-        assert pois.total_points() == sum(
-            pois.total_points(cls) for cls in POI_CLASSES
-        )
-
 
 class TestRegion:
     def test_region_builds(self, small_region):
