@@ -193,9 +193,9 @@ class ResGen(nn.Module):
     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
         """Autoregressive generation: ``sample`` step by step, on ndarrays.
 
-        Step ``t`` conditions on ``env[:, t]`` and the last ``m`` residuals
-        in ``state``, adds the residual (clipped to +-5) to ``base[:, t]``
-        and shifts it into the state.  It draws, in order: ``z1`` from
+        Step ``t`` conditions on ``env[:, t]`` and the last ``m`` residuals,
+        adds the residual (clipped to +-5) to ``base[:, t]`` and appends it
+        to the residual history.  It draws, in order: ``z1`` from
         ``self.rng.normal``, the dropout mask from the dropout layer's
         ``rng.random`` (only while that layer is active and ``p > 0``), and
         ``eps`` from ``self.rng.normal``.  Every array op yields exactly what
@@ -204,6 +204,19 @@ class ResGen(nn.Module):
         streams are bit-identical to the autodiff path; no Tensor is
         built.  Under ``repro.nn.detect_anomaly`` each step's MLP head,
         ``mu`` and residual are checked for NaN/Inf.
+
+        At batch 1 a step costs what its numpy calls cost, not their
+        arithmetic, so the loop makes few of them.  Two buffers are
+        allocated once per call: the residual history ``[B, m + L, N_ch]``
+        (step ``t`` reads rows ``t..t+m-1`` and writes row ``m + t``; the
+        new state is its last ``m`` rows) and the MLP input row
+        ``[env, z1, recent]``.  Each substitution gives the Tensor op's
+        bits: writing the float64 ``z1`` draw into the row casts it as
+        ``astype`` does; LeakyReLU is ``maximum(x, x * slope)``, exact for
+        ``0 < slope <= 1`` (every ``nn.MLP`` uses 0.2), ±0 and NaN included;
+        ``ndarray.clip`` and ``np.add.reduce`` are the ufuncs behind
+        ``np.clip`` and ``sum`` without their Python wrappers; and adding
+        ``base`` after the loop is the same elementwise sum.
 
         Args:
             env: [B, L, N_env] environment context.
@@ -218,38 +231,57 @@ class ResGen(nn.Module):
         hidden, dropout, (head_wt, head_b) = self._array_layers()
         check = is_anomaly_enabled()
         dtype = head_wt.dtype
-        env = np.asarray(env, dtype=dtype)
         b, length, n_ch = base.shape
-        m = self.ar_window
+        m, n_env, n_noise = self.ar_window, env.shape[-1], self.n_noise
         split = m * n_ch
+        hist = np.empty((b, m + length, n_ch), dtype)
+        hist[:, :m] = state
+        row = np.empty((b, n_env + n_noise + split), dtype)
+        row_env, row_z1, row_recent = row[:, :n_env], row[:, n_env:-split], row[:, -split:]
         output = np.empty_like(base)
         mus = np.empty_like(base) if collect_params else None
         sigmas = np.empty_like(base) if collect_params else None
+        normal = self.rng.normal
+        if dropout is not None:
+            keep = 1.0 - dropout.p
+            scale = dtype.type(1.0 / keep)
+            uniform = dropout.rng.random
+        inv_m = 1.0 / m
         for t in range(length):
-            recent = state.reshape(b, split)
-            z1 = self.rng.normal(0.0, 1.0, size=(b, self.n_noise)).astype(dtype, copy=False)
-            x = np.concatenate([env[:, t, :], z1, recent], axis=-1)
+            recent = hist[:, t:t + m].reshape(b, split)
+            row_env[...] = env[:, t]
+            row_z1[...] = normal(0.0, 1.0, size=(b, n_noise))
+            row_recent[...] = recent
+            x = row
             for weight_t, bias, slope in hidden:
-                x = x @ weight_t + bias
-                x = np.where(x > 0, x, x * slope)
+                x = x @ weight_t
+                x += bias
+                np.maximum(x, x * slope, out=x)
             if dropout is not None:
-                keep = 1.0 - dropout.p
-                x = x * (dropout.rng.random(x.shape) < keep) * dtype.type(1.0 / keep)
-            out = x @ head_wt + head_b
-            gains = 1.0 / (1.0 + np.exp(-np.clip(out[:, :split], -60.0, 60.0))) * (1.0 / m)
-            log_sigma = np.clip(out[:, split:], -5.0, 2.0)
-            mu = (gains * recent).reshape(b, m, n_ch).sum(axis=-2)
-            eps = self.rng.normal(0.0, 1.0, size=mu.shape).astype(dtype, copy=False)
-            residual = mu + np.exp(log_sigma) * eps
+                x *= uniform(x.shape) < keep
+                x *= scale
+            out = x @ head_wt
+            out += head_b
+            gains = out[:, :split].clip(-60.0, 60.0)
+            np.negative(gains, out=gains)
+            np.exp(gains, out=gains)
+            gains += 1.0
+            np.divide(1.0, gains, out=gains)
+            gains *= inv_m
+            gains *= recent
+            mu = np.add.reduce(gains.reshape(b, m, n_ch), axis=1)
+            sigma = out[:, split:].clip(-5.0, 2.0)
+            np.exp(sigma, out=sigma)
+            eps = normal(0.0, 1.0, size=mu.shape).astype(dtype, copy=False)
+            residual = mu + sigma * eps
             if check:
                 _check_finite(t, head=out, mu=mu, residual=residual)
-            residual = np.clip(residual, -5.0, 5.0)
-            output[:, t] = base[:, t] + residual
+            residual.clip(-5.0, 5.0, out=hist[:, m + t])
             if collect_params:
                 mus[:, t] = mu
-                sigmas[:, t] = np.exp(log_sigma)
-            state = np.concatenate([state[:, 1:], residual[:, None, :]], axis=1)
-        return output, state, mus, sigmas
+                sigmas[:, t] = sigma
+        np.add(base, hist[:, m:], out=output)
+        return output, hist[:, length:], mus, sigmas
 
     def _array_layers(self):
         """The MLP's weights for :meth:`rollout`, read once per call.

@@ -115,7 +115,7 @@ class Sequential(Module):
     dims={"Fin": "in_features", "Fout": "out_features"},
 )
 class MLP(Module):
-    """Fully-connected stack with leaky-ReLU activations.
+    """Fully-connected stack with ``LeakyReLU(0.2)`` activations.
 
     ``hidden`` gives the sizes of the hidden layers; an optional dropout layer
     is inserted before the final linear layer, matching the ResGen topology
@@ -129,7 +129,6 @@ class MLP(Module):
         out_features: int,
         rng: np.random.Generator,
         dropout: float = 0.0,
-        negative_slope: float = 0.2,
     ) -> None:
         super().__init__()
         self.in_features = in_features
@@ -138,7 +137,7 @@ class MLP(Module):
         prev = in_features
         for width in hidden:
             layers.append(Linear(prev, width, rng))
-            layers.append(LeakyReLU(negative_slope))
+            layers.append(LeakyReLU(0.2))
             prev = width
         if dropout > 0.0:
             layers.append(Dropout(dropout, rng))

@@ -44,7 +44,7 @@ class SRNNNoise(NamedTuple):
 
 def _sigmoid_(z: np.ndarray) -> np.ndarray:
     """In-place logistic sigmoid, clipped like ``Tensor.sigmoid``."""
-    np.clip(z, -60.0, 60.0, out=z)
+    z.clip(-60.0, 60.0, out=z)
     np.negative(z, out=z)
     np.exp(z, out=z)
     z += 1.0

@@ -305,7 +305,7 @@ class Tensor:
         return self._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
+        out_data = 1.0 / (1.0 + np.exp(-self.data.clip(-60.0, 60.0)))
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -348,7 +348,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * mask)
 
-        return self._make(np.clip(self.data, lo, hi), (self,), backward)
+        return self._make(self.data.clip(lo, hi), (self,), backward)
 
     # ------------------------------------------------------------------
     # Reductions

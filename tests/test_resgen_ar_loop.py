@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from repro.context.normalize import N_CELL_FEATURES
-from repro.core import GenDTGenerator, small_config
+from repro.core import GenDTConfig, GenDTGenerator, small_config
 from repro.core.features import ModelBatch
 from repro.nn import NumericalAnomalyError, detect_anomaly
 from repro.nn.tensor import Tensor
+from repro.world.attributes import N_ENV_ATTRIBUTES
 from tests.resgen_reference import reference_generate_batch
 
 N_ENV = 7
@@ -32,14 +33,16 @@ def _generator(m: int, p: float, seed: int = 5) -> GenDTGenerator:
     return GenDTGenerator(N_CH, N_ENV, config, np.random.default_rng(seed))
 
 
-def _batch(b: int, seed: int = 11) -> ModelBatch:
+def _batch(
+    b: int, seed: int = 11, length: int = LENGTH, n_env: int = N_ENV, n_cells: int = 3
+) -> ModelBatch:
     rng = np.random.default_rng(seed)
-    mask = np.ones((b, 3))
-    mask[0, 2] = 0.0
+    mask = np.ones((b, n_cells))
+    mask[0, n_cells - 1] = 0.0
     return ModelBatch(
-        cell_x=rng.normal(size=(b, 3, LENGTH, N_CELL_FEATURES)),
+        cell_x=rng.normal(size=(b, n_cells, length, N_CELL_FEATURES)),
         cell_mask=mask,
-        env=rng.normal(size=(b, LENGTH, N_ENV)),
+        env=rng.normal(size=(b, length, n_env)),
         target=None,
     )
 
@@ -107,6 +110,9 @@ def test_dropout_layer_with_zero_p_draws_nothing():
         {"starts": (0, LENGTH, 2 * LENGTH - 4), "collect_params": True},
         {"first_stage_only": True},
         {"first_stage_only": True, "n_draws": 2},
+        # Tail windows with fewer new samples (1, 2) than the AR window m=3.
+        {"starts": (0, LENGTH, LENGTH + 1), "collect_params": True},
+        {"starts": (0, LENGTH, LENGTH + 2), "collect_params": True},
     ],
 )
 def test_generate_batch_options_unchanged(kwargs):
@@ -115,6 +121,39 @@ def test_generate_batch_options_unchanged(kwargs):
     new = gen_new.generate_batch(batch, **kwargs)
     ref = reference_generate_batch(gen_ref, batch, **kwargs)
     _assert_same(new, ref, gen_new, gen_ref)
+
+
+@pytest.mark.parametrize("n_draws", (1, 2))
+def test_short_windows_carry_the_state(n_draws):
+    # Two tail windows in a row, rolling 2 and then 1 new samples (< m=3):
+    # the state each returns still holds residuals of the windows before it.
+    gen_new, gen_ref = _pair(3, 0.2)
+    batch = _batch(4)
+    kwargs = {
+        "starts": (0, LENGTH, LENGTH + 2, LENGTH + 3), "n_draws": n_draws, "collect_params": True
+    }
+    new = gen_new.generate_batch(batch, **kwargs)
+    ref = reference_generate_batch(gen_ref, batch, **kwargs)
+    _assert_same(new, ref, gen_new, gen_ref)
+
+
+def test_rollout_bit_identical_at_paper_size():
+    # The ResGen every campaign request runs: GenDTConfig()'s (64, 64, 32)
+    # MLP, m=3, dropout 0.2 active, 4 channels, all environment attributes,
+    # float32; one window, one draw, two chained calls.
+    config = GenDTConfig()
+    gen_new, gen_ref = (
+        GenDTGenerator(4, N_ENV_ATTRIBUTES, config, np.random.default_rng(5)) for _ in range(2)
+    )
+    assert config.resgen_hidden == (64, 64, 32) and config.resgen_ar_window == 3
+    (dropout,) = gen_new.resgen.mlp.dropout_layers
+    assert dropout.training and dropout.p == 0.2
+    assert gen_new.dtype == np.float32
+    batch = _batch(1, length=config.batch_len, n_env=N_ENV_ATTRIBUTES, n_cells=config.max_cells)
+    for _ in range(2):
+        new = gen_new.generate_batch(batch, collect_params=True)
+        ref = reference_generate_batch(gen_ref, batch, collect_params=True)
+        _assert_same(new, ref, gen_new, gen_ref)
 
 
 def test_rollout_builds_no_tensors(monkeypatch):
