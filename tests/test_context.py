@@ -16,8 +16,66 @@ from repro.context import (
     window_starts,
 )
 from repro.context.extract import ENV_CELL_M
+from repro.context.normalize import P_MAX_MEAN_DBM, P_MAX_STD_DB
 from repro.geo import Trajectory, from_waypoints
 from repro.world import POI_CLASSES
+from repro.world.attributes import N_LAND_USE
+
+
+def loop_fractions_within(raster, lat, lon, radius_m):
+    """``LandUseRaster.fractions_within`` as a loop over pixel offsets.
+
+    The per-offset form the vectorised query must match bit for bit: each
+    offset adds its masked pixel into the running total in this order.
+    """
+    x, y = raster.frame.to_xy(lat, lon)
+    shape = np.shape(x)
+    x, y = np.ravel(x), np.ravel(y)
+    rows, cols = raster.shape
+    r_pix = max(1, int(np.ceil(radius_m / raster.pixel_m)))
+    row0, col0 = raster._pixel_of_xy(x, y)
+    total = np.zeros((len(x), N_LAND_USE))
+    n_pixels = np.zeros(len(x))
+    for d_row in range(-r_pix, r_pix + 1):
+        row = row0 + d_row
+        row_in = (row >= 0) & (row < rows)
+        dy2 = ((row + 0.5) * raster.pixel_m + raster.y_min - y) ** 2
+        for d_col in range(-r_pix, r_pix + 1):
+            col = col0 + d_col
+            dx2 = ((col + 0.5) * raster.pixel_m + raster.x_min - x) ** 2
+            hit = row_in & (col >= 0) & (col < cols) & (dy2 + dx2 <= radius_m**2)
+            pixel = raster.fractions[np.clip(row, 0, rows - 1), np.clip(col, 0, cols - 1)]
+            total += pixel * hit[:, None]
+            n_pixels += hit
+    out = total / np.maximum(n_pixels, 1.0)[:, None]
+    for i in np.flatnonzero(n_pixels == 0):
+        block = raster.fractions[
+            max(0, row0[i] - r_pix) : row0[i] + r_pix + 1,
+            max(0, col0[i] - r_pix) : col0[i] + r_pix + 1,
+        ]
+        out[i] = block.reshape(-1, N_LAND_USE).mean(axis=0)
+    return out.reshape(shape + (N_LAND_USE,))
+
+
+def loop_cell_transform(frame, window, ue_lat, ue_lon):
+    """``CellFeatureTransform.__call__`` as a loop over cells (the bitwise reference)."""
+    raw = window.cell_features
+    length, n_cells, _ = raw.shape
+    ux, uy = frame.to_xy(ue_lat, ue_lon)
+    out = np.empty((length, n_cells, N_CELL_FEATURES))
+    for j in range(n_cells):
+        cx, cy = frame.to_xy(raw[0, j, 0], raw[0, j, 1])
+        dx = (float(cx) - ux) / 1000.0
+        dy = (float(cy) - uy) / 1000.0
+        out[:, j, 0] = dx
+        out[:, j, 1] = dy
+        out[:, j, 2] = (raw[:, j, 2] - P_MAX_MEAN_DBM) / P_MAX_STD_DB
+        bearing_to_ue = np.degrees(np.arctan2(-dx, -dy)) % 360.0
+        dir_rel = np.radians(bearing_to_ue - raw[:, j, 3])
+        out[:, j, 3] = np.sin(dir_rel)
+        out[:, j, 4] = np.cos(dir_rel)
+        out[:, j, 5] = raw[:, j, 4] / 1000.0
+    return out
 
 
 class TestWindowStarts:
@@ -214,6 +272,35 @@ class TestVectorisedEnvironmentQueries:
         got = land_use.fractions_within(lat, lon, self.RADIUS_M)
         np.testing.assert_allclose(got, np.array(expected), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("radius_m", [50.0, 150.0, 500.0, 1000.0])
+    def test_fractions_bit_equal_to_offset_loop(self, small_region, points, radius_m):
+        _, lat, lon = points
+        land_use = small_region.land_use
+        got = land_use.fractions_within(lat, lon, radius_m)
+        assert np.array_equal(got, loop_fractions_within(land_use, lat, lon, radius_m))
+
+    def test_fractions_bit_equal_over_many_chunks(self, small_region, points):
+        # Four copies of the fixture (inside, edge, near and far points),
+        # shuffled: well over one chunk of points, with fallbacks in several.
+        _, lat, lon = points
+        order = np.random.default_rng(6).permutation(4 * len(lat))
+        lat, lon = np.tile(lat, 4)[order], np.tile(lon, 4)[order]
+        land_use = small_region.land_use
+        got = land_use.fractions_within(lat, lon, self.RADIUS_M)
+        assert got.shape == (len(lat), N_LAND_USE)
+        assert np.array_equal(got, loop_fractions_within(land_use, lat, lon, self.RADIUS_M))
+
+    def test_fractions_scalar_and_empty_input(self, small_region, points):
+        _, lat, lon = points
+        land_use = small_region.land_use
+        for i in (0, len(lat) - 1):  # an inside point and a far (fallback) one
+            got = land_use.fractions_within(lat[i], lon[i], self.RADIUS_M)
+            assert got.shape == (N_LAND_USE,)
+            want = loop_fractions_within(land_use, lat[i], lon[i], self.RADIUS_M)
+            assert np.array_equal(got, want)
+        empty = land_use.fractions_within(np.zeros(0), np.zeros(0), self.RADIUS_M)
+        assert empty.shape == (0, N_LAND_USE)
+
     def test_poi_counts_match_per_point_brute_force(self, small_region, points):
         xy, lat, lon = points
         pois = small_region.pois
@@ -276,6 +363,17 @@ class TestNormalizers:
         np.testing.assert_allclose(
             out[:, :, 5], window.cell_features[:, :, 4] / 1000.0
         )
+
+    @pytest.mark.parametrize("max_cells", [1, ContextConfig().max_cells])
+    def test_cell_transform_bit_equal_to_per_cell_loop(self, small_region, sample_record, max_cells):
+        builder = ContextBuilder(small_region, ContextConfig(max_cells=max_cells))
+        windows = builder.training_windows([sample_record], ["rsrp"], 25, 5)
+        assert {w.n_cells for w in windows} == {max_cells}
+        transform = CellFeatureTransform(small_region.frame)
+        for window in windows:
+            got = transform(window, window.ue_lat, window.ue_lon)
+            want = loop_cell_transform(small_region.frame, window, window.ue_lat, window.ue_lon)
+            assert np.array_equal(got, want)
 
     def test_env_normalizer_round_trip_properties(self, rng):
         raw = np.abs(rng.normal(size=(100, 26)))

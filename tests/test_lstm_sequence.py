@@ -13,7 +13,8 @@ import pytest
 from repro import nn
 from repro.core.stochastic_lstm import StochasticLSTM
 from repro.nn import NumericalAnomalyError, SRNNNoise, Tensor, detect_anomaly, lstm_sequence
-from tests.lstm_reference import cell_step, reference_lstm_sequence
+from repro.nn.lstm import _Recurrence
+from tests.lstm_reference import LoopRecurrence, cell_step, reference_lstm_sequence
 
 SHAPES = [(3, 6, 4, 5), (1, 1, 2, 3), (5, 2, 7, 4)]  # (B, T, I, H)
 
@@ -71,6 +72,41 @@ class TestAgainstReference:
         _, _, fused = _run(lstm_sequence, _arrays(*shape), noise_seed)
         _, _, reference = _run(reference_lstm_sequence, _arrays(*shape), noise_seed)
         assert fused == reference
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 5, 42, 64])
+@pytest.mark.parametrize("srnn", [False, True])
+def test_recurrence_bit_equal_to_loop_reference(dtype, batch, srnn):
+    """The op's array code against its per-state loop form: no tolerance.
+
+    Forward output, final ``(h, c)``, all six gradients (from the output
+    alone and from the output plus the final state) and the RNG state.
+    """
+    hidden, steps, n_in = 100, 20, 6
+    arrays = [a.astype(dtype) for a in _arrays(batch, steps, n_in, hidden, seed=batch)]
+    grads = np.random.default_rng(1)
+    d_hs = grads.normal(size=(batch, steps, hidden)).astype(dtype)
+    d_h = grads.normal(size=(batch, hidden)).astype(dtype)
+    d_c = grads.normal(size=(batch, hidden)).astype(dtype)
+    runs = []
+    for recurrence in (_Recurrence, LoopRecurrence):
+        rng = np.random.default_rng(8)
+        noise = SRNNNoise(rng, 2.0, 1.5) if srnn else None
+        run = recurrence(*[a.copy() for a in arrays], noise)
+        backward = [
+            run.backward(d_hs.copy(), None, None, [True] * 6),
+            run.backward(d_hs.copy(), d_h.copy(), d_c.copy(), [True] * 6),
+        ]
+        runs.append((run.hs, run.hs[-1], run.c_last, backward, rng.bit_generator.state))
+    (hs, h, c, backward, state), (ref_hs, ref_h, ref_c, ref_backward, ref_state) = runs
+    assert np.isfinite(hs).all() and all(np.isfinite(g).all() for g in backward[1])
+    assert hs.dtype == dtype and np.array_equal(hs, ref_hs)
+    assert np.array_equal(h, ref_h) and np.array_equal(c, ref_c)
+    for grads_got, grads_want in zip(backward, ref_backward):
+        for name, got, want in zip(["x", "W_ih", "W_hh", "bias", "h0", "c0"], grads_got, grads_want):
+            assert got.dtype == dtype and np.array_equal(got, want), name
+    assert state == ref_state
 
 
 def test_only_inputs_that_require_grad_get_gradients():
