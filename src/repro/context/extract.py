@@ -27,6 +27,7 @@ import numpy as np
 
 from ..geo.trajectory import Trajectory
 from ..radio.cells import CellDeployment
+from ..world.attributes import N_ENV_ATTRIBUTES
 from ..world.region import Region
 
 #: Number of raw per-cell context attributes (paper: N_c = 5).
@@ -146,6 +147,8 @@ class EnvironmentContextExtractor:
             land = self.region.land_use.fractions_within(c_lat, c_lon, self.radius_m)
             pois = self.region.pois.counts_within(c_lat, c_lon, self.radius_m)
             self._cache.update(zip(missed, np.concatenate([land, pois], axis=1)))
+        if not keys:
+            return np.empty((0, N_ENV_ATTRIBUTES))
         return np.stack([self._cache[key] for key in keys])
 
 

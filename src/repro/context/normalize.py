@@ -58,21 +58,20 @@ class CellFeatureTransform:
             model features [L, N_b, 6].
         """
         raw = window.cell_features
-        length, n_cells, _ = raw.shape
         ux, uy = self.frame.to_xy(ue_lat, ue_lon)
-        out = np.empty((length, n_cells, N_CELL_FEATURES))
-        for j in range(n_cells):
-            cx, cy = self.frame.to_xy(raw[0, j, 0], raw[0, j, 1])
-            dx = (float(cx) - ux) / 1000.0
-            dy = (float(cy) - uy) / 1000.0
-            out[:, j, 0] = dx
-            out[:, j, 1] = dy
-            out[:, j, 2] = (raw[:, j, 2] - P_MAX_MEAN_DBM) / P_MAX_STD_DB
-            bearing_to_ue = np.degrees(np.arctan2(-dx, -dy)) % 360.0
-            dir_rel = np.radians(bearing_to_ue - raw[:, j, 3])
-            out[:, j, 3] = np.sin(dir_rel)
-            out[:, j, 4] = np.cos(dir_rel)
-            out[:, j, 5] = raw[:, j, 4] / 1000.0
+        cx, cy = self.frame.to_xy(raw[0, :, 0], raw[0, :, 1])
+        # [L, N_b] arrays, one elementwise op per feature over all cells.
+        dx = (cx - ux[:, None]) / 1000.0
+        dy = (cy - uy[:, None]) / 1000.0
+        bearing_to_ue = np.degrees(np.arctan2(-dx, -dy)) % 360.0
+        dir_rel = np.radians(bearing_to_ue - raw[:, :, 3])
+        out = np.empty(raw.shape[:2] + (N_CELL_FEATURES,))
+        out[:, :, 0] = dx
+        out[:, :, 1] = dy
+        out[:, :, 2] = (raw[:, :, 2] - P_MAX_MEAN_DBM) / P_MAX_STD_DB
+        out[:, :, 3] = np.sin(dir_rel)
+        out[:, :, 4] = np.cos(dir_rel)
+        out[:, :, 5] = raw[:, :, 4] / 1000.0
         return out
 
 

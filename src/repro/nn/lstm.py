@@ -51,13 +51,18 @@ def _sigmoid_(z: np.ndarray) -> np.ndarray:
     return np.divide(1.0, z, out=z)
 
 
-def _renormalize(state: np.ndarray, uniform: np.ndarray, intensity: float, out: np.ndarray):
-    """One SRNN perturbation of ``state`` into ``out``; returns what its gradient needs."""
-    row_sum = state.sum(axis=-1, keepdims=True)
+def _renormalize(state: np.ndarray, uniform: np.ndarray, intensity: np.ndarray, out: np.ndarray):
+    """One SRNN perturbation of the stacked ``[h, c]`` state into ``out``.
+
+    ``state``, ``uniform`` and ``out`` are ``[2, B, H]`` and ``intensity`` is
+    ``[2, 1, 1]``; every op is elementwise or a reduction over ``H``, so each
+    state gets the bits it would get alone.  Returns what the gradient needs.
+    """
+    row_sum = np.add.reduce(state, axis=-1, keepdims=True)
     noisy = uniform * (row_sum / state.shape[-1])  # the same bits as ``mean``
     noisy *= intensity
     noisy += state
-    noisy_sum = noisy.sum(axis=-1, keepdims=True)
+    noisy_sum = np.add.reduce(noisy, axis=-1, keepdims=True)
     denom = np.where(np.abs(noisy_sum) < 1e-6, 1.0, noisy_sum)
     scale = row_sum / denom
     np.multiply(noisy, scale, out=out)
@@ -66,15 +71,17 @@ def _renormalize(state: np.ndarray, uniform: np.ndarray, intensity: float, out: 
 
 def _unrenormalize(grad: np.ndarray, noisy: np.ndarray, scale: np.ndarray, denom: np.ndarray):
     """Gradient of :func:`_renormalize` w.r.t. its input state."""
-    return grad * scale + (grad * noisy).sum(axis=-1, keepdims=True) / denom
+    return grad * scale + np.add.reduce(grad * noisy, axis=-1, keepdims=True) / denom
 
 
 class _Recurrence:
     """One :func:`lstm_sequence` forward, keeping what BPTT needs.
 
     Arrays are time-major (``[T, B, ...]``); gates use the layout
-    ``[input, forget, cell, output]`` along the last axis.  Every buffer
-    has ``x``'s dtype (the inputs share one, see :func:`_check_inputs`).
+    ``[input, forget, cell, output]`` along the last axis.  The state is
+    one stacked ``[2, B, H]`` array, ``h`` then ``c``, so the SRNN noise
+    renormalizes both with one call.  Every buffer has ``x``'s dtype (the
+    inputs share one, see :func:`_check_inputs`).
     """
 
     def __init__(self, x, weight_ih, weight_hh, bias, h0, c0, noise: Optional[SRNNNoise]):
@@ -92,40 +99,40 @@ class _Recurrence:
         gates += bias
         w_hh_t = np.ascontiguousarray(weight_hh.T)
         dtype = x.dtype
-        self.h_in = np.empty((steps, batch, hidden), dtype)
-        self.c_in = np.empty((steps, batch, hidden), dtype)
+        # Each step's input state: [0] is h_in [T, B, H], [1] is c_in.
+        self.state_in = np.empty((2, steps, batch, hidden), dtype)
         self.tanh_c = np.empty((steps, batch, hidden), dtype)
         self.hs = np.empty((steps, batch, hidden), dtype)
+        state = np.stack([h0, c0])
         if noise is not None:
-            # Drawn up front; one call yields the same stream as a draw of
-            # [B, H] for h and then for c at every step.  Drawn in float64
-            # and then cast, so the stream is the same at either dtype.
-            uniform = noise.rng.uniform(0.0, 1.0, size=(steps, 2, batch, hidden))
-            uniform = uniform.astype(dtype, copy=False)
-            self.renorm_h: List[tuple] = []
-            self.renorm_c: List[tuple] = []
-        h, c = h0, c0
+            # Per step, one float64 [2, B, H] draw (h's noise, then c's),
+            # cast into the compute dtype: the stream and the values of one
+            # up-front uniform(0, 1, size=(T, 2, B, H)) draw.
+            draw = np.empty((2, batch, hidden))
+            uniform = draw if dtype == draw.dtype else np.empty_like(draw, dtype)
+            intensity = np.array([noise.intensity_h, noise.intensity_c], dtype)[:, None, None]
+            self.renorm: List[tuple] = []
         for t in range(steps):
             if noise is None:
-                self.h_in[t] = h
-                self.c_in[t] = c
+                self.state_in[:, t] = state
             else:
-                h_saved = _renormalize(h, uniform[t, 0], noise.intensity_h, self.h_in[t])
-                c_saved = _renormalize(c, uniform[t, 1], noise.intensity_c, self.c_in[t])
-                self.renorm_h.append(h_saved)
-                self.renorm_c.append(c_saved)
-            h, c = self.h_in[t], self.c_in[t]
+                noise.rng.random(out=draw)
+                if uniform is not draw:
+                    uniform[...] = draw
+                self.renorm.append(_renormalize(state, uniform, intensity, self.state_in[:, t]))
+            h, c = self.state_in[:, t]
             z = gates[t]
             z += h @ w_hh_t
             cell_gate = np.tanh(z[:, 2 * hidden : 3 * hidden])
             _sigmoid_(z)
             z[:, 2 * hidden : 3 * hidden] = cell_gate
-            c = z[:, hidden : 2 * hidden] * c
-            c += z[:, :hidden] * cell_gate
-            np.tanh(c, out=self.tanh_c[t])
-            h = np.multiply(z[:, 3 * hidden :], self.tanh_c[t], out=self.hs[t])
+            np.multiply(z[:, hidden : 2 * hidden], c, out=state[1])
+            state[1] += z[:, :hidden] * cell_gate
+            np.tanh(state[1], out=self.tanh_c[t])
+            np.multiply(z[:, 3 * hidden :], self.tanh_c[t], out=state[0])
+            self.hs[t] = state[0]
         self.gates = gates  # activations now, no longer pre-activations
-        self.c_last = c
+        self.c_last = state[1]
 
     def backward(self, d_hs, d_h, d_c, needs):
         """Gradients of ``(x, weight_ih, weight_hh, bias, h0, c0)``.
@@ -136,31 +143,36 @@ class _Recurrence:
         """
         steps, batch, hidden = self.hs.shape
         dtype = self.hs.dtype
+        h_in, c_in = self.state_in
         i, f, g, o = (self.gates[..., k * hidden : (k + 1) * hidden] for k in range(4))
         # Per-step factors that do not depend on the incoming gradient,
         # computed for all steps at once: d gates = d_c * k[i, f, g] and
         # d_h * k[o]; d_c picks up d_h * k_c.
         k_gates = np.empty((steps, batch, 4, hidden), dtype)
         np.multiply(g, i * (1.0 - i), out=k_gates[:, :, 0])
-        np.multiply(self.c_in, f * (1.0 - f), out=k_gates[:, :, 1])
+        np.multiply(c_in, f * (1.0 - f), out=k_gates[:, :, 1])
         np.multiply(i, 1.0 - g * g, out=k_gates[:, :, 2])
         np.multiply(self.tanh_c, o * (1.0 - o), out=k_gates[:, :, 3])
         k_c = o * (1.0 - self.tanh_c * self.tanh_c)
         d_out = None if d_hs is None else d_hs.transpose(1, 0, 2)
-        d_h = np.zeros((batch, hidden), dtype) if d_h is None else d_h
-        d_c = np.zeros((batch, hidden), dtype) if d_c is None else d_c
+        # The stacked [d_h, d_c], updated in place.
+        d_state = np.zeros((2, batch, hidden), dtype)
+        if d_h is not None:
+            d_state[0] = d_h
+        if d_c is not None:
+            d_state[1] = d_c
         d_gates = np.empty((steps, batch, 4, hidden), dtype)
         for t in range(steps - 1, -1, -1):
+            d_h, d_c = d_state
             if d_out is not None:
-                d_h = d_h + d_out[t]
-            d_c = d_c + d_h * k_c[t]
+                d_h += d_out[t]
+            d_c += d_h * k_c[t]
             np.multiply(d_c[:, None, :], k_gates[t, :, :3], out=d_gates[t, :, :3])
             np.multiply(d_h, k_gates[t, :, 3], out=d_gates[t, :, 3])
             d_c *= f[t]
-            d_h = d_gates[t].reshape(batch, 4 * hidden) @ self.weight_hh
+            np.matmul(d_gates[t].reshape(batch, 4 * hidden), self.weight_hh, out=d_h)
             if self.noise is not None:
-                d_h = _unrenormalize(d_h, *self.renorm_h[t])
-                d_c = _unrenormalize(d_c, *self.renorm_c[t])
+                d_state = _unrenormalize(d_state, *self.renorm[t])
         flat = d_gates.reshape(steps * batch, 4 * hidden)
         d_x = d_w_ih = d_w_hh = d_bias = None
         if needs[0]:
@@ -168,10 +180,10 @@ class _Recurrence:
         if needs[1]:
             d_w_ih = flat.T @ self.x.reshape(steps * batch, -1)
         if needs[2]:
-            d_w_hh = flat.T @ self.h_in.reshape(steps * batch, hidden)
+            d_w_hh = flat.T @ h_in.reshape(steps * batch, hidden)
         if needs[3]:
             d_bias = flat.sum(axis=0)
-        return d_x, d_w_ih, d_w_hh, d_bias, d_h, d_c
+        return d_x, d_w_ih, d_w_hh, d_bias, d_state[0], d_state[1]
 
 
 def _check_inputs(x, weight_ih, weight_hh, bias, h0, c0) -> None:
@@ -224,11 +236,11 @@ def lstm_sequence(
         weight_ih: ``[4H, I]``, weight_hh: ``[4H, H]``, bias: ``[4H]``, with
             gates ``[input, forget, cell, output]`` along the first axis.
         h0, c0: initial state, each ``[B, H]``.
-        noise: SRNN state noise, or None for a plain LSTM.  With noise, one
-            ``noise.rng.uniform(0, 1, size=(T, 2, B, H))`` call is made up
-            front: step ``t`` perturbs ``h`` with ``[t, 0]`` and then ``c``
-            with ``[t, 1]``, the same stream as one ``[B, H]`` draw for
-            ``h`` and then one for ``c`` before every step.
+        noise: SRNN state noise, or None for a plain LSTM.  With noise,
+            each step makes one ``noise.rng.random`` draw of ``[2, B, H]``
+            float64 values before it runs, ``h``'s noise then ``c``'s: the
+            same stream as one ``[B, H]`` ``uniform(0, 1)`` draw for ``h``
+            and then one for ``c`` before every step.
 
     Returns:
         ``(hs, (h, c))``: the hidden state at every step ``[B, T, H]`` and

@@ -166,6 +166,11 @@ class TestEnvironmentContext:
         np.testing.assert_allclose(env[:, :12].sum(axis=1), 1.0, atol=1e-6)
         assert np.all(env[:, 12:] >= 0)  # PoI counts
 
+    def test_empty_trajectory_gives_no_rows(self, small_region):
+        empty = Trajectory(np.zeros(0), np.zeros(0), np.zeros(0))
+        env = EnvironmentContextExtractor(small_region).features(empty)
+        assert env.shape == (0, 26) and env.dtype == np.float64
+
     def test_cache_effective(self, small_region, sample_trajectory):
         extractor = EnvironmentContextExtractor(small_region)
         extractor.features(sample_trajectory)
