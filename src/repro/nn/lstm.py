@@ -155,7 +155,7 @@ class _Recurrence:
         np.multiply(self.tanh_c, o * (1.0 - o), out=k_gates[:, :, 3])
         k_c = o * (1.0 - self.tanh_c * self.tanh_c)
         d_out = None if d_hs is None else d_hs.transpose(1, 0, 2)
-        # The stacked [d_h, d_c], updated in place.
+        # The stacked [d_h, d_c]; each step updates its d_h and d_c views.
         d_state = np.zeros((2, batch, hidden), dtype)
         if d_h is not None:
             d_state[0] = d_h
