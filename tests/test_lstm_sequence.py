@@ -92,7 +92,7 @@ def test_recurrence_bit_equal_to_loop_reference(dtype, batch, srnn):
     runs = []
     for recurrence in (_Recurrence, LoopRecurrence):
         rng = np.random.default_rng(8)
-        noise = SRNNNoise(rng, 2.0, 1.5) if srnn else None
+        noise = SRNNNoise(rng, 0.3, 0.7) if srnn else None
         run = recurrence(*[a.copy() for a in arrays], noise)
         backward = [
             run.backward(d_hs.copy(), None, None, [True] * 6),
