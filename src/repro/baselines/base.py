@@ -1,8 +1,8 @@
 """Common interface and shared context encoding for baseline generators.
 
-Every baseline implements ``fit(records)`` / ``generate(trajectory)`` with
-the same signature as :class:`repro.core.GenDT`, so the evaluation harness
-runs all methods through one loop.
+Every baseline implements ``fit(records)`` / ``generate(trajectory, rng)``
+with the same signature as :class:`repro.core.GenDT`, so the evaluation
+harness runs all methods through one loop.
 
 The baselines that consume context (MLP, LSTM-GNN, Real-Context DG) pad and
 normalize windows with GenDT's own :class:`~repro.core.features.WindowAssembler`.
@@ -16,7 +16,7 @@ instead of GenDT's set-valued graph input.
 from __future__ import annotations
 
 import abc
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -45,8 +45,10 @@ class BaselineModel(abc.ABC):
         """Train on measurement records."""
 
     @abc.abstractmethod
-    def generate(self, trajectory: Trajectory) -> np.ndarray:
-        """Generate [T, n_kpis] KPI series in physical units."""
+    def generate(
+        self, trajectory: Trajectory, rng: Optional[np.random.Generator] = None
+    ) -> np.ndarray:
+        """[T, n_kpis] series in physical units, drawn from ``rng`` (default: the model's own)."""
 
 
 class ContextEncodingMixin:

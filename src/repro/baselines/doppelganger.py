@@ -60,13 +60,15 @@ class _DGGenerator(nn.Module):
         self.n_noise = n_noise
         self.lstm = nn.LSTM(n_meta + n_noise, hidden, rng)
         self.head = nn.Linear(hidden, n_channels, rng)
-        self.rng = rng
 
-    def forward(self, metadata: np.ndarray, length: int) -> Tensor:
-        """metadata [B, n_meta] -> series [B, length, n_channels]."""
+    def forward(
+        self, metadata: np.ndarray, length: int, rng: Optional[np.random.Generator] = None
+    ) -> Tensor:
+        """metadata [B, n_meta] -> series [B, length, n_channels]; noise from ``rng`` (None: 0)."""
         b, n_meta = metadata.shape
         meta_seq = np.broadcast_to(metadata[:, None, :], (b, length, n_meta))
-        noise = self.rng.normal(0.0, 1.0, size=(b, length, self.n_noise))
+        shape = (b, length, self.n_noise)
+        noise = np.zeros(shape) if rng is None else rng.normal(0.0, 1.0, size=shape)
         inputs = Tensor(np.concatenate([meta_seq, noise], axis=2))
         hidden, _ = self.lstm(inputs)
         return self.head(hidden)
@@ -192,7 +194,7 @@ class DoppelGANger(ContextEncodingMixin, BaselineModel):
                 meta_b, target_b = metas[idx], targets[idx]
                 # --- discriminator step
                 with nn.no_grad():
-                    fake = self.generator(meta_b, length).numpy()
+                    fake = self.generator(meta_b, length, self.rng).numpy()
                 d_loss = nn.discriminator_loss(
                     self.discriminator(Tensor(target_b), meta_b),
                     self.discriminator(Tensor(fake), meta_b),
@@ -201,7 +203,7 @@ class DoppelGANger(ContextEncodingMixin, BaselineModel):
                 d_loss.backward()
                 d_opt.step()
                 # --- generator step
-                fake_t = self.generator(meta_b, length)
+                fake_t = self.generator(meta_b, length, self.rng)
                 adv = nn.generator_adversarial_loss(
                     self.discriminator(fake_t, meta_b)
                 )
@@ -217,9 +219,12 @@ class DoppelGANger(ContextEncodingMixin, BaselineModel):
                 g_opt.step()
 
     # ------------------------------------------------------------------
-    def generate(self, trajectory: Trajectory) -> np.ndarray:
+    def generate(
+        self, trajectory: Trajectory, rng: Optional[np.random.Generator] = None
+    ) -> np.ndarray:
         if self.generator is None:
             raise RuntimeError("fit before generate")
+        rng = self.rng if rng is None else rng
         length = min(self.window_len, len(trajectory))
         windows = self.context.windows_for_trajectory(
             trajectory, length=length, step=length
@@ -230,7 +235,7 @@ class DoppelGANger(ContextEncodingMixin, BaselineModel):
                 if self.real_context:
                     meta = self._window_metadata(window)[None]
                 else:
-                    meta = self.metadata_model.sample(1, self.rng)
-                series = self.generator(meta, window.length).numpy()[0]
+                    meta = self.metadata_model.sample(1, rng)
+                series = self.generator(meta, window.length, rng).numpy()[0]
                 out[window.start : window.start + window.length] = series
         return self.clip(self.target_normalizer.denormalize(out))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import stats
@@ -83,21 +83,11 @@ class FDaS(BaselineModel):
         for idx, name in enumerate(self.kpi_names):
             self.fits[name] = fit_best_distribution(stacked[:, idx])
 
-    def reseed(self, seed: Union[int, Sequence[int]]) -> None:
-        """Reset the sampling RNG to ``np.random.default_rng(seed)``.
-
-        The serving runner (:class:`repro.serving.CampaignRunner`) calls
-        this before each request of a seeded campaign so FDaS-rung
-        fallbacks are byte-identical across re-runs; the fitted
-        distributions are untouched.
-        """
-        self.rng = np.random.default_rng(seed)
-
-    def generate(self, trajectory: Trajectory) -> np.ndarray:
+    def generate(
+        self, trajectory: Trajectory, rng: Optional[np.random.Generator] = None
+    ) -> np.ndarray:
         if not self.fits:
             raise RuntimeError("fit before generate")
-        n = len(trajectory)
-        series = np.column_stack(
-            [self.fits[name].sample(n, self.rng) for name in self.kpi_names]
-        )
+        n, rng = len(trajectory), self.rng if rng is None else rng
+        series = np.column_stack([self.fits[name].sample(n, rng) for name in self.kpi_names])
         return self.kpi_spec.clip(series)

@@ -109,7 +109,9 @@ class LSTMGNNBaseline(ContextEncodingMixin, BaselineModel):
                 loss.backward()
                 optimizer.step()
 
-    def generate(self, trajectory: Trajectory) -> np.ndarray:
+    def generate(
+        self, trajectory: Trajectory, rng: Optional[np.random.Generator] = None
+    ) -> np.ndarray:
         if self.net is None:
             raise RuntimeError("fit before generate")
         out = np.empty((len(trajectory), self.kpi_spec.n_channels))

@@ -53,7 +53,9 @@ class MLPBaseline(ContextEncodingMixin, BaselineModel):
         self.net = nn.MLP(x.shape[1], list(self.hidden), y.shape[1], self.rng)
         nn.fit_mse(self.net, x, y, epochs=epochs or self.epochs, lr=self.lr, rng=self.rng)
 
-    def generate(self, trajectory: Trajectory) -> np.ndarray:
+    def generate(
+        self, trajectory: Trajectory, rng: Optional[np.random.Generator] = None
+    ) -> np.ndarray:
         if self.net is None:
             raise RuntimeError("fit before generate")
         x = self.trajectory_features(trajectory)

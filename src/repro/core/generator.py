@@ -97,7 +97,6 @@ class GenDTGenerator(nn.Module):
             self.resgen: Optional[ResGen] = ResGen(n_env, n_channels, config, rng)
         else:
             self.resgen = None
-        self.rng = rng
         self.astype(COMPUTE_DTYPE)
 
     @property
@@ -108,27 +107,29 @@ class GenDTGenerator(nn.Module):
     # ------------------------------------------------------------------
     # Shared first stage
     # ------------------------------------------------------------------
-    def h_avg(self, batch: ModelBatch) -> Tensor:
-        """Graph-level hidden series [B, L, H] from the cell context."""
-        batch = batch.astype(self.dtype)
-        return self._h_avg(batch.cell_x, batch.cell_mask)
-
-    def _h_avg(self, cell_x: np.ndarray, cell_mask: np.ndarray, stochastic=None) -> Tensor:
+    def h_avg(self, cell_x: np.ndarray, cell_mask: np.ndarray, rng=None) -> Tensor:
+        """Graph-level hidden series [B, L, H] from cell context in :attr:`dtype`."""
         b, n_cells, length, n_feat = cell_x.shape
         flat = Tensor(cell_x.reshape(b * n_cells, length, n_feat))
-        hidden = self.node_net(flat, stochastic=stochastic)
+        hidden = self.node_net(flat, rng)
         return mean_over_cells(hidden.reshape(b, n_cells, length, hidden.shape[-1]), cell_mask)
 
     # ------------------------------------------------------------------
     # Training-time forward (teacher forcing)
     # ------------------------------------------------------------------
-    def forward_teacher_forced(self, batch: ModelBatch) -> Dict[str, Tensor]:
-        """Generate with real recent values feeding ResGen (training mode)."""
+    def forward_teacher_forced(
+        self, batch: ModelBatch, rng: Optional[np.random.Generator] = None
+    ) -> Dict[str, Tensor]:
+        """Generate with real recent values feeding ResGen (training mode).
+
+        Every draw (``z0``, SRNN noise, ``z1``, dropout mask, ``eps``) comes
+        from ``rng``; ``None`` draws nothing.
+        """
         if batch.target is None:
             raise ValueError("teacher forcing requires targets")
         batch = batch.astype(self.dtype)
-        h_avg = self.h_avg(batch)
-        base = self.agg_net(h_avg)
+        h_avg = self.h_avg(batch.cell_x, batch.cell_mask, rng)
+        base = self.agg_net(h_avg, rng)
         out: Dict[str, Tensor] = {"h_avg": h_avg, "base": base}
         if self.resgen is not None:
             # ResGen is autoregressive over the *residual* process
@@ -137,9 +138,7 @@ class GenDTGenerator(nn.Module):
             # its own outputs at generation time.
             residual_real = batch.target - base.numpy()
             recent = recent_values_matrix(residual_real, self.resgen.ar_window)
-            residual, mu, log_sigma = self.resgen.sample(
-                Tensor(batch.env), Tensor(recent)
-            )
+            residual, mu, log_sigma = self.resgen.sample(Tensor(batch.env), Tensor(recent), rng)
             out["output"] = base + residual
             out["mu"] = mu
             out["log_sigma"] = log_sigma
@@ -156,8 +155,8 @@ class GenDTGenerator(nn.Module):
         starts: Optional[Sequence[int]] = None,
         n_draws: int = 1,
         collect_params: bool = False,
-        first_stage_only: bool = False,
         window_hook: Optional[WindowHook] = None,
+        rng: Optional[np.random.Generator] = None,
     ) -> Tuple[np.ndarray, Optional[Dict[str, np.ndarray]]]:
         """Generate ``n_draws`` series over one trajectory's windows, in normalized space.
 
@@ -172,9 +171,10 @@ class GenDTGenerator(nn.Module):
         [n_draws, new, N_ch], after each window; it may return a replacement
         (the AR state keeps ResGen's own output), ``None``, or raise.
 
-        ``first_stage_only`` skips ResGen and all noise (``z0`` at its mean,
-        no SRNN noise): the deterministic middle rung of the serving ladder
-        (:mod:`repro.serving`), which draws nothing from the RNG.
+        Every draw comes from ``rng``.  ``rng=None`` draws nothing and skips
+        ResGen, whose residual would stay 0 without noise (the AR mean of a
+        zero history): the deterministic middle rung of the serving ladder
+        (:mod:`repro.serving`).
         ``collect_params`` also returns ResGen's per-step ``mu`` and
         ``sigma``, for the MC-dropout uncertainty probe.
 
@@ -187,8 +187,8 @@ class GenDTGenerator(nn.Module):
         batch = batch.astype(self.dtype)
         length, n_env = batch.length, batch.env.shape[-1]
         starts = range(0, batch.n_windows * length, length) if starts is None else starts
-        base = self._first_stage(batch, n_draws, first_stage_only)
-        roll = self.resgen is not None and not first_stage_only
+        base = self._first_stage(batch, n_draws, rng)
+        roll = self.resgen is not None and rng is not None
         state = np.zeros((n_draws, self.resgen.ar_window, base.shape[-1]), base.dtype) if roll else None
         outs, mus, sigmas, done = [], [], [], 0
         for index, start in enumerate(starts):
@@ -198,7 +198,7 @@ class GenDTGenerator(nn.Module):
             out = base[index, :, new]
             if roll:
                 env = np.broadcast_to(batch.env[index, new], (n_draws, out.shape[1], n_env))
-                out, state, mu, sigma = self.resgen.rollout(env, out, state, collect_params)
+                out, state, mu, sigma = self.resgen.rollout(env, out, state, rng, collect_params)
                 mus.append(mu)
                 sigmas.append(sigma)
             if window_hook is not None:
@@ -211,17 +211,16 @@ class GenDTGenerator(nn.Module):
             params = {"mu": np.concatenate(mus, axis=1), "sigma": np.concatenate(sigmas, axis=1)}
         return np.concatenate(outs, axis=1), params
 
-    def _first_stage(self, batch: ModelBatch, n_draws: int, deterministic: bool) -> np.ndarray:
+    def _first_stage(self, batch: ModelBatch, n_draws: int, rng) -> np.ndarray:
         """``G_n`` + ``G_a`` output per window x draw, [W, n_draws, L, N_ch]."""
         n_windows, n_cells = batch.cell_mask.shape
         per_call = max(1, FIRST_STAGE_ROWS // (n_draws * n_cells))
-        stochastic = False if deterministic else None
         base = []
         with nn.no_grad():
             for lo in range(0, n_windows, per_call):
                 cell_x = np.repeat(batch.cell_x[lo:lo + per_call], n_draws, axis=0)
                 mask = np.repeat(batch.cell_mask[lo:lo + per_call], n_draws, axis=0)
-                h_avg = self._h_avg(cell_x, mask, stochastic)
-                base.append(self.agg_net(h_avg, stochastic=stochastic).numpy())
+                h_avg = self.h_avg(cell_x, mask, rng)
+                base.append(self.agg_net(h_avg, rng).numpy())
         base = np.concatenate(base)
         return base.reshape(n_windows, n_draws, *base.shape[1:])

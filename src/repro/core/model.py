@@ -8,9 +8,9 @@ This is the public face of the reproduction: an operator-style workflow of
 
 mirroring paper Figure 5 (input: trajectory; the model annotates it with
 network + environment context internally; output: multi-KPI time series).
-``generate`` takes no seed: its draws come from the model's own generator
-(``model.rng``), seeded by ``seed`` at construction, so each call continues
-that stream.
+Every generation method draws only from its ``rng`` argument, so a seeded
+call does not depend on what the model generated before; without one it
+continues the model's own stream (``model.rng``, seeded by ``seed``).
 """
 
 from __future__ import annotations
@@ -68,10 +68,9 @@ class GenDT:
 
     @property
     def rng(self) -> np.random.Generator:
-        """The generator that training, generation and every submodule draw from.
+        """The model's own stream, for training and for generation calls given no ``rng``.
 
-        Read-only, because the submodules hold this object: reseed it in
-        place (``model.rng.bit_generator.state = ...``).
+        Read-only: the trainer holds it, and a checkpoint restores it in place.
         """
         return self._rng
 
@@ -143,8 +142,8 @@ class GenDT:
         )
         self.trainer = GenDTTrainer(self.generator, self.config, self.rng)
         # One-shot shape-contract + gradient-flow check before any training
-        # compute; it restores all RNG streams, so it does not change what
-        # training computes.
+        # compute; it draws from its own generator, so it does not change
+        # what training computes.
         self._verify_generator()
         batches = make_minibatches(
             self._assembler(), windows, self.config.minibatch_windows, self.rng
@@ -207,17 +206,19 @@ class GenDT:
         collect_params: bool = False,
         first_stage_only: bool = False,
         window_hook: Optional[WindowHook] = None,
+        rng: Optional[np.random.Generator] = None,
     ) -> Dict[str, np.ndarray]:
         """Generate ``n_draws`` series in normalized space, in one call.
 
         The trajectory is validated, and its context windows are built,
         validated and assembled once; one
         :meth:`GenDTGenerator.generate_batch` call then generates every
-        window for all draws (see there for ``collect_params``,
-        ``first_stage_only`` and ``window_hook``, which the serving layer
-        uses for per-window deadlines and fault injection).  ``n_draws > 1``
-        consumes the RNG in a different order than as many ``n_draws=1``
-        calls would: same distribution, different values.
+        window for all draws (see there for ``collect_params`` and
+        ``window_hook``, which the serving layer uses for per-window
+        deadlines and fault injection).  Every draw comes from ``rng``
+        (default: :attr:`rng`); ``first_stage_only`` draws nothing.
+        ``n_draws > 1`` consumes the RNG in a different order than as many
+        ``n_draws=1`` calls would: same distribution, different values.
 
         Returns {"series": [n_draws, T, N_ch], and "mu"/"sigma" of the same
         shape if ``collect_params`` and ResGen ran}.
@@ -226,24 +227,26 @@ class GenDT:
         validate_trajectory(trajectory)
         windows = self.context.generation_windows(trajectory, self._batch_len(len(trajectory)))
         validate_windows(windows)
+        rng = None if first_stage_only else self.rng if rng is None else rng
         series, params = self.generator.generate_batch(
             self._assembler().assemble(windows, with_target=False),
             starts=[window.start for window in windows], n_draws=n_draws,
-            collect_params=collect_params, first_stage_only=first_stage_only,
-            window_hook=window_hook,
+            collect_params=collect_params, window_hook=window_hook, rng=rng,
         )
         return {"series": series, **(params or {})}
 
     def generate(
         self,
         trajectory: Trajectory,
+        rng: Optional[np.random.Generator] = None,
         first_stage_only: bool = False,
         window_hook: Optional[WindowHook] = None,
     ) -> np.ndarray:
         """Generate the KPI time series for a trajectory, in physical units.
 
         Returns [T, n_kpis], channels ordered as ``self.kpi_names``; values
-        are clipped to physical KPI ranges (CQI snapped to integers).
+        are clipped to physical KPI ranges (CQI snapped to integers).  The
+        draws come from ``rng`` (default: :attr:`rng`).
 
         This call is all-or-nothing: a bad trajectory raises
         :class:`~repro.runtime.errors.ContextValidationError` and a mid-run
@@ -255,16 +258,20 @@ class GenDT:
         runtime.
         """
         normalized = self.generate_normalized(
-            trajectory, first_stage_only=first_stage_only, window_hook=window_hook
+            trajectory, first_stage_only=first_stage_only, window_hook=window_hook, rng=rng
         )
         return self._physical(normalized["series"])[0]
 
-    def generate_samples(self, trajectory: Trajectory, n_samples: int) -> np.ndarray:
+    def generate_samples(
+        self, trajectory: Trajectory, n_samples: int, rng: Optional[np.random.Generator] = None
+    ) -> np.ndarray:
         """Independent generations as one batch, [n_samples, T, n_kpis]."""
-        normalized = self.generate_normalized(trajectory, n_draws=n_samples)
+        normalized = self.generate_normalized(trajectory, n_draws=n_samples, rng=rng)
         return self._physical(normalized["series"])
 
-    def generate_expected(self, trajectory: Trajectory, n_samples: int = 4) -> np.ndarray:
+    def generate_expected(
+        self, trajectory: Trajectory, n_samples: int = 4, rng: Optional[np.random.Generator] = None
+    ) -> np.ndarray:
         """Monte-Carlo estimate of the *conditional mean* KPI series.
 
         Averages several stochastic generations before clipping.  Use this
@@ -273,7 +280,7 @@ class GenDT:
         :meth:`generate` returns one stochastic draw whose sampling noise
         would propagate into the downstream prediction.
         """
-        draws = self.generate_normalized(trajectory, n_draws=n_samples)["series"]
+        draws = self.generate_normalized(trajectory, n_draws=n_samples, rng=rng)["series"]
         return self._clip(self.target_normalizer.denormalize(draws).mean(axis=0))
 
     def _physical(self, normalized: np.ndarray) -> np.ndarray:

@@ -58,17 +58,16 @@ class GnnNodeNetwork(nn.Module):
             intensity_c=config.noise_intensity_c,
             stochastic=config.use_stochastic_layers,
         )
-        self.rng = rng
 
-    def forward(self, cell_inputs: Tensor, stochastic: Optional[bool] = None) -> Tensor:
-        """``stochastic=False`` draws no noise: ``z0`` at its mean 0, no SRNN noise."""
+    def forward(self, cell_inputs: Tensor, rng: Optional[np.random.Generator] = None) -> Tensor:
+        """``rng=None`` draws no noise: ``z0`` at its mean 0, no SRNN noise."""
         rows, steps, _ = cell_inputs.shape
         # z0: denoising noise, concatenated to every step's input (§4.3.1),
         # drawn in float64 and cast to the input's dtype.
         shape = (rows, steps, self.n_noise)
-        z0 = np.zeros(shape) if stochastic is False else self.rng.normal(0.0, 1.0, size=shape)
+        z0 = np.zeros(shape) if rng is None else rng.normal(0.0, 1.0, size=shape)
         z0 = Tensor(z0.astype(cell_inputs.data.dtype, copy=False))
-        hidden, _ = self.lstm(concat([cell_inputs, z0], axis=2), stochastic=stochastic)
+        hidden, _ = self.lstm(concat([cell_inputs, z0], axis=2), rng)
         return hidden
 
 
@@ -92,8 +91,8 @@ class AggregationNetwork(nn.Module):
         )
         self.head = nn.Linear(config.hidden_size, n_channels, rng)
 
-    def forward(self, h_avg: Tensor, stochastic: Optional[bool] = None) -> Tensor:
-        hidden, _ = self.lstm(h_avg, stochastic=stochastic)
+    def forward(self, h_avg: Tensor, rng: Optional[np.random.Generator] = None) -> Tensor:
+        hidden, _ = self.lstm(h_avg, rng)
         return self.head(hidden)
 
 
@@ -153,35 +152,35 @@ class ResGen(nn.Module):
             rng,
             dropout=config.resgen_dropout,
         )
-        self.rng = rng
 
-    def distribution(self, env: Tensor, recent: Tensor) -> Tuple[Tensor, Tensor]:
-        """Gaussian parameters for a batch of timesteps.
+    def sample(
+        self, env: Tensor, recent: Tensor, rng: Optional[np.random.Generator] = None
+    ) -> Tuple[Tensor, Tensor, Tensor]:
+        """Reparameterized residual sample for a batch of timesteps.
 
         Args:
             env: normalized environment context, [..., n_env].
             recent: last ``m`` *residual* values (normalized),
                 [..., m * N_ch], oldest first.
+            rng: draws ``z1``, the dropout mask and ``eps``, in that order;
+                ``None`` draws nothing (``z1`` and ``eps`` at their mean 0,
+                no dropout, so the residual is ``mu``).
 
         Returns:
-            (mu, log_sigma), each [..., N_ch].
+            (residual, mu, log_sigma), each [..., N_ch].
         """
         noise_shape = env.shape[:-1] + (self.n_noise,)
-        z1 = Tensor(self.rng.normal(0.0, 1.0, size=noise_shape).astype(env.data.dtype, copy=False))
-        out = self.mlp(concat([env, z1, recent], axis=-1))
+        z1 = np.zeros(noise_shape) if rng is None else rng.normal(0.0, 1.0, size=noise_shape)
+        z1 = Tensor(z1.astype(env.data.dtype, copy=False))
+        out = self.mlp(concat([env, z1, recent], axis=-1), rng)
         m, n_ch = self.ar_window, self.n_channels
         gains = out[..., : m * n_ch].sigmoid() * (1.0 / m)
         log_sigma = out[..., m * n_ch :].clip(-5.0, 2.0)
         # recent is [..., m * N_ch] laid out as m blocks of N_ch (oldest
         # first); mu is the gain-weighted sum over the m lags.
         mu = (gains * recent).reshape(*env.shape[:-1], m, n_ch).sum(axis=-2)
-        return mu, log_sigma
-
-    def sample(self, env: Tensor, recent: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
-        """Reparameterized residual sample; returns (residual, mu, log_sigma)."""
-        mu, log_sigma = self.distribution(env, recent)
-        eps = Tensor(self.rng.normal(0.0, 1.0, size=mu.shape).astype(mu.data.dtype, copy=False))
-        residual = mu + log_sigma.exp() * eps
+        eps = np.zeros(mu.shape) if rng is None else rng.normal(0.0, 1.0, size=mu.shape)
+        residual = mu + log_sigma.exp() * Tensor(eps.astype(mu.data.dtype, copy=False))
         return residual, mu, log_sigma
 
     def rollout(
@@ -189,19 +188,20 @@ class ResGen(nn.Module):
         env: np.ndarray,
         base: np.ndarray,
         state: np.ndarray,
+        rng: np.random.Generator,
         collect_params: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
         """Autoregressive generation: ``sample`` step by step, on ndarrays.
 
         Step ``t`` conditions on ``env[:, t]`` and the last ``m`` residuals,
         adds the residual (clipped to +-5) to ``base[:, t]`` and appends it
-        to the residual history.  It draws, in order: ``z1`` from
-        ``self.rng.normal``, the dropout mask from the dropout layer's
-        ``rng.random`` (only while that layer is active and ``p > 0``), and
-        ``eps`` from ``self.rng.normal``.  Every array op yields exactly what
+        to the residual history.  It draws what ``sample(env_t, recent_t,
+        rng)`` draws, in order: ``z1`` with ``rng.normal``, the dropout mask
+        with ``rng.random`` (only while that layer is active and ``p > 0``),
+        and ``eps`` with ``rng.normal``.  Every array op yields exactly what
         ``sample``'s Tensor ops compute, in the parameters' dtype (draws are
         made in float64 and cast), so the output, the state and the RNG
-        streams are bit-identical to the autodiff path; no Tensor is
+        stream are bit-identical to the autodiff path; no Tensor is
         built.  Under ``repro.nn.detect_anomaly`` each step's MLP head,
         ``mu`` and residual are checked for NaN/Inf.
 
@@ -222,6 +222,7 @@ class ResGen(nn.Module):
             env: [B, L, N_env] environment context.
             base: [B, L, N_ch] first-stage (``G_n`` + ``G_a``) output.
             state: [B, m, N_ch] recent residuals, oldest first.
+            rng: the generator every draw comes from.
             collect_params: also return the per-step ``mu`` and ``sigma``.
 
         Returns:
@@ -241,11 +242,11 @@ class ResGen(nn.Module):
         output = np.empty_like(base)
         mus = np.empty_like(base) if collect_params else None
         sigmas = np.empty_like(base) if collect_params else None
-        normal = self.rng.normal
+        normal = rng.normal
         if dropout is not None:
             keep = 1.0 - dropout.p
             scale = dtype.type(1.0 / keep)
-            uniform = dropout.rng.random
+            uniform = rng.random
         inv_m = 1.0 / m
         for t in range(length):
             recent = hist[:, t:t + m].reshape(b, split)

@@ -35,10 +35,11 @@ class StochasticLSTM(nn.Module):
     """LSTM whose recurrent state is perturbed per step (GenDT SRNN layers).
 
     The whole sequence is one :func:`repro.nn.lstm_sequence` call; the
-    noise is drawn inside it from this layer's ``rng`` (see
-    :class:`repro.nn.lstm.SRNNNoise` for the draw order).  When
-    ``stochastic`` is False (or the intensity is zero) this reduces to a
-    plain LSTM — that is exactly the "No SRNN" ablation of paper Table 12.
+    noise is drawn inside it from the ``rng`` given to :meth:`forward` (see
+    :class:`repro.nn.lstm.SRNNNoise` for the draw order).  Without one, or
+    when ``stochastic`` is False (or the intensity is zero), this reduces to
+    a plain LSTM; ``stochastic=False`` is the "No SRNN" ablation of paper
+    Table 12.
     """
 
     def __init__(
@@ -56,18 +57,13 @@ class StochasticLSTM(nn.Module):
         self.intensity_h = intensity_h
         self.intensity_c = intensity_c
         self.stochastic = stochastic
-        self.rng = rng
 
     def forward(
-        self, x: Tensor, stochastic: Optional[bool] = None
+        self, x: Tensor, rng: Optional[np.random.Generator] = None
     ) -> Tuple[Tensor, Tuple[Tensor, Tensor]]:
-        """Run over a sequence ``[B, T, input_size]`` from the zero state -> ``[B, T, H]``.
-
-        ``stochastic`` overrides the module default (used to disable noise
-        for deterministic evaluation).
-        """
-        use_noise = self.stochastic if stochastic is None else stochastic
+        """Run over a sequence ``[B, T, input_size]`` from the zero state -> ``[B, T, H]``."""
         h, c = self.cell.zero_state(x.shape[0])
-        noise = SRNNNoise(self.rng, self.intensity_h, self.intensity_c) if use_noise else None
+        use_noise = self.stochastic and rng is not None
+        noise = SRNNNoise(rng, self.intensity_h, self.intensity_c) if use_noise else None
         cell = self.cell
         return lstm_sequence(x, cell.weight_ih, cell.weight_hh, cell.bias, h, c, noise=noise)

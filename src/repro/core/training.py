@@ -64,7 +64,9 @@ class GenDTTrainer:
     """Alternating generator/discriminator optimization over window batches.
 
     The discriminator is initialised in float64 and cast to the generator's
-    dtype, and :meth:`fit` casts its batches to it once.
+    dtype, and :meth:`fit` casts its batches to it once.  ``rng`` shuffles
+    the batches and is passed to every generator forward, so all of
+    training's draws come from it.
     """
 
     def __init__(
@@ -92,7 +94,7 @@ class GenDTTrainer:
     def _discriminator_step(self, batch: ModelBatch) -> float:
         assert self.discriminator is not None and self.d_optimizer is not None
         with nn.no_grad():
-            fake = self.generator.forward_teacher_forced(batch)
+            fake = self.generator.forward_teacher_forced(batch, self.rng)
             fake_series = Tensor(fake["output"].numpy())
             h_avg = Tensor(fake["h_avg"].numpy())
         real_logits = self.discriminator(Tensor(batch.target), h_avg)
@@ -107,7 +109,7 @@ class GenDTTrainer:
     def _generator_step(
         self, batch: ModelBatch, guard: Optional[HealthGuard] = None
     ) -> Dict[str, float]:
-        out = self.generator.forward_teacher_forced(batch)
+        out = self.generator.forward_teacher_forced(batch, self.rng)
         target = Tensor(batch.target)
         mse = nn.mse_loss(out["output"], target)
         loss = mse
@@ -173,7 +175,7 @@ class GenDTTrainer:
             resume_from: a checkpoint file (or a directory, resolved to its
                 newest checkpoint) to restore before training; the run then
                 continues bit-exactly where the checkpointed run stopped,
-                because the shared RNG state is restored too.
+                because the trainer's RNG state is restored too.
             checkpoint_meta: extra metadata merged into each checkpoint
                 (e.g. model-level normalizer state from :class:`GenDT`).
         """

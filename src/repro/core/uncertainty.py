@@ -15,7 +15,7 @@ dropout is on), generated as one batch of ``n_passes`` draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -40,9 +40,9 @@ class UncertaintyEstimate:
 
 
 def mc_dropout_uncertainty(
-    model: GenDT, trajectory: Trajectory, n_passes: int = 8
+    model: GenDT, trajectory: Trajectory, n_passes: int = 8, rng: Optional[np.random.Generator] = None
 ) -> UncertaintyEstimate:
-    """Estimate U(G) for one trajectory via repeated dropout-on generation."""
+    """U(G) for one trajectory via dropout-on passes drawn from ``rng`` (default: ``model.rng``)."""
     if n_passes < 2:
         raise ValueError("need at least 2 MC passes")
     model._require_fitted()
@@ -53,7 +53,7 @@ def mc_dropout_uncertainty(
     resgen.train()
     try:
         out = model.generate_normalized(
-            trajectory, n_draws=n_passes, collect_params=True
+            trajectory, n_draws=n_passes, collect_params=True, rng=rng
         )
     finally:
         resgen.train(was_training)

@@ -2,7 +2,9 @@
 
 One loop serves every fidelity table in the paper (Tables 3-8): for each
 method, generate the KPI series for every test record, compute MAE/DTW/HWD
-per KPI channel, and aggregate per scenario and overall.
+per KPI channel, and aggregate per scenario and overall.  Draw ``d`` of
+record ``i`` comes from ``np.random.default_rng([i, d])`` for every method
+alike, so a table does not depend on what the methods generated before.
 
 Evaluation sweeps share the serving layer's survival requirement: one
 record whose generation faults must not abort a multi-hour comparison.
@@ -24,8 +26,9 @@ from ..radio.simulator import DriveTestRecord
 
 logger = logging.getLogger(__name__)
 
-#: A generation method: anything with .generate(trajectory) -> [T, n_kpis].
-GenerateFn = Callable[[Trajectory], np.ndarray]
+#: A generation method, ``(trajectory, rng) -> [T, n_kpis]``: every draw
+#: comes from ``rng`` (e.g. a bound ``GenDT.generate`` or baseline ``generate``).
+GenerateFn = Callable[[Trajectory, np.random.Generator], np.ndarray]
 
 METRIC_NAMES = ("mae", "dtw", "hwd")
 
@@ -73,7 +76,8 @@ def evaluate_method(
 
     With ``n_generations > 1`` the metrics are averaged over several
     independent generations (reduces evaluation variance for stochastic
-    generators).
+    generators).  Generation ``draw`` of record ``record_index`` is given
+    ``np.random.default_rng([record_index, draw])``.
 
     ``on_error`` controls survival of individual generation failures:
     ``"raise"`` (default, historical behavior) propagates them;
@@ -88,9 +92,10 @@ def evaluate_method(
     acc: Dict[str, Dict[str, Dict[str, List[float]]]] = {}
     for record_index, record in enumerate(test_records):
         real = record.kpi_matrix(list(kpi_names))
-        for _ in range(n_generations):
+        for draw in range(n_generations):
+            rng = np.random.default_rng([record_index, draw])  # repro: noqa[SEED001] (see docstring)
             try:
-                generated = generate(record.trajectory)
+                generated = generate(record.trajectory, rng)
                 if generated.shape != real.shape:
                     raise ValueError(
                         f"{method_name} produced shape {generated.shape}, "

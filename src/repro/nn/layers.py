@@ -65,25 +65,25 @@ class Sigmoid(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout.
+    """Inverted dropout, drawing its mask from the ``rng`` given to :meth:`forward`.
 
-    Active in training mode only.  GenDT uses dropout both as a regularizer
-    inside ResGen and as an MC-dropout uncertainty probe at generation time
-    (paper §6.2.1), which puts ResGen in training mode for the probe.
+    Active in training mode only; ``rng=None`` draws nothing (the identity).
+    GenDT uses dropout both as a regularizer inside ResGen and as an
+    MC-dropout uncertainty probe at generation time (paper §6.2.1), which
+    puts ResGen in training mode for the probe.
     """
 
-    def __init__(self, p: float, rng: np.random.Generator) -> None:
+    def __init__(self, p: float) -> None:
         super().__init__()
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
-        self.rng = rng
 
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
+    def forward(self, x: Tensor, rng: Optional[np.random.Generator] = None) -> Tensor:
+        if rng is None or not self.training or self.p == 0.0:
             return x
         keep = 1.0 - self.p
-        mask = (self.rng.random(x.shape) < keep) / keep
+        mask = (rng.random(x.shape) < keep) / keep
         return x * Tensor(mask.astype(x.data.dtype, copy=False))
 
 
@@ -119,7 +119,8 @@ class MLP(Module):
 
     ``hidden`` gives the sizes of the hidden layers; an optional dropout layer
     is inserted before the final linear layer, matching the ResGen topology
-    (FC → LeakyReLU ×3 → Dropout → FC) when ``len(hidden) == 3``.
+    (FC → LeakyReLU ×3 → Dropout → FC) when ``len(hidden) == 3``.  The
+    dropout mask is drawn from the ``rng`` given to :meth:`forward`.
     """
 
     def __init__(
@@ -140,12 +141,14 @@ class MLP(Module):
             layers.append(LeakyReLU(0.2))
             prev = width
         if dropout > 0.0:
-            layers.append(Dropout(dropout, rng))
+            layers.append(Dropout(dropout))
         layers.append(Linear(prev, out_features, rng))
         self.net = Sequential(*layers)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return self.net(x)
+    def forward(self, x: Tensor, rng: Optional[np.random.Generator] = None) -> Tensor:
+        for layer in self.net:
+            x = layer(x, rng) if isinstance(layer, Dropout) else layer(x)
+        return x
 
     @property
     def dropout_layers(self) -> List[Dropout]:

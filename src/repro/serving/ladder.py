@@ -10,7 +10,7 @@ The ladder's three rungs trade fidelity for robustness:
    context conditioning, and cannot be destabilized by the autoregressive
    residual loop.  It draws no noise (SRNN sampling off, the denoising noise
    ``z0`` at its mean 0), so it is a deterministic function of the
-   trajectory and leaves the model's RNG untouched;
+   trajectory;
 3. ``fdas`` — the context-free fit-distribution-and-sample baseline
    (:class:`repro.baselines.fdas.FDaS`): statistically plausible marginals
    with no model call at all, so it also serves while the circuit breaker
@@ -88,21 +88,22 @@ class LadderExecutor:
         trajectory: Trajectory,
         level: str,
         window_hook: Optional[WindowHook] = None,
+        rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
-        """One generation attempt at ``level``; may raise or return NaNs.
+        """One generation attempt at ``level``, drawing from ``rng``; may raise or return NaNs.
 
         The caller validates the output (:func:`output_is_valid`) and
         decides whether to re-sample or demote.
         """
         if self.uses_model(level):
             return self.model.generate(
-                trajectory, first_stage_only=level == LEVEL_FIRST_STAGE,
+                trajectory, rng, first_stage_only=level == LEVEL_FIRST_STAGE,
                 window_hook=window_hook,
             )
         if level == LEVEL_FDAS:
             if self.fdas is None:
                 raise RuntimeError("no FDaS fallback configured")
-            series = self.fdas.generate(trajectory)
+            series = self.fdas.generate(trajectory, rng)
             # The fallback gets the same chaos surface as the model rungs:
             # its whole output counts as window 0 of a single draw.
             if window_hook is not None:

@@ -89,12 +89,12 @@ class ManualClock:
 class CampaignConfig:
     """Tunables for one campaign run.
 
-    ``seed`` (when set) gives request ``index`` its own streams: the model's
-    generation RNG is set in place from ``np.random.default_rng([seed,
-    index])`` and the FDaS fallback's from ``[seed, index, 1]`` before it is
-    served, and its re-samples and demotions continue them.  Its output then
-    depends only on the seed, its index and its trajectory.  Without a seed,
-    requests continue the model's own stream.
+    ``seed`` (when set) gives request ``index`` its own generator,
+    ``np.random.default_rng([seed, index])``: every ladder rung of the
+    request draws from it, its re-samples and demotions included.  Its
+    output then depends only on the seed, its index and its trajectory.
+    Without a seed, requests continue the model's and the FDaS fallback's
+    own streams.
     """
 
     trajectory_deadline_s: Optional[float] = None
@@ -244,11 +244,7 @@ class CampaignRunner:
             return quarantine(exc)
 
         seed = self.config.seed
-        if seed is not None:
-            stream = np.random.default_rng([seed, index]).bit_generator.state
-            model.rng.bit_generator.state = stream
-            if self.executor.fdas is not None:
-                self.executor.fdas.reseed([seed, index, 1])
+        rng = None if seed is None else np.random.default_rng([seed, index])
 
         # 2-4. Ladder with breaker and deadlines.
         progress = {"windows": 0}
@@ -268,9 +264,7 @@ class CampaignRunner:
                     started_s, progress, record,
                 )
                 try:
-                    series = self.executor.attempt(
-                        trajectory, level, window_hook=hook
-                    )
+                    series = self.executor.attempt(trajectory, level, window_hook=hook, rng=rng)
                 except DeadlineExceeded as exc:
                     record(
                         f"{exc.scope}_deadline", progress["windows"], level,

@@ -4,6 +4,7 @@
 step feeds ``ResGen.sample`` (the training path's autodiff forward) with the
 environment context and the last ``m`` generated residuals.  The array loop
 in ``ResGen.rollout`` must match it bit for bit, outputs and RNG draws alike.
+Every draw comes from ``rng``; ``None`` draws nothing and skips ResGen.
 Like ``generate_batch``, it computes in the generator's dtype.
 """
 
@@ -22,7 +23,7 @@ def reference_generate_batch(
     starts: Optional[Sequence[int]] = None,
     n_draws: int = 1,
     collect_params: bool = False,
-    first_stage_only: bool = False,
+    rng: Optional[np.random.Generator] = None,
 ) -> Tuple[np.ndarray, Optional[Dict[str, np.ndarray]]]:
     """Same signature (without the window hook) and result as ``GenDTGenerator.generate_batch``.
 
@@ -32,24 +33,23 @@ def reference_generate_batch(
     batch = batch.astype(generator.dtype)
     length = batch.length
     starts = range(0, batch.n_windows * length, length) if starts is None else starts
-    stochastic = False if first_stage_only else None
     with nn.no_grad():
         cell_x = np.repeat(batch.cell_x, n_draws, axis=0)
         mask = np.repeat(batch.cell_mask, n_draws, axis=0)
         rows, n_cells, _, n_feat = cell_x.shape
         flat = Tensor(cell_x.reshape(rows * n_cells, length, n_feat))
-        hidden = generator.node_net(flat, stochastic=stochastic)
+        hidden = generator.node_net(flat, rng)
         hidden = hidden.reshape(rows, n_cells, length, hidden.shape[-1])
         counts = np.maximum(mask.sum(axis=1), 1.0)[:, None, None]
         h_avg = (hidden * Tensor(mask[:, :, None, None])).sum(axis=1) * Tensor(1.0 / counts)
-        base = generator.agg_net(h_avg, stochastic=stochastic).numpy()
+        base = generator.agg_net(h_avg, rng).numpy()
         base = base.reshape(batch.n_windows, n_draws, length, base.shape[-1])
 
         n_ch = base.shape[-1]
         series = np.empty((n_draws, starts[-1] + length, n_ch), base.dtype)
         mu = np.empty_like(series)
         sigma = np.empty_like(series)
-        roll = generator.resgen is not None and not first_stage_only
+        roll = generator.resgen is not None and rng is not None
         m = generator.resgen.ar_window if roll else 0
         state = np.zeros((n_draws, m, n_ch), base.dtype)
         done = 0
@@ -59,7 +59,7 @@ def reference_generate_batch(
                 if roll:
                     env_t = Tensor(np.repeat(batch.env[index, t][None], n_draws, axis=0))
                     recent_t = Tensor(state.reshape(n_draws, m * n_ch))
-                    residual, mu_t, log_sigma = generator.resgen.sample(env_t, recent_t)
+                    residual, mu_t, log_sigma = generator.resgen.sample(env_t, recent_t, rng)
                     residual_np = np.clip(residual.numpy(), -5.0, 5.0)
                     out = out + residual_np
                     mu[:, start + t] = mu_t.numpy()

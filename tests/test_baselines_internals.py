@@ -75,9 +75,11 @@ class TestDGComponents:
         gen = _DGGenerator(n_meta=2, n_noise=3, hidden=8, n_channels=1, rng=rng)
         meta = np.zeros((1, 2))
         with nn.no_grad():
-            a = gen(meta, 10).numpy()
-            b = gen(meta, 10).numpy()
+            a = gen(meta, 10, rng).numpy()
+            b = gen(meta, 10, rng).numpy()
+            quiet = gen(meta, 10).numpy()
         assert not np.allclose(a, b)
+        np.testing.assert_array_equal(quiet, gen(meta, 10).numpy())
 
     def test_discriminator_shapes(self):
         rng = np.random.default_rng(0)

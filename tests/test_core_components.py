@@ -58,30 +58,33 @@ class TestStochasticLSTM:
         rng = np.random.default_rng(0)
         lstm = StochasticLSTM(2, 6, rng, stochastic=True)
         x = nn.Tensor(np.ones((1, 10, 2)))
-        out1, _ = lstm(x)
-        out2, _ = lstm(x)
+        out1, _ = lstm(x, rng)
+        out2, _ = lstm(x, rng)
         assert not np.allclose(out1.numpy(), out2.numpy())
 
     def test_deterministic_when_disabled(self):
         rng = np.random.default_rng(0)
         lstm = StochasticLSTM(2, 6, rng, stochastic=False)
         x = nn.Tensor(np.ones((1, 10, 2)))
-        out1, _ = lstm(x)
-        out2, _ = lstm(x)
+        state = rng.bit_generator.state
+        out1, _ = lstm(x, rng)
+        out2, _ = lstm(x, rng)
         np.testing.assert_allclose(out1.numpy(), out2.numpy())
+        assert rng.bit_generator.state == state
 
     def test_override_flag(self):
+        # A stochastic layer given no generator draws no noise.
         rng = np.random.default_rng(0)
         lstm = StochasticLSTM(2, 6, rng, stochastic=True)
         x = nn.Tensor(np.ones((1, 10, 2)))
-        out1, _ = lstm(x, stochastic=False)
-        out2, _ = lstm(x, stochastic=False)
-        np.testing.assert_allclose(out1.numpy(), out2.numpy())
+        out1, _ = lstm(x)
+        out2, _ = lstm(x)
+        np.testing.assert_array_equal(out1.numpy(), out2.numpy())
 
     def test_gradients_flow_through_noise(self):
         rng = np.random.default_rng(0)
         lstm = StochasticLSTM(2, 4, rng, stochastic=True)
-        out, _ = lstm(nn.Tensor(np.ones((1, 5, 2))))
+        out, _ = lstm(nn.Tensor(np.ones((1, 5, 2))), rng)
         out.sum().backward()
         for name, param in lstm.named_parameters():
             assert param.grad is not None, name
@@ -90,8 +93,8 @@ class TestStochasticLSTM:
         rng = np.random.default_rng(0)
         lstm = StochasticLSTM(2, 4, rng, intensity_h=0.0, intensity_c=0.0, stochastic=True)
         x = nn.Tensor(np.ones((1, 8, 2)))
-        noisy, _ = lstm(x)
-        plain, _ = lstm(x, stochastic=False)
+        noisy, _ = lstm(x, rng)
+        plain, _ = lstm(x)
         np.testing.assert_allclose(noisy.numpy(), plain.numpy(), atol=1e-9)
 
 
@@ -115,7 +118,7 @@ class TestNetworks:
         net = ResGen(26, 2, config, rng)
         env = nn.Tensor(np.ones((4, 26)))
         recent = nn.Tensor(np.ones((4, config.resgen_ar_window * 2)))
-        mu, log_sigma = net.distribution(env, recent)
+        _, mu, log_sigma = net.sample(env, recent)
         assert mu.shape == (4, 2)
         assert log_sigma.shape == (4, 2)
         assert np.all(log_sigma.numpy() <= 2.0)
@@ -125,8 +128,8 @@ class TestNetworks:
         net = ResGen(26, 2, config, rng)
         env = nn.Tensor(np.ones((4, 26)))
         recent = nn.Tensor(np.zeros((4, config.resgen_ar_window * 2)))
-        r1, _, _ = net.sample(env, recent)
-        r2, _, _ = net.sample(env, recent)
+        r1, _, _ = net.sample(env, recent, rng)
+        r2, _, _ = net.sample(env, recent, rng)
         assert not np.allclose(r1.numpy(), r2.numpy())
 
     def test_resgen_force_dropout(self, rng):

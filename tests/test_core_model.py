@@ -33,7 +33,8 @@ class TestGeneratorAssembly:
                     assert np.all(batch.cell_x[i, j] == 0)
 
     def test_h_avg_shape(self, batch, trained_gendt):
-        h = trained_gendt.generator.h_avg(batch)
+        gen = trained_gendt.generator
+        h = gen.h_avg(batch.cell_x.astype(gen.dtype), batch.cell_mask.astype(gen.dtype))
         assert h.shape == (batch.n_windows, batch.length, trained_gendt.config.hidden_size)
 
     def test_teacher_forced_output(self, batch, trained_gendt):
@@ -45,7 +46,9 @@ class TestGeneratorAssembly:
         # The batch's windows tile one series; ResGen's AR state starts at
         # zero and runs on across the window boundaries.
         gen = trained_gendt.generator
-        out, params = gen.generate_batch(batch, collect_params=True)
+        out, params = gen.generate_batch(
+            batch, collect_params=True, rng=np.random.default_rng(0)
+        )
         length = batch.length
         assert out.shape == (1, batch.n_windows * length, 2)
         assert params["mu"].shape == out.shape

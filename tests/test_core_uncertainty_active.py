@@ -32,19 +32,19 @@ class TestUncertainty:
 
     def test_probe_turns_dropout_on_in_eval_mode(self, trained_gendt, tiny_split):
         traj = tiny_split.test[0].trajectory
-        generator, rng = trained_gendt.generator, trained_gendt.rng
-        state = rng.bit_generator.state
-        in_training = mc_dropout_uncertainty(trained_gendt, traj, n_passes=3)
-        after = rng.bit_generator.state
+        generator = trained_gendt.generator
+
+        def probe():
+            return mc_dropout_uncertainty(trained_gendt, traj, 3, np.random.default_rng(5))
+
+        in_training = probe()
         generator.eval()
         try:
-            rng.bit_generator.state = state
-            in_eval = mc_dropout_uncertainty(trained_gendt, traj, n_passes=3)
+            in_eval = probe()
             assert not generator.resgen.training
             assert not any(layer.training for layer in generator.resgen.mlp.dropout_layers)
         finally:
             generator.train()
-            rng.bit_generator.state = after
         # Dropout was on in both probes: the same draws give the same estimate.
         assert in_eval.model_uncertainty > 0
         assert in_eval == in_training

@@ -21,7 +21,7 @@ from repro.eval import (
 
 
 def constant_generator(value, n_kpis=2):
-    def generate(trajectory):
+    def generate(trajectory, rng):
         return np.full((len(trajectory), n_kpis), value, dtype=float)
 
     return generate
@@ -30,7 +30,7 @@ def constant_generator(value, n_kpis=2):
 def echo_generator(record_map):
     """Perfect oracle: returns the real series (keyed by trajectory id)."""
 
-    def generate(trajectory):
+    def generate(trajectory, rng):
         return record_map[id(trajectory)]
 
     return generate
@@ -57,7 +57,7 @@ class TestHarness:
         assert result.average("rsrp", "mae") == pytest.approx(0.0, abs=1e-9)
 
     def test_shape_mismatch_caught(self, tiny_split):
-        def bad(trajectory):
+        def bad(trajectory, rng):
             return np.zeros((len(trajectory), 5))
 
         with pytest.raises(ValueError):

@@ -105,12 +105,14 @@ def test_lstm_sequence_rejects_mixed_dtypes():
 # A CI-size GenDT, float32 against float64 from one seed
 # ----------------------------------------------------------------------
 def test_initial_weights_are_the_float64_ones_rounded():
-    gens = {}
+    gens, states = {}, {}
     for dtype in (F32, F64):
+        rng = np.random.default_rng(0)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(generator_module, "COMPUTE_DTYPE", dtype)
-            gens[dtype] = GenDTGenerator(2, 28, _config(), np.random.default_rng(0))
-    assert gens[F32].rng.bit_generator.state == gens[F64].rng.bit_generator.state
+            gens[dtype] = GenDTGenerator(2, 28, _config(), rng)
+        states[dtype] = rng.bit_generator.state
+    assert states[F32] == states[F64]
     for (name, p32), (_, p64) in zip(gens[F32].named_parameters(), gens[F64].named_parameters()):
         assert p32.data.dtype == F32 and p64.data.dtype == F64, name
         np.testing.assert_array_equal(p32.data, p64.data.astype(np.float32), err_msg=name)
@@ -144,7 +146,7 @@ def test_forward_teacher_forced_matches_float64(fitted, tiny_split, srnn, grad_t
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(generator_module, "COMPUTE_DTYPE", dtype)
             gen = GenDTGenerator(2, batch.env.shape[-1], config, rng)
-        out = gen.forward_teacher_forced(batch)
+        out = gen.forward_teacher_forced(batch, rng)
         target = Tensor(batch.target.astype(dtype))
         loss = nn.mse_loss(out["output"], target) + nn.mse_loss(out["base"], target)
         loss = loss + nn.gaussian_nll(out["mu"], out["log_sigma"], target - Tensor(out["base"].numpy()))

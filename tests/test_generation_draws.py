@@ -165,8 +165,8 @@ class TestTailWindow:
 
 
 def _assert_first_stage_batched_equals_per_window(model, traj, atol):
-    # G_n and G_a for one window at a time, without noise, against the
-    # batched first stage of every window and draw.
+    # G_n and G_a for one window at a time, given no generator (so without
+    # noise), against the batched first stage of every window and draw.
     gen = model.generator
     windows = model.context.generation_windows(traj, model._batch_len(len(traj)))
     expected, done = np.empty((len(traj), 2)), 0
@@ -175,10 +175,10 @@ def _assert_first_stage_batched_equals_per_window(model, traj, atol):
             batch = model._assembler().assemble([window], with_target=False).astype(gen.dtype)
             _, n_cells, length, n_feat = batch.cell_x.shape
             flat = Tensor(batch.cell_x.reshape(n_cells, length, n_feat))
-            hidden = gen.node_net(flat, stochastic=False).numpy()
+            hidden = gen.node_net(flat).numpy()
             mask = batch.cell_mask[0]
             h_avg = (hidden * mask[:, None, None]).sum(axis=0) / max(mask.sum(), 1.0)
-            base = gen.agg_net(Tensor(h_avg[None]), stochastic=False).numpy()[0]
+            base = gen.agg_net(Tensor(h_avg[None])).numpy()[0]
             expected[done:window.start + length] = base[done - window.start:]
             done = window.start + length
     series = model.generate_normalized(traj, n_draws=2, first_stage_only=True)["series"]

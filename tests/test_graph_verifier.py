@@ -3,8 +3,8 @@
 Covers the three layers of the subsystem: the verifier itself (clean models
 pass, the seeded defect classes are caught with named module paths and
 shapes), the integration points (raise_on_error, and freedom from side
-effects — RNG streams, ``.grad`` and ``training`` flags — so fit/load-time
-verification cannot change training), and the tooling on top (verify-graph
+effects — the model's RNG stream, ``.grad`` and ``training`` flags — so
+fit/load-time verification cannot change training), and the tooling on top (verify-graph
 CLI exit codes, the SHP001 lint rule, lint --select / --ignore / --format
 json).
 """
@@ -21,7 +21,6 @@ from repro.analysis.engine import lint_file
 from repro.analysis.engine import main as lint_main
 from repro.analysis.graph import verify
 from repro.analysis.graph.registry import seeded_defects, shipped_entries
-from repro.analysis.graph.verifier import _collect_generators
 from repro.runtime.errors import GraphContractError
 
 SHIPPED = {entry.name: entry for entry in shipped_entries()}
@@ -104,12 +103,20 @@ def test_raise_on_error_raises_graph_contract_error():
     assert "mlp" in str(excinfo.value)
 
 
-def test_verify_is_free_of_rng_side_effects():
-    # fit()/load() verify the generator up front; that must not advance any
-    # seeded stream, or training becomes nondeterministic vs. the seed.  Nor
+def test_verify_is_free_of_rng_side_effects(tiny_dataset_a, tiny_split, monkeypatch):
+    # fit()/load() verify the generator up front; that must not advance the
+    # model's stream, or training becomes nondeterministic vs. the seed.  Nor
     # may it touch gradients or train/eval flags.
-    build = SHIPPED["gendt_generator"].build
-    verified, untouched = build(11), build(11)
+    def fit():
+        config = small_config(epochs=1, hidden_size=6, batch_len=20, train_step=10)
+        model = GenDT(tiny_dataset_a.region, kpis=["rsrp"], config=config, seed=3)
+        history = model.fit(tiny_split.train[:2])
+        return history.total, model.rng.bit_generator.state
+
+    verified_fit = fit()
+    monkeypatch.setattr(GenDT, "_verify_generator", lambda self: None)
+    assert fit() == verified_fit
+    verified = SHIPPED["gendt_generator"].build(11)
     params = verified.parameters()
     for i, param in enumerate(params):
         param.grad = np.full(param.shape, float(i)) if i % 2 else None
@@ -120,19 +127,22 @@ def test_verify_is_free_of_rng_side_effects():
     flags = [sub.training for sub in submodules]
     report = verify(verified)
     assert report.ok, report.format()
-    rngs_a = _collect_generators(verified)
-    rngs_b = _collect_generators(untouched)
-    assert rngs_a and len(rngs_a) == len(rngs_b)
-    for rng_a, rng_b in zip(rngs_a, rngs_b):
-        np.testing.assert_array_equal(
-            rng_a.standard_normal(8), rng_b.standard_normal(8)
-        )
     for param, grad in zip(params, grads):
         if grad is None:
             assert param.grad is None
         else:
             np.testing.assert_array_equal(param.grad, grad)
     assert [sub.training for sub in submodules] == flags
+
+
+def test_dead_parameter_of_a_stochastic_module_is_dead_not_severed():
+    # Every run draws from a fresh default_rng(0), so the perturbed re-run
+    # sees the first run's noise and an orphan parameter moves nothing.
+    module = SHIPPED["gendt_generator"].build(0)
+    module.orphan = nn.Linear(3, 3, np.random.default_rng(0))
+    report = verify(module)
+    assert sorted(report.dead_params) == ["orphan.bias", "orphan.weight"]
+    assert report.severed_params == []
 
 
 def test_verify_leaves_defect_weights_unchanged():

@@ -73,11 +73,11 @@ class TestStochasticLSTMGradients:
         x = rng.normal(size=(1, 4, 2))
 
         def loss_fn():
-            out, _ = lstm(Tensor(x), stochastic=False)
+            out, _ = lstm(Tensor(x))
             return (out * out).mean().item()
 
         lstm.zero_grad()
-        out, _ = lstm(Tensor(x), stochastic=False)
+        out, _ = lstm(Tensor(x))
         (out * out).mean().backward()
         param = lstm.cell.weight_hh
         numeric = numerical_grad_param(loss_fn, param)

@@ -169,8 +169,8 @@ class TestModules:
     def test_stochastic_lstm_matches_reference(self):
         lstm = StochasticLSTM(3, 6, np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(4, 7, 3))
-        lstm.rng = np.random.default_rng(5)
-        out, (h, c) = lstm(Tensor(x))
+        rng = np.random.default_rng(5)
+        out, (h, c) = lstm(Tensor(x), rng)
         cell = lstm.cell
         noise = SRNNNoise(np.random.default_rng(5), lstm.intensity_h, lstm.intensity_c)
         zeros = np.zeros((4, 6))
@@ -181,7 +181,7 @@ class TestModules:
         np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
         np.testing.assert_allclose(h.data, ref_h.data, rtol=0, atol=1e-12)
         np.testing.assert_allclose(c.data, ref_c.data, rtol=0, atol=1e-12)
-        assert lstm.rng.bit_generator.state == noise.rng.bit_generator.state
+        assert rng.bit_generator.state == noise.rng.bit_generator.state
 
     def test_lstm_matches_stepwise_reference(self):
         lstm = nn.LSTM(3, 5, np.random.default_rng(2))

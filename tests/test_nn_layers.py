@@ -43,39 +43,44 @@ class TestLinear:
 
 class TestDropout:
     def test_identity_in_eval(self, layer_rng):
-        drop = nn.Dropout(0.5, layer_rng)
+        drop = nn.Dropout(0.5)
         drop.eval()
         x = np.ones((100,))
-        np.testing.assert_allclose(drop(nn.Tensor(x)).numpy(), x)
+        np.testing.assert_allclose(drop(nn.Tensor(x), layer_rng).numpy(), x)
 
     def test_zeroes_in_train(self, layer_rng):
-        drop = nn.Dropout(0.5, layer_rng)
-        out = drop(nn.Tensor(np.ones(1000))).numpy()
+        drop = nn.Dropout(0.5)
+        out = drop(nn.Tensor(np.ones(1000)), layer_rng).numpy()
         zero_fraction = (out == 0).mean()
         assert 0.35 < zero_fraction < 0.65
 
     def test_inverted_scaling_preserves_mean(self, layer_rng):
-        drop = nn.Dropout(0.3, layer_rng)
-        out = drop(nn.Tensor(np.ones(20000))).numpy()
+        drop = nn.Dropout(0.3)
+        out = drop(nn.Tensor(np.ones(20000)), layer_rng).numpy()
         assert abs(out.mean() - 1.0) < 0.05
 
     def test_train_after_eval_turns_dropout_back_on(self, layer_rng):
-        drop = nn.Dropout(0.5, layer_rng)
+        drop = nn.Dropout(0.5)
         drop.eval()
         drop.train()
-        out = drop(nn.Tensor(np.ones(1000))).numpy()
+        out = drop(nn.Tensor(np.ones(1000)), layer_rng).numpy()
         assert (out == 0).any()
 
-    def test_invalid_probability(self, layer_rng):
+    def test_invalid_probability(self):
         with pytest.raises(ValueError):
-            nn.Dropout(1.0, layer_rng)
+            nn.Dropout(1.0)
         with pytest.raises(ValueError):
-            nn.Dropout(-0.1, layer_rng)
+            nn.Dropout(-0.1)
+
+    def test_no_generator_is_identity(self):
+        drop = nn.Dropout(0.5)
+        x = np.ones(10)
+        np.testing.assert_array_equal(drop(nn.Tensor(x)).numpy(), x)
 
     def test_p_zero_is_identity(self, layer_rng):
-        drop = nn.Dropout(0.0, layer_rng)
+        drop = nn.Dropout(0.0)
         x = np.ones(10)
-        np.testing.assert_allclose(drop(nn.Tensor(x)).numpy(), x)
+        np.testing.assert_allclose(drop(nn.Tensor(x), layer_rng).numpy(), x)
 
 
 class TestActivationModules:

@@ -41,7 +41,7 @@ class TestParameterRegistration:
 
 class TestModes:
     def test_train_eval_propagates(self):
-        model = nn.Sequential(nn.Linear(2, 2, make_rng()), nn.Dropout(0.5, make_rng()))
+        model = nn.Sequential(nn.Linear(2, 2, make_rng()), nn.Dropout(0.5))
         model.eval()
         assert all(not m.training for m in model.modules())
         model.train()

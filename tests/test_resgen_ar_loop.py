@@ -2,9 +2,9 @@
 
 ``GenDTGenerator.generate_batch`` runs the autoregressive ResGen loop on
 ndarrays.  It must reproduce the Tensor loop of ``tests/resgen_reference.py``
-bit for bit — outputs, ``(mu, sigma)`` and every RNG draw, with the AR state
-carried across windows — in every dropout configuration, and still report
-NaNs under ``detect_anomaly``.
+bit for bit — outputs, ``(mu, sigma)`` and every draw from the call's
+generator, with the AR state carried across windows — in every dropout
+configuration, and still report NaNs under ``detect_anomaly``.
 """
 
 import itertools
@@ -63,7 +63,12 @@ def _pair(m, p, training=True, force=False):
     return pair
 
 
-def _assert_same(new, ref, gen_new, gen_ref):
+def _streams(seed: int = 7):
+    """Two identical generators, one per side of a comparison."""
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+def _assert_same(new, ref, rng_new, rng_ref):
     series_new, params_new = new
     series_ref, params_ref = ref
     assert np.array_equal(series_new, series_ref)
@@ -72,7 +77,7 @@ def _assert_same(new, ref, gen_new, gen_ref):
     else:
         assert np.array_equal(params_new["mu"], params_ref["mu"])
         assert np.array_equal(params_new["sigma"], params_ref["sigma"])
-    assert gen_new.rng.bit_generator.state == gen_ref.rng.bit_generator.state
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 @pytest.mark.parametrize(
@@ -82,24 +87,25 @@ def _assert_same(new, ref, gen_new, gen_ref):
 def test_rollout_bit_identical_to_reference(b, m, p, training, force):
     # b windows of one trajectory, two draws: the AR state chains the windows.
     gen_new, gen_ref = _pair(m, p, training, force)
+    rng_new, rng_ref = _streams()
     batch = _batch(b)
-    new = gen_new.generate_batch(batch, n_draws=2, collect_params=True)
-    ref = reference_generate_batch(gen_ref, batch, n_draws=2, collect_params=True)
-    _assert_same(new, ref, gen_new, gen_ref)
+    new = gen_new.generate_batch(batch, n_draws=2, collect_params=True, rng=rng_new)
+    ref = reference_generate_batch(gen_ref, batch, n_draws=2, collect_params=True, rng=rng_ref)
+    _assert_same(new, ref, rng_new, rng_ref)
     # A second call continues both RNG streams alike.
-    new = gen_new.generate_batch(batch, n_draws=2, collect_params=True)
-    ref = reference_generate_batch(gen_ref, batch, n_draws=2, collect_params=True)
-    _assert_same(new, ref, gen_new, gen_ref)
+    new = gen_new.generate_batch(batch, n_draws=2, collect_params=True, rng=rng_new)
+    ref = reference_generate_batch(gen_ref, batch, n_draws=2, collect_params=True, rng=rng_ref)
+    _assert_same(new, ref, rng_new, rng_ref)
 
 
 def test_dropout_layer_with_zero_p_draws_nothing():
     gen_new, gen_ref = _pair(3, 0.2)
     for gen in (gen_new, gen_ref):
         gen.resgen.mlp.dropout_layers[0].p = 0.0
+    rng_new, rng_ref = _streams()
     batch = _batch(2)
-    _assert_same(
-        gen_new.generate_batch(batch), reference_generate_batch(gen_ref, batch), gen_new, gen_ref
-    )
+    new = gen_new.generate_batch(batch, rng=rng_new)
+    _assert_same(new, reference_generate_batch(gen_ref, batch, rng=rng_ref), rng_new, rng_ref)
 
 
 @pytest.mark.parametrize(
@@ -108,8 +114,9 @@ def test_dropout_layer_with_zero_p_draws_nothing():
         {"collect_params": False},
         # Tail window: the last window starts inside the one before it.
         {"starts": (0, LENGTH, 2 * LENGTH - 4), "collect_params": True},
-        {"first_stage_only": True},
-        {"first_stage_only": True, "n_draws": 2},
+        # No generator: the first stage alone, drawing nothing.
+        {"rng": None},
+        {"rng": None, "n_draws": 2},
         # Tail windows with fewer new samples (1, 2) than the AR window m=3.
         {"starts": (0, LENGTH, LENGTH + 1), "collect_params": True},
         {"starts": (0, LENGTH, LENGTH + 2), "collect_params": True},
@@ -117,10 +124,11 @@ def test_dropout_layer_with_zero_p_draws_nothing():
 )
 def test_generate_batch_options_unchanged(kwargs):
     gen_new, gen_ref = _pair(3, 0.2)
+    rng_new, rng_ref = _streams()
     batch = _batch(3)
-    new = gen_new.generate_batch(batch, **kwargs)
-    ref = reference_generate_batch(gen_ref, batch, **kwargs)
-    _assert_same(new, ref, gen_new, gen_ref)
+    new = gen_new.generate_batch(batch, **{"rng": rng_new, **kwargs})
+    ref = reference_generate_batch(gen_ref, batch, **{"rng": rng_ref, **kwargs})
+    _assert_same(new, ref, rng_new, rng_ref)
 
 
 @pytest.mark.parametrize("n_draws", (1, 2))
@@ -128,13 +136,14 @@ def test_short_windows_carry_the_state(n_draws):
     # Two tail windows in a row, rolling 2 and then 1 new samples (< m=3):
     # the state each returns still holds residuals of the windows before it.
     gen_new, gen_ref = _pair(3, 0.2)
+    rng_new, rng_ref = _streams()
     batch = _batch(4)
     kwargs = {
         "starts": (0, LENGTH, LENGTH + 2, LENGTH + 3), "n_draws": n_draws, "collect_params": True
     }
-    new = gen_new.generate_batch(batch, **kwargs)
-    ref = reference_generate_batch(gen_ref, batch, **kwargs)
-    _assert_same(new, ref, gen_new, gen_ref)
+    new = gen_new.generate_batch(batch, rng=rng_new, **kwargs)
+    ref = reference_generate_batch(gen_ref, batch, rng=rng_ref, **kwargs)
+    _assert_same(new, ref, rng_new, rng_ref)
 
 
 def test_rollout_bit_identical_at_paper_size():
@@ -150,10 +159,11 @@ def test_rollout_bit_identical_at_paper_size():
     assert dropout.training and dropout.p == 0.2
     assert gen_new.dtype == np.float32
     batch = _batch(1, length=config.batch_len, n_env=N_ENV_ATTRIBUTES, n_cells=config.max_cells)
+    rng_new, rng_ref = _streams()
     for _ in range(2):
-        new = gen_new.generate_batch(batch, collect_params=True)
-        ref = reference_generate_batch(gen_ref, batch, collect_params=True)
-        _assert_same(new, ref, gen_new, gen_ref)
+        new = gen_new.generate_batch(batch, collect_params=True, rng=rng_new)
+        ref = reference_generate_batch(gen_ref, batch, collect_params=True, rng=rng_ref)
+        _assert_same(new, ref, rng_new, rng_ref)
 
 
 def test_rollout_builds_no_tensors(monkeypatch):
@@ -167,7 +177,8 @@ def test_rollout_builds_no_tensors(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(Tensor, "__init__", counting_init)
-    gen.resgen.rollout(_batch(2).env, base, np.zeros((2, 3, N_CH)), collect_params=True)
+    rng = np.random.default_rng(0)
+    gen.resgen.rollout(_batch(2).env, base, np.zeros((2, 3, N_CH)), rng, collect_params=True)
     assert created == []
 
 
@@ -176,11 +187,11 @@ class TestAnomalyDetection:
         gen = _generator(3, 0.2)
         gen.resgen.mlp.net.layer0.weight.data[0, 0] = np.nan
         batch = _batch(1)
-        out, _ = gen.generate_batch(batch)  # off: silent, as the Tensor ops were
+        out, _ = gen.generate_batch(batch, rng=np.random.default_rng(0))  # off: silent
         assert np.isnan(out).any()
         with detect_anomaly():
             with pytest.raises(NumericalAnomalyError) as excinfo:
-                gen.generate_batch(batch)
+                gen.generate_batch(batch, rng=np.random.default_rng(0))
         err = excinfo.value
         assert err.op.startswith("ResGen.rollout")
         assert err.phase == "forward"
@@ -189,11 +200,12 @@ class TestAnomalyDetection:
 
     def test_check_does_not_perturb_output(self):
         gen_off, gen_on = _pair(3, 0.2)
+        rng_off, rng_on = _streams()
         batch = _batch(3)
-        off = gen_off.generate_batch(batch, collect_params=True)
+        off = gen_off.generate_batch(batch, collect_params=True, rng=rng_off)
         with detect_anomaly():
-            on = gen_on.generate_batch(batch, collect_params=True)
-        _assert_same(on, off, gen_on, gen_off)
+            on = gen_on.generate_batch(batch, collect_params=True, rng=rng_on)
+        _assert_same(on, off, rng_on, rng_off)
 
     def test_generate_raises_on_planted_nan(self, trained_gendt, tiny_split):
         weight = trained_gendt.generator.resgen.mlp.net.layer0.weight

@@ -135,7 +135,7 @@ class TestHarnessSkip:
         records = self._records(tiny_split)
         calls = {"n": 0}
 
-        def flaky_generate(trajectory):
+        def flaky_generate(trajectory, rng):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise RuntimeError("simulated generator crash")
@@ -154,7 +154,7 @@ class TestHarnessSkip:
     def test_raise_mode_is_default_and_propagates(self, tiny_split):
         records = self._records(tiny_split)
 
-        def broken_generate(trajectory):
+        def broken_generate(trajectory, rng):
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError, match="boom"):
@@ -163,7 +163,7 @@ class TestHarnessSkip:
     def test_shape_mismatch_is_skippable(self, tiny_split):
         records = self._records(tiny_split)
 
-        def wrong_shape(trajectory):
+        def wrong_shape(trajectory, rng):
             return np.zeros((len(trajectory) + 5, 2))
 
         result = evaluate_method(
@@ -175,25 +175,26 @@ class TestHarnessSkip:
     def test_invalid_on_error_rejected(self, tiny_split):
         with pytest.raises(ValueError, match="on_error"):
             evaluate_method(
-                "x", lambda t: None, [], ["rsrp"], on_error="ignore"
+                "x", lambda t, rng: None, [], ["rsrp"], on_error="ignore"
             )
 
 
-class TestFDaSReseed:
-    def test_reseed_reproduces_samples(self, tiny_split):
+class TestFDaSGenerator:
+    def test_generator_reproduces_samples(self, tiny_split):
         fdas = FDaS(kpis=["rsrp", "rsrq"], seed=0)
         fdas.fit(tiny_split.train)
         trajectory = tiny_split.test[0].trajectory
         first = fdas.generate(trajectory)
-        second = fdas.generate(trajectory)  # RNG advanced: different draw
+        second = fdas.generate(trajectory)  # own stream advanced: different draw
         assert not np.array_equal(first, second)
-        fdas.reseed(0)
-        replay = fdas.generate(trajectory)
+        # The first call drew from default_rng(0), the seed-0 model's own stream.
+        replay = fdas.generate(trajectory, np.random.default_rng(0))
         np.testing.assert_array_equal(first, replay)
 
-    def test_reseed_keeps_fits(self, tiny_split):
+    def test_generator_keeps_fits_and_own_stream(self, tiny_split):
         fdas = FDaS(kpis=["rsrp", "rsrq"], seed=0)
         fdas.fit(tiny_split.train)
-        fits_before = dict(fdas.fits)
-        fdas.reseed(99)
+        fits_before, state = dict(fdas.fits), fdas.rng.bit_generator.state
+        fdas.generate(tiny_split.test[0].trajectory, np.random.default_rng(99))
         assert fdas.fits == fits_before
+        assert fdas.rng.bit_generator.state == state

@@ -382,14 +382,25 @@ class TestPerRequestSeeds:
         with pytest.raises(AttributeError):
             trained_gendt.rng = np.random.default_rng(0)
 
-    def test_same_seed_campaigns_equal_after_an_in_place_reseed(
+    def test_seeded_campaign_ignores_the_model_streams(
         self, trained_gendt, fitted_fdas, campaign_trajectories
     ):
-        trained_gendt.rng.bit_generator.state = np.random.default_rng(11).bit_generator.state
-        first, _ = make_runner(trained_gendt, fitted_fdas, seed=5)
-        second, _ = make_runner(trained_gendt, fitted_fdas, seed=5)
-        for a, b in zip(
-            first.run(campaign_trajectories).envelopes,
-            second.run(campaign_trajectories).envelopes,
-        ):
+        # A seeded request draws from its own generator on every rung (the
+        # plan demotes request 2 to FDaS): the model's and the fallback's own
+        # streams neither shape its series nor move.
+        def run():
+            runner, _ = make_runner(trained_gendt, fitted_fdas, full_ladder_plan(), seed=5)
+            return runner.run(campaign_trajectories).envelopes
+
+        def states():
+            return trained_gendt.rng.bit_generator.state, fitted_fdas.rng.bit_generator.state
+
+        first = run()
+        trained_gendt.generate(campaign_trajectories[0])
+        fitted_fdas.generate(campaign_trajectories[0])
+        before = states()
+        second = run()
+        assert states() == before
+        assert [e.level for e in second] == ["full", "first_stage", "fdas"]
+        for a, b in zip(first, second):
             np.testing.assert_array_equal(a.series, b.series)
