@@ -18,7 +18,7 @@ import numpy as np
 from ..analysis.graph.spec import Spec, contract
 from . import init
 from .module import Module, Parameter
-from .tensor import Tensor
+from .tensor import Tensor, is_grad_enabled
 
 
 class SRNNNoise(NamedTuple):
@@ -43,8 +43,13 @@ class SRNNNoise(NamedTuple):
 
 
 def _sigmoid_(z: np.ndarray) -> np.ndarray:
-    """In-place logistic sigmoid, clipped like ``Tensor.sigmoid``."""
-    z.clip(-60.0, 60.0, out=z)
+    """In-place logistic sigmoid, with ``Tensor.sigmoid``'s bits.
+
+    ``Tensor.sigmoid`` clips its input to [-60, 60]; only the floor can
+    change a result, because ``1 + exp(-60)`` already rounds to 1 in
+    float32 and in float64, so the ceiling is left out.
+    """
+    np.maximum(z, -60.0, out=z)
     np.negative(z, out=z)
     np.exp(z, out=z)
     z += 1.0
@@ -75,16 +80,21 @@ def _unrenormalize(grad: np.ndarray, noisy: np.ndarray, scale: np.ndarray, denom
 
 
 class _Recurrence:
-    """One :func:`lstm_sequence` forward, keeping what BPTT needs.
+    """One :func:`lstm_sequence` forward, keeping what BPTT needs if asked.
 
     Arrays are time-major (``[T, B, ...]``); gates use the layout
     ``[input, forget, cell, output]`` along the last axis.  The state is
     one stacked ``[2, B, H]`` array, ``h`` then ``c``, so the SRNN noise
     renormalizes both with one call.  Every buffer has ``x``'s dtype (the
     inputs share one, see :func:`_check_inputs`).
+
+    With ``bptt`` each step's input state, ``tanh(c)`` and renormalization
+    factors are kept for :meth:`backward`.  Without it nothing per step is
+    kept: the state is renormalized in place and ``tanh(c)`` is written
+    into ``h`` before ``h *= o``, which gives the same bits.
     """
 
-    def __init__(self, x, weight_ih, weight_hh, bias, h0, c0, noise: Optional[SRNNNoise]):
+    def __init__(self, x, weight_ih, weight_hh, bias, h0, c0, noise: Optional[SRNNNoise], bptt=True):
         batch, steps, n_in = x.shape
         hidden = weight_hh.shape[1]
         self.noise = noise
@@ -99,11 +109,14 @@ class _Recurrence:
         gates += bias
         w_hh_t = np.ascontiguousarray(weight_hh.T)
         dtype = x.dtype
-        # Each step's input state: [0] is h_in [T, B, H], [1] is c_in.
-        self.state_in = np.empty((2, steps, batch, hidden), dtype)
-        self.tanh_c = np.empty((steps, batch, hidden), dtype)
+        if bptt:
+            # Each step's input state: [0] is h_in [T, B, H], [1] is c_in.
+            self.state_in = np.empty((2, steps, batch, hidden), dtype)
+            self.tanh_c = np.empty((steps, batch, hidden), dtype)
+            self.renorm: List[tuple] = []
         self.hs = np.empty((steps, batch, hidden), dtype)
         state = np.stack([h0, c0])
+        h, c = state
         if noise is not None:
             # Per step, one float64 [2, B, H] draw (h's noise, then c's),
             # cast into the compute dtype: the stream and the values of one
@@ -111,28 +124,32 @@ class _Recurrence:
             draw = np.empty((2, batch, hidden))
             uniform = draw if dtype == draw.dtype else np.empty_like(draw, dtype)
             intensity = np.array([noise.intensity_h, noise.intensity_c], dtype)[:, None, None]
-            self.renorm: List[tuple] = []
         for t in range(steps):
+            state_in = self.state_in[:, t] if bptt else state
             if noise is None:
-                self.state_in[:, t] = state
+                if bptt:
+                    state_in[...] = state
             else:
                 noise.rng.random(out=draw)
                 if uniform is not draw:
                     uniform[...] = draw
-                self.renorm.append(_renormalize(state, uniform, intensity, self.state_in[:, t]))
-            h, c = self.state_in[:, t]
+                renorm = _renormalize(state, uniform, intensity, state_in)
+                if bptt:
+                    self.renorm.append(renorm)
+            h_in, c_in = state_in
             z = gates[t]
-            z += h @ w_hh_t
+            z += h_in @ w_hh_t
             cell_gate = np.tanh(z[:, 2 * hidden : 3 * hidden])
             _sigmoid_(z)
             z[:, 2 * hidden : 3 * hidden] = cell_gate
-            np.multiply(z[:, hidden : 2 * hidden], c, out=state[1])
-            state[1] += z[:, :hidden] * cell_gate
-            np.tanh(state[1], out=self.tanh_c[t])
-            np.multiply(z[:, 3 * hidden :], self.tanh_c[t], out=state[0])
-            self.hs[t] = state[0]
+            np.multiply(z[:, hidden : 2 * hidden], c_in, out=c)
+            c += z[:, :hidden] * cell_gate
+            tanh_c = self.tanh_c[t] if bptt else h
+            np.tanh(c, out=tanh_c)
+            np.multiply(z[:, 3 * hidden :], tanh_c, out=h)
+            self.hs[t] = h
         self.gates = gates  # activations now, no longer pre-activations
-        self.c_last = state[1]
+        self.c_last = c
 
     def backward(self, d_hs, d_h, d_c, needs):
         """Gradients of ``(x, weight_ih, weight_hh, bias, h0, c0)``.
@@ -245,6 +262,10 @@ def lstm_sequence(
     Returns:
         ``(hs, (h, c))``: the hidden state at every step ``[B, T, H]`` and
         the final state.  Gradients flow from all three to all six inputs.
+        The per-step buffers BPTT needs are kept only when a gradient is
+        wanted (grad mode on and some input requires grad); under
+        :class:`repro.nn.no_grad` the forward keeps none, with the same
+        outputs and draws.
 
     Raises:
         ValueError: an input's shape does not fit ``x`` and ``weight_hh``,
@@ -253,7 +274,8 @@ def lstm_sequence(
     """
     inputs = tuple(Tensor._coerce(v) for v in (x, weight_ih, weight_hh, bias, h0, c0))
     _check_inputs(*(v.data for v in inputs))
-    run = _Recurrence(*(v.data for v in inputs), noise)
+    bptt = is_grad_enabled() and any(v.requires_grad for v in inputs)
+    run = _Recurrence(*(v.data for v in inputs), noise, bptt)
     final_grads = {}
 
     def backward(grad: np.ndarray) -> None:

@@ -50,6 +50,11 @@ class no_grad:
         _grad_enabled = self._prev
 
 
+def is_grad_enabled() -> bool:
+    """Whether ops record a graph now (False inside :class:`no_grad`)."""
+    return _grad_enabled
+
+
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
     if grad.shape == shape:

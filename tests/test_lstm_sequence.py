@@ -7,6 +7,9 @@ inputs, and the same RNG draws, so swapping it in leaves training unchanged
 up to rounding.
 """
 
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -107,6 +110,42 @@ def test_recurrence_bit_equal_to_loop_reference(dtype, batch, srnn):
         for name, got, want in zip(["x", "W_ih", "W_hh", "bias", "h0", "c0"], grads_got, grads_want):
             assert got.dtype == dtype and np.array_equal(got, want), name
     assert state == ref_state
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 5, 42, 64])
+@pytest.mark.parametrize("srnn", [False, True])
+def test_no_grad_forward_bit_equal_to_loop_reference(dtype, batch, srnn):
+    """The forward cases above, run under ``no_grad``, where the op keeps
+    no BPTT buffers: the same output, final ``(h, c)`` and RNG state."""
+    hidden, steps, n_in = 100, 20, 6
+    arrays = [a.astype(dtype) for a in _arrays(batch, steps, n_in, hidden, seed=batch)]
+    rng = np.random.default_rng(8)
+    ref = LoopRecurrence(*[a.copy() for a in arrays], SRNNNoise(rng, 0.3, 0.7) if srnn else None)
+    ref_state = rng.bit_generator.state
+    rng = np.random.default_rng(8)
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    with nn.no_grad():
+        hs, (h, c) = lstm_sequence(*tensors, noise=SRNNNoise(rng, 0.3, 0.7) if srnn else None)
+    assert hs.data.dtype == dtype and np.array_equal(hs.data, ref.hs.transpose(1, 0, 2))
+    assert np.array_equal(h.data, ref.hs[-1]) and np.array_equal(c.data, ref.c_last)
+    assert rng.bit_generator.state == ref_state
+
+
+def test_no_grad_keeps_no_bptt_buffers():
+    # State in, tanh(c) and the renormalization factors are 5 [T, B, H]
+    # arrays under grad mode; under no_grad none is allocated.
+    batch, steps, n_in, hidden = 8, 50, 6, 100
+    tensors = [Tensor(a, requires_grad=True) for a in _arrays(batch, steps, n_in, hidden)]
+    peaks = []
+    for grad_on in (True, False):
+        tracemalloc.start()
+        with contextlib.nullcontext() if grad_on else nn.no_grad():
+            lstm_sequence(*tensors, noise=SRNNNoise(np.random.default_rng(0), 2.0, 2.0))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    per_step_state = steps * batch * hidden * 8
+    assert peaks[0] - peaks[1] >= 4 * per_step_state
 
 
 def test_only_inputs_that_require_grad_get_gradients():
