@@ -195,26 +195,32 @@ class ResGen(nn.Module):
 
         Step ``t`` conditions on ``env[:, t]`` and the last ``m`` residuals,
         adds the residual (clipped to +-5) to ``base[:, t]`` and appends it
-        to the residual history.  It draws what ``sample(env_t, recent_t,
-        rng)`` draws, in order: ``z1`` with ``rng.normal``, the dropout mask
-        with ``rng.random`` (only while that layer is active and ``p > 0``),
-        and ``eps`` with ``rng.normal``.  Every array op yields exactly what
-        ``sample``'s Tensor ops compute, in the parameters' dtype (draws are
-        made in float64 and cast), so the output, the state and the RNG
-        stream are bit-identical to the autodiff path; no Tensor is
-        built.  Under ``repro.nn.detect_anomaly`` each step's MLP head,
-        ``mu`` and residual are checked for NaN/Inf.
+        to the residual history.  Before the loop the call draws the
+        window's noise, exactly what ``sample`` draws for a ``[B, L]``
+        batch: ``z1`` as ``rng.normal`` ``[B, L, N_z1]``, the dropout mask
+        as ``rng.random`` ``[B, L, W]`` (only while that layer is active and
+        ``p > 0``; ``W`` is the head's input width) and ``eps`` as
+        ``rng.normal`` ``[B, L, N_ch]``: three generator calls per window,
+        whatever ``L``.  Every array op yields exactly what ``sample``'s
+        Tensor ops compute, in the parameters' dtype (draws are made in
+        float64 and cast), so given the same noise arrays the output and
+        the state are bit-identical to ``sample`` run step by step; no
+        Tensor is built.  Under ``repro.nn.detect_anomaly`` each step's
+        MLP head, ``mu`` and residual are checked for NaN/Inf.
 
         At batch 1 a step costs what its numpy calls cost, not their
         arithmetic, so the loop makes few of them.  Two buffers are
         allocated once per call: the residual history ``[B, m + L, N_ch]``
         (step ``t`` reads rows ``t..t+m-1`` and writes row ``m + t``; the
-        new state is its last ``m`` rows) and the MLP input row
-        ``[env, z1, recent]``.  Each substitution gives the Tensor op's
-        bits: writing the float64 ``z1`` draw into the row casts it as
+        new state is its last ``m`` rows) and the time-major MLP input
+        ``[L, B, N_env + N_z1 + m * N_ch]``, whose ``env`` and ``z1``
+        columns are written once, so a step copies only its recent
+        residuals into row ``t``.  Each substitution gives the Tensor op's
+        bits: writing the float64 ``z1`` draw into the rows casts it as
         ``astype`` does; LeakyReLU is ``maximum(x, x * slope)``, exact for
         ``0 < slope <= 1`` (every ``nn.MLP`` uses 0.2), ±0 and NaN included;
-        ``ndarray.clip`` and ``np.add.reduce`` are the ufuncs behind
+        the dropout mask is ``Dropout``'s ``(u < keep) / keep`` cast to the
+        dtype; ``ndarray.clip`` and ``np.add.reduce`` are the ufuncs behind
         ``np.clip`` and ``sum`` without their Python wrappers; and adding
         ``base`` after the loop is the same elementwise sum.
 
@@ -235,32 +241,34 @@ class ResGen(nn.Module):
         b, length, n_ch = base.shape
         m, n_env, n_noise = self.ar_window, env.shape[-1], self.n_noise
         split = m * n_ch
+        # The window's noise, drawn as sample() draws it for a [B, L] batch
+        # and cast as its astype does; time-major, so each step reads a
+        # contiguous [B, ...] slice.
+        z1 = rng.normal(0.0, 1.0, size=(b, length, n_noise))
+        if dropout is not None:
+            keep = 1.0 - dropout.p
+            mask = (rng.random((b, length, head_wt.shape[0])) < keep) / keep
+            mask = mask.transpose(1, 0, 2).astype(dtype)
+        eps = rng.normal(0.0, 1.0, size=(b, length, n_ch)).transpose(1, 0, 2).astype(dtype)
+        rows = np.empty((length, b, n_env + n_noise + split), dtype)
+        rows[:, :, :n_env] = env.transpose(1, 0, 2)
+        rows[:, :, n_env:-split] = z1.transpose(1, 0, 2)
         hist = np.empty((b, m + length, n_ch), dtype)
         hist[:, :m] = state
-        row = np.empty((b, n_env + n_noise + split), dtype)
-        row_env, row_z1, row_recent = row[:, :n_env], row[:, n_env:-split], row[:, -split:]
         output = np.empty_like(base)
         mus = np.empty_like(base) if collect_params else None
         sigmas = np.empty_like(base) if collect_params else None
-        normal = rng.normal
-        if dropout is not None:
-            keep = 1.0 - dropout.p
-            scale = dtype.type(1.0 / keep)
-            uniform = rng.random
         inv_m = 1.0 / m
         for t in range(length):
             recent = hist[:, t:t + m].reshape(b, split)
-            row_env[...] = env[:, t]
-            row_z1[...] = normal(0.0, 1.0, size=(b, n_noise))
-            row_recent[...] = recent
-            x = row
+            x = rows[t]
+            x[:, -split:] = recent
             for weight_t, bias, slope in hidden:
                 x = x @ weight_t
                 x += bias
                 np.maximum(x, x * slope, out=x)
             if dropout is not None:
-                x *= uniform(x.shape) < keep
-                x *= scale
+                x *= mask[t]
             out = x @ head_wt
             out += head_b
             gains = out[:, :split].clip(-60.0, 60.0)
@@ -273,8 +281,7 @@ class ResGen(nn.Module):
             mu = np.add.reduce(gains.reshape(b, m, n_ch), axis=1)
             sigma = out[:, split:].clip(-5.0, 2.0)
             np.exp(sigma, out=sigma)
-            eps = normal(0.0, 1.0, size=mu.shape).astype(dtype, copy=False)
-            residual = mu + sigma * eps
+            residual = mu + sigma * eps[t]
             if check:
                 _check_finite(t, head=out, mu=mu, residual=residual)
             residual.clip(-5.0, 5.0, out=hist[:, m + t])

@@ -166,6 +166,50 @@ def test_rollout_bit_identical_at_paper_size():
         _assert_same(new, ref, rng_new, rng_ref)
 
 
+@pytest.mark.parametrize("b", (1, 3))
+@pytest.mark.parametrize("p", (0.0, 0.2))
+@pytest.mark.parametrize("training", (True, False))
+def test_rollout_window_draws_what_teacher_forced_sample_draws(b, p, training):
+    # One window of generation and one teacher-forced training batch over
+    # the same [B, L] shape take the same draws from the generator.
+    gen = _generator(3, p)
+    gen.train(training)
+    rng_roll, rng_sample = _streams()
+    env = _batch(b).env.astype(gen.dtype)
+    base = np.zeros((b, LENGTH, N_CH), gen.dtype)
+    gen.resgen.rollout(env, base, np.zeros((b, 3, N_CH), gen.dtype), rng_roll)
+    recent = np.zeros((b, LENGTH, 3 * N_CH), gen.dtype)
+    gen.resgen.sample(Tensor(env), Tensor(recent), rng_sample)
+    assert rng_roll.bit_generator.state == rng_sample.bit_generator.state
+
+
+class _CountingGenerator:
+    """Forwards ``normal`` and ``random`` to a generator, counting the calls."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+        self.calls = 0
+
+    def normal(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.normal(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.random(*args, **kwargs)
+
+
+@pytest.mark.parametrize("length", (1, 2, LENGTH, 50))
+@pytest.mark.parametrize("p, calls", [(0.2, 3), (0.0, 2)])
+def test_rollout_makes_three_generator_calls_per_window(length, p, calls):
+    gen = _generator(3, p)
+    rng = _CountingGenerator(np.random.default_rng(0))
+    env = _batch(2, length=length).env.astype(gen.dtype)
+    base = np.zeros((2, length, N_CH), gen.dtype)
+    gen.resgen.rollout(env, base, np.zeros((2, 3, N_CH), gen.dtype), rng)
+    assert rng.calls == calls
+
+
 def test_rollout_builds_no_tensors(monkeypatch):
     gen = _generator(3, 0.2)
     base = np.zeros((2, LENGTH, N_CH))
