@@ -4,7 +4,7 @@ Substitutes the OpenStreetMap Overpass queries: PoIs of each class are drawn
 from inhomogeneous Poisson processes whose intensity tracks urban-ness (cafes
 and shops cluster in city cores, motorway nodes follow highway corridors).
 The query the context pipeline needs is "count of each PoI class within a
-radius of a point", served by one k-d tree per class.
+radius of a point", served by one k-d tree over all classes.
 """
 
 from __future__ import annotations
@@ -41,30 +41,32 @@ _HIGHWAY_CLASSES = ("motorways", "parking")
 
 
 class PoiIndex:
-    """PoI points per class, with one k-d tree each for radius-count queries."""
+    """PoI points of every class in one k-d tree, for radius-count queries."""
 
     def __init__(self, frame: LocalFrame, points_xy: Dict[str, np.ndarray]) -> None:
         self.frame = frame
-        self._trees: Dict[str, cKDTree] = {
-            cls: cKDTree(np.asarray(points_xy.get(cls, np.zeros((0, 2))), dtype=float).reshape(-1, 2))
+        points = [
+            np.asarray(points_xy.get(cls, np.zeros((0, 2))), dtype=float).reshape(-1, 2)
             for cls in POI_CLASSES
-        }
+        ]
+        #: The PoI class of each point of ``_tree``, as its index in ``POI_CLASSES``.
+        self._class_of = np.repeat(np.arange(len(POI_CLASSES)), [len(p) for p in points])
+        self._tree = cKDTree(np.concatenate(points))
 
     def counts_within(self, lat, lon, radius_m: float) -> np.ndarray:
         """PoIs of each class within ``radius_m`` of point(s), [..., N_POI].
 
         Classes are in canonical order; a point at exactly ``radius_m`` counts.
+        One query finds every (point, PoI) pair within the radius, and one
+        ``bincount`` over (point, class) counts them.
         """
         x, y = self.frame.to_xy(lat, lon)
         centres = np.stack([np.ravel(x), np.ravel(y)], axis=1)
-        counts = np.stack(
-            [
-                self._trees[cls].query_ball_point(centres, radius_m, return_length=True)
-                for cls in POI_CLASSES
-            ],
-            axis=1,
-        ).astype(float)
-        return counts.reshape(np.shape(x) + (len(POI_CLASSES),))
+        pairs = cKDTree(centres).sparse_distance_matrix(self._tree, radius_m, output_type="ndarray")
+        n_cls = len(POI_CLASSES)
+        cells = pairs["i"] * n_cls + self._class_of[pairs["j"]]
+        counts = np.bincount(cells, minlength=len(centres) * n_cls).astype(float)
+        return counts.reshape(np.shape(x) + (n_cls,))
 
 
 def generate_pois(

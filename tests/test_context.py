@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from repro.context import (
     CellFeatureTransform,
@@ -17,8 +18,9 @@ from repro.context import (
 )
 from repro.context.extract import ENV_CELL_M
 from repro.context.normalize import P_MAX_MEAN_DBM, P_MAX_STD_DB
-from repro.geo import Trajectory, from_waypoints
+from repro.geo import LocalFrame, Trajectory, from_waypoints
 from repro.world import POI_CLASSES
+from repro.world.poi import PoiIndex
 from repro.world.attributes import N_LAND_USE
 
 
@@ -55,6 +57,21 @@ def loop_fractions_within(raster, lat, lon, radius_m):
         ]
         out[i] = block.reshape(-1, N_LAND_USE).mean(axis=0)
     return out.reshape(shape + (N_LAND_USE,))
+
+
+def loop_counts_within(pois, lat, lon, radius_m):
+    """``PoiIndex.counts_within`` as one k-d tree and one ball query per class."""
+    x, y = pois.frame.to_xy(lat, lon)
+    centres = np.stack([np.ravel(x), np.ravel(y)], axis=1)
+    points = pois._tree.data
+    counts = np.stack(
+        [
+            cKDTree(points[pois._class_of == k]).query_ball_point(centres, radius_m, return_length=True)
+            for k in range(len(POI_CLASSES))
+        ],
+        axis=1,
+    ).astype(float)
+    return counts.reshape(np.shape(x) + (len(POI_CLASSES),))
 
 
 def loop_cell_transform(frame, window, ue_lat, ue_lon):
@@ -311,13 +328,49 @@ class TestVectorisedEnvironmentQueries:
         pois = small_region.pois
         expected = np.array([
             [
-                np.count_nonzero(((pois._trees[cls].data - point) ** 2).sum(axis=1) <= self.RADIUS_M**2)
-                for cls in POI_CLASSES
+                np.count_nonzero(
+                    ((pois._tree.data[pois._class_of == k] - point) ** 2).sum(axis=1)
+                    <= self.RADIUS_M**2
+                )
+                for k in range(len(POI_CLASSES))
             ]
             for point in xy
         ])
         assert expected.sum() > 0
         assert np.array_equal(pois.counts_within(lat, lon, self.RADIUS_M), expected)
+
+
+    def test_poi_counts_match_per_class_loop(self, small_region, points):
+        _, lat, lon = points
+        pois = small_region.pois
+        got = pois.counts_within(lat, lon, self.RADIUS_M)
+        assert np.array_equal(got, loop_counts_within(pois, lat, lon, self.RADIUS_M))
+        # Query points sitting on PoIs, and the scalar and empty cases.
+        on_lat, on_lon = pois.frame.to_latlon(*pois._tree.data[::7].T)
+        assert np.array_equal(
+            pois.counts_within(on_lat, on_lon, self.RADIUS_M),
+            loop_counts_within(pois, on_lat, on_lon, self.RADIUS_M),
+        )
+        assert np.array_equal(
+            pois.counts_within(lat[0], lon[0], self.RADIUS_M),
+            loop_counts_within(pois, lat[0], lon[0], self.RADIUS_M),
+        )
+        assert pois.counts_within(np.zeros(0), np.zeros(0), self.RADIUS_M).shape == (0, len(POI_CLASSES))
+
+    def test_poi_at_exactly_the_radius_counts(self):
+        frame = LocalFrame(51.5, -0.1)
+        radius = self.RADIUS_M
+        just_out = np.nextafter(radius, np.inf)
+        points = {
+            POI_CLASSES[0]: np.array([[radius, 0.0], [0.0, -radius], [just_out, 0.0]]),
+            POI_CLASSES[3]: np.array([[-radius, 0.0], [0.0, just_out]]),
+            POI_CLASSES[-1]: np.array([[0.0, 0.0]]),
+        }
+        pois = PoiIndex(frame, points)
+        want = np.zeros(len(POI_CLASSES))
+        want[[0, 3, -1]] = [2, 1, 1]
+        assert np.array_equal(pois.counts_within(frame.lat0, frame.lon0, radius), want)
+        assert np.array_equal(loop_counts_within(pois, frame.lat0, frame.lon0, radius), want)
 
 
 class TestContextBuilder:
