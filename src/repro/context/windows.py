@@ -96,6 +96,7 @@ class ContextBuilder:
         distances = self.network.distances(trajectory)
         env = self.environment.features(trajectory)
         speeds = trajectory.speeds_mps()
+        interval_s = trajectory.sample_interval_s or 1.0
         eff_length = min(length, len(trajectory))
         windows: List[ContextWindow] = []
         for start in window_starts(len(trajectory), eff_length, step):
@@ -113,7 +114,7 @@ class ContextBuilder:
                     ue_lat=trajectory.lat[start:stop],
                     ue_lon=trajectory.lon[start:stop],
                     ue_speed=speeds[start:stop],
-                    interval_s=trajectory.sample_interval_s or 1.0,
+                    interval_s=interval_s,
                     scenario=trajectory.scenario,
                     target=None if target_matrix is None else target_matrix[start:stop],
                 )
