@@ -16,10 +16,10 @@ from .networks import AggregationNetwork, GnnNodeNetwork, ResGen
 
 #: Most ``G_n`` rows (windows x draws x ``max_cells``) one first-stage call
 #: takes at generation; a call takes whole windows, at least one.  Cost per
-#: row bottoms out near here, and larger calls grow peak memory: the LSTM
-#: keeps its per-step buffers even under ``no_grad``, at H=100 and L=50
-#: about 0.2 MB per row in float32, so about 20 MB for a full call (float64
-#: doubles both).
+#: row bottoms out near here, and larger calls grow peak memory.  Under
+#: ``no_grad`` the LSTM keeps no BPTT buffers, but still holds every step's
+#: gates and outputs: at H=100 and L=50 a call peaks at about 0.13 MB per
+#: row in float32, so about 12 MB for a full call (float64 doubles both).
 FIRST_STAGE_ROWS = 96
 
 #: The dtype GenDT's generator and discriminator compute in: parameters,
