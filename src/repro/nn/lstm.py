@@ -126,16 +126,15 @@ class _Recurrence:
             intensity = np.array([noise.intensity_h, noise.intensity_c], dtype)[:, None, None]
         for t in range(steps):
             state_in = self.state_in[:, t] if bptt else state
-            if noise is None:
-                if bptt:
-                    state_in[...] = state
-            else:
+            if noise is not None:
                 noise.rng.random(out=draw)
                 if uniform is not draw:
                     uniform[...] = draw
                 renorm = _renormalize(state, uniform, intensity, state_in)
                 if bptt:
                     self.renorm.append(renorm)
+            elif bptt:
+                state_in[...] = state
             h_in, c_in = state_in
             z = gates[t]
             z += h_in @ w_hh_t
