@@ -1,7 +1,8 @@
 """The pinned-seed scenario behind the golden fixtures.
 
 One CI-size world, one 2-epoch fit and the model's generation entry points,
-each reduced to the arrays a behaviour change would move.  A second small
+each reduced to the arrays a behaviour change would move, plus the series
+of two 1-epoch fits with the SRNN layers off and at noise intensity 0.  A second small
 Dataset-A build (with QoE) pins the models other than GenDT: the §5.2
 baselines' ``generate`` and the use-case predictors' ``predict``, each fit
 for 1-3 epochs at hidden widths of at most 8.  ``compute()`` returns them as
@@ -22,6 +23,7 @@ in CHANGES.md)::
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict
 from unittest import mock
@@ -94,6 +96,20 @@ def _compute() -> Dict[str, np.ndarray]:
     model.rng.bit_generator.state = np.random.default_rng(13).bit_generator.state
     estimate = mc_dropout_uncertainty(model, routes[2], n_passes=4)
     out["mc_dropout"] = np.array([estimate.model_uncertainty, estimate.data_uncertainty])
+
+    # The two other branches of the SRNN noise: layers off (Table 12's "No
+    # SRNN"), and layers on at intensity 0 (§A.3's a = 0), which still draws
+    # the noise but adds none of it.
+    variants = {
+        "no_srnn": dict(use_stochastic_layers=False),
+        "srnn_zero_intensity": dict(noise_intensity_h=0.0, noise_intensity_c=0.0),
+    }
+    for name, overrides in variants.items():
+        variant = GenDT(
+            dataset.region, kpis=KPIS, config=replace(config, epochs=1, **overrides), seed=3
+        )
+        variant.fit(dataset.records)
+        out[f"{name}.generate"] = variant.generate(routes[0], rng=np.random.default_rng(17))
     return out
 
 

@@ -4,7 +4,8 @@ The fixtures in ``tests/golden/expected.json`` hold a 2-epoch loss curve, a
 per-parameter weight summary, the series of ``generate``,
 ``generate_samples(n=3)``, a 4-route ``CampaignRunner.run`` and
 ``mc_dropout_uncertainty``, and the campaign's DTW/HWD against simulated
-truth.  They also hold the outputs of the models other than GenDT: the MLP,
+truth, and the ``generate`` series of two 1-epoch fits, one with the SRNN
+layers off and one with them on at noise intensity 0.  They also hold the outputs of the models other than GenDT: the MLP,
 LSTM-GNN and both DoppelGANger baselines' ``generate``, and the QoE,
 cell-load and link-bandwidth predictors' ``predict``.  A change that moves any of them must re-pin the fixtures (see
 ``tests/golden/scenario.py``) and name the cause in CHANGES.md.
