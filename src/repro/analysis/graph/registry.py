@@ -33,7 +33,6 @@ from ...core.networks import (
     GnnNodeNetwork,
     ResGen,
 )
-from ...core.stochastic_lstm import StochasticLSTM
 from .spec import Spec, contract
 
 __all__ = ["DefectEntry", "RegistryEntry", "seeded_defects", "shipped_entries"]
@@ -66,13 +65,10 @@ def shipped_entries() -> List[RegistryEntry]:
             "mlp", "nn.MLP with dropout",
             lambda rng: nn.MLP(12, [16, 8], 4, rng, dropout=0.2),
         ),
-        RegistryEntry(
-            "lstm_cell", "nn.LSTMCell single step", lambda rng: nn.LSTMCell(9, 14, rng)
-        ),
         RegistryEntry("lstm", "nn.LSTM over a sequence", lambda rng: nn.LSTM(9, 14, rng)),
         RegistryEntry(
             "stochastic_lstm", "GenDT SRNN layer (noise-injected LSTM)",
-            lambda rng: StochasticLSTM(9, 14, rng),
+            lambda rng: nn.LSTM(9, 14, rng, srnn=(2.0, 2.0)),
         ),
         RegistryEntry(
             "gnn_node", "G_n node network",

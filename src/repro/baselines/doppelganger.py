@@ -70,8 +70,7 @@ class _DGGenerator(nn.Module):
         shape = (b, length, self.n_noise)
         noise = np.zeros(shape) if rng is None else rng.normal(0.0, 1.0, size=shape)
         inputs = Tensor(np.concatenate([meta_seq, noise], axis=2))
-        hidden, _ = self.lstm(inputs)
-        return self.head(hidden)
+        return self.head(self.lstm(inputs))
 
 
 @contract(
@@ -95,7 +94,7 @@ class _DGDiscriminator(nn.Module):
         b, length, _ = series.shape
         meta_seq = np.broadcast_to(metadata[:, None, :], (b, length, metadata.shape[1]))
         joined = concat([series, Tensor(meta_seq)], axis=2)
-        hidden, _ = self.lstm(joined)
+        hidden = self.lstm(joined)
         return self.head(hidden[:, -1, :])
 
 

@@ -46,10 +46,9 @@ class _LstmGnnNet(nn.Module):
         """cell_x [B, N, L, F], mask [B, N] -> predictions [B, L, C]."""
         b, n_cells, length, n_feat = cell_x.shape
         flat = Tensor(cell_x.reshape(b * n_cells, length, n_feat))
-        hidden, _ = self.node_lstm(flat)
+        hidden = self.node_lstm(flat)
         h_avg = mean_over_cells(hidden.reshape(b, n_cells, length, hidden.shape[-1]), cell_mask)
-        out, _ = self.agg_lstm(h_avg)
-        return self.head(out)
+        return self.head(self.agg_lstm(h_avg))
 
 
 class LSTMGNNBaseline(ContextEncodingMixin, BaselineModel):

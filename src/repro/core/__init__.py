@@ -1,7 +1,6 @@
 """GenDT core: the paper's conditional deep generative model."""
 
 from .config import GenDTConfig, small_config
-from .stochastic_lstm import StochasticLSTM
 from .networks import AggregationNetwork, Discriminator, GnnNodeNetwork, ResGen
 from .features import ModelBatch, WindowAssembler, recent_values_matrix
 from .generator import GenDTGenerator
@@ -13,7 +12,6 @@ from .active import ActiveLearningResult, ActiveLearningStep, run_active_learnin
 __all__ = [
     "GenDTConfig",
     "small_config",
-    "StochasticLSTM",
     "GnnNodeNetwork",
     "AggregationNetwork",
     "ResGen",

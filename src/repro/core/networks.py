@@ -29,14 +29,20 @@ from ..analysis.graph.spec import Spec, contract
 from ..nn.anomaly import NumericalAnomalyError, annotate_module, is_anomaly_enabled
 from ..nn.tensor import Tensor, concat
 from .config import GenDTConfig
-from .stochastic_lstm import StochasticLSTM
+
+
+def _srnn(config: GenDTConfig) -> Optional[Tuple[float, float]]:
+    """``G_n``'s and ``G_a``'s SRNN intensities ``(a_h, a_c)``, or None with the layers off."""
+    if not config.use_stochastic_layers:
+        return None
+    return config.noise_intensity_h, config.noise_intensity_c
 
 
 @contract(
     inputs={"cell_inputs": Spec("R", "L", "F")},
     outputs=Spec("R", "L", "H"),
     dims={
-        "F": lambda m: m.lstm.cell.input_size - m.n_noise,
+        "F": lambda m: m.lstm.input_size - m.n_noise,
         "H": "lstm.hidden_size",
     },
 )
@@ -50,14 +56,7 @@ class GnnNodeNetwork(nn.Module):
     def __init__(self, n_features: int, config: GenDTConfig, rng: np.random.Generator) -> None:
         super().__init__()
         self.n_noise = config.n_noise_node
-        self.lstm = StochasticLSTM(
-            n_features + self.n_noise,
-            config.hidden_size,
-            rng,
-            intensity_h=config.noise_intensity_h,
-            intensity_c=config.noise_intensity_c,
-            stochastic=config.use_stochastic_layers,
-        )
+        self.lstm = nn.LSTM(n_features + self.n_noise, config.hidden_size, rng, _srnn(config))
 
     def forward(self, cell_inputs: Tensor, rng: Optional[np.random.Generator] = None) -> Tensor:
         """``rng=None`` draws no noise: ``z0`` at its mean 0, no SRNN noise."""
@@ -67,8 +66,7 @@ class GnnNodeNetwork(nn.Module):
         shape = (rows, steps, self.n_noise)
         z0 = np.zeros(shape) if rng is None else rng.normal(0.0, 1.0, size=shape)
         z0 = Tensor(z0.astype(cell_inputs.data.dtype, copy=False))
-        hidden, _ = self.lstm(concat([cell_inputs, z0], axis=2), rng)
-        return hidden
+        return self.lstm(concat([cell_inputs, z0], axis=2), rng)
 
 
 @contract(
@@ -81,19 +79,11 @@ class AggregationNetwork(nn.Module):
 
     def __init__(self, n_channels: int, config: GenDTConfig, rng: np.random.Generator) -> None:
         super().__init__()
-        self.lstm = StochasticLSTM(
-            config.hidden_size,
-            config.hidden_size,
-            rng,
-            intensity_h=config.noise_intensity_h,
-            intensity_c=config.noise_intensity_c,
-            stochastic=config.use_stochastic_layers,
-        )
+        self.lstm = nn.LSTM(config.hidden_size, config.hidden_size, rng, _srnn(config))
         self.head = nn.Linear(config.hidden_size, n_channels, rng)
 
     def forward(self, h_avg: Tensor, rng: Optional[np.random.Generator] = None) -> Tensor:
-        hidden, _ = self.lstm(h_avg, rng)
-        return self.head(hidden)
+        return self.head(self.lstm(h_avg, rng))
 
 
 @contract(
@@ -341,6 +331,6 @@ class Discriminator(nn.Module):
 
     def forward(self, series: Tensor, h_avg: Tensor) -> Tensor:
         """Logits [B, 1] for a batch of (series [B, L, N_ch], h_avg [B, L, H])."""
-        hidden, _ = self.lstm(concat([series, h_avg], axis=2))
+        hidden = self.lstm(concat([series, h_avg], axis=2))
         last = hidden[:, -1, :]
         return self.head(last)

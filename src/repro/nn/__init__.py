@@ -11,7 +11,7 @@ from .tensor import Tensor, concat, no_grad, stack
 from .anomaly import NumericalAnomalyError, detect_anomaly, is_anomaly_enabled
 from .module import Module, Parameter
 from .layers import MLP, Dropout, LeakyReLU, Linear, Sequential, Sigmoid
-from .lstm import LSTM, LSTMCell, SRNNNoise, lstm_sequence
+from .lstm import LSTM, SRNNNoise, lstm_sequence
 from .optim import Adam, Optimizer, fit_mse
 from .losses import (
     bce_with_logits,
@@ -39,7 +39,6 @@ __all__ = [
     "Sequential",
     "MLP",
     "LSTM",
-    "LSTMCell",
     "SRNNNoise",
     "lstm_sequence",
     "Optimizer",

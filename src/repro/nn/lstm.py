@@ -1,12 +1,12 @@
-"""LSTM cells and sequence modules, built on one fused recurrent op.
+"""The LSTM module, built on one fused recurrent op.
 
-:func:`lstm_sequence` runs a whole LSTM recurrence as a single autodiff
-node: a numpy forward loop that keeps each step's gates, and a hand-written
-backward pass through time (BPTT).  It is the only LSTM code path:
-:class:`LSTMCell` is its one-step case, :class:`LSTM` (the discriminator,
-the LSTM-GNN and DoppelGANger baselines) calls it once per sequence, and
-GenDT's stochastic variant (SRNN layers, paper §4.3.4 and §A.2, in
-:mod:`repro.core.stochastic_lstm`) calls it with :class:`SRNNNoise`.
+:func:`lstm_sequence` runs a whole LSTM recurrence from the zero state as a
+single autodiff node: a numpy forward loop that keeps each step's gates, and
+a hand-written backward pass through time (BPTT).  :class:`LSTM` is the one
+module over it.  Plain, it is the discriminator's LSTM and the LSTM-GNN and
+DoppelGANger baselines'.  Built with ``srnn=(a_h, a_c)``, it is GenDT's
+stochastic layer (SRNN, paper §4.3.4 and §A.2), which passes
+:class:`SRNNNoise` to the op.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class _Recurrence:
     into ``h`` before ``h *= o``, which gives the same bits.
     """
 
-    def __init__(self, x, weight_ih, weight_hh, bias, h0, c0, noise: Optional[SRNNNoise], bptt=True):
+    def __init__(self, x, weight_ih, weight_hh, bias, noise: Optional[SRNNNoise], bptt=True):
         batch, steps, n_in = x.shape
         hidden = weight_hh.shape[1]
         self.noise = noise
@@ -115,7 +115,7 @@ class _Recurrence:
             self.tanh_c = np.empty((steps, batch, hidden), dtype)
             self.renorm: List[tuple] = []
         self.hs = np.empty((steps, batch, hidden), dtype)
-        state = np.stack([h0, c0])
+        state = np.zeros((2, batch, hidden), dtype)
         h, c = state
         if noise is not None:
             # Per step, one float64 [2, B, H] draw (h's noise, then c's),
@@ -148,14 +148,13 @@ class _Recurrence:
             np.multiply(z[:, 3 * hidden :], tanh_c, out=h)
             self.hs[t] = h
         self.gates = gates  # activations now, no longer pre-activations
-        self.c_last = c
 
-    def backward(self, d_hs, d_h, d_c, needs):
-        """Gradients of ``(x, weight_ih, weight_hh, bias, h0, c0)``.
+    def backward(self, d_hs, needs):
+        """Gradients of ``(x, weight_ih, weight_hh, bias)``.
 
-        ``d_hs`` is the gradient of the ``[B, T, H]`` output and ``d_h``,
-        ``d_c`` those of the final state (any may be None).  ``needs`` flags
-        the inputs whose gradient is wanted; the others come back as None.
+        ``d_hs`` is the gradient of the ``[B, T, H]`` output.  ``needs``
+        flags the inputs whose gradient is wanted; the others come back as
+        None.
         """
         steps, batch, hidden = self.hs.shape
         dtype = self.hs.dtype
@@ -170,18 +169,13 @@ class _Recurrence:
         np.multiply(i, 1.0 - g * g, out=k_gates[:, :, 2])
         np.multiply(self.tanh_c, o * (1.0 - o), out=k_gates[:, :, 3])
         k_c = o * (1.0 - self.tanh_c * self.tanh_c)
-        d_out = None if d_hs is None else d_hs.transpose(1, 0, 2)
+        d_out = d_hs.transpose(1, 0, 2)
         # The stacked [d_h, d_c]; each step updates its d_h and d_c views.
         d_state = np.zeros((2, batch, hidden), dtype)
-        if d_h is not None:
-            d_state[0] = d_h
-        if d_c is not None:
-            d_state[1] = d_c
         d_gates = np.empty((steps, batch, 4, hidden), dtype)
         for t in range(steps - 1, -1, -1):
             d_h, d_c = d_state
-            if d_out is not None:
-                d_h += d_out[t]
+            d_h += d_out[t]
             d_c += d_h * k_c[t]
             np.multiply(d_c[:, None, :], k_gates[t, :, :3], out=d_gates[t, :, :3])
             np.multiply(d_h, k_gates[t, :, 3], out=d_gates[t, :, 3])
@@ -199,10 +193,10 @@ class _Recurrence:
             d_w_hh = flat.T @ h_in.reshape(steps * batch, hidden)
         if needs[3]:
             d_bias = flat.sum(axis=0)
-        return d_x, d_w_ih, d_w_hh, d_bias, d_state[0], d_state[1]
+        return d_x, d_w_ih, d_w_hh, d_bias
 
 
-def _check_inputs(x, weight_ih, weight_hh, bias, h0, c0) -> None:
+def _check_inputs(x, weight_ih, weight_hh, bias) -> None:
     """Raise ValueError naming the first :func:`lstm_sequence` input that does not fit.
 
     The inputs must fit ``x`` and ``weight_hh`` in shape and share ``x``'s
@@ -213,14 +207,12 @@ def _check_inputs(x, weight_ih, weight_hh, bias, h0, c0) -> None:
             f"lstm_sequence: x must be [B, T, I] and weight_hh [4H, H], "
             f"got x {list(x.shape)} and weight_hh {list(weight_hh.shape)}"
         )
-    batch, _, n_in = x.shape
+    n_in = x.shape[2]
     hidden = weight_hh.shape[1]
     expected = {
         "weight_ih": (weight_ih, (4 * hidden, n_in)),
         "weight_hh": (weight_hh, (4 * hidden, hidden)),
         "bias": (bias, (4 * hidden,)),
-        "h0": (h0, (batch, hidden)),
-        "c0": (c0, (batch, hidden)),
     }
     for name, (value, want) in expected.items():
         if value.shape != want:
@@ -232,26 +224,17 @@ def _check_inputs(x, weight_ih, weight_hh, bias, h0, c0) -> None:
         if value.dtype != x.dtype:
             raise ValueError(
                 f"lstm_sequence: {name} is {value.dtype}, but x is {x.dtype}; "
-                f"all six inputs must share one dtype"
+                f"all four inputs must share one dtype"
             )
 
 
-def lstm_sequence(
-    x,
-    weight_ih,
-    weight_hh,
-    bias,
-    h0,
-    c0,
-    noise: Optional[SRNNNoise] = None,
-) -> Tuple[Tensor, Tuple[Tensor, Tensor]]:
-    """Run an LSTM over a whole sequence as one differentiable op.
+def lstm_sequence(x, weight_ih, weight_hh, bias, noise: Optional[SRNNNoise] = None) -> Tensor:
+    """Run an LSTM over a whole sequence, from the zero state, as one differentiable op.
 
     Args:
         x: inputs ``[B, T, I]``.
         weight_ih: ``[4H, I]``, weight_hh: ``[4H, H]``, bias: ``[4H]``, with
             gates ``[input, forget, cell, output]`` along the first axis.
-        h0, c0: initial state, each ``[B, H]``.
         noise: SRNN state noise, or None for a plain LSTM.  With noise,
             each step makes one ``noise.rng.random`` draw of ``[2, B, H]``
             float64 values before it runs, ``h``'s noise then ``c``'s: the
@@ -259,66 +242,63 @@ def lstm_sequence(
             and then one for ``c`` before every step.
 
     Returns:
-        ``(hs, (h, c))``: the hidden state at every step ``[B, T, H]`` and
-        the final state.  Gradients flow from all three to all six inputs.
-        The per-step buffers BPTT needs are kept only when a gradient is
-        wanted (grad mode on and some input requires grad); under
-        :class:`repro.nn.no_grad` the forward keeps none, with the same
-        outputs and draws.
+        ``hs``, the hidden state at every step ``[B, T, H]``.  Gradients
+        flow from it to all four inputs.  The per-step buffers BPTT needs
+        are kept only when a gradient is wanted (grad mode on and some
+        input requires grad); under :class:`repro.nn.no_grad` the forward
+        keeps none, with the same outputs and draws.
 
     Raises:
         ValueError: an input's shape does not fit ``x`` and ``weight_hh``,
             or its dtype is not ``x``'s; the message names the input (e.g.
             ``weight_ih``).
     """
-    inputs = tuple(Tensor._coerce(v) for v in (x, weight_ih, weight_hh, bias, h0, c0))
+    inputs = tuple(Tensor._coerce(v) for v in (x, weight_ih, weight_hh, bias))
     _check_inputs(*(v.data for v in inputs))
     bptt = is_grad_enabled() and any(v.requires_grad for v in inputs)
     run = _Recurrence(*(v.data for v in inputs), noise, bptt)
-    final_grads = {}
 
     def backward(grad: np.ndarray) -> None:
         needs = [v.requires_grad for v in inputs]
-        grads = run.backward(grad, final_grads.pop("h", None), final_grads.pop("c", None), needs)
-        for tensor, need, value in zip(inputs, needs, grads):
+        for tensor, need, value in zip(inputs, needs, run.backward(grad, needs)):
             if need:
                 tensor._accumulate(value)
 
-    hs = inputs[0]._make(np.ascontiguousarray(run.hs.transpose(1, 0, 2)), inputs, backward)
-
-    def final_backward(key: str):
-        def store(grad: np.ndarray) -> None:
-            final_grads[key] = grad
-            if hs.grad is None:  # make sure the sequence node still runs BPTT
-                hs.grad = np.zeros_like(hs.data)
-
-        return store
-
-    h = hs._make(run.hs[-1].copy(), (hs,), final_backward("h"))
-    c = hs._make(run.c_last, (hs,), final_backward("c"))
-    return hs, (h, c)
+    return inputs[0]._make(np.ascontiguousarray(run.hs.transpose(1, 0, 2)), inputs, backward)
 
 
 @contract(
-    inputs={
-        "x": Spec("B", "I"),
-        "state": (Spec("B", "H"), Spec("B", "H")),
-    },
-    outputs=(Spec("B", "H"), Spec("B", "H")),
+    inputs={"x": Spec("B", "T", "I")},
+    outputs=Spec("B", "T", "H"),
     dims={"I": "input_size", "H": "hidden_size"},
 )
-class LSTMCell(Module):
-    """Single LSTM cell with fused gate weights: :func:`lstm_sequence` with T=1.
+class LSTM(Module):
+    """Unidirectional single-layer LSTM over a full sequence, from the zero state.
 
-    Gate layout along the output dimension is ``[input, forget, cell, output]``.
-    The forget-gate bias is initialized to 1, the standard trick to ease
-    gradient flow early in training.
+    Input is ``[B, T, input_size]``; output is ``[B, T, hidden_size]``, the
+    hidden state at every step.  Gate layout along the weights' first axis
+    is ``[input, forget, cell, output]``; the forget-gate bias starts at 1,
+    the standard trick to ease gradient flow early in training.
+
+    With ``srnn=(intensity_h, intensity_c)`` this is GenDT's stochastic
+    layer (paper §4.3.4 and §A.2): :meth:`forward` given an ``rng`` adds
+    :class:`SRNNNoise` drawn from it to the state before every step.
+    Without ``srnn`` (Table 12's "No SRNN" ablation) or without an ``rng``
+    it is a plain LSTM and draws nothing.  Intensity 0 still draws the
+    noise and adds none of it.
     """
 
-    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator) -> None:
+    def __init__(
+        self,
+        input_size: int,
+        hidden_size: int,
+        rng: np.random.Generator,
+        srnn: Optional[Tuple[float, float]] = None,
+    ) -> None:
         super().__init__()
         self.input_size = input_size
         self.hidden_size = hidden_size
+        self.srnn = srnn
         self.weight_ih = Parameter(init.xavier_uniform((4 * hidden_size, input_size), rng))
         self.weight_hh = Parameter(
             np.concatenate(
@@ -329,41 +309,8 @@ class LSTMCell(Module):
         bias[hidden_size : 2 * hidden_size] = 1.0
         self.bias = Parameter(bias)
 
-    def forward(
-        self, x: Tensor, state: Tuple[Tensor, Tensor]
-    ) -> Tuple[Tensor, Tensor]:
-        """Advance one step: ``x`` is ``[B, input_size]``; returns ``(h, c)``."""
-        h_prev, c_prev = state
-        step = x.reshape(x.shape[0], 1, self.input_size)
-        _, (h, c) = lstm_sequence(step, self.weight_ih, self.weight_hh, self.bias, h_prev, c_prev)
-        return h, c
-
-    def zero_state(self, batch_size: int) -> Tuple[Tensor, Tensor]:
-        """Zero ``(h, c)``, each [batch_size, hidden_size], in the weights' dtype."""
-        zeros = np.zeros((batch_size, self.hidden_size), self.weight_hh.data.dtype)
-        return Tensor(zeros), Tensor(zeros.copy())
-
-
-@contract(
-    inputs={"x": Spec("B", "T", "I")},
-    outputs=(Spec("B", "T", "H"), (Spec("B", "H"), Spec("B", "H"))),
-    dims={"I": "input_size", "H": "hidden_size"},
-)
-class LSTM(Module):
-    """Unidirectional single-layer LSTM over a full sequence.
-
-    Input is ``[B, T, input_size]``, starting from the zero state; output
-    is ``[B, T, hidden_size]`` (the hidden state at every step) plus the
-    final ``(h, c)``.
-    """
-
-    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator) -> None:
-        super().__init__()
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.cell = LSTMCell(input_size, hidden_size, rng)
-
-    def forward(self, x: Tensor) -> Tuple[Tensor, Tuple[Tensor, Tensor]]:
-        cell = self.cell
-        h, c = cell.zero_state(x.shape[0])
-        return lstm_sequence(x, cell.weight_ih, cell.weight_hh, cell.bias, h, c)
+    def forward(self, x: Tensor, rng: Optional[np.random.Generator] = None) -> Tensor:
+        noise = None
+        if self.srnn is not None and rng is not None:
+            noise = SRNNNoise(rng, *self.srnn)
+        return lstm_sequence(x, self.weight_ih, self.weight_hh, self.bias, noise)

@@ -1,7 +1,7 @@
 """References for :func:`repro.nn.lstm_sequence`.
 
-The LSTM built step by step from ``Tensor`` ops, with the SRNN noise of
-paper §4.3.4 applied before every step.  Its gradients come from the
+The LSTM built step by step from ``Tensor`` ops, from the zero state, with
+the SRNN noise of paper §4.3.4 applied before every step.  Its gradients come from the
 generic autodiff engine, so the fused op's hand-written BPTT is checked
 against it, as are its forward values and its RNG draws.
 
@@ -14,8 +14,8 @@ difference of the frozen function is the derivative the op claims.
 :class:`LoopRecurrence` is the op's array forward and BPTT in their
 per-state form: ``h`` and ``c`` are kept and renormalized separately, and
 the SRNN noise for all steps comes from one up-front ``uniform`` draw.  The
-op's ``_Recurrence`` must match it bit for bit: outputs, final state,
-gradients and RNG state.
+op's ``_Recurrence`` must match it bit for bit: outputs, gradients and RNG
+state.
 """
 
 from typing import List, Optional, Tuple
@@ -66,12 +66,12 @@ def reference_lstm_sequence(
     weight_ih: Tensor,
     weight_hh: Tensor,
     bias: Tensor,
-    h: Tensor,
-    c: Tensor,
     noise: Optional[SRNNNoise] = None,
     frozen: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None,
-) -> Tuple[Tensor, Tuple[Tensor, Tensor]]:
+) -> Tensor:
     """Same signature and result as ``lstm_sequence``, from composite ops."""
+    zeros = np.zeros((x.shape[0], weight_hh.shape[1]), x.data.dtype)
+    h, c = Tensor(zeros), Tensor(zeros)
     outputs = []
     for t in range(x.shape[1]):
         if noise is not None:
@@ -79,7 +79,7 @@ def reference_lstm_sequence(
             c = inject_noise(c, noise.intensity_c, noise.rng, frozen, 2 * t + 1)
         h, c = cell_step(x[:, t, :], h, c, weight_ih, weight_hh, bias)
         outputs.append(h)
-    return stack(outputs, axis=1), (h, c)
+    return stack(outputs, axis=1)
 
 
 def _loop_sigmoid_(z: np.ndarray) -> np.ndarray:
@@ -107,9 +107,9 @@ def _loop_unrenormalize(grad: np.ndarray, noisy: np.ndarray, scale: np.ndarray, 
 
 
 class LoopRecurrence:
-    """Same constructor, attributes ``hs``/``c_last`` and ``backward`` as ``_Recurrence``."""
+    """Same constructor, attribute ``hs`` and ``backward`` as ``_Recurrence``."""
 
-    def __init__(self, x, weight_ih, weight_hh, bias, h0, c0, noise: Optional[SRNNNoise]):
+    def __init__(self, x, weight_ih, weight_hh, bias, noise: Optional[SRNNNoise]):
         batch, steps, n_in = x.shape
         hidden = weight_hh.shape[1]
         self.noise = noise
@@ -130,7 +130,8 @@ class LoopRecurrence:
             uniform = uniform.astype(dtype, copy=False)
             self.renorm_h: List[tuple] = []
             self.renorm_c: List[tuple] = []
-        h, c = h0, c0
+        h = np.zeros((batch, hidden), dtype)
+        c = np.zeros((batch, hidden), dtype)
         for t in range(steps):
             if noise is None:
                 self.h_in[t] = h
@@ -151,9 +152,8 @@ class LoopRecurrence:
             np.tanh(c, out=self.tanh_c[t])
             h = np.multiply(z[:, 3 * hidden :], self.tanh_c[t], out=self.hs[t])
         self.gates = gates
-        self.c_last = c
 
-    def backward(self, d_hs, d_h, d_c, needs):
+    def backward(self, d_hs, needs):
         steps, batch, hidden = self.hs.shape
         dtype = self.hs.dtype
         i, f, g, o = (self.gates[..., k * hidden : (k + 1) * hidden] for k in range(4))
@@ -163,13 +163,12 @@ class LoopRecurrence:
         np.multiply(i, 1.0 - g * g, out=k_gates[:, :, 2])
         np.multiply(self.tanh_c, o * (1.0 - o), out=k_gates[:, :, 3])
         k_c = o * (1.0 - self.tanh_c * self.tanh_c)
-        d_out = None if d_hs is None else d_hs.transpose(1, 0, 2)
-        d_h = np.zeros((batch, hidden), dtype) if d_h is None else d_h
-        d_c = np.zeros((batch, hidden), dtype) if d_c is None else d_c
+        d_out = d_hs.transpose(1, 0, 2)
+        d_h = np.zeros((batch, hidden), dtype)
+        d_c = np.zeros((batch, hidden), dtype)
         d_gates = np.empty((steps, batch, 4, hidden), dtype)
         for t in range(steps - 1, -1, -1):
-            if d_out is not None:
-                d_h = d_h + d_out[t]
+            d_h = d_h + d_out[t]
             d_c = d_c + d_h * k_c[t]
             np.multiply(d_c[:, None, :], k_gates[t, :, :3], out=d_gates[t, :, :3])
             np.multiply(d_h, k_gates[t, :, 3], out=d_gates[t, :, 3])
@@ -188,4 +187,4 @@ class LoopRecurrence:
             d_w_hh = flat.T @ self.h_in.reshape(steps * batch, hidden)
         if needs[3]:
             d_bias = flat.sum(axis=0)
-        return d_x, d_w_ih, d_w_hh, d_bias, d_h, d_c
+        return d_x, d_w_ih, d_w_hh, d_bias

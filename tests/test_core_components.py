@@ -7,7 +7,6 @@ from repro.context.normalize import N_CELL_FEATURES
 from repro.core import (
     GenDTConfig,
     ModelBatch,
-    StochasticLSTM,
     recent_values_matrix,
     small_config,
 )
@@ -48,53 +47,61 @@ class TestConfig:
 
 
 class TestStochasticLSTM:
+    """``nn.LSTM`` with SRNN noise (``srnn=(a_h, a_c)``), GenDT's stochastic layer."""
+
     def test_shapes(self, rng):
-        lstm = StochasticLSTM(3, 8, rng)
-        out, (h, c) = lstm(nn.Tensor(np.ones((2, 5, 3))))
+        lstm = nn.LSTM(3, 8, rng, srnn=(2.0, 2.0))
+        out = lstm(nn.Tensor(np.ones((2, 5, 3))), rng)
         assert out.shape == (2, 5, 8)
-        assert h.shape == (2, 8)
 
     def test_stochastic_runs_differ(self):
         rng = np.random.default_rng(0)
-        lstm = StochasticLSTM(2, 6, rng, stochastic=True)
+        lstm = nn.LSTM(2, 6, rng, srnn=(2.0, 2.0))
         x = nn.Tensor(np.ones((1, 10, 2)))
-        out1, _ = lstm(x, rng)
-        out2, _ = lstm(x, rng)
+        out1 = lstm(x, rng)
+        out2 = lstm(x, rng)
         assert not np.allclose(out1.numpy(), out2.numpy())
 
     def test_deterministic_when_disabled(self):
+        # use_stochastic_layers=False builds G_a's LSTM without SRNN noise:
+        # given a generator, it draws nothing from it.
         rng = np.random.default_rng(0)
-        lstm = StochasticLSTM(2, 6, rng, stochastic=False)
-        x = nn.Tensor(np.ones((1, 10, 2)))
+        config = small_config(hidden_size=6, use_stochastic_layers=False)
+        net = AggregationNetwork(2, config, rng)
+        x = nn.Tensor(np.ones((1, 10, 6)))
         state = rng.bit_generator.state
-        out1, _ = lstm(x, rng)
-        out2, _ = lstm(x, rng)
+        out1 = net(x, rng)
+        out2 = net(x, rng)
         np.testing.assert_allclose(out1.numpy(), out2.numpy())
         assert rng.bit_generator.state == state
 
     def test_override_flag(self):
         # A stochastic layer given no generator draws no noise.
         rng = np.random.default_rng(0)
-        lstm = StochasticLSTM(2, 6, rng, stochastic=True)
+        lstm = nn.LSTM(2, 6, rng, srnn=(2.0, 2.0))
         x = nn.Tensor(np.ones((1, 10, 2)))
-        out1, _ = lstm(x)
-        out2, _ = lstm(x)
+        out1 = lstm(x)
+        out2 = lstm(x)
         np.testing.assert_array_equal(out1.numpy(), out2.numpy())
 
     def test_gradients_flow_through_noise(self):
         rng = np.random.default_rng(0)
-        lstm = StochasticLSTM(2, 4, rng, stochastic=True)
-        out, _ = lstm(nn.Tensor(np.ones((1, 5, 2))), rng)
+        lstm = nn.LSTM(2, 4, rng, srnn=(2.0, 2.0))
+        out = lstm(nn.Tensor(np.ones((1, 5, 2))), rng)
         out.sum().backward()
         for name, param in lstm.named_parameters():
             assert param.grad is not None, name
 
     def test_intensity_zero_close_to_plain(self):
+        # Intensity 0 still draws the noise (Appendix A.3's a = 0 row), but
+        # adds none of it.
         rng = np.random.default_rng(0)
-        lstm = StochasticLSTM(2, 4, rng, intensity_h=0.0, intensity_c=0.0, stochastic=True)
+        lstm = nn.LSTM(2, 4, rng, srnn=(0.0, 0.0))
         x = nn.Tensor(np.ones((1, 8, 2)))
-        noisy, _ = lstm(x, rng)
-        plain, _ = lstm(x)
+        state = rng.bit_generator.state
+        noisy = lstm(x, rng)
+        assert rng.bit_generator.state != state
+        plain = lstm(x)
         np.testing.assert_allclose(noisy.numpy(), plain.numpy(), atol=1e-9)
 
 

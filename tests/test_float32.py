@@ -16,7 +16,6 @@ from repro.analysis.graph import verify
 from repro.baselines import MLPBaseline
 from repro.core import GenDT, GenDTGenerator, mc_dropout_uncertainty, small_config
 from repro.core import generator as generator_module
-from repro.core import stochastic_lstm
 from repro.core.networks import ResGen
 from repro.nn import lstm as lstm_module
 from repro.nn.tensor import Tensor
@@ -56,8 +55,6 @@ def _lstm_arrays(seed=0, batch=3, steps=6, n_in=4, hidden=5):
         rng.normal(size=(4 * hidden, n_in)) * 0.4,
         rng.normal(size=(4 * hidden, hidden)) * 0.4,
         rng.normal(size=(4 * hidden,)) * 0.2,
-        rng.normal(size=(batch, hidden)) * 0.5,
-        rng.normal(size=(batch, hidden)) * 0.5,
     ]
 
 
@@ -65,35 +62,34 @@ def _lstm_run(fn, arrays, dtype, noise_seed):
     tensors = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
     rng = np.random.default_rng(noise_seed) if noise_seed is not None else None
     noise = nn.SRNNNoise(rng, 2.0, 1.5) if rng is not None else None
-    hs, (h, c) = fn(*tensors, noise=noise)
+    hs = fn(*tensors, noise=noise)
+    h = hs[:, -1, :]
     weights = np.random.default_rng(99)
     loss = (hs * Tensor(weights.normal(size=hs.shape).astype(dtype))).sum() + (h * h).sum()
-    loss = loss + (c * Tensor(weights.normal(size=c.shape).astype(dtype))).sum()
     loss.backward()
     state = rng.bit_generator.state if rng is not None else None
-    return (hs.data, h.data, c.data), [t.grad for t in tensors], state
+    return hs.data, [t.grad for t in tensors], state
 
 
 @pytest.mark.parametrize("noise_seed", [None, 7])
 def test_lstm_sequence_float32_matches_float64_reference(noise_seed):
-    # Forward: max |diff| measured 1.4e-7.  Gradients: max |diff| measured
-    # 5.8e-7 of the input's largest gradient entry.
+    # Forward: max |diff| measured 6.7e-8.  Gradients: max |diff| measured
+    # 6.6e-7 of the input's largest gradient entry.
     arrays = _lstm_arrays()
     (out32, grads32, rng32) = _lstm_run(lstm_module.lstm_sequence, arrays, F32, noise_seed)
     (out64, grads64, rng64) = _lstm_run(reference_lstm_sequence, arrays, F64, noise_seed)
     assert rng32 == rng64
-    for got, want in zip(out32, out64):
-        assert got.dtype == F32
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
-    for name, got, want in zip(["x", "W_ih", "W_hh", "bias", "h0", "c0"], grads32, grads64):
+    assert out32.dtype == F32
+    np.testing.assert_allclose(out32, out64, rtol=0, atol=1e-6)
+    for name, got, want in zip(["x", "W_ih", "W_hh", "bias"], grads32, grads64):
         assert got.dtype == F32, name
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max(), err_msg=name)
 
 
 def test_lstm_sequence_rejects_mixed_dtypes():
     tensors = [Tensor(a.astype(np.float32)) for a in _lstm_arrays()]
-    tensors[4] = Tensor(tensors[4].data.astype(np.float64))
-    with pytest.raises(ValueError, match="h0 is float64, but x is float32"):
+    tensors[3] = Tensor(tensors[3].data.astype(np.float64))
+    with pytest.raises(ValueError, match="bias is float64, but x is float32"):
         lstm_module.lstm_sequence(*tensors)
     tensors = [Tensor(a) for a in _lstm_arrays()]
     tensors[1] = Tensor(tensors[1].data.astype(np.float32))
@@ -194,12 +190,11 @@ def test_every_array_on_the_gendt_path_is_float32(tiny_dataset_a, tiny_split, mo
             note("Tensor", self.data)
 
     def audited_sequence(*args, **kwargs):
-        hs, (h, c) = sequence(*args, **kwargs)
-        for name, value in zip(["x", "weight_ih", "weight_hh", "bias", "h0", "c0"], args):
+        hs = sequence(*args, **kwargs)
+        for name, value in zip(["x", "weight_ih", "weight_hh", "bias"], args):
             note(f"lstm_sequence.{name}", getattr(value, "data", value))
-        for name, value in (("hs", hs), ("h", h), ("c", c)):
-            note(f"lstm_sequence.{name}", value.data)
-        return hs, (h, c)
+        note("lstm_sequence.hs", hs.data)
+        return hs
 
     def audited_rollout(self, env, base, state, *args, **kwargs):
         out = rollout(self, env, base, state, *args, **kwargs)
@@ -210,7 +205,6 @@ def test_every_array_on_the_gendt_path_is_float32(tiny_dataset_a, tiny_split, mo
 
     monkeypatch.setattr(Tensor, "__init__", audited_init)
     monkeypatch.setattr(lstm_module, "lstm_sequence", audited_sequence)
-    monkeypatch.setattr(stochastic_lstm, "lstm_sequence", audited_sequence)
     monkeypatch.setattr(ResGen, "rollout", audited_rollout)
 
     model = GenDT(tiny_dataset_a.region, kpis=KPIS, config=_config(), seed=3)
@@ -224,7 +218,7 @@ def test_every_array_on_the_gendt_path_is_float32(tiny_dataset_a, tiny_split, mo
     estimate = mc_dropout_uncertainty(model, routes[0], n_passes=3)
     assert np.isfinite(estimate.model_uncertainty)
     assert set(seen) == {F32}, {dtype: sorted(where) for dtype, where in seen.items()}
-    assert {"Tensor", "lstm_sequence.h0", "rollout.output"} <= seen[F32]
+    assert {"Tensor", "lstm_sequence.hs", "rollout.output"} <= seen[F32]
     assert all(series.dtype == F64 for series in outputs)
     modules = (model.generator, model.trainer.discriminator)
     assert {p.data.dtype for module in modules for p in module.parameters()} == {F32}

@@ -88,11 +88,11 @@ def test_lstm_sequence_twin_checks_weight_shapes():
     # A recurrent weight that no longer fits the input is caught by
     # lstm_sequence's own shape check, inside the module that called it.
     lstm = SHIPPED["stochastic_lstm"].build(0)
-    lstm.cell.weight_ih = nn.Parameter(np.zeros((4 * 14, 8)))
+    lstm.weight_ih = nn.Parameter(np.zeros((4 * 14, 8)))
     with pytest.raises(GraphContractError) as excinfo:
         verify(lstm, raise_on_error=True)
     err = excinfo.value
-    assert err.module_path == "StochasticLSTM"
+    assert err.module_path == "LSTM"
     assert "weight_ih" in str(err)
 
 

@@ -1,17 +1,16 @@
 """Numerical gradient checks through recurrent structures.
 
 The elementwise ops are grad-checked in test_nn_tensor; these tests verify
-the recurrent structures (LSTM cell and stochastic LSTM with noise off, both
-on the fused ``lstm_sequence`` op, and masked mean-pooling) against finite
-differences — the structures GenDT's training actually differentiates
-through.
+the recurrent structures (the LSTM cell's gate weights through ``nn.LSTM``,
+and a stochastic ``nn.LSTM`` with its noise off, both on the fused
+``lstm_sequence`` op, and masked mean-pooling) against finite differences —
+the structures GenDT's training actually differentiates through.
 """
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.core.stochastic_lstm import StochasticLSTM
 from repro.nn.tensor import Tensor
 
 
@@ -29,57 +28,50 @@ def numerical_grad_param(loss_fn, param, eps=1e-6):
 
 
 class TestLSTMCellGradients:
+    """The cell's gate weights, differentiated through ``nn.LSTM``."""
+
     def test_weight_ih_grad(self):
         rng = np.random.default_rng(0)
-        cell = nn.LSTMCell(2, 3, rng)
+        lstm = nn.LSTM(2, 3, rng)
         x = rng.normal(size=(2, 2))
+        sequence = np.stack([x, x * 0.5], axis=1)
 
-        def loss_fn():
-            h, c = cell.zero_state(2)
-            h, c = cell(Tensor(x), (h, c))
-            h, c = cell(Tensor(x * 0.5), (h, c))
-            return (h * h).sum().item()
+        def last_h_loss():
+            h = lstm(Tensor(sequence))[:, -1, :]
+            return (h * h).sum()
 
-        cell.zero_grad()
-        h, c = cell.zero_state(2)
-        h, c = cell(Tensor(x), (h, c))
-        h, c = cell(Tensor(x * 0.5), (h, c))
-        (h * h).sum().backward()
-        numeric = numerical_grad_param(loss_fn, cell.weight_ih)
-        np.testing.assert_allclose(cell.weight_ih.grad, numeric, atol=1e-5)
+        lstm.zero_grad()
+        last_h_loss().backward()
+        numeric = numerical_grad_param(lambda: last_h_loss().item(), lstm.weight_ih)
+        np.testing.assert_allclose(lstm.weight_ih.grad, numeric, atol=1e-5)
 
     def test_bias_grad(self):
         rng = np.random.default_rng(1)
-        cell = nn.LSTMCell(2, 3, rng)
-        x = rng.normal(size=(1, 2))
+        lstm = nn.LSTM(2, 3, rng)
+        x = rng.normal(size=(1, 1, 2))
 
-        def loss_fn():
-            h, c = cell.zero_state(1)
-            h, _ = cell(Tensor(x), (h, c))
-            return h.sum().item()
-
-        cell.zero_grad()
-        h, c = cell.zero_state(1)
-        h, _ = cell(Tensor(x), (h, c))
-        h.sum().backward()
-        numeric = numerical_grad_param(loss_fn, cell.bias)
-        np.testing.assert_allclose(cell.bias.grad, numeric, atol=1e-5)
+        lstm.zero_grad()
+        lstm(Tensor(x)).sum().backward()
+        numeric = numerical_grad_param(lambda: lstm(Tensor(x)).sum().item(), lstm.bias)
+        np.testing.assert_allclose(lstm.bias.grad, numeric, atol=1e-5)
 
 
 class TestStochasticLSTMGradients:
+    """An SRNN ``nn.LSTM`` called without an ``rng``, so without noise."""
+
     def test_gradcheck_with_noise_disabled(self):
         rng = np.random.default_rng(2)
-        lstm = StochasticLSTM(2, 3, rng, stochastic=False)
+        lstm = nn.LSTM(2, 3, rng, srnn=(2.0, 2.0))
         x = rng.normal(size=(1, 4, 2))
 
         def loss_fn():
-            out, _ = lstm(Tensor(x))
+            out = lstm(Tensor(x))
             return (out * out).mean().item()
 
         lstm.zero_grad()
-        out, _ = lstm(Tensor(x))
+        out = lstm(Tensor(x))
         (out * out).mean().backward()
-        param = lstm.cell.weight_hh
+        param = lstm.weight_hh
         numeric = numerical_grad_param(loss_fn, param)
         np.testing.assert_allclose(param.grad, numeric, atol=1e-5)
 

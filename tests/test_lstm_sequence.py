@@ -2,7 +2,7 @@
 
 ``tests/lstm_reference.py`` builds the same recurrence step by step from
 ``Tensor`` ops (the engine's generic autodiff supplies its gradients).  The
-fused op must give the same forward values, the same gradients for all six
+fused op must give the same forward values, the same gradients for all four
 inputs, and the same RNG draws, so swapping it in leaves training unchanged
 up to rounding.
 """
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core.stochastic_lstm import StochasticLSTM
 from repro.nn import NumericalAnomalyError, SRNNNoise, Tensor, detect_anomaly, lstm_sequence
 from repro.nn.lstm import _Recurrence
 from tests.lstm_reference import LoopRecurrence, cell_step, reference_lstm_sequence
@@ -29,29 +28,31 @@ def _arrays(batch, steps, n_in, hidden, seed=0):
         rng.normal(size=(4 * hidden, n_in)) * 0.4,
         rng.normal(size=(4 * hidden, hidden)) * 0.4,
         rng.normal(size=(4 * hidden,)) * 0.2,
-        rng.normal(size=(batch, hidden)) * 0.5,
-        rng.normal(size=(batch, hidden)) * 0.5,
     ]
 
 
-def _run(fn, arrays, noise_seed, loss_on=("hs", "h", "c")):
-    """Forward + backward of ``fn``; returns (outputs, grads, rng state)."""
+def _run(fn, arrays, noise_seed, loss_on=("hs", "h")):
+    """Forward + backward of ``fn``; returns (output, grads, rng state).
+
+    The loss reads the whole output (``"hs"``), the last step's hidden
+    state (``"h"``, what the discriminator reads), or both.
+    """
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     rng = np.random.default_rng(noise_seed) if noise_seed is not None else None
     noise = SRNNNoise(rng, 2.0, 1.5) if rng is not None else None
-    hs, (h, c) = fn(*tensors, noise=noise)
+    hs = fn(*tensors, noise=noise)
+    h = hs[:, -1, :]
     weights = np.random.default_rng(99)
     terms = {
         "hs": (hs * Tensor(weights.normal(size=hs.shape))).sum(),
         "h": (h * h).sum(),
-        "c": (c * Tensor(weights.normal(size=c.shape))).sum(),
     }
     loss = terms[loss_on[0]]
     for name in loss_on[1:]:
         loss = loss + terms[name]
     loss.backward()
     state = rng.bit_generator.state if rng is not None else None
-    return (hs.data, h.data, c.data), [t.grad for t in tensors], state
+    return hs.data, [t.grad for t in tensors], state
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -60,14 +61,13 @@ class TestAgainstReference:
     def test_forward_matches(self, shape, noise_seed):
         fused, _, _ = _run(lstm_sequence, _arrays(*shape), noise_seed)
         reference, _, _ = _run(reference_lstm_sequence, _arrays(*shape), noise_seed)
-        for got, want in zip(fused, reference):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fused, reference, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("loss_on", [("hs", "h", "c"), ("hs",), ("h",), ("c",)])
+    @pytest.mark.parametrize("loss_on", [("hs", "h"), ("hs",), ("h",)])
     def test_gradients_match(self, shape, noise_seed, loss_on):
         _, fused, _ = _run(lstm_sequence, _arrays(*shape), noise_seed, loss_on)
         _, reference, _ = _run(reference_lstm_sequence, _arrays(*shape), noise_seed, loss_on)
-        for name, got, want in zip(["x", "W_ih", "W_hh", "bias", "h0", "c0"], fused, reference):
+        for name, got, want in zip(["x", "W_ih", "W_hh", "bias"], fused, reference):
             assert got is not None, name
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9, err_msg=name)
 
@@ -83,32 +83,22 @@ class TestAgainstReference:
 def test_recurrence_bit_equal_to_loop_reference(dtype, batch, srnn):
     """The op's array code against its per-state loop form: no tolerance.
 
-    Forward output, final ``(h, c)``, all six gradients (from the output
-    alone and from the output plus the final state) and the RNG state.
+    Forward output, all four gradients and the RNG state.
     """
     hidden, steps, n_in = 100, 20, 6
     arrays = [a.astype(dtype) for a in _arrays(batch, steps, n_in, hidden, seed=batch)]
-    grads = np.random.default_rng(1)
-    d_hs = grads.normal(size=(batch, steps, hidden)).astype(dtype)
-    d_h = grads.normal(size=(batch, hidden)).astype(dtype)
-    d_c = grads.normal(size=(batch, hidden)).astype(dtype)
+    d_hs = np.random.default_rng(1).normal(size=(batch, steps, hidden)).astype(dtype)
     runs = []
     for recurrence in (_Recurrence, LoopRecurrence):
         rng = np.random.default_rng(8)
         noise = SRNNNoise(rng, 0.3, 0.7) if srnn else None
         run = recurrence(*[a.copy() for a in arrays], noise)
-        backward = [
-            run.backward(d_hs.copy(), None, None, [True] * 6),
-            run.backward(d_hs.copy(), d_h.copy(), d_c.copy(), [True] * 6),
-        ]
-        runs.append((run.hs, run.hs[-1], run.c_last, backward, rng.bit_generator.state))
-    (hs, h, c, backward, state), (ref_hs, ref_h, ref_c, ref_backward, ref_state) = runs
-    assert np.isfinite(hs).all() and all(np.isfinite(g).all() for g in backward[1])
+        runs.append((run.hs, run.backward(d_hs.copy(), [True] * 4), rng.bit_generator.state))
+    (hs, grads, state), (ref_hs, ref_grads, ref_state) = runs
+    assert np.isfinite(hs).all() and all(np.isfinite(g).all() for g in grads)
     assert hs.dtype == dtype and np.array_equal(hs, ref_hs)
-    assert np.array_equal(h, ref_h) and np.array_equal(c, ref_c)
-    for grads_got, grads_want in zip(backward, ref_backward):
-        for name, got, want in zip(["x", "W_ih", "W_hh", "bias", "h0", "c0"], grads_got, grads_want):
-            assert got.dtype == dtype and np.array_equal(got, want), name
+    for name, got, want in zip(["x", "W_ih", "W_hh", "bias"], grads, ref_grads):
+        assert got.dtype == dtype and np.array_equal(got, want), name
     assert state == ref_state
 
 
@@ -117,7 +107,7 @@ def test_recurrence_bit_equal_to_loop_reference(dtype, batch, srnn):
 @pytest.mark.parametrize("srnn", [False, True])
 def test_no_grad_forward_bit_equal_to_loop_reference(dtype, batch, srnn):
     """The forward cases above, run under ``no_grad``, where the op keeps
-    no BPTT buffers: the same output, final ``(h, c)`` and RNG state."""
+    no BPTT buffers: the same output and RNG state."""
     hidden, steps, n_in = 100, 20, 6
     arrays = [a.astype(dtype) for a in _arrays(batch, steps, n_in, hidden, seed=batch)]
     rng = np.random.default_rng(8)
@@ -126,9 +116,8 @@ def test_no_grad_forward_bit_equal_to_loop_reference(dtype, batch, srnn):
     rng = np.random.default_rng(8)
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     with nn.no_grad():
-        hs, (h, c) = lstm_sequence(*tensors, noise=SRNNNoise(rng, 0.3, 0.7) if srnn else None)
+        hs = lstm_sequence(*tensors, noise=SRNNNoise(rng, 0.3, 0.7) if srnn else None)
     assert hs.data.dtype == dtype and np.array_equal(hs.data, ref.hs.transpose(1, 0, 2))
-    assert np.array_equal(h.data, ref.hs[-1]) and np.array_equal(c.data, ref.c_last)
     assert rng.bit_generator.state == ref_state
 
 
@@ -152,12 +141,10 @@ def test_only_inputs_that_require_grad_get_gradients():
     arrays = _arrays(2, 4, 3, 5)
     tensors = [Tensor(a) for a in arrays]
     tensors[1] = Tensor(arrays[1], requires_grad=True)
-    hs, _ = lstm_sequence(*tensors)
-    hs.sum().backward()
+    lstm_sequence(*tensors).sum().backward()
     assert all(t.grad is None for k, t in enumerate(tensors) if k != 1)
     everything = [Tensor(a, requires_grad=True) for a in arrays]
-    hs, _ = lstm_sequence(*everything)
-    hs.sum().backward()
+    lstm_sequence(*everything).sum().backward()
     np.testing.assert_array_equal(tensors[1].grad, everything[1].grad)
 
 
@@ -168,13 +155,13 @@ def test_no_grad_builds_no_graph_and_draws_the_same_noise():
         rng = np.random.default_rng(3)
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
         if grad_on:
-            hs, (h, c) = lstm_sequence(*tensors, noise=SRNNNoise(rng, 2.0, 2.0))
-            assert hs.requires_grad and h.requires_grad and c.requires_grad
+            hs = lstm_sequence(*tensors, noise=SRNNNoise(rng, 2.0, 2.0))
+            assert hs.requires_grad
             want = hs.data
         else:
             with nn.no_grad():
-                hs, (h, c) = lstm_sequence(*tensors, noise=SRNNNoise(rng, 2.0, 2.0))
-            assert not (hs.requires_grad or h.requires_grad or c.requires_grad)
+                hs = lstm_sequence(*tensors, noise=SRNNNoise(rng, 2.0, 2.0))
+            assert not hs.requires_grad
             np.testing.assert_array_equal(hs.data, want)
         states.append(rng.bit_generator.state)
     assert states[0] == states[1]
@@ -186,8 +173,6 @@ def test_no_grad_builds_no_graph_and_draws_the_same_noise():
         (1, "weight_ih", (20, 2)),
         (2, "weight_hh", (16, 5)),
         (3, "bias", (16,)),
-        (4, "h0", (3, 5)),
-        (5, "c0", (2, 4)),
     ],
 )
 def test_shape_mismatch_names_the_input(index, name, bad_shape):
@@ -206,46 +191,27 @@ def test_input_rank_is_checked():
 
 class TestModules:
     def test_stochastic_lstm_matches_reference(self):
-        lstm = StochasticLSTM(3, 6, np.random.default_rng(0))
+        lstm = nn.LSTM(3, 6, np.random.default_rng(0), srnn=(2.0, 1.5))
         x = np.random.default_rng(1).normal(size=(4, 7, 3))
         rng = np.random.default_rng(5)
-        out, (h, c) = lstm(Tensor(x), rng)
-        cell = lstm.cell
-        noise = SRNNNoise(np.random.default_rng(5), lstm.intensity_h, lstm.intensity_c)
-        zeros = np.zeros((4, 6))
-        ref, (ref_h, ref_c) = reference_lstm_sequence(
-            Tensor(x), cell.weight_ih, cell.weight_hh, cell.bias,
-            Tensor(zeros), Tensor(zeros), noise=noise,
+        out = lstm(Tensor(x), rng)
+        noise = SRNNNoise(np.random.default_rng(5), 2.0, 1.5)
+        ref = reference_lstm_sequence(
+            Tensor(x), lstm.weight_ih, lstm.weight_hh, lstm.bias, noise=noise
         )
         np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(h.data, ref_h.data, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(c.data, ref_c.data, rtol=0, atol=1e-12)
         assert rng.bit_generator.state == noise.rng.bit_generator.state
 
     def test_lstm_matches_stepwise_reference(self):
         lstm = nn.LSTM(3, 5, np.random.default_rng(2))
         x = np.random.default_rng(3).normal(size=(2, 6, 3))
-        out, (h, c) = lstm(Tensor(x))
-        cell = lstm.cell
+        out = lstm(Tensor(x))
         ref_h, ref_c = Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 5)))
         for t in range(6):
             ref_h, ref_c = cell_step(
-                Tensor(x[:, t]), ref_h, ref_c, cell.weight_ih, cell.weight_hh, cell.bias
+                Tensor(x[:, t]), ref_h, ref_c, lstm.weight_ih, lstm.weight_hh, lstm.bias
             )
             np.testing.assert_allclose(out.data[:, t], ref_h.data, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(h.data, ref_h.data, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(c.data, ref_c.data, rtol=0, atol=1e-12)
-
-    def test_cell_is_the_one_step_case(self):
-        cell = nn.LSTMCell(3, 4, np.random.default_rng(4))
-        rng = np.random.default_rng(5)
-        x, h0, c0 = rng.normal(size=(2, 3)), rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
-        h, c = cell(Tensor(x), (Tensor(h0), Tensor(c0)))
-        ref_h, ref_c = cell_step(
-            Tensor(x), Tensor(h0), Tensor(c0), cell.weight_ih, cell.weight_hh, cell.bias
-        )
-        np.testing.assert_allclose(h.data, ref_h.data, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(c.data, ref_c.data, rtol=0, atol=1e-12)
 
 
 class TestAnomaly:
@@ -253,7 +219,7 @@ class TestAnomaly:
         "make",
         [
             lambda rng: nn.LSTM(2, 3, rng),
-            lambda rng: StochasticLSTM(2, 3, rng),
+            lambda rng: nn.LSTM(2, 3, rng, srnn=(2.0, 2.0)),
         ],
     )
     def test_nan_input_names_lstm_sequence(self, make):
@@ -262,7 +228,7 @@ class TestAnomaly:
         x[0, 2, 1] = np.nan
         with detect_anomaly():
             with pytest.raises(NumericalAnomalyError) as excinfo:
-                lstm(Tensor(x))
+                lstm(Tensor(x), np.random.default_rng(1))
         err = excinfo.value
         assert err.op == "lstm_sequence"
         assert err.phase == "forward"
@@ -271,7 +237,7 @@ class TestAnomaly:
     def test_nan_gradient_names_lstm_sequence(self):
         lstm = nn.LSTM(2, 3, np.random.default_rng(0))
         with detect_anomaly():
-            out, _ = lstm(Tensor(np.ones((1, 4, 2)), requires_grad=True))
+            out = lstm(Tensor(np.ones((1, 4, 2)), requires_grad=True))
             grad = np.zeros(out.shape)
             grad[0, 1, 2] = np.inf
             with pytest.raises(NumericalAnomalyError) as excinfo:

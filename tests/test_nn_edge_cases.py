@@ -94,19 +94,19 @@ class TestLSTMEdgeCases:
     def test_single_step_sequence(self):
         rng = np.random.default_rng(0)
         lstm = nn.LSTM(2, 4, rng)
-        out, state = lstm(Tensor(np.ones((1, 1, 2))))
+        out = lstm(Tensor(np.ones((1, 1, 2))))
         assert out.shape == (1, 1, 4)
 
     def test_large_batch(self):
         rng = np.random.default_rng(0)
         lstm = nn.LSTM(2, 4, rng)
-        out, _ = lstm(Tensor(np.ones((64, 3, 2))))
+        out = lstm(Tensor(np.ones((64, 3, 2))))
         assert out.shape == (64, 3, 4)
 
     def test_state_not_shared_between_calls(self):
         rng = np.random.default_rng(0)
         lstm = nn.LSTM(1, 3, rng)
         x = Tensor(np.ones((1, 4, 1)))
-        out1, _ = lstm(x)
-        out2, _ = lstm(x)
+        out1 = lstm(x)
+        out2 = lstm(x)
         np.testing.assert_allclose(out1.numpy(), out2.numpy())

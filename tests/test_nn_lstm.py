@@ -1,4 +1,4 @@
-"""LSTM cell/sequence module tests."""
+"""``nn.LSTM`` module tests."""
 
 import numpy as np
 import pytest
@@ -12,46 +12,50 @@ def lstm_rng():
 
 
 class TestLSTMCell:
-    def test_step_shapes(self, lstm_rng):
-        cell = nn.LSTMCell(4, 8, lstm_rng)
-        h, c = cell.zero_state(3)
-        h2, c2 = cell(nn.Tensor(np.ones((3, 4))), (h, c))
-        assert h2.shape == (3, 8)
-        assert c2.shape == (3, 8)
+    """Properties of one step of ``nn.LSTM``: its gates and its state."""
 
     def test_forget_bias_initialized_to_one(self, lstm_rng):
-        cell = nn.LSTMCell(4, 8, lstm_rng)
-        np.testing.assert_allclose(cell.bias.data[8:16], 1.0)
+        lstm = nn.LSTM(4, 8, lstm_rng)
+        np.testing.assert_allclose(lstm.bias.data[8:16], 1.0)
 
     def test_hidden_bounded_by_tanh(self, lstm_rng):
-        cell = nn.LSTMCell(2, 4, lstm_rng)
-        h, c = cell.zero_state(1)
-        for _ in range(20):
-            h, c = cell(nn.Tensor(np.full((1, 2), 10.0)), (h, c))
-        assert np.all(np.abs(h.numpy()) <= 1.0)
+        lstm = nn.LSTM(2, 4, lstm_rng)
+        out = lstm(nn.Tensor(np.full((1, 20, 2), 10.0)))
+        assert np.all(np.abs(out.numpy()) <= 1.0)
 
     def test_zero_state_is_independent(self, lstm_rng):
-        cell = nn.LSTMCell(2, 4, lstm_rng)
-        h1, c1 = cell.zero_state(1)
-        h1.data[:] = 5.0
-        h2, _ = cell.zero_state(1)
-        assert np.all(h2.numpy() == 0.0)
+        # Every call starts from the zero state: nothing carries over from
+        # an earlier call, and the first step is the cell applied to zeros.
+        lstm = nn.LSTM(2, 4, lstm_rng)
+        x = lstm_rng.normal(size=(1, 3, 2))
+        first = lstm(nn.Tensor(x)).numpy()
+        lstm(nn.Tensor(np.full((1, 3, 2), 5.0)))
+        np.testing.assert_array_equal(lstm(nn.Tensor(x)).numpy(), first)
+        one_step = lstm(nn.Tensor(x[:, :1])).numpy()
+        np.testing.assert_allclose(one_step, first[:, :1], rtol=0, atol=1e-12)
 
 
 class TestLSTMSequence:
     def test_output_shape(self, lstm_rng):
         lstm = nn.LSTM(3, 6, lstm_rng)
-        out, (h, c) = lstm(nn.Tensor(np.ones((2, 5, 3))))
+        out = lstm(nn.Tensor(np.ones((2, 5, 3))))
         assert out.shape == (2, 5, 6)
-        assert h.shape == c.shape == (2, 6)
 
     def test_gradients_reach_all_parameters(self, lstm_rng):
         lstm = nn.LSTM(2, 4, lstm_rng)
-        out, _ = lstm(nn.Tensor(np.ones((1, 6, 2))))
+        out = lstm(nn.Tensor(np.ones((1, 6, 2))))
         out.sum().backward()
         for name, param in lstm.named_parameters():
             assert param.grad is not None, name
             assert np.any(param.grad != 0), name
+
+    def test_rng_without_srnn_draws_nothing(self, lstm_rng):
+        lstm = nn.LSTM(2, 4, lstm_rng)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        x = nn.Tensor(np.ones((2, 6, 2)))
+        np.testing.assert_array_equal(lstm(x, rng).numpy(), lstm(x).numpy())
+        assert rng.bit_generator.state == state
 
 
 class _Regressor(nn.Module):
@@ -63,8 +67,7 @@ class _Regressor(nn.Module):
         self.head = nn.Linear(16, 1, rng)
 
     def forward(self, x):
-        hidden, _ = self.lstm(x)
-        return self.head(hidden)
+        return self.head(self.lstm(x))
 
 
 class TestLSTMLearning:

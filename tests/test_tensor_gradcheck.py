@@ -67,8 +67,8 @@ class Case:
 
 
 def _lstm_inputs():
-    """(x [2,3,2], weight_ih [12,2], weight_hh [12,3], bias [12], h0 [2,3], c0 [2,3])."""
-    shapes = [(2, 3, 2), (12, 2), (12, 3), (12,), (2, 3), (2, 3)]
+    """(x [2,3,2], weight_ih [12,2], weight_hh [12,3], bias [12])."""
+    shapes = [(2, 3, 2), (12, 2), (12, 3), (12,)]
     return [_smooth(shape, 35 + k) for k, shape in enumerate(shapes)]
 
 
@@ -77,19 +77,11 @@ def _lstm_noise():
     return SRNNNoise(np.random.default_rng(42), 2.0, 2.0)
 
 
-def _lstm_outputs(hs, state):
-    """The sequence output and the final (h, c) as one [B, T*H + 2H] tensor."""
-    h, c = state
-    return concat([hs.reshape(hs.shape[0], -1), h, c], axis=1)
-
-
 def _frozen_lstm(arrays):
     frozen = []
     with no_grad():
         reference_lstm_sequence(*[Tensor(a) for a in arrays], noise=_lstm_noise(), frozen=frozen)
-    return lambda *ts: _lstm_outputs(
-        *reference_lstm_sequence(*ts, noise=_lstm_noise(), frozen=frozen)
-    )
+    return lambda *ts: reference_lstm_sequence(*ts, noise=_lstm_noise(), frozen=frozen)
 
 
 CASES = {
@@ -156,7 +148,7 @@ CASES = {
     ),
     "lstm_sequence": Case(
         _lstm_inputs,
-        lambda *ts: _lstm_outputs(*lstm_sequence(*ts, noise=_lstm_noise())),
+        lambda *ts: lstm_sequence(*ts, noise=_lstm_noise()),
         _frozen_lstm,
     ),
 }
