@@ -10,7 +10,7 @@ benchmarks construct smaller configs; the physics does not change.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Optional, Tuple
 
 
@@ -45,7 +45,6 @@ class GenDTConfig:
     epochs: int = 30
     minibatch_windows: int = 8           #: windows per gradient step
     grad_clip: float = 5.0
-    d_steps_per_g_step: int = 1
 
     # Context scope
     max_cells: int = 8                   #: cap on N_b per window
@@ -56,7 +55,16 @@ class GenDTConfig:
 
     @classmethod
     def from_meta(cls, meta: Dict[str, Any]) -> "GenDTConfig":
-        """Inverse of :meth:`to_meta`: list-valued fields come back as tuples."""
+        """Inverse of :meth:`to_meta`: list-valued fields come back as tuples.
+
+        Raises:
+            ValueError: ``meta`` has a key that is not a field, as in a
+                checkpoint written by a version with another field set; the
+                message names the keys.
+        """
+        unknown = sorted(set(meta) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown GenDTConfig fields in checkpoint metadata: {unknown}")
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in meta.items()})
 
     def validate(self) -> None:

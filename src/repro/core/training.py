@@ -203,30 +203,27 @@ class GenDTTrainer:
                 order = self.rng.permutation(len(batches))
                 epoch_stats = {"total": 0.0, "mse": 0.0, "adv": 0.0, "nll": 0.0, "disc": 0.0}
                 healthy_steps = 0
-                disc_steps = 0
                 recoveries_before = guard.recoveries if guard is not None else 0
                 for idx in order:
                     batch = batches[idx]
                     if guard is not None:
                         guard.begin_step()
-                    disc_accum = 0.0
+                    disc_loss = 0.0
                     if self.discriminator is not None:
-                        for _ in range(self.config.d_steps_per_g_step):
-                            disc_accum += self._discriminator_step(batch)
+                        disc_loss = self._discriminator_step(batch)
                     stats = self._generator_step(batch, guard=guard)
                     if guard is not None and guard.after_step(stats["total"]):
                         continue  # rolled back: this step never happened
                     for key in ("total", "mse", "adv", "nll"):
                         epoch_stats[key] += stats[key]
-                    epoch_stats["disc"] += disc_accum
+                    epoch_stats["disc"] += disc_loss
                     healthy_steps += 1
-                    disc_steps += self.config.d_steps_per_g_step
                 n = max(healthy_steps, 1)
                 self.history.total.append(epoch_stats["total"] / n)
                 self.history.mse.append(epoch_stats["mse"] / n)
                 self.history.adversarial.append(epoch_stats["adv"] / n)
                 self.history.nll.append(epoch_stats["nll"] / n)
-                self.history.discriminator.append(epoch_stats["disc"] / max(disc_steps, 1))
+                self.history.discriminator.append(epoch_stats["disc"] / n)
                 self.history.recoveries.append(
                     (guard.recoveries - recoveries_before) if guard is not None else 0
                 )

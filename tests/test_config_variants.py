@@ -78,13 +78,3 @@ class TestFourKpiModel:
         assert np.all((out[:, 3] >= 1) & (out[:, 3] <= 15))
         # SINR within its physical window.
         assert np.all((out[:, 2] >= -10) & (out[:, 2] <= 30))
-
-    def test_d_steps_per_g_step(self, tiny_dataset_a, tiny_split):
-        from repro.core import GenDT, small_config
-
-        config = small_config(
-            epochs=1, hidden_size=8, batch_len=15, train_step=15, d_steps_per_g_step=2
-        )
-        model = GenDT(tiny_dataset_a.region, kpis=["rsrp"], config=config, seed=0)
-        history = model.fit(tiny_split.train[:2])
-        assert np.isfinite(history.discriminator[-1])

@@ -158,6 +158,11 @@ class TestPersistence:
         assert saved == trained_gendt.config
         assert isinstance(saved.resgen_hidden, tuple)
 
+    def test_config_meta_with_an_unknown_field_names_it(self, trained_gendt):
+        meta = {**trained_gendt.config.to_meta(), "d_steps_per_g_step": 1}
+        with pytest.raises(ValueError, match=r"unknown GenDTConfig fields.*'d_steps_per_g_step'"):
+            GenDTConfig.from_meta(meta)
+
     def test_load_other_config_names_path_and_fields(self, trained_gendt, tmp_path):
         path = tmp_path / "gendt.npz"
         trained_gendt.save(path)
