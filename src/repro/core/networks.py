@@ -210,9 +210,12 @@ class ResGen(nn.Module):
         ``astype`` does; LeakyReLU is ``maximum(x, x * slope)``, exact for
         ``0 < slope <= 1`` (every ``nn.MLP`` uses 0.2), ±0 and NaN included;
         the dropout mask is ``Dropout``'s ``(u < keep) / keep`` cast to the
-        dtype; ``ndarray.clip`` and ``np.add.reduce`` are the ufuncs behind
-        ``np.clip`` and ``sum`` without their Python wrappers; and adding
-        ``base`` after the loop is the same elementwise sum.
+        dtype; each clip is ``np.maximum`` and ``np.minimum``, which select
+        what ``clip`` selects without ``ndarray.clip``'s Python wrapper
+        (numpy 2), and the gains keep only ``Tensor.sigmoid``'s -60 floor,
+        because its +60 ceiling cannot change a sigmoid in float32 or
+        float64; ``np.add.reduce`` is ``sum`` without its Python wrapper;
+        and adding ``base`` after the loop is the same elementwise sum.
 
         Args:
             env: [B, L, N_env] environment context.
@@ -261,7 +264,7 @@ class ResGen(nn.Module):
                 x *= mask[t]
             out = x @ head_wt
             out += head_b
-            gains = out[:, :split].clip(-60.0, 60.0)
+            gains = np.maximum(out[:, :split], -60.0)  # a copy: the check reads the raw head
             np.negative(gains, out=gains)
             np.exp(gains, out=gains)
             gains += 1.0
@@ -269,12 +272,14 @@ class ResGen(nn.Module):
             gains *= inv_m
             gains *= recent
             mu = np.add.reduce(gains.reshape(b, m, n_ch), axis=1)
-            sigma = out[:, split:].clip(-5.0, 2.0)
+            sigma = np.maximum(out[:, split:], -5.0)
+            np.minimum(sigma, 2.0, out=sigma)
             np.exp(sigma, out=sigma)
             residual = mu + sigma * eps[t]
             if check:
                 _check_finite(t, head=out, mu=mu, residual=residual)
-            residual.clip(-5.0, 5.0, out=hist[:, m + t])
+            np.maximum(residual, -5.0, out=residual)
+            np.minimum(residual, 5.0, out=hist[:, m + t])
             if collect_params:
                 mus[:, t] = mu
                 sigmas[:, t] = sigma
