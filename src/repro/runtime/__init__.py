@@ -15,7 +15,6 @@ The pieces a production GenDT deployment leans on when things go wrong:
 
 from .errors import (
     CheckpointCorruptError,
-    CircuitOpenError,
     ContextValidationError,
     DeadlineExceeded,
     DivergenceError,
@@ -45,7 +44,6 @@ __all__ = [
     "MeasurementError",
     "NumericalAnomalyError",
     "DeadlineExceeded",
-    "CircuitOpenError",
     "GenerationFaultError",
     "HealthGuard",
     "GuardEvent",

@@ -87,19 +87,6 @@ class DeadlineExceeded(GenDTRuntimeError):
         self.elapsed_s = elapsed_s
 
 
-class CircuitOpenError(GenDTRuntimeError):
-    """The generation circuit breaker is open; the model is not callable.
-
-    ``cooldown_remaining_s`` says how long until the breaker will admit a
-    half-open probe.  The serving runner reacts by demoting straight to the
-    model-free FDaS rung of the degradation ladder.
-    """
-
-    def __init__(self, message: str, cooldown_remaining_s: float = 0.0) -> None:
-        super().__init__(message)
-        self.cooldown_remaining_s = cooldown_remaining_s
-
-
 class GenerationFaultError(GenDTRuntimeError):
     """One generation attempt failed (injected or real).
 

@@ -15,8 +15,9 @@ machine:
   failure re-opens it with the *next* (longer) cool-down.
 
 Cool-downs come from :func:`repro.runtime.retry.backoff_schedule`, a
-deterministic exponential-with-jitter schedule, so successive trips back off
-exponentially and two runs with the same seed cool down identically.  The
+deterministic exponential-with-jitter schedule (base :data:`COOLDOWN_BASE_S`,
+factor :data:`COOLDOWN_FACTOR`), so successive trips back off exponentially
+and two runs with the same seed cool down identically.  The
 clock is injectable; tests drive the state machine with a fake clock and
 never sleep.
 """
@@ -27,12 +28,18 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from ..runtime.errors import CircuitOpenError
 from ..runtime.retry import backoff_schedule
 
 STATE_CLOSED = "closed"
 STATE_OPEN = "open"
 STATE_HALF_OPEN = "half_open"
+
+#: The first trip's cool-down, in seconds, before jitter.
+COOLDOWN_BASE_S = 1.0
+#: Growth of the cool-down from one trip to the next.
+COOLDOWN_FACTOR = 2.0
+#: Trips with their own cool-down; later trips reuse the last one.
+MAX_TRIPS = 8
 
 
 @dataclass
@@ -59,31 +66,23 @@ class CircuitBreaker:
     Args:
         failure_threshold: consecutive faults (while closed) that trip the
             breaker open.
-        cooldown_base_s: base cool-down; trip ``k`` (0-based) cools down for
-            ``backoff_schedule(...)[k]`` seconds, clamped to the last entry
-            once the schedule is exhausted.
-        cooldown_factor: exponential growth factor between successive trips.
-        max_trips: length of the precomputed cool-down schedule.
-        seed: seed for the deterministic cool-down jitter.
+        seed: seed for the deterministic cool-down jitter.  Trip ``k``
+            (0-based) cools down for ``backoff_schedule(...)[k]`` seconds,
+            clamped to the last of the :data:`MAX_TRIPS` entries.
         clock: monotonic-seconds source; defaults to :func:`time.monotonic`.
     """
 
     def __init__(
         self,
         failure_threshold: int = 3,
-        cooldown_base_s: float = 1.0,
-        cooldown_factor: float = 2.0,
-        max_trips: int = 8,
         seed: int = 0,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
-        if cooldown_base_s < 0:
-            raise ValueError("cooldown_base_s must be >= 0")
         self.failure_threshold = failure_threshold
         self._cooldowns = backoff_schedule(
-            max_trips, cooldown_base_s, factor=cooldown_factor, seed=seed
+            MAX_TRIPS, COOLDOWN_BASE_S, factor=COOLDOWN_FACTOR, seed=seed
         )
         self._clock = clock if clock is not None else time.monotonic
         self._state = STATE_CLOSED
@@ -129,16 +128,6 @@ class CircuitBreaker:
                 return False
             self._transition(STATE_HALF_OPEN, "cooldown elapsed; admitting probe")
         return True
-
-    def check(self) -> None:
-        """Like :meth:`allow` but raises :class:`CircuitOpenError` when shut."""
-        if not self.allow():
-            remaining = self.cooldown_remaining_s()
-            raise CircuitOpenError(
-                f"circuit open for another {remaining:.3f}s "
-                f"(trip {self._trip_count})",
-                cooldown_remaining_s=remaining,
-            )
 
     def record_success(self) -> None:
         """The protected call completed cleanly."""

@@ -144,8 +144,6 @@ class CampaignRunner:
         self.fault_plan = fault_plan
         self._clock = clock if clock is not None else time.monotonic
         self._sleep = sleep if sleep is not None else REAL_SLEEP
-        # The breaker keeps its default cool-down (1 s, doubling per trip):
-        # the threshold is the setting a campaign varies.
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_threshold,
             seed=self.config.seed or 0,

@@ -6,7 +6,6 @@ is driven with a hand-advanced fake clock, so no test ever sleeps.
 
 import pytest
 
-from repro.runtime.errors import CircuitOpenError
 from repro.serving import (
     STATE_CLOSED,
     STATE_HALF_OPEN,
@@ -17,14 +16,8 @@ from repro.serving import (
 )
 
 
-def make_breaker(clock, threshold=3, base=1.0, factor=2.0, seed=0):
-    return CircuitBreaker(
-        failure_threshold=threshold,
-        cooldown_base_s=base,
-        cooldown_factor=factor,
-        seed=seed,
-        clock=clock,
-    )
+def make_breaker(clock, threshold=3, seed=0):
+    return CircuitBreaker(failure_threshold=threshold, seed=seed, clock=clock)
 
 
 class TestBreakerStateMachine:
@@ -32,7 +25,6 @@ class TestBreakerStateMachine:
         breaker = make_breaker(ManualClock())
         assert breaker.state == STATE_CLOSED
         assert breaker.allow()
-        breaker.check()  # must not raise
 
     def test_opens_after_threshold_consecutive_failures(self):
         breaker = make_breaker(ManualClock(), threshold=3)
@@ -51,14 +43,6 @@ class TestBreakerStateMachine:
         breaker.record_failure()
         assert breaker.state == STATE_CLOSED  # never two in a row
 
-    def test_check_raises_with_remaining_cooldown(self):
-        clock = ManualClock()
-        breaker = make_breaker(clock, threshold=1, base=5.0)
-        breaker.record_failure()
-        with pytest.raises(CircuitOpenError) as excinfo:
-            breaker.check()
-        assert excinfo.value.cooldown_remaining_s > 0.0
-
     def test_half_open_probe_success_closes(self):
         clock = ManualClock()
         breaker = make_breaker(clock, threshold=1)
@@ -72,7 +56,7 @@ class TestBreakerStateMachine:
 
     def test_half_open_probe_failure_reopens_with_longer_cooldown(self):
         clock = ManualClock()
-        breaker = make_breaker(clock, threshold=1, base=1.0, factor=2.0)
+        breaker = make_breaker(clock, threshold=1)
         breaker.record_failure()
         first_cooldown = breaker.current_cooldown_s()
         clock.sleep(first_cooldown + 0.01)
@@ -84,10 +68,10 @@ class TestBreakerStateMachine:
 
     def test_cooldown_remaining_decreases_with_clock(self):
         clock = ManualClock()
-        breaker = make_breaker(clock, threshold=1, base=4.0)
+        breaker = make_breaker(clock, threshold=1)
         breaker.record_failure()
         before = breaker.cooldown_remaining_s()
-        clock.sleep(1.0)
+        clock.sleep(before / 2)
         after = breaker.cooldown_remaining_s()
         assert 0.0 < after < before
 
@@ -115,7 +99,7 @@ class TestBreakerStateMachine:
     def test_cooldown_schedule_clamps_after_many_trips(self):
         clock = ManualClock()
         breaker = make_breaker(clock, threshold=1)
-        for _ in range(20):  # far beyond max_trips
+        for _ in range(20):  # far beyond MAX_TRIPS
             breaker.record_failure()
             clock.sleep(breaker.current_cooldown_s() + 0.01)
             assert breaker.allow()
@@ -124,8 +108,6 @@ class TestBreakerStateMachine:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(cooldown_base_s=-1.0)
 
 
 class TestFaultPlan:
