@@ -5,7 +5,8 @@ each reduced to the arrays a behaviour change would move, plus the series
 of two 1-epoch fits with the SRNN layers off and at noise intensity 0.  A second small
 Dataset-A build (with QoE) pins the models other than GenDT: the §5.2
 baselines' ``generate`` and the use-case predictors' ``predict``, each fit
-for 1-3 epochs at hidden widths of at most 8.  ``compute()`` returns them as
+for 1-3 epochs at hidden widths of at most 8.  A small Dataset-B build pins
+the drive-test simulator on city and highway cells.  ``compute()`` returns them as
 a flat ``{name: array}`` dict; ``tests/test_golden.py`` compares it with
 ``expected.json``.
 
@@ -34,7 +35,7 @@ from repro.baselines import DoppelGANger, LSTMGNNBaseline, MLPBaseline
 from repro.core import GenDT, small_config
 from repro.core import generator as generator_module
 from repro.core.uncertainty import mc_dropout_uncertainty
-from repro.datasets import make_dataset_a
+from repro.datasets import make_dataset_a, make_dataset_b
 from repro.metrics import dtw, hwd
 from repro.serving import CampaignConfig, CampaignRunner
 from repro.usecases import (
@@ -53,7 +54,7 @@ ROUTE_SAMPLES = 60
 
 def compute() -> Dict[str, np.ndarray]:
     with mock.patch.object(generator_module, "COMPUTE_DTYPE", np.float64):
-        return {**_compute(), **_compute_other_models()}
+        return {**_compute(), **_compute_other_models(), **_compute_simulator()}
 
 
 def _compute() -> Dict[str, np.ndarray]:
@@ -153,6 +154,21 @@ def _compute_other_models() -> Dict[str, np.ndarray]:
     out["bandwidth.mean"] = bandwidth.predict(features)
     out["bandwidth.interval"] = np.stack(bandwidth.predict_interval(features))
     return out
+
+
+def _compute_simulator() -> Dict[str, np.ndarray]:
+    """Every Dataset-B record's KPIs, serving cell and serving load, stacked by row.
+
+    Its highway routes put 17 dBi, 45° highway sectors among the candidate
+    cells next to the city sectors.
+    """
+    dataset = make_dataset_b(seed=11, samples_per_scenario=60, trajectories_per_scenario=1)
+    columns = ["rsrp", "rssi", "rsrq", "sinr", "cqi", "serving_cell"]
+    rows = [
+        np.column_stack([record.kpi_matrix(columns), record.serving_load])
+        for record in dataset.records
+    ]
+    return {"simulate.dataset_b": np.concatenate(rows)}
 
 
 def load() -> Dict[str, np.ndarray]:

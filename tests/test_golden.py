@@ -7,7 +7,8 @@ per-parameter weight summary, the series of ``generate``,
 truth, and the ``generate`` series of two 1-epoch fits, one with the SRNN
 layers off and one with them on at noise intensity 0.  They also hold the outputs of the models other than GenDT: the MLP,
 LSTM-GNN and both DoppelGANger baselines' ``generate``, and the QoE,
-cell-load and link-bandwidth predictors' ``predict``.  A change that moves any of them must re-pin the fixtures (see
+cell-load and link-bandwidth predictors' ``predict``, and the drive-test
+simulator's records of a small Dataset B (city and highway cells).  A change that moves any of them must re-pin the fixtures (see
 ``tests/golden/scenario.py``) and name the cause in CHANGES.md.
 
 The scenario runs GenDT in float64 (``COMPUTE_DTYPE`` patched), and values are
