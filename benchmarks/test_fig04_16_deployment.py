@@ -30,7 +30,7 @@ def _local_cell_density(dataset, records, radius_m=2000.0):
     for record in records:
         traj = record.trajectory
         for k in range(0, len(traj), max(1, len(traj) // 10)):
-            n = len(deployment.visible_cells(traj.lat[k], traj.lon[k], radius_m))
+            n = np.count_nonzero(deployment.distances_m(traj.lat[k], traj.lon[k]) <= radius_m)
             counts.append(n / (np.pi * (radius_m / 1000.0) ** 2))
     return float(np.mean(counts))
 

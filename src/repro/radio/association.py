@@ -50,8 +50,9 @@ def select_serving_cells(
     current = int(np.argmax(rsrp[0])) if initial_cell is None else int(initial_cell)
     trigger_count = 0
     trigger_target = -1
+    strongest = np.argmax(rsrp, axis=1)
     for t in range(steps):
-        best = int(np.argmax(rsrp[t]))
+        best = int(strongest[t])
         if not np.isfinite(rsrp[t, current]):
             # Radio-link failure: serving cell left the visible set.
             current = best

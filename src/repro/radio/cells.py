@@ -70,16 +70,6 @@ class CellDeployment:
         x, y = self.frame.to_xy(lat, lon)
         return np.hypot(self._xy[:, 0] - float(x), self._xy[:, 1] - float(y))
 
-    def visible_cells(self, lat: float, lon: float, max_distance_m: float) -> List[Tuple[Cell, float]]:
-        """Cells within ``max_distance_m`` of a point, nearest first."""
-        dists = self.distances_m(lat, lon)
-        order = np.argsort(dists)
-        return [
-            (self.cells[i], float(dists[i]))
-            for i in order
-            if dists[i] <= max_distance_m
-        ]
-
 
 def deploy_city(
     city: CitySpec,

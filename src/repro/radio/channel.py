@@ -10,11 +10,10 @@ cell load), RSRQ, SINR and CQI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geo.coords import LocalFrame
 from ..geo.trajectory import Trajectory
 from .antenna import wrap_angle_deg
 from .cells import Cell, CellDeployment
@@ -55,24 +54,18 @@ class LinkBudget:
         self.config = config or LinkBudgetConfig()
 
     # ------------------------------------------------------------------
-    # Geometry helpers
+    # Geometry
     # ------------------------------------------------------------------
-    def _bearings_from_cells(self, cells: Sequence[Cell], lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-        """Bearing (deg from north) from every cell to every UE position, [T, N]."""
+    def _geometry(
+        self, cells: Sequence[Cell], lat: np.ndarray, lon: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Distance (m) and bearing (deg from north) from every cell to every UE position, each [T, N]."""
         frame = self.deployment.frame
         ux, uy = frame.to_xy(lat, lon)
-        cx = np.array([frame.to_xy(c.lat, c.lon)[0] for c in cells], dtype=float)
-        cy = np.array([frame.to_xy(c.lat, c.lon)[1] for c in cells], dtype=float)
+        cx, cy = frame.to_xy([c.lat for c in cells], [c.lon for c in cells])
         dx = ux[:, None] - cx[None, :]
         dy = uy[:, None] - cy[None, :]
-        return np.degrees(np.arctan2(dx, dy)) % 360.0
-
-    def _distances(self, cells: Sequence[Cell], lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-        frame = self.deployment.frame
-        ux, uy = frame.to_xy(lat, lon)
-        cx = np.array([frame.to_xy(c.lat, c.lon)[0] for c in cells], dtype=float)
-        cy = np.array([frame.to_xy(c.lat, c.lon)[1] for c in cells], dtype=float)
-        return np.hypot(ux[:, None] - cx[None, :], uy[:, None] - cy[None, :])
+        return np.hypot(dx, dy), np.degrees(np.arctan2(dx, dy)) % 360.0
 
     # ------------------------------------------------------------------
     # Received power
@@ -87,13 +80,15 @@ class LinkBudget:
         """Per-cell RSRP over the trajectory, shape [T, N] in dBm.
 
         ``clutter`` is the per-timestep clutter factor in [0, 1] from the
-        environment raster at the UE location.
+        environment raster at the UE location.  Whole-array over steps and
+        cells: the antenna gain runs once per distinct antenna on its
+        cells' columns, and shadowing then fading draw from ``rng`` as
+        [T, N] blocks (see their models for the draw order).
         """
         cfg = self.config
         steps = len(trajectory)
         n = len(cells)
-        distances = self._distances(cells, trajectory.lat, trajectory.lon)
-        bearings = self._bearings_from_cells(cells, trajectory.lat, trajectory.lon)
+        distances, bearings = self._geometry(cells, trajectory.lat, trajectory.lon)
         clutter = np.asarray(clutter, dtype=float)
         if clutter.shape != (steps,):
             raise ValueError(f"clutter must be [T]={steps}, got {clutter.shape}")
@@ -106,14 +101,13 @@ class LinkBudget:
         shadow = cfg.shadowing.sample_along_multi(step_dist, n, rng, clutter=clutter)
         p_max = np.array([c.p_max_dbm for c in cells])
         directions = np.array([c.direction_deg for c in cells])
+        offsets = wrap_angle_deg(bearings - directions[None, :])
+        antennas = [c.antenna for c in cells]
         gain = np.empty((steps, n))
-        for j, cell in enumerate(cells):
-            gain[:, j] = cell.antenna.gain_dbi(
-                wrap_angle_deg(bearings[:, j] - directions[j])
-            )
-        fading = np.column_stack(
-            [cfg.fading.sample(steps, rng, speed_mps=speeds) for _ in range(n)]
-        )
+        for antenna in dict.fromkeys(antennas):
+            columns = [j for j, a in enumerate(antennas) if a == antenna]
+            gain[:, columns] = antenna.gain_dbi(offsets[:, columns])
+        fading = cfg.fading.sample(steps, n, rng, speed_mps=speeds)
         return (
             p_max[None, :]
             - per_re_offset
@@ -130,17 +124,20 @@ class LinkBudget:
         """Slowly-varying per-cell load in [0.05, 0.95], shape [T, N].
 
         Cell load is the paper's canonical example of context the model does
-        NOT see — it is the "noise" the generator must absorb.
+        NOT see — it is the "noise" the generator must absorb.  Each cell's
+        load follows an AR(1) process: an [N] initial draw, then one [T, N]
+        draw of innovations (the stream of T draws of [N], one per step).
+        Only the recurrence loops over time.
         """
         cfg = self.config
-        loads = np.empty((steps, n_cells))
+        innovation_scale = np.sqrt(1 - cfg.load_ar_coeff**2)
         state = rng.normal(0.0, 1.0, size=n_cells)
+        innovations = rng.normal(0.0, 1.0, size=(steps, n_cells))
+        states = np.empty((steps, n_cells))
         for t in range(steps):
-            state = cfg.load_ar_coeff * state + np.sqrt(1 - cfg.load_ar_coeff**2) * rng.normal(
-                0.0, 1.0, size=n_cells
-            )
-            loads[t] = np.clip(cfg.load_mean + cfg.load_sigma * state, 0.05, 0.95)
-        return loads
+            state = cfg.load_ar_coeff * state + innovation_scale * innovations[t]
+            states[t] = state
+        return np.clip(cfg.load_mean + cfg.load_sigma * states, 0.05, 0.95)
 
     # ------------------------------------------------------------------
     # KPI derivation

@@ -106,10 +106,20 @@ class FastFadingModel:
     speed_scale: float = 0.03  # extra dB of sigma per m/s
 
     def sample(
-        self, n: int, rng: np.random.Generator, speed_mps: Optional[np.ndarray] = None
+        self,
+        steps: int,
+        n_cells: int,
+        rng: np.random.Generator,
+        speed_mps: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        sigma = np.full(n, self.sigma_db)
+        """Independent jitter for ``n_cells`` cells over ``steps`` steps: [T, N].
+
+        The draw is cell-major — one ``[N, T]`` block, transposed — so it
+        consumes ``rng`` exactly as N successive draws of one cell's [T]
+        series would.  ``speed_mps`` is the per-step speed [T].
+        """
+        sigma = np.full(steps, self.sigma_db)
         if speed_mps is not None:
             speeds = np.asarray(speed_mps, dtype=float)
             sigma = sigma + self.speed_scale * np.clip(speeds, 0.0, 50.0)
-        return rng.normal(0.0, 1.0, size=n) * sigma
+        return rng.normal(0.0, 1.0, size=(n_cells, steps)).T * sigma[:, None]

@@ -90,19 +90,21 @@ class DriveTestSimulator:
 
     # ------------------------------------------------------------------
     def candidate_cells(self, trajectory: Trajectory) -> List[Cell]:
-        """Cells ever within range of any trajectory point (dedup, id order).
+        """Cells ever within range of any trajectory point, in id order.
 
-        Sampled at a stride for long trajectories — a cell missed between
-        strides would be > range - stride*v_max away, far below relevance.
+        Sampled at a stride for long trajectories (every ``len // 200``-th
+        point, at least every point) — a cell missed between strides would
+        be > range - stride*v_max away, far below relevance.  One [K, N]
+        distance matrix from the K strided points to all N cells decides.
         """
+        deployment = self.region.deployment
         stride = max(1, len(trajectory) // 200)
-        ids: set = set()
-        for k in range(0, len(trajectory), stride):
-            for cell, _ in self.region.deployment.visible_cells(
-                trajectory.lat[k], trajectory.lon[k], self.candidate_range_m
-            ):
-                ids.add(cell.cell_id)
-        return [self.region.deployment[cid] for cid in sorted(ids)]
+        x, y = deployment.frame.to_xy(trajectory.lat[::stride], trajectory.lon[::stride])
+        cells_xy = deployment.positions_xy()
+        distances = np.hypot(cells_xy[:, 0] - x[:, None], cells_xy[:, 1] - y[:, None])
+        in_range = np.any(distances <= self.candidate_range_m, axis=0)
+        hits = [cell for cell, hit in zip(deployment.cells, in_range) if hit]
+        return sorted(hits, key=lambda cell: cell.cell_id)
 
     # ------------------------------------------------------------------
     def simulate(

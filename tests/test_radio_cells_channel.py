@@ -82,17 +82,6 @@ class TestCellDeployment:
         assert d.shape == (len(deployment),)
         assert np.all(d >= 0)
 
-    def test_visible_cells_sorted_and_bounded(self, deployment):
-        visible = deployment.visible_cells(51.5, -0.1, 800.0)
-        dists = [d for _, d in visible]
-        assert dists == sorted(dists)
-        assert all(d <= 800.0 for d in dists)
-
-    def test_visible_cells_grow_with_range(self, deployment):
-        near = deployment.visible_cells(51.5, -0.1, 300.0)
-        far = deployment.visible_cells(51.5, -0.1, 1500.0)
-        assert len(far) >= len(near)
-
 
 class TestLinkBudget:
     @pytest.fixture(scope="class")

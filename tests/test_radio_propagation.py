@@ -106,13 +106,13 @@ class TestShadowing:
 class TestFastFading:
     def test_sample_shape(self, rng):
         fading = FastFadingModel()
-        assert fading.sample(100, rng).shape == (100,)
+        assert fading.sample(100, 1, rng)[:, 0].shape == (100,)
 
     def test_speed_raises_sigma(self):
         fading = FastFadingModel(sigma_db=1.0, speed_scale=0.1)
         rng = np.random.default_rng(5)
-        slow = np.concatenate([fading.sample(2000, rng, np.zeros(2000)) for _ in range(3)])
-        fast = np.concatenate([fading.sample(2000, rng, np.full(2000, 30.0)) for _ in range(3)])
+        slow = np.concatenate([fading.sample(2000, 1, rng, np.zeros(2000))[:, 0] for _ in range(3)])
+        fast = np.concatenate([fading.sample(2000, 1, rng, np.full(2000, 30.0))[:, 0] for _ in range(3)])
         assert fast.std() > slow.std() * 1.5
 
 

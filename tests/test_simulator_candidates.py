@@ -15,12 +15,12 @@ class TestCandidateCells:
     def test_candidates_cover_route_endpoints(self, small_simulator, sample_trajectory, small_region):
         cells = small_simulator.candidate_cells(sample_trajectory)
         cell_ids = {c.cell_id for c in cells}
+        deployment = small_region.deployment
         for k in (0, len(sample_trajectory) - 1):
-            nearest = small_region.deployment.visible_cells(
-                sample_trajectory.lat[k], sample_trajectory.lon[k], 1000.0
-            )
-            if nearest:
-                assert nearest[0][0].cell_id in cell_ids
+            distances = deployment.distances_m(sample_trajectory.lat[k], sample_trajectory.lon[k])
+            nearest = int(np.argmin(distances))
+            if distances[nearest] <= 1000.0:
+                assert deployment.cells[nearest].cell_id in cell_ids
 
     def test_stride_sampling_stable(self, small_region, sample_trajectory):
         """Candidate sets from dense and strided sampling agree closely."""
