@@ -54,7 +54,7 @@ class LinkBudget:
         self.config = config or LinkBudgetConfig()
 
     # ------------------------------------------------------------------
-    # Geometry
+    # Geometry helpers
     # ------------------------------------------------------------------
     def _geometry(
         self, cells: Sequence[Cell], lat: np.ndarray, lon: np.ndarray
@@ -82,8 +82,8 @@ class LinkBudget:
         ``clutter`` is the per-timestep clutter factor in [0, 1] from the
         environment raster at the UE location.  Whole-array over steps and
         cells: the antenna gain runs once per distinct antenna on its
-        cells' columns, and shadowing then fading draw from ``rng`` as
-        [T, N] blocks (see their models for the draw order).
+        cells' columns, and shadowing, then fading, draw from ``rng`` once
+        for all cells (see their models for the draw order).
         """
         cfg = self.config
         steps = len(trajectory)

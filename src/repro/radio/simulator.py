@@ -92,9 +92,9 @@ class DriveTestSimulator:
     def candidate_cells(self, trajectory: Trajectory) -> List[Cell]:
         """Cells ever within range of any trajectory point, in id order.
 
-        Sampled at a stride for long trajectories (every ``len // 200``-th
-        point, at least every point) — a cell missed between strides would
-        be > range - stride*v_max away, far below relevance.  One [K, N]
+        Sampled at a stride of ``max(1, len // 200)`` points for long
+        trajectories — a cell missed between strides would be
+        > range - stride*v_max away, far below relevance.  One [K, N]
         distance matrix from the K strided points to all N cells decides.
         """
         deployment = self.region.deployment
