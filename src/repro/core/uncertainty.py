@@ -69,12 +69,20 @@ def mc_dropout_uncertainty(
 def subset_uncertainties(
     model: GenDT, subsets: Sequence[Sequence[DriveTestRecord]], n_passes: int = 6
 ) -> List[float]:
-    """U(G) per candidate measurement subset (drives §6.2 data selection)."""
+    """U(G) per candidate measurement subset (drives §6.2 data selection).
+
+    Record ``j`` of subset ``i`` (its position in ``subsets``) is scored with
+    passes drawn from ``default_rng([i, j])``, so a score depends on neither
+    the model's generator nor the calls made before.
+    """
     values: List[float] = []
-    for subset in subsets:
+    for i, subset in enumerate(subsets):
         per_record = [
-            mc_dropout_uncertainty(model, record.trajectory, n_passes).model_uncertainty
-            for record in subset
+            mc_dropout_uncertainty(
+                model, record.trajectory, n_passes,
+                rng=np.random.default_rng([i, j]),  # repro: noqa[SEED001] (see docstring)
+            ).model_uncertainty
+            for j, record in enumerate(subset)
         ]
         values.append(float(np.mean(per_record)))
     return values

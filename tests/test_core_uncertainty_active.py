@@ -62,6 +62,18 @@ class TestUncertainty:
         assert len(scores) == 2
         assert all(s > 0 for s in scores)
 
+    def test_subset_scores_ignore_earlier_calls(self, trained_gendt, tiny_split):
+        """Each record draws from its own generator, never from ``model.rng``."""
+        subsets = [[r] for r in tiny_split.test[:3]]
+        state = trained_gendt.rng.bit_generator.state
+        try:
+            before = subset_uncertainties(trained_gendt, subsets, n_passes=4)
+            assert trained_gendt.rng.bit_generator.state == state
+            trained_gendt.generate(tiny_split.test[0].trajectory)
+            assert subset_uncertainties(trained_gendt, subsets, n_passes=4) == before
+        finally:
+            trained_gendt.rng.bit_generator.state = state
+
 
 class TestActiveLearning:
     @pytest.fixture(scope="class")
