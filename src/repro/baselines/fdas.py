@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..geo.trajectory import Trajectory
 from ..radio.kpis import KPI, KpiSpec
@@ -36,12 +35,16 @@ class FittedDistribution:
     log_likelihood: float
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        from scipy import stats  # on first use, so ``import repro`` does not load it
+
         dist = getattr(stats, self.dist_name)
         return dist.rvs(*self.params, size=n, random_state=rng)
 
 
 def fit_best_distribution(values: np.ndarray) -> FittedDistribution:
     """MLE over the candidate family; returns the highest-likelihood fit."""
+    from scipy import stats  # on first use, as in ``FittedDistribution.sample``
+
     values = np.asarray(values, dtype=float).ravel()
     if len(values) < 10:
         raise ValueError("too few samples to fit a distribution")
