@@ -91,7 +91,9 @@ class _Recurrence:
     With ``bptt`` each step's input state, ``tanh(c)`` and renormalization
     factors are kept for :meth:`backward`.  Without it nothing per step is
     kept: the state is renormalized in place and ``tanh(c)`` is written
-    into ``h`` before ``h *= o``, which gives the same bits.
+    into ``h`` before ``h *= o``, which gives the same bits.  ``hs`` is a
+    ``[T, B, H]`` view of the ``[B, T, H]`` output, which each step writes
+    into directly.
     """
 
     def __init__(self, x, weight_ih, weight_hh, bias, noise: Optional[SRNNNoise], bptt=True):
@@ -114,7 +116,7 @@ class _Recurrence:
             self.state_in = np.empty((2, steps, batch, hidden), dtype)
             self.tanh_c = np.empty((steps, batch, hidden), dtype)
             self.renorm: List[tuple] = []
-        self.hs = np.empty((steps, batch, hidden), dtype)
+        self.hs = np.empty((batch, steps, hidden), dtype).transpose(1, 0, 2)
         state = np.zeros((2, batch, hidden), dtype)
         h, c = state
         if noise is not None:
@@ -154,36 +156,59 @@ class _Recurrence:
 
         ``d_hs`` is the gradient of the ``[B, T, H]`` output.  ``needs``
         flags the inputs whose gradient is wanted; the others come back as
-        None.
+        None.  It can run once only: it overwrites what the forward kept,
+        so beyond that it needs one ``[T, B, H]`` buffer while it builds
+        the factors and no ``[T, B, 4H]`` one.
         """
-        steps, batch, hidden = self.hs.shape
-        dtype = self.hs.dtype
+        steps, batch, hidden = self.tanh_c.shape
         h_in, c_in = self.state_in
-        i, f, g, o = (self.gates[..., k * hidden : (k + 1) * hidden] for k in range(4))
         # Per-step factors that do not depend on the incoming gradient,
         # computed for all steps at once: d gates = d_c * k[i, f, g] and
-        # d_h * k[o]; d_c picks up d_h * k_c.
-        k_gates = np.empty((steps, batch, 4, hidden), dtype)
-        np.multiply(g, i * (1.0 - i), out=k_gates[:, :, 0])
-        np.multiply(c_in, f * (1.0 - f), out=k_gates[:, :, 1])
-        np.multiply(i, 1.0 - g * g, out=k_gates[:, :, 2])
-        np.multiply(self.tanh_c, o * (1.0 - o), out=k_gates[:, :, 3])
-        k_c = o * (1.0 - self.tanh_c * self.tanh_c)
+        # d_h * k[o]; d_c picks up d_h * k_c.  They are built over buffers
+        # nothing reads again: k[i, f, g, o] over the gate activations and
+        # k_c over tanh(c), while f, which the loop still reads, moves into
+        # c_in's buffer.  Each product takes the loop reference's operands,
+        # so the bits are the same.
+        k_gates = self.gates.reshape(steps, batch, 4, hidden)
+        i, f, g, o = (k_gates[:, :, k] for k in range(4))
+        k_c = self.tanh_c
+        spare = np.subtract(1.0, f)
+        spare *= f
+        spare *= c_in
+        f_gate = c_in
+        f_gate[...] = f
+        f[...] = spare
+        np.subtract(1.0, i, out=spare)
+        spare *= i
+        spare *= g
+        np.multiply(g, g, out=g)
+        np.subtract(1.0, g, out=g)
+        g *= i
+        i[...] = spare
+        np.subtract(1.0, o, out=spare)
+        spare *= o
+        spare *= k_c
+        np.multiply(k_c, k_c, out=k_c)
+        np.subtract(1.0, k_c, out=k_c)
+        k_c *= o
+        o[...] = spare
+        del spare
         d_out = d_hs.transpose(1, 0, 2)
         # The stacked [d_h, d_c]; each step updates its d_h and d_c views.
-        d_state = np.zeros((2, batch, hidden), dtype)
-        d_gates = np.empty((steps, batch, 4, hidden), dtype)
+        # Each step's gate gradients are written over its factors.
+        d_state = np.zeros((2, batch, hidden), k_c.dtype)
         for t in range(steps - 1, -1, -1):
             d_h, d_c = d_state
             d_h += d_out[t]
             d_c += d_h * k_c[t]
-            np.multiply(d_c[:, None, :], k_gates[t, :, :3], out=d_gates[t, :, :3])
-            np.multiply(d_h, k_gates[t, :, 3], out=d_gates[t, :, 3])
-            d_c *= f[t]
-            np.matmul(d_gates[t].reshape(batch, 4 * hidden), self.weight_hh, out=d_h)
+            d_gates = k_gates[t]
+            d_gates[:, :3] *= d_c[:, None, :]
+            d_gates[:, 3] *= d_h
+            d_c *= f_gate[t]
+            np.matmul(d_gates.reshape(batch, 4 * hidden), self.weight_hh, out=d_h)
             if self.noise is not None:
                 d_state = _unrenormalize(d_state, *self.renorm[t])
-        flat = d_gates.reshape(steps * batch, 4 * hidden)
+        flat = k_gates.reshape(steps * batch, 4 * hidden)
         d_x = d_w_ih = d_w_hh = d_bias = None
         if needs[0]:
             d_x = (flat @ self.weight_ih).reshape(steps, batch, -1).transpose(1, 0, 2)
@@ -264,7 +289,7 @@ def lstm_sequence(x, weight_ih, weight_hh, bias, noise: Optional[SRNNNoise] = No
             if need:
                 tensor._accumulate(value)
 
-    return inputs[0]._make(np.ascontiguousarray(run.hs.transpose(1, 0, 2)), inputs, backward)
+    return inputs[0]._make(run.hs.transpose(1, 0, 2), inputs, backward)
 
 
 @contract(

@@ -465,16 +465,17 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(order):
+        # Release each node's closure and parents as soon as its backward has
+        # run, so what a closure holds (an LSTM's BPTT buffers) is freed
+        # before the ops upstream of it allocate.  Leaf grads are kept.
+        while order:
+            node = order.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
                 if _anomaly.enabled:
                     _anomaly_check_backward(node)
-                # Free intermediate grads/graph to bound memory; keep leaf grads.
                 if node._parents:
                     node.grad = None
-        # Release the graph so repeated forward passes don't leak memory.
-        for node in order:
             node._backward = None
             node._parents = ()
 

@@ -9,6 +9,7 @@ up to rounding.
 
 import contextlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -135,6 +136,52 @@ def test_no_grad_keeps_no_bptt_buffers():
         tracemalloc.stop()
     per_step_state = steps * batch * hidden * 8
     assert peaks[0] - peaks[1] >= 4 * per_step_state
+
+
+
+def test_backward_frees_a_closure_before_the_ops_upstream_of_it_run():
+    # A stand-in for the BPTT buffers of an op downstream of another (D's
+    # LSTM after the generator's): only the downstream closure holds it.
+    x = Tensor(np.ones(3), requires_grad=True)
+    held_when_upstream_ran = []
+
+    def upstream(grad):
+        held_when_upstream_ran.append(buffer_ref() is not None)
+        x._accumulate(grad)
+
+    mid = x._make(x.data * 2.0, (x,), upstream)
+
+    def downstream_op():
+        buffer = np.ones(3)
+
+        def backward(grad):
+            mid._accumulate(grad * buffer)
+
+        return mid._make(mid.data.sum(), (mid,), backward), weakref.ref(buffer)
+
+    out, buffer_ref = downstream_op()
+    assert buffer_ref() is not None
+    out.backward()
+    assert held_when_upstream_ran == [False]
+    np.testing.assert_array_equal(x.grad, np.ones(3))
+
+
+def test_backward_needs_one_gate_buffer_less_than_the_loop_reference():
+    # BPTT writes the gate gradients over the factors, which it builds over
+    # the spent gate activations: the loop reference allocates both a
+    # factor and a gradient [T, B, 4H] buffer besides them.
+    batch, steps, n_in, hidden = 64, 50, 6, 100
+    arrays = _arrays(batch, steps, n_in, hidden)
+    d_hs = np.random.default_rng(1).normal(size=(batch, steps, hidden))
+    peaks = []
+    for recurrence in (_Recurrence, LoopRecurrence):
+        run = recurrence(*arrays, SRNNNoise(np.random.default_rng(0), 2.0, 2.0))
+        tracemalloc.start()
+        run.backward(d_hs, [True] * 4)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    gate_buffer = steps * batch * 4 * hidden * d_hs.itemsize
+    assert peaks[1] - peaks[0] >= gate_buffer
 
 
 def test_only_inputs_that_require_grad_get_gradients():
