@@ -172,12 +172,14 @@ class _Recurrence:
         k_gates = self.gates.reshape(steps, batch, 4, hidden)
         i, f, g, o = (k_gates[:, :, k] for k in range(4))
         k_c = self.tanh_c
+        # k[f] = c_in * f(1 - f), then f moves into c_in's buffer.
         spare = np.subtract(1.0, f)
         spare *= f
         spare *= c_in
         f_gate = c_in
         f_gate[...] = f
         f[...] = spare
+        # k[i] = g * i(1 - i) and k[g] = i * (1 - g²) read each other's gate.
         np.subtract(1.0, i, out=spare)
         spare *= i
         spare *= g
@@ -185,6 +187,7 @@ class _Recurrence:
         np.subtract(1.0, g, out=g)
         g *= i
         i[...] = spare
+        # k[o] = tanh(c) * o(1 - o) and k_c = o * (1 - tanh(c)²).
         np.subtract(1.0, o, out=spare)
         spare *= o
         spare *= k_c

@@ -138,7 +138,6 @@ def test_no_grad_keeps_no_bptt_buffers():
     assert peaks[0] - peaks[1] >= 4 * per_step_state
 
 
-
 def test_backward_frees_a_closure_before_the_ops_upstream_of_it_run():
     # A stand-in for the BPTT buffers of an op downstream of another (D's
     # LSTM after the generator's): only the downstream closure holds it.
