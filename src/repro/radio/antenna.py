@@ -40,5 +40,18 @@ class SectorAntenna:
 
 
 def wrap_angle_deg(angle: Array) -> Array:
-    """Wrap an angle (difference) into [-180, 180)."""
-    return (np.asarray(angle, dtype=float) + 180.0) % 360.0 - 180.0
+    """Wrap an angle (difference) into [-180, 180).
+
+    Bit for bit ``(angle + 180) % 360 - 180``, except where ``% 360``
+    rounds a tiny negative sum up to 360 (at ``-180 - 1 ulp``): that case
+    wraps to -180 too, so wrapping twice changes nothing.  ``np.fmod``
+    with the sign fix numpy's float remainder applies after it is that
+    remainder, without its floor division (about half the time).
+    """
+    wrapped = np.array(angle, dtype=float)  # a copy, wrapped in place
+    wrapped += 180.0
+    np.fmod(wrapped, 360.0, out=wrapped)
+    wrapped += 360.0 * (wrapped < 0.0)  # also turns -0.0 into 0.0, as ``%`` does
+    wrapped[wrapped == 360.0] = 0.0
+    wrapped -= 180.0
+    return wrapped

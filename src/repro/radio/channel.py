@@ -10,12 +10,12 @@ cell load), RSRQ, SINR and CQI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..geo.trajectory import Trajectory
-from .antenna import wrap_angle_deg
+from .antenna import SectorAntenna
 from .cells import Cell, CellDeployment
 from .kpis import (
     DEFAULT_N_RB,
@@ -65,7 +65,11 @@ class LinkBudget:
         cx, cy = frame.to_xy([c.lat for c in cells], [c.lon for c in cells])
         dx = ux[:, None] - cx[None, :]
         dy = uy[:, None] - cy[None, :]
-        return np.hypot(dx, dy), np.degrees(np.arctan2(dx, dy)) % 360.0
+        bearings = np.degrees(np.arctan2(dx, dy))
+        # ``bearings % 360.0`` bit for bit on [-180, 180] (-0.0 included) at a
+        # tenth of the cost: numpy's float remainder is a slow floor division.
+        bearings += 360.0 * (bearings < 0.0)
+        return np.hypot(dx, dy), bearings
 
     # ------------------------------------------------------------------
     # Received power
@@ -101,11 +105,12 @@ class LinkBudget:
         shadow = cfg.shadowing.sample_along_multi(step_dist, n, rng, clutter=clutter)
         p_max = np.array([c.p_max_dbm for c in cells])
         directions = np.array([c.direction_deg for c in cells])
-        offsets = wrap_angle_deg(bearings - directions[None, :])
-        antennas = [c.antenna for c in cells]
+        offsets = bearings - directions[None, :]  # ``gain_dbi`` wraps them
+        columns_of: Dict[SectorAntenna, List[int]] = {}
+        for j, cell in enumerate(cells):
+            columns_of.setdefault(cell.antenna, []).append(j)
         gain = np.empty((steps, n))
-        for antenna in dict.fromkeys(antennas):
-            columns = [j for j, a in enumerate(antennas) if a == antenna]
+        for antenna, columns in columns_of.items():
             gain[:, columns] = antenna.gain_dbi(offsets[:, columns])
         fading = cfg.fading.sample(steps, n, rng, speed_mps=speeds)
         return (
@@ -130,13 +135,14 @@ class LinkBudget:
         Only the recurrence loops over time.
         """
         cfg = self.config
-        innovation_scale = np.sqrt(1 - cfg.load_ar_coeff**2)
         state = rng.normal(0.0, 1.0, size=n_cells)
         innovations = rng.normal(0.0, 1.0, size=(steps, n_cells))
+        innovations *= np.sqrt(1 - cfg.load_ar_coeff**2)
         states = np.empty((steps, n_cells))
         for t in range(steps):
-            state = cfg.load_ar_coeff * state + innovation_scale * innovations[t]
-            states[t] = state
+            np.multiply(state, cfg.load_ar_coeff, out=states[t])
+            states[t] += innovations[t]
+            state = states[t]
         return np.clip(cfg.load_mean + cfg.load_sigma * states, 0.05, 0.95)
 
     # ------------------------------------------------------------------

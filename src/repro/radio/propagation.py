@@ -88,8 +88,10 @@ class ShadowingModel:
         traces = np.empty((n, n_cells))
         traces[0] = rng.normal(0.0, sigma[0], size=n_cells)
         innovations = rng.normal(0.0, 1.0, size=(n - 1, n_cells))
+        innovations *= (drive * sigma[1:])[:, None]
         for k in range(1, n):
-            traces[k] = rho[k - 1] * traces[k - 1] + drive[k - 1] * sigma[k] * innovations[k - 1]
+            np.multiply(traces[k - 1], rho[k - 1], out=traces[k])
+            traces[k] += innovations[k - 1]
         return traces
 
 

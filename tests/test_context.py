@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from repro.context import (
@@ -20,7 +22,7 @@ from repro.context.extract import ENV_CELL_M
 from repro.context.normalize import P_MAX_MEAN_DBM, P_MAX_STD_DB
 from repro.geo import LocalFrame, Trajectory, from_waypoints
 from repro.world import POI_CLASSES
-from repro.world.poi import PoiIndex
+from repro.world.poi import STRIP_M, PoiIndex
 from repro.world.attributes import N_LAND_USE
 
 
@@ -59,11 +61,16 @@ def loop_fractions_within(raster, lat, lon, radius_m):
     return out.reshape(shape + (N_LAND_USE,))
 
 
+def poi_points(pois):
+    """The index's PoIs as an [P, 2] array, in the order of ``pois._class_of``."""
+    return np.stack([pois._x, pois._y], axis=1)
+
+
 def loop_counts_within(pois, lat, lon, radius_m):
     """``PoiIndex.counts_within`` as one k-d tree and one ball query per class."""
     x, y = pois.frame.to_xy(lat, lon)
     centres = np.stack([np.ravel(x), np.ravel(y)], axis=1)
-    points = pois._tree.data
+    points = poi_points(pois)
     counts = np.stack(
         [
             cKDTree(points[pois._class_of == k]).query_ball_point(centres, radius_m, return_length=True)
@@ -329,7 +336,7 @@ class TestVectorisedEnvironmentQueries:
         expected = np.array([
             [
                 np.count_nonzero(
-                    ((pois._tree.data[pois._class_of == k] - point) ** 2).sum(axis=1)
+                    ((poi_points(pois)[pois._class_of == k] - point) ** 2).sum(axis=1)
                     <= self.RADIUS_M**2
                 )
                 for k in range(len(POI_CLASSES))
@@ -346,7 +353,7 @@ class TestVectorisedEnvironmentQueries:
         got = pois.counts_within(lat, lon, self.RADIUS_M)
         assert np.array_equal(got, loop_counts_within(pois, lat, lon, self.RADIUS_M))
         # Query points sitting on PoIs, and the scalar and empty cases.
-        on_lat, on_lon = pois.frame.to_latlon(*pois._tree.data[::7].T)
+        on_lat, on_lon = pois.frame.to_latlon(*poi_points(pois)[::7].T)
         assert np.array_equal(
             pois.counts_within(on_lat, on_lon, self.RADIUS_M),
             loop_counts_within(pois, on_lat, on_lon, self.RADIUS_M),
@@ -371,6 +378,71 @@ class TestVectorisedEnvironmentQueries:
         want[[0, 3, -1]] = [2, 1, 1]
         assert np.array_equal(pois.counts_within(frame.lat0, frame.lon0, radius), want)
         assert np.array_equal(loop_counts_within(pois, frame.lat0, frame.lon0, radius), want)
+
+
+def brute_counts_within(points, class_of, qx, qy, radius_m):
+    """PoIs of each class within ``radius_m`` of each (qx, qy), one distance per pair."""
+    d = points[None, :, :] - np.stack([qx, qy], axis=1)[:, None, :]
+    hit = (d * d).sum(axis=2) <= radius_m * radius_m
+    return np.stack([hit[:, class_of == k].sum(axis=1) for k in range(len(POI_CLASSES))], axis=1)
+
+
+class TestPoiIndexProperties:
+    FRAME = LocalFrame(51.5, -0.1)
+    #: PoI and query coordinates on a 25 m grid, so PoIs sit exactly a
+    #: radius away along x, along y or on a 3-4-5 diagonal.
+    GRID = st.integers(-60, 60).map(lambda i: i * 25.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_counts_match_brute_force(self, data):
+        frame = self.FRAME
+        radius = data.draw(st.sampled_from([1.0, 50.0, 125.0, 333.3, 500.0, 1250.0]), "radius")
+        near = data.draw(st.lists(st.tuples(self.GRID, self.GRID), max_size=6), "queries")
+        far_coord = st.sampled_from([-1e7, -3e4, 3e4, 1e7])
+        far = data.draw(st.lists(st.tuples(far_coord, self.GRID | far_coord), max_size=2), "far")
+        wanted = np.array(near + far, dtype=float).reshape(-1, 2)
+        lat, lon = frame.to_latlon(wanted[:, 0], wanted[:, 1])
+        qx, qy = frame.to_xy(lat, lon)  # what the index sees
+        # Few PoIs over few classes, so most classes are empty.
+        cls = st.integers(0, len(POI_CLASSES) - 1)
+        pois = data.draw(st.lists(st.tuples(cls, self.GRID, self.GRID), max_size=40), "pois")
+        for i in range(len(near)):
+            # A PoI exactly ``radius`` from the query point along x or along y.
+            for dx, dy in data.draw(st.lists(st.sampled_from(
+                [(radius, 0.0), (-radius, 0.0), (0.0, radius), (0.0, -radius)]
+            ), max_size=2)):
+                pois.append((data.draw(cls), qx[i] + dx, qy[i] + dy))
+        if near and data.draw(st.booleans(), "strip edge"):
+            # The lowest PoI sets the strips: put an edge at a query point's y,
+            # or at the top or bottom of its reach.
+            i = data.draw(st.integers(0, len(near) - 1))
+            edge = qy[i] + data.draw(st.sampled_from([0.0, radius, radius + 1.0, -radius - 1.0]))
+            y0 = edge - data.draw(st.integers(0, 3)) * STRIP_M
+            pois = [p for p in pois if p[2] >= y0] + [(data.draw(cls), qx[i], y0)]
+        points = np.array([p[1:] for p in pois], dtype=float).reshape(-1, 2)
+        class_of = np.array([p[0] for p in pois], dtype=int)
+        index = PoiIndex(frame, {
+            name: points[class_of == k]
+            for k, name in enumerate(POI_CLASSES)
+            if data.draw(st.booleans()) or (class_of == k).any()  # some empty classes given
+        })
+
+        want = brute_counts_within(points, class_of, qx, qy, radius)
+        got = index.counts_within(lat, lon, radius)
+        assert got.shape == (len(wanted), len(POI_CLASSES))
+        assert np.array_equal(got, want)
+        if len(wanted):
+            assert np.array_equal(index.counts_within(lat[0], lon[0], radius), want[0])
+        assert index.counts_within(np.zeros(0), np.zeros(0), radius).shape == (0, len(POI_CLASSES))
+
+    def test_index_with_no_pois(self):
+        frame = self.FRAME
+        index = PoiIndex(frame, {})
+        lat, lon = frame.to_latlon(np.array([0.0, 1e3, -1e7]), np.array([0.0, -5e2, 1e7]))
+        assert np.array_equal(index.counts_within(lat, lon, 500.0), np.zeros((3, len(POI_CLASSES))))
+        assert np.array_equal(index.counts_within(lat[0], lon[0], 500.0), np.zeros(len(POI_CLASSES)))
+        assert index.counts_within(np.zeros(0), np.zeros(0), 500.0).shape == (0, len(POI_CLASSES))
 
 
 class TestContextBuilder:

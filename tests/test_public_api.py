@@ -26,13 +26,32 @@ def test_every_exported_name_resolves(package):
     assert not missing, f"{package}.__all__ lists names it does not define: {missing}"
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats is about a third of ``import repro``'s memory and time, and
-    # only the FDaS baseline's fit and sample use it; they import it then.
-    code = (
-        "import sys, repro, repro.core, repro.serving, repro.datasets; "
-        "print('scipy.stats' in sys.modules)"
-    )
+def test_import_and_environment_context_load_no_scipy():
+    # scipy is about half of ``import repro``'s memory.  Only the FDaS
+    # baseline's fit and sample use it (``scipy.stats``, imported then), and
+    # PoI counts need no ``scipy.spatial``: neither the packages a user starts
+    # from nor a region's environment context may load any of it.
+    code = """if True:
+        import sys
+        import numpy as np
+        import repro, repro.core, repro.serving, repro.datasets
+        from repro.context import EnvironmentContextExtractor
+        from repro.geo import CitySpec
+        from repro.world import build_region
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        print("import:", scipy_modules())
+        rng = np.random.default_rng(0)
+        city = CitySpec("c", 51.5, -0.1, half_extent_m=800.0, street_spacing_m=300.0)
+        region = build_region([city], rng, city_site_density_per_km2=6.0)
+        nodes = region.roads.random_walk_route(rng, 1500.0, city="c")
+        route = region.roads.route_to_trajectory(nodes, 1.4, 1.0, scenario="walk", rng=rng)
+        env = EnvironmentContextExtractor(region).features(route)
+        assert env.shape == (len(route), 26) and env[:, 12:].sum() > 0
+        print("context:", scipy_modules())
+    """
     src = os.path.dirname(os.path.dirname(repro.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -42,4 +61,4 @@ def test_import_does_not_load_scipy_stats():
         text=True,
         check=True,
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split("\n")[:2] == ["import: []", "context: []"]

@@ -143,3 +143,23 @@ class TestAntennas:
         assert wrap_angle_deg(190.0) == pytest.approx(-170.0)
         assert wrap_angle_deg(-190.0) == pytest.approx(170.0)
         assert wrap_angle_deg(0.0) == pytest.approx(0.0)
+
+    def test_wrap_angle_is_bitwise_idempotent(self):
+        # ``LinkBudget.per_cell_rsrp`` hands raw bearing offsets to
+        # ``gain_dbi``, which wraps them once; wrapping twice must not differ.
+        edges = np.array([0.0, 180.0, 540.0, 360.0, 720.0, 1e-300, 1e-12, 1e300, np.inf, np.nan])
+        edges = np.concatenate([edges, -edges])
+        edges = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+        rng = np.random.default_rng(0)
+        spread = rng.uniform(-1.0, 1.0, 20_000) * 10.0 ** rng.uniform(-3, 6, 20_000)
+        angles = np.concatenate([edges, spread, rng.uniform(-1e3, 1e3, 20_000)])
+        with np.errstate(invalid="ignore"):  # inf % 360 is NaN
+            once = wrap_angle_deg(angles)
+            twice = wrap_angle_deg(once)
+            by_remainder = (angles + 180.0) % 360.0 - 180.0
+        assert np.array_equal(twice.view(np.uint64), once.view(np.uint64))
+        assert np.all((once[np.isfinite(once)] >= -180.0) & (once[np.isfinite(once)] < 180.0))
+        # Bit for bit the remainder form, but for its 180.0 at -180 - 1 ulp.
+        assert np.count_nonzero(by_remainder == 180.0) == 1
+        by_remainder[by_remainder == 180.0] = -180.0
+        assert np.array_equal(once.view(np.uint64), by_remainder.view(np.uint64))
