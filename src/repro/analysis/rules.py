@@ -365,22 +365,21 @@ class NoExactFloatArrayComparison(Rule):
 
 
 @register
-class ServingSleepsUseBackoffSchedule(Rule):
+class ServingUsesInjectableTime(Rule):
     """RTY001: no ad-hoc ``time.sleep`` in ``repro/serving``.
 
-    Every retry/cool-down delay in the serving layer must be derived from
-    :func:`repro.runtime.retry.backoff_schedule` and executed through an
-    injectable sleep (``repro.runtime.retry.REAL_SLEEP`` or a constructor
-    parameter).  A literal ``time.sleep`` call hard-wires the wall clock
-    into the serving path: chaos tests can no longer run the breaker and
-    deadline machinery deterministically, and the delay escapes the audited
-    backoff schedule.
+    Every delay in the serving layer must run through an injectable sleep
+    (``repro.runtime.retry.REAL_SLEEP`` or a constructor parameter), and
+    every clock read through an injectable clock.  A literal
+    ``time.sleep`` or ``time.time`` call hard-wires the wall clock into the
+    serving path: chaos tests can no longer run the breaker and deadline
+    machinery deterministically.
     """
 
     id = "RTY001"
     summary = (
-        "ad-hoc time.sleep in repro/serving; derive delays from "
-        "runtime.retry.backoff_schedule and an injectable sleep"
+        "ad-hoc time.sleep in repro/serving; take an injectable sleep "
+        "and clock"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
@@ -396,8 +395,7 @@ class ServingSleepsUseBackoffSchedule(Rule):
                         f"{chain}() hard-wires the wall clock into the "
                         "serving path; use the injectable sleep/clock "
                         "(repro.runtime.retry.REAL_SLEEP, time.monotonic "
-                        "via a constructor parameter) with delays from "
-                        "runtime.retry.backoff_schedule",
+                        "via a constructor parameter)",
                     )
             elif isinstance(node, ast.ImportFrom) and node.module == "time":
                 for alias in node.names:

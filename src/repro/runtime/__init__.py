@@ -8,8 +8,7 @@ The pieces a production GenDT deployment leans on when things go wrong:
   rollback-and-backoff recovery for the trainer;
 * :mod:`~repro.runtime.checkpoint` — atomic, checksummed, resumable
   training checkpoints with rotating retention;
-* :mod:`~repro.runtime.retry` — exponential backoff with deterministic
-  jitter for the serving circuit breaker, and the one real sleep;
+* :mod:`~repro.runtime.retry` — the serving layer's one real sleep;
 * :mod:`~repro.runtime.validate` — generation-boundary input validation.
 """
 
@@ -33,7 +32,7 @@ from .checkpoint import (
     restore_trainer_state,
     write_checkpoint,
 )
-from .retry import REAL_SLEEP, backoff_schedule
+from .retry import REAL_SLEEP
 from .validate import validate_trajectory, validate_windows
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "resolve_checkpoint",
     "capture_trainer_state",
     "restore_trainer_state",
-    "backoff_schedule",
     "REAL_SLEEP",
     "validate_trajectory",
     "validate_windows",

@@ -3,9 +3,17 @@
 The serving layer turns ``GenDT.generate`` — an all-or-nothing call — into a
 production-shaped campaign runtime: per-request admission and quarantine,
 wall-clock deadlines, a circuit breaker around the model, and a graceful
-degradation ladder (full GenDT → deterministic first stage → FDaS), all
-observable through structured result envelopes and deterministic under an
-injected clock and :class:`FaultPlan`.
+degradation ladder, all observable through structured result envelopes and
+deterministic under an injected clock and :class:`FaultPlan`.
+
+The ladder's rungs trade fidelity for robustness:
+
+1. ``full`` — the complete stochastic GenDT pipeline (G_n + G_a + ResGen);
+2. ``first_stage`` — ResGen skipped and no noise drawn: all context
+   conditioning kept, the shadowing texture lost, the same series on every
+   attempt;
+3. ``fdas`` — the context-free FDaS baseline, when a fallback is given: no
+   model call at all, so it also serves while the breaker is open.
 
 Quick tour::
 
@@ -17,15 +25,14 @@ Quick tour::
     result.to_jsonl("campaign.jsonl")          # envelopes + fault log
     print(result.summary())
 
-See the README's "Resilient generation" section for the envelope schema and
-the breaker/ladder semantics.
+See :mod:`repro.serving.runner` for the isolation layers and the README's
+"Resilient generation" section for the envelope schema.
 """
 
 from .breaker import (
     STATE_CLOSED,
     STATE_HALF_OPEN,
     STATE_OPEN,
-    BreakerTransition,
     CircuitBreaker,
 )
 from .envelope import (
@@ -40,8 +47,7 @@ from .envelope import (
     FaultRecord,
     GenerationEnvelope,
 )
-from .faults import FAULT_KINDS, FaultPlan, FiredFault
-from .ladder import LadderExecutor, levels_from, output_is_valid
+from .faults import FAULT_KINDS, FaultPlan
 from .runner import CampaignConfig, CampaignRunner, ManualClock
 
 __all__ = [
@@ -52,16 +58,11 @@ __all__ = [
     "FaultRecord",
     "ManualClock",
     "CircuitBreaker",
-    "BreakerTransition",
     "STATE_CLOSED",
     "STATE_OPEN",
     "STATE_HALF_OPEN",
     "FaultPlan",
-    "FiredFault",
     "FAULT_KINDS",
-    "LadderExecutor",
-    "levels_from",
-    "output_is_valid",
     "DEGRADATION_LEVELS",
     "STATUSES",
     "STATUS_OK",

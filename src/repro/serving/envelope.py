@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
-#: Degradation-ladder levels, best first (see :mod:`repro.serving.ladder`).
+#: Degradation-ladder levels, best first (see :mod:`repro.serving.runner`).
 DEGRADATION_LEVELS = ("full", "first_stage", "fdas")
 
 #: Terminal envelope statuses.

@@ -23,8 +23,8 @@ Fault kinds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 #: Fault kinds understood by :meth:`FaultPlan.inject`.
 FAULT_KINDS = ("nan_output", "exception", "latency")
@@ -49,26 +49,6 @@ class _Injection:
         return self.remaining is None or self.remaining > 0
 
 
-@dataclass
-class FiredFault:
-    """One firing of a scheduled fault (for assertions and the fault log)."""
-
-    kind: str
-    trajectory: int
-    window: int
-    level: str
-    latency_s: float = 0.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "trajectory": self.trajectory,
-            "window": self.window,
-            "level": self.level,
-            "latency_s": self.latency_s,
-        }
-
-
 class FaultPlan:
     """A schedule of deterministic serving faults.
 
@@ -80,7 +60,6 @@ class FaultPlan:
 
     def __init__(self) -> None:
         self._injections: List[_Injection] = []
-        self.fired: List[FiredFault] = []
 
     def inject(
         self,
@@ -127,27 +106,11 @@ class FaultPlan:
 
     def pop(
         self, kind: str, trajectory: int, window: int, level: str
-    ) -> Optional[FiredFault]:
-        """Fire (and account) the first matching injection, if any."""
+    ) -> Optional[_Injection]:
+        """Fire (and account) the first matching injection; returns it, if any."""
         for injection in self._injections:
             if injection.matches(kind, trajectory, window, level):
                 if injection.remaining is not None:
                     injection.remaining -= 1
-                fired = FiredFault(
-                    kind=kind,
-                    trajectory=trajectory,
-                    window=window,
-                    level=level,
-                    latency_s=injection.latency_s,
-                )
-                self.fired.append(fired)
-                return fired
+                return injection
         return None
-
-    def pending(self) -> int:
-        """Number of injections that can still fire."""
-        return sum(
-            1
-            for injection in self._injections
-            if injection.remaining is None or injection.remaining > 0
-        )

@@ -18,10 +18,25 @@ isolation layers, in the order a request meets them:
    (:class:`~repro.serving.breaker.CircuitBreaker`); while open, requests
    demote straight to the model-free FDaS rung instead of hammering a
    failing model.
-4. **Degradation ladder** — full stochastic GenDT → deterministic first
-   stage → FDaS, with NaN/Inf validation and bounded re-sampling before
-   each demotion (:mod:`repro.serving.ladder`); the achieved level is
-   recorded in the envelope.
+4. **Degradation ladder** — the rungs, best first:
+
+   * ``full`` — the complete stochastic GenDT pipeline (G_n + G_a +
+     ResGen), the paper's headline generator;
+   * ``first_stage`` — ``first_stage_only=True``: ResGen residual sampling
+     skipped, so the shadowing texture is lost but all context
+     conditioning kept, and the autoregressive residual loop cannot
+     destabilize it.  It draws no noise (SRNN sampling off, the denoising
+     noise ``z0`` at its mean 0), so it is a deterministic function of the
+     trajectory;
+   * ``fdas`` — only when a fallback is given: the context-free
+     fit-distribution-and-sample baseline
+     (:class:`repro.baselines.fdas.FDaS`), statistically plausible
+     marginals with no model call at all, so it also serves while the
+     breaker holds the model open.
+
+   Each rung's output is checked for NaN/Inf and re-sampled a bounded
+   number of times before the request demotes to the next rung; the
+   achieved level is recorded in the envelope.
 
 Clock and sleep are injectable (:class:`ManualClock`), and combined with a
 :class:`~repro.serving.faults.FaultPlan` plus ``CampaignConfig.seed`` every
@@ -39,6 +54,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from ..core.generator import WindowHook
 from ..geo.trajectory import Trajectory
 from ..runtime.errors import (
     ContextValidationError,
@@ -50,6 +66,7 @@ from ..runtime.retry import REAL_SLEEP
 from ..runtime.validate import validate_trajectory
 from .breaker import CircuitBreaker
 from .envelope import (
+    DEGRADATION_LEVELS,
     STATUS_CANCELLED,
     STATUS_DEADLINE,
     STATUS_FAILED,
@@ -60,7 +77,8 @@ from .envelope import (
     GenerationEnvelope,
 )
 from .faults import FaultPlan
-from .ladder import LEVEL_FULL, LadderExecutor, levels_from, output_is_valid
+
+LEVEL_FULL, LEVEL_FIRST_STAGE, LEVEL_FDAS = DEGRADATION_LEVELS
 
 
 class ManualClock:
@@ -101,7 +119,6 @@ class CampaignConfig:
     campaign_deadline_s: Optional[float] = None
     max_resamples: int = 1
     breaker_threshold: int = 3
-    start_level: str = LEVEL_FULL
     seed: Optional[int] = None
 
     def validate(self) -> None:
@@ -111,7 +128,6 @@ class CampaignConfig:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive when set")
-        levels_from(self.start_level)  # raises on an unknown ladder level
 
 
 class CampaignRunner:
@@ -120,7 +136,8 @@ class CampaignRunner:
     Args:
         model: a fitted :class:`repro.core.GenDT`.
         fdas: optional fitted :class:`repro.baselines.fdas.FDaS` fallback
-            (same KPI layout); without it the ladder has no model-free rung.
+            with the same KPI layout as ``model``; without it the ladder
+            bottoms out at ``first_stage``.
         config: campaign tunables (:class:`CampaignConfig`).
         fault_plan: optional :class:`FaultPlan` for deterministic chaos.
         clock: monotonic-seconds source (default: ``time.monotonic``).
@@ -138,16 +155,24 @@ class CampaignRunner:
         clock: Optional[Callable[[], float]] = None,
         sleep: Optional[Callable[[float], None]] = None,
     ) -> None:
+        if fdas is not None and list(fdas.kpi_names) != list(model.kpi_names):
+            raise ValueError(
+                f"FDaS fallback KPI layout {fdas.kpi_names} does not match "
+                f"model {model.kpi_names}"
+            )
         self.config = config or CampaignConfig()
         self.config.validate()
-        self.executor = LadderExecutor(model, fdas=fdas)
+        self.model = model
+        self.fdas = fdas
+        #: The ladder, best rung first.
+        self.levels = (LEVEL_FULL, LEVEL_FIRST_STAGE)
+        if fdas is not None:
+            self.levels += (LEVEL_FDAS,)
         self.fault_plan = fault_plan
         self._clock = clock if clock is not None else time.monotonic
         self._sleep = sleep if sleep is not None else REAL_SLEEP
         self.breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_threshold,
-            seed=self.config.seed or 0,
-            clock=self._clock,
+            failure_threshold=self.config.breaker_threshold, clock=self._clock,
         )
 
     # ------------------------------------------------------------------
@@ -186,9 +211,7 @@ class CampaignRunner:
             ):
                 result.deadline_hit = True
             result.envelopes.append(envelope)
-        result.breaker_transitions = [
-            t.as_dict() for t in self.breaker.transitions
-        ]
+        result.breaker_transitions = list(self.breaker.transitions)
         result.elapsed_s = self._clock() - started_s
         return result
 
@@ -202,7 +225,6 @@ class CampaignRunner:
         campaign_deadline: Optional[float],
         fault_log: List[FaultRecord],
     ) -> GenerationEnvelope:
-        model = self.executor.model
         started_s = self._clock()
         trajectory_deadline = (
             started_s + self.config.trajectory_deadline_s
@@ -247,8 +269,8 @@ class CampaignRunner:
         # 2-4. Ladder with breaker and deadlines.
         progress = {"windows": 0}
         resamples = 0
-        for level in self.executor.available_levels(self.config.start_level):
-            uses_model = self.executor.uses_model(level)
+        for level in self.levels:
+            uses_model = level != LEVEL_FDAS
             for attempt in range(self.config.max_resamples + 1):
                 if uses_model and not self.breaker.allow():
                     record(
@@ -262,7 +284,7 @@ class CampaignRunner:
                     started_s, progress, record,
                 )
                 try:
-                    series = self.executor.attempt(trajectory, level, window_hook=hook, rng=rng)
+                    series = self._attempt(trajectory, level, hook, rng)
                 except DeadlineExceeded as exc:
                     record(
                         f"{exc.scope}_deadline", progress["windows"], level,
@@ -293,7 +315,7 @@ class CampaignRunner:
                     if uses_model:
                         self.breaker.record_failure()
                     break  # infrastructure fault: demote, don't re-sample
-                if output_is_valid(series):
+                if np.isfinite(series).all():
                     if uses_model:
                         self.breaker.record_success()
                     return finish(
@@ -302,7 +324,7 @@ class CampaignRunner:
                             status=STATUS_OK,
                             level=level,
                             series=series,
-                            kpi_names=list(model.kpi_names),
+                            kpi_names=list(self.model.kpi_names),
                             windows_completed=progress["windows"],
                             resamples=resamples,
                         )
@@ -323,6 +345,25 @@ class CampaignRunner:
                 resamples=resamples,
             )
         )
+
+    def _attempt(
+        self,
+        trajectory: Trajectory,
+        level: str,
+        hook: WindowHook,
+        rng: Optional[np.random.Generator],
+    ) -> np.ndarray:
+        """One generation attempt at ``level``; may raise or return NaNs."""
+        if level != LEVEL_FDAS:
+            return self.model.generate(
+                trajectory, rng, first_stage_only=level == LEVEL_FIRST_STAGE,
+                window_hook=hook,
+            )
+        series = self.fdas.generate(trajectory, rng)
+        # The fallback gets the same chaos surface as the model rungs: its
+        # whole output counts as window 0 of a single draw.
+        replaced = hook(0, series[None])
+        return series if replaced is None else np.asarray(replaced)[0]
 
     # ------------------------------------------------------------------
     # Per-window hook: chaos injection + deadline enforcement

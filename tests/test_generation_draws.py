@@ -308,7 +308,18 @@ class TestWindowValidationAtTheModel:
         assert served.level == "fdas"
         assert served.series.shape == (len(routes[1]), 2)
 
-    def test_served_by_fdas_at_fdas_start_level(self, trained_gendt, routes, nan_env, fdas):
-        result = make_runner(trained_gendt, fdas, start_level="fdas").run(routes)
+    def test_fdas_serves_when_model_rungs_fail(
+        self, trained_gendt, routes, nan_env, fdas
+    ):
+        # Request 0's NaNs at both model rungs make three consecutive
+        # failures: the breaker opens, so no later request meets a model rung.
+        plan = (
+            FaultPlan()
+            .inject("nan_output", trajectory=0, level="full", times=None)
+            .inject("nan_output", trajectory=0, level="first_stage", times=None)
+        )
+        runner = make_runner(trained_gendt, fdas, plan)
+        result = runner.run(routes)
+        assert runner.breaker.state == "open"
         assert [e.status for e in result.envelopes] == [STATUS_OK] * 3
         assert [e.level for e in result.envelopes] == ["fdas"] * 3

@@ -14,10 +14,26 @@ from repro.serving import (
     FaultPlan,
     ManualClock,
 )
+from repro.serving.breaker import MAX_TRIPS
 
 
-def make_breaker(clock, threshold=3, seed=0):
-    return CircuitBreaker(failure_threshold=threshold, seed=seed, clock=clock)
+def make_breaker(clock, threshold=3):
+    return CircuitBreaker(failure_threshold=threshold, clock=clock)
+
+
+def trips(breaker):
+    return sum(t["to"] == STATE_OPEN for t in breaker.transitions)
+
+
+def cooldowns(clock, breaker, n):
+    """The cool-downs of ``n`` trips, each a failed half-open probe after the first."""
+    out = []
+    for _ in range(n):
+        breaker.record_failure()
+        out.append(breaker.cooldown_remaining_s())  # read at the moment of opening
+        clock.sleep(out[-1])
+        assert breaker.allow()
+    return out
 
 
 class TestBreakerStateMachine:
@@ -33,7 +49,7 @@ class TestBreakerStateMachine:
         assert breaker.state == STATE_CLOSED
         breaker.record_failure()
         assert breaker.state == STATE_OPEN
-        assert breaker.trip_count == 1
+        assert trips(breaker) == 1
         assert not breaker.allow()
 
     def test_success_resets_consecutive_count(self):
@@ -48,7 +64,7 @@ class TestBreakerStateMachine:
         breaker = make_breaker(clock, threshold=1)
         breaker.record_failure()
         assert breaker.state == STATE_OPEN
-        clock.sleep(breaker.current_cooldown_s() + 0.01)
+        clock.sleep(breaker.cooldown_remaining_s() + 0.01)
         assert breaker.allow()  # admits the probe
         assert breaker.state == STATE_HALF_OPEN
         breaker.record_success()
@@ -58,13 +74,13 @@ class TestBreakerStateMachine:
         clock = ManualClock()
         breaker = make_breaker(clock, threshold=1)
         breaker.record_failure()
-        first_cooldown = breaker.current_cooldown_s()
+        first_cooldown = breaker.cooldown_remaining_s()
         clock.sleep(first_cooldown + 0.01)
         assert breaker.allow()
         breaker.record_failure()  # probe fails
         assert breaker.state == STATE_OPEN
-        assert breaker.trip_count == 2
-        assert breaker.current_cooldown_s() > first_cooldown
+        assert trips(breaker) == 2
+        assert breaker.cooldown_remaining_s() > first_cooldown
 
     def test_cooldown_remaining_decreases_with_clock(self):
         clock = ManualClock()
@@ -79,31 +95,29 @@ class TestBreakerStateMachine:
         clock = ManualClock()
         breaker = make_breaker(clock, threshold=1)
         breaker.record_failure()
-        clock.sleep(breaker.current_cooldown_s() + 0.01)
+        clock.sleep(breaker.cooldown_remaining_s() + 0.01)
         breaker.allow()
         breaker.record_success()
-        states = [(t.from_state, t.to_state) for t in breaker.transitions]
+        states = [(t["from"], t["to"]) for t in breaker.transitions]
         assert states == [
             (STATE_CLOSED, STATE_OPEN),
             (STATE_OPEN, STATE_HALF_OPEN),
             (STATE_HALF_OPEN, STATE_CLOSED),
         ]
 
-    def test_cooldowns_deterministic_per_seed(self):
-        a = make_breaker(ManualClock(), seed=5)
-        b = make_breaker(ManualClock(), seed=5)
-        c = make_breaker(ManualClock(), seed=6)
-        assert a._cooldowns == b._cooldowns
-        assert a._cooldowns != c._cooldowns
+    def test_cooldowns_double_from_one_second(self):
+        clock = ManualClock()
+        breaker = make_breaker(clock, threshold=1)
+        assert cooldowns(clock, breaker, MAX_TRIPS) == [
+            1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
+        ]
 
     def test_cooldown_schedule_clamps_after_many_trips(self):
         clock = ManualClock()
         breaker = make_breaker(clock, threshold=1)
-        for _ in range(20):  # far beyond MAX_TRIPS
-            breaker.record_failure()
-            clock.sleep(breaker.current_cooldown_s() + 0.01)
-            assert breaker.allow()
-        assert breaker.current_cooldown_s() == breaker._cooldowns[-1]
+        # Far beyond MAX_TRIPS: every later trip reuses the last cool-down.
+        assert cooldowns(clock, breaker, 20)[MAX_TRIPS - 1:] == [128.0] * (21 - MAX_TRIPS)
+        assert trips(breaker) == 20
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -131,27 +145,19 @@ class TestFaultPlan:
         plan = FaultPlan().inject("nan_output", trajectory=0, times=None)
         for window in range(10):
             assert plan.pop("nan_output", 0, window, "full") is not None
-        assert plan.pending() == 1
+        assert plan.pop("nan_output", 0, 10, "first_stage") is not None
 
     def test_wrong_trajectory_or_kind_does_not_fire(self):
         plan = FaultPlan().inject("exception", trajectory=4)
         assert plan.pop("exception", 5, 0, "full") is None
         assert plan.pop("nan_output", 4, 0, "full") is None
-        assert plan.pending() == 1
+        assert plan.pop("exception", 4, 0, "full") is not None  # still armed
 
-    def test_fired_log_records_actual_coordinates(self):
+    def test_pop_returns_the_matched_injection(self):
         plan = FaultPlan().inject("latency", trajectory=1, latency_s=2.5)
         fired = plan.pop("latency", 1, 6, "first_stage")
-        assert fired.latency_s == 2.5
-        assert [f.as_dict() for f in plan.fired] == [
-            {
-                "kind": "latency",
-                "trajectory": 1,
-                "window": 6,
-                "level": "first_stage",
-                "latency_s": 2.5,
-            }
-        ]
+        assert (fired.kind, fired.trajectory, fired.latency_s) == ("latency", 1, 2.5)
+        assert plan.pop("latency", 1, 7, "first_stage") is None  # spent
 
     def test_invalid_injections_rejected(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,6 @@ from repro.serving import (
     CampaignConfig,
     CampaignRunner,
     FaultPlan,
-    LadderExecutor,
     ManualClock,
 )
 
@@ -127,8 +126,11 @@ class TestChaosCampaign:
         assert all(f in result.fault_log for f in traj2.faults)
 
         # Exactly the planned injections fired, at the planned coordinates.
-        assert all(f.kind == "nan_output" for f in plan.fired)
-        assert {(f.trajectory, f.level) for f in plan.fired} == {
+        assert {
+            (f.trajectory, f.level)
+            for f in result.fault_log
+            if f.kind == "non_finite_output"
+        } == {
             (1, "full"),
             (2, "full"),
             (2, "first_stage"),
@@ -144,7 +146,7 @@ class TestChaosCampaign:
         assert [(t["from"], t["to"]) for t in result.breaker_transitions] == [
             ("closed", "open")
         ]
-        assert runner.breaker.trip_count == 1
+        assert runner.breaker.state == "open"
 
     def test_rerun_same_seed_same_plan_is_byte_identical(
         self, trained_gendt, fitted_fdas, campaign_trajectories, tmp_path
@@ -216,44 +218,38 @@ class TestDegradationLadder:
         assert envelope.level is None
         assert envelope.series is None
 
-    def test_start_level_skips_higher_rungs(
-        self, trained_gendt, fitted_fdas, campaign_trajectories
-    ):
-        runner, _ = make_runner(
-            trained_gendt, fitted_fdas, start_level="first_stage"
-        )
-        result = runner.run(campaign_trajectories[:1])
-        assert result.envelopes[0].status == STATUS_OK
-        assert result.envelopes[0].level == "first_stage"
-
     def test_first_stage_rung_deterministic_given_rng_state(
-        self, trained_gendt, fitted_fdas, campaign_trajectories
+        self, trained_gendt, campaign_trajectories
     ):
         # SRNN sampling and the ResGen loop are disabled on this rung and
         # the denoising noise z0 sits at its mean, so fixing the model's
         # RNG state fixes the output.
-        executor = LadderExecutor(trained_gendt, fdas=fitted_fdas)
         state = trained_gendt.rng.bit_generator.state
-        first = executor.attempt(campaign_trajectories[0], "first_stage")
+        first = trained_gendt.generate(campaign_trajectories[0], first_stage_only=True)
         trained_gendt.rng.bit_generator.state = state
-        second = executor.attempt(campaign_trajectories[0], "first_stage")
+        second = trained_gendt.generate(campaign_trajectories[0], first_stage_only=True)
         np.testing.assert_array_equal(first, second)
 
     def test_first_stage_rung_draws_nothing(
         self, trained_gendt, fitted_fdas, campaign_trajectories
     ):
-        executor = LadderExecutor(trained_gendt, fdas=fitted_fdas)
         state = trained_gendt.rng.bit_generator.state
-        first = executor.attempt(campaign_trajectories[0], "first_stage")
-        second = executor.attempt(campaign_trajectories[0], "first_stage")
+        first = trained_gendt.generate(campaign_trajectories[0], first_stage_only=True)
+        second = trained_gendt.generate(campaign_trajectories[0], first_stage_only=True)
         np.testing.assert_array_equal(first, second)
         assert trained_gendt.rng.bit_generator.state == state
+        # The runner's first-stage rung serves exactly that series.
+        plan = FaultPlan().inject("exception", trajectory=0, window=0, level="full")
+        runner, _ = make_runner(trained_gendt, fitted_fdas, plan)
+        served = runner.run(campaign_trajectories[:1]).envelopes[0]
+        assert served.level == "first_stage"
+        np.testing.assert_array_equal(served.series, first)
 
     def test_mismatched_fdas_layout_rejected(self, trained_gendt, tiny_split):
         wrong = FDaS(kpis=["rsrp"], seed=0)
         wrong.fit(tiny_split.train)
         with pytest.raises(ValueError, match="KPI layout"):
-            LadderExecutor(trained_gendt, fdas=wrong)
+            CampaignRunner(trained_gendt, fdas=wrong)
 
 
 class TestDeadlines:
@@ -337,10 +333,6 @@ class TestCampaignConfig:
             CampaignConfig(trajectory_deadline_s=0.0).validate()
         with pytest.raises(ValueError):
             CampaignConfig(campaign_deadline_s=-3.0).validate()
-
-    def test_rejects_unknown_start_level(self):
-        with pytest.raises(ValueError, match="unknown ladder level"):
-            CampaignConfig(start_level="turbo").validate()
 
 
 class TestPerRequestSeeds:
