@@ -27,6 +27,7 @@ import numpy as np
 from .. import nn
 from ..analysis.graph.spec import Spec, contract
 from ..nn.anomaly import NumericalAnomalyError, annotate_module, is_anomaly_enabled
+from ..nn.lstm import _sigmoid_
 from ..nn.tensor import Tensor, concat
 from .config import GenDTConfig
 
@@ -212,10 +213,11 @@ class ResGen(nn.Module):
         the dropout mask is ``Dropout``'s ``(u < keep) / keep`` cast to the
         dtype; each clip is ``np.maximum`` and ``np.minimum``, which select
         what ``clip`` selects without ``ndarray.clip``'s Python wrapper
-        (numpy 2), and the gains keep only ``Tensor.sigmoid``'s -60 floor,
-        because its +60 ceiling cannot change a sigmoid in float32 or
-        float64; ``np.add.reduce`` is ``sum`` without its Python wrapper;
-        and adding ``base`` after the loop is the same elementwise sum.
+        (numpy 2), and the gains are the LSTM's in-place sigmoid, which
+        keeps only ``Tensor.sigmoid``'s -60 floor, because its +60 ceiling
+        cannot change a sigmoid in float32 or float64; ``np.add.reduce``
+        is ``sum`` without its Python wrapper; and adding ``base`` after
+        the loop is the same elementwise sum.
 
         Args:
             env: [B, L, N_env] environment context.
@@ -264,11 +266,7 @@ class ResGen(nn.Module):
                 x *= mask[t]
             out = x @ head_wt
             out += head_b
-            gains = np.maximum(out[:, :split], -60.0)  # a copy: the check reads the raw head
-            np.negative(gains, out=gains)
-            np.exp(gains, out=gains)
-            gains += 1.0
-            np.divide(1.0, gains, out=gains)
+            gains = _sigmoid_(out[:, :split].copy())  # a copy: the check reads the raw head
             gains *= inv_m
             gains *= recent
             mu = np.add.reduce(gains.reshape(b, m, n_ch), axis=1)

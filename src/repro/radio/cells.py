@@ -9,7 +9,7 @@ city-centre cases ~15-30 cells/km², highway cases ~3-8 cells/km²).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -17,6 +17,12 @@ import numpy as np
 from ..geo.coords import LocalFrame
 from ..geo.routes import CitySpec
 from .antenna import SectorAntenna
+
+#: The city macro-cell pattern, shared by every cell that uses it: the link
+#: budget groups cells by antenna, and a shared object groups by identity.
+DEFAULT_ANTENNA = SectorAntenna()
+#: The narrower, higher-gain pattern of highway sites.
+HIGHWAY_ANTENNA = SectorAntenna(max_gain_dbi=17.0, beamwidth_deg=45.0)
 
 
 @dataclass(frozen=True)
@@ -28,7 +34,7 @@ class Cell:
     lon: float
     p_max_dbm: float
     direction_deg: float
-    antenna: SectorAntenna = field(default_factory=SectorAntenna)
+    antenna: SectorAntenna = DEFAULT_ANTENNA
     site_id: int = -1
 
 
@@ -164,7 +170,7 @@ def deploy_highway(
                     lon=float(lon),
                     p_max_dbm=p_max_dbm + rng.normal(0, 2.0),
                     direction_deg=direction,
-                    antenna=SectorAntenna(max_gain_dbi=17.0, beamwidth_deg=45.0),
+                    antenna=HIGHWAY_ANTENNA,
                     site_id=site_id,
                 )
             )

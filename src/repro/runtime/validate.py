@@ -10,14 +10,14 @@ Zero-visible-cell timesteps are *not* an error: the context extractor
 already falls back to the single nearest cell when a window sees no cell
 within ``d_s`` (a coverage hole), and a fully empty cell set degrades to an
 all-zero ``h_avg`` through the masked mean (the mask zeroes every cell and
-the pooled representation collapses to the environment-driven base).  This
-module documents and enforces that contract: :func:`validate_windows`
-annotates such windows instead of letting them become shape errors.
+the pooled representation collapses to the environment-driven base).
+:func:`validate_windows` lets such windows through and rejects only
+non-finite features.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,22 +70,18 @@ def validate_trajectory(trajectory: Trajectory) -> None:
         )
 
 
-def validate_windows(windows: Sequence) -> List[int]:
-    """Check assembled context windows; returns indices of empty-cell windows.
+def validate_windows(windows: Sequence) -> None:
+    """Check assembled context windows: non-finite context features are fatal.
 
-    A window whose visible-cell set is empty is tolerated (see module
-    docstring for the degradation contract) but reported, so callers can log
-    the coverage hole.  Non-finite context features are fatal.
+    A window whose visible-cell set is empty passes (see the module
+    docstring for the degradation contract).
 
     Raises:
         ContextValidationError: on non-finite cell or environment features,
             with ``index`` set to the window position.
     """
-    empty: List[int] = []
     for i, window in enumerate(windows):
-        if window.n_cells == 0:
-            empty.append(i)
-        elif not np.all(np.isfinite(window.cell_features)):
+        if not np.all(np.isfinite(window.cell_features)):
             raise ContextValidationError(
                 "non-finite cell context features", index=i
             )
@@ -93,4 +89,3 @@ def validate_windows(windows: Sequence) -> List[int]:
             raise ContextValidationError(
                 "non-finite environment context features", index=i
             )
-    return empty

@@ -1,4 +1,4 @@
-"""backoff_schedule: deterministic jitter; validate: generation-boundary input checks."""
+"""validate: generation-boundary input checks."""
 
 import numpy as np
 import pytest
@@ -6,22 +6,9 @@ import pytest
 from repro.geo.trajectory import Trajectory
 from repro.runtime import (
     ContextValidationError,
-    backoff_schedule,
     validate_trajectory,
     validate_windows,
 )
-
-
-class TestBackoffSchedule:
-    def test_jitter_deterministic_per_seed(self):
-        a = backoff_schedule(4, backoff=0.5, seed=13)
-        b = backoff_schedule(4, backoff=0.5, seed=13)
-        c = backoff_schedule(4, backoff=0.5, seed=14)
-        assert a == b
-        assert a != c
-        # Exponential envelope with 25% jitter.
-        for k, delay in enumerate(a):
-            assert 0.75 * 0.5 * 2**k <= delay <= 1.25 * 0.5 * 2**k
 
 
 def _trajectory(t, lat, lon):
@@ -70,14 +57,13 @@ class TestValidateTrajectory:
 
 
 class TestValidateWindows:
-    def test_zero_cell_window_tolerated_and_reported(self, trained_gendt, tiny_split):
+    def test_zero_cell_window_tolerated(self, trained_gendt, tiny_split):
         windows = trained_gendt.build_training_windows(tiny_split.train[:1])[:2]
         # Simulate a total coverage hole in window 1.
         hole = windows[1]
         hole.cell_features = hole.cell_features[:, :0, :]
         hole.cell_ids = []
-        empty = validate_windows(windows)
-        assert empty == [1]
+        validate_windows(windows)  # no raise
 
     def test_nonfinite_env_features_fatal(self, trained_gendt, tiny_split):
         windows = trained_gendt.build_training_windows(tiny_split.train[:1])[:1]
