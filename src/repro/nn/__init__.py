@@ -10,7 +10,7 @@ dropout (with MC-dropout support), Adam, the GAN/MSE/Gaussian losses, and
 from .tensor import Tensor, concat, no_grad, stack
 from .anomaly import NumericalAnomalyError, detect_anomaly, is_anomaly_enabled
 from .module import Module, Parameter
-from .layers import MLP, Dropout, LeakyReLU, Linear, Sequential, Sigmoid
+from .layers import MLP, Dropout, LeakyReLU, Linear, Sequential
 from .lstm import LSTM, SRNNNoise, lstm_sequence
 from .optim import Adam, Optimizer, fit_mse
 from .losses import (
@@ -34,7 +34,6 @@ __all__ = [
     "Parameter",
     "Linear",
     "LeakyReLU",
-    "Sigmoid",
     "Dropout",
     "Sequential",
     "MLP",

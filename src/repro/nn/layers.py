@@ -59,11 +59,6 @@ class LeakyReLU(Module):
         return x.leaky_relu(self.negative_slope)
 
 
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
 class Dropout(Module):
     """Inverted dropout, drawing its mask from the ``rng`` given to :meth:`forward`.
 

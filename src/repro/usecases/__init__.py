@@ -1,4 +1,5 @@
-"""Downstream drive-testing use cases (paper §6.3 and §C.2)."""
+"""Downstream drive-testing use cases (paper §6.3): QoE prediction and
+handover analysis, plus the what-if deployment edit of §C.2."""
 
 from .qoe import QOE_TARGETS, QoEPredictor, evaluate_qoe_prediction
 from .handover import (
@@ -7,25 +8,7 @@ from .handover import (
     handover_intervals_from_series,
     real_handover_intervals,
 )
-from .cell_load import CellLoadEstimator, LOAD_FEATURES
-from .bandwidth import (
-    BANDWIDTH_FEATURES,
-    LinkBandwidthPredictor,
-    bandwidth_features,
-    handover_indicator,
-)
-from .video_qoe import (
-    DEFAULT_LADDER,
-    PlayerConfig,
-    VideoSession,
-    simulate_session,
-)
-from .whatif import (
-    deployment_override,
-    with_new_site,
-    with_power_offset,
-    without_cells,
-)
+from .whatif import deployment_override, with_new_site
 
 __all__ = [
     "QoEPredictor",
@@ -35,18 +18,6 @@ __all__ = [
     "compare_handover_distributions",
     "handover_intervals_from_series",
     "real_handover_intervals",
-    "CellLoadEstimator",
-    "LOAD_FEATURES",
-    "LinkBandwidthPredictor",
-    "BANDWIDTH_FEATURES",
-    "bandwidth_features",
-    "handover_indicator",
-    "PlayerConfig",
-    "VideoSession",
-    "DEFAULT_LADDER",
-    "simulate_session",
-    "with_power_offset",
     "with_new_site",
-    "without_cells",
     "deployment_override",
 ]

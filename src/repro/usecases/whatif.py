@@ -2,9 +2,8 @@
 
 GenDT conditions on the operator's cell database, so deployment changes can
 be evaluated *before* building them: edit the deployment, regenerate the KPI
-series for the routes of interest, and compare.  This module provides the
-deployment-editing operations the paper's examples mention (new cells,
-power changes, decommissioning) and a context manager that swaps an edited
+series for the routes of interest, and compare.  This module adds a new
+site to a deployment and provides a context manager that swaps an edited
 deployment into a trained model's context pipeline and restores the
 original on exit.
 """
@@ -12,8 +11,7 @@ original on exit.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import replace
-from typing import Iterator, Optional, Sequence
+from typing import Iterator
 
 from ..radio.cells import Cell, CellDeployment
 from ..core.model import GenDT
@@ -22,20 +20,6 @@ from ..core.model import GenDT
 # ----------------------------------------------------------------------
 # Deployment edits
 # ----------------------------------------------------------------------
-def with_power_offset(
-    deployment: CellDeployment, offset_db: float, cell_ids: Optional[Sequence[int]] = None
-) -> CellDeployment:
-    """Return a deployment with ``p_max`` shifted for the given cells (all by default)."""
-    targets = set(cell_ids) if cell_ids is not None else None
-    cells = [
-        replace(c, p_max_dbm=c.p_max_dbm + offset_db)
-        if targets is None or c.cell_id in targets
-        else c
-        for c in deployment.cells
-    ]
-    return CellDeployment(cells, deployment.frame)
-
-
 def with_new_site(
     deployment: CellDeployment,
     lat: float,
@@ -59,15 +43,6 @@ def with_new_site(
         for s in range(sectors)
     ]
     return CellDeployment(list(deployment.cells) + new_cells, deployment.frame)
-
-
-def without_cells(deployment: CellDeployment, cell_ids: Sequence[int]) -> CellDeployment:
-    """Return a deployment with the given cells decommissioned."""
-    removed = set(cell_ids)
-    remaining = [c for c in deployment.cells if c.cell_id not in removed]
-    if not remaining:
-        raise ValueError("cannot remove every cell")
-    return CellDeployment(remaining, deployment.frame)
 
 
 # ----------------------------------------------------------------------

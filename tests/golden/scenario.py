@@ -4,7 +4,7 @@ One CI-size world, one 2-epoch fit and the model's generation entry points,
 each reduced to the arrays a behaviour change would move, plus the series
 of two 1-epoch fits with the SRNN layers off and at noise intensity 0.  A second small
 Dataset-A build (with QoE) pins the models other than GenDT: the §5.2
-baselines' ``generate`` and the use-case predictors' ``predict``, each fit
+baselines' ``generate`` and the QoE predictor's ``predict``, each fit
 for 1-3 epochs at hidden widths of at most 8.  A small Dataset-B build pins
 the drive-test simulator on city and highway cells.  ``compute()`` returns them as
 a flat ``{name: array}`` dict; ``tests/test_golden.py`` compares it with
@@ -38,12 +38,7 @@ from repro.core.uncertainty import mc_dropout_uncertainty
 from repro.datasets import make_dataset_a, make_dataset_b
 from repro.metrics import dtw, hwd
 from repro.serving import CampaignConfig, CampaignRunner
-from repro.usecases import (
-    CellLoadEstimator,
-    LinkBandwidthPredictor,
-    QoEPredictor,
-    bandwidth_features,
-)
+from repro.usecases import QoEPredictor
 
 FIXTURE = Path(__file__).with_name("expected.json")
 
@@ -143,16 +138,6 @@ def _compute_other_models() -> Dict[str, np.ndarray]:
     predicted = qoe.predict(test)
     out["qoe.throughput_mbps"] = predicted["throughput_mbps"]
     out["qoe.per"] = predicted["per"]
-
-    load = CellLoadEstimator(hidden=(8, 8), epochs=3, seed=0)
-    load.fit(train, [r.serving_load for r in train])
-    out["cell_load"] = load.predict(test.kpi)
-
-    bandwidth = LinkBandwidthPredictor(n_members=2, hidden=(8,), epochs=3, seed=0)
-    bandwidth.fit(train)
-    features = bandwidth_features(test)
-    out["bandwidth.mean"] = bandwidth.predict(features)
-    out["bandwidth.interval"] = np.stack(bandwidth.predict_interval(features))
     return out
 
 

@@ -6,8 +6,8 @@ per-parameter weight summary, the series of ``generate``,
 ``mc_dropout_uncertainty``, and the campaign's DTW/HWD against simulated
 truth, and the ``generate`` series of two 1-epoch fits, one with the SRNN
 layers off and one with them on at noise intensity 0.  They also hold the outputs of the models other than GenDT: the MLP,
-LSTM-GNN and both DoppelGANger baselines' ``generate``, and the QoE,
-cell-load and link-bandwidth predictors' ``predict``, and the drive-test
+LSTM-GNN and both DoppelGANger baselines' ``generate``, the QoE
+predictor's ``predict``, and the drive-test
 simulator's records of a small Dataset B (city and highway cells).  A change that moves any of them must re-pin the fixtures (see
 ``tests/golden/scenario.py``) and name the cause in CHANGES.md.
 

@@ -89,10 +89,6 @@ class TestActivationModules:
         out = act(nn.Tensor(np.array([-1.0, 2.0])))
         np.testing.assert_allclose(out.numpy(), [-0.1, 2.0])
 
-    def test_sigmoid_module(self):
-        x = nn.Tensor(np.array([0.0]))
-        assert nn.Sigmoid()(x).item() == 0.5
-
 
 class TestSequentialAndMLP:
     def test_sequential_order(self, layer_rng):

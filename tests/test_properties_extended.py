@@ -1,75 +1,8 @@
-"""Property-based tests on the extended substrates (video QoE, maps, MDT)."""
+"""Properties of the sparse-measurement coverage map."""
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from repro.datasets import SparseMeasurements, build_coverage_map
-from repro.usecases import handover_indicator, simulate_session
-from repro.usecases.video_qoe import PlayerConfig
-
-throughput_series = arrays(
-    np.float64,
-    st.integers(min_value=20, max_value=120),
-    elements=st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
-)
-
-
-class TestVideoSessionProperties:
-    @given(throughput_series)
-    @settings(max_examples=40, deadline=None)
-    def test_score_always_in_range(self, series):
-        score = simulate_session(series).qoe_score()
-        assert 1.0 <= score <= 5.0
-
-    @given(throughput_series)
-    @settings(max_examples=40, deadline=None)
-    def test_bitrates_on_ladder(self, series):
-        session = simulate_session(series)
-        ladder = set(PlayerConfig().ladder_mbps)
-        assert set(np.unique(session.bitrates_mbps)).issubset(ladder)
-
-    @given(throughput_series)
-    @settings(max_examples=40, deadline=None)
-    def test_buffer_never_negative(self, series):
-        session = simulate_session(series)
-        assert np.all(session.buffer_s >= 0.0)
-
-    @given(
-        throughput_series,
-        st.floats(min_value=0.5, max_value=5.0),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_uniform_scaling_never_hurts(self, series, scale):
-        """More throughput everywhere cannot reduce the QoE score by much.
-
-        (Not strictly monotone because bitrate switching interacts with the
-        ladder, hence the small tolerance.)
-        """
-        base = simulate_session(series).qoe_score()
-        boosted = simulate_session(series * scale).qoe_score()
-        if scale >= 1.0:
-            assert boosted >= base - 0.6
-
-
-class TestHandoverIndicatorProperties:
-    @given(
-        arrays(
-            np.int64,
-            st.integers(min_value=2, max_value=80),
-            elements=st.integers(min_value=0, max_value=5),
-        ),
-        st.integers(min_value=0, max_value=5),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_indicator_binary_and_covers_changes(self, ids, window):
-        indicator = handover_indicator(ids, window=window)
-        assert set(np.unique(indicator)).issubset({0.0, 1.0})
-        changes = np.nonzero(np.diff(ids) != 0)[0] + 1
-        for point in changes:
-            assert indicator[point] == 1.0
 
 
 def test_coverage_counts_conserved(small_region, rng):
