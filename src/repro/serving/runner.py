@@ -182,6 +182,8 @@ class CampaignRunner:
         """Serve every trajectory; never raises for per-request faults."""
         result = CampaignResult()
         started_s = self._clock()
+        # The breaker outlives a run: report only this run's transitions.
+        first_transition = len(self.breaker.transitions)
         campaign_deadline = (
             started_s + self.config.campaign_deadline_s
             if self.config.campaign_deadline_s is not None
@@ -211,7 +213,7 @@ class CampaignRunner:
             ):
                 result.deadline_hit = True
             result.envelopes.append(envelope)
-        result.breaker_transitions = list(self.breaker.transitions)
+        result.breaker_transitions = self.breaker.transitions[first_transition:]
         result.elapsed_s = self._clock() - started_s
         return result
 

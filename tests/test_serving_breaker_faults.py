@@ -4,12 +4,16 @@ Everything here is model-free and clock-injected: the breaker state machine
 is driven with a hand-advanced fake clock, so no test ever sleeps.
 """
 
+import numpy as np
 import pytest
 
+from repro.geo import Trajectory
 from repro.serving import (
     STATE_CLOSED,
     STATE_HALF_OPEN,
     STATE_OPEN,
+    CampaignConfig,
+    CampaignRunner,
     CircuitBreaker,
     FaultPlan,
     ManualClock,
@@ -178,3 +182,33 @@ class TestManualClock:
         assert clock() == 10.0
         clock.sleep(2.5)
         assert clock() == 12.5
+
+
+class _ZerosModel:
+    """Stands in for a fitted GenDT: one window of zeros, passed through the hook."""
+
+    kpi_names = ["rsrp"]
+
+    def generate(self, trajectory, rng=None, first_stage_only=False, window_hook=None):
+        out = np.zeros((1, len(trajectory), 1))
+        window_hook(0, out)
+        return out[0]
+
+
+class TestRunnerBreakerHistory:
+    def test_second_run_reports_only_its_own_transitions(self):
+        clock = ManualClock()
+        plan = FaultPlan().inject("exception", trajectory=0, window=0, level="full")
+        runner = CampaignRunner(
+            _ZerosModel(), config=CampaignConfig(breaker_threshold=1),
+            fault_plan=plan, clock=clock, sleep=clock.sleep,
+        )
+        route = Trajectory(np.arange(5.0), np.full(5, 51.5), np.full(5, -0.1))
+        first = runner.run([route])
+        assert [t["to"] for t in first.breaker_transitions] == [STATE_OPEN]
+        snapshot = list(first.breaker_transitions)
+
+        second = runner.run([route])  # the breaker stays open: no state change
+        assert second.breaker_transitions == []
+        assert second.summary()["breaker_transitions"] == 0
+        assert first.breaker_transitions == snapshot
