@@ -9,11 +9,12 @@ multi-scenario composition real drive tests have.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .coords import LocalFrame
@@ -31,18 +32,31 @@ class CitySpec:
     street_spacing_m: float = 250.0
 
 
+Node = Tuple[float, float]
+
+
+class Edge(NamedTuple):
+    """One undirected road segment; both directions share the object."""
+
+    kind: str  # "street" or "highway"
+    length_m: float
+
+
 class RoadNetwork:
     """Road graph over one or more cities, with optional highway links.
 
-    Nodes are ``(lat, lon)`` tuples; edges carry ``kind`` ("street" or
-    "highway") and ``length_m``.  Routes are random non-backtracking walks.
+    ``adj`` maps each ``(lat, lon)`` node to ``{neighbour: Edge}``, both in
+    insertion order: each city's grid, then the highways.  That order fixes
+    which neighbour a seeded walk draws, so it is part of every route.
+    Routes are random non-backtracking walks; an intercity route joins a
+    walk in each city by the shortest road path between them.
     """
 
     def __init__(self, cities: Sequence[CitySpec], connect_highways: bool = True) -> None:
         if not cities:
             raise ValueError("need at least one city")
         self.cities = list(cities)
-        self.graph = nx.Graph()
+        self.adj: Dict[Node, Dict[Node, Edge]] = {}
         self._city_nodes: Dict[str, List[Tuple[float, float]]] = {}
         for city in self.cities:
             self._add_city_grid(city)
@@ -64,15 +78,19 @@ class RoadNetwork:
                 node = (float(lat), float(lon))
                 grid[(i, j)] = node
                 nodes.append(node)
-                self.graph.add_node(node, city=city.name)
+                self.adj.setdefault(node, {})
+        street = Edge("street", city.street_spacing_m)
         for (i, j), node in grid.items():
             for di, dj in ((1, 0), (0, 1)):
                 neighbor = grid.get((i + di, j + dj))
                 if neighbor is not None:
-                    self.graph.add_edge(
-                        node, neighbor, kind="street", length_m=city.street_spacing_m
-                    )
+                    self._add_edge(node, neighbor, street)
         self._city_nodes[city.name] = nodes
+
+    def _add_edge(self, u: Node, v: Node, edge: Edge) -> None:
+        # Re-adding an edge replaces it in place, keeping neighbour order.
+        self.adj.setdefault(u, {})[v] = edge
+        self.adj.setdefault(v, {})[u] = edge
 
     def _add_highways(self) -> None:
         # Connect each pair of adjacent cities (by centroid distance order)
@@ -92,10 +110,7 @@ class RoadNetwork:
                 frac = k / n_seg
                 lat, lon = frame.to_latlon(sx + frac * (ex - sx), sy + frac * (ey - sy))
                 node = (float(lat), float(lon)) if k < n_seg else end
-                if node not in self.graph:
-                    self.graph.add_node(node, city=f"hw:{a.name}-{b.name}")
-                seg_len = length / n_seg
-                self.graph.add_edge(prev, node, kind="highway", length_m=seg_len)
+                self._add_edge(prev, node, Edge("highway", length / n_seg))
                 prev = node
 
     def _nearest_node(self, city_name: str, lat: float, lon: float) -> Tuple[float, float]:
@@ -122,7 +137,7 @@ class RoadNetwork:
         """
         if start_node is None:
             candidates = (
-                self._city_nodes[city] if city is not None else list(self.graph.nodes)
+                self._city_nodes[city] if city is not None else list(self.adj)
             )
             start_node = candidates[int(rng.integers(len(candidates)))]
         route = [start_node]
@@ -130,16 +145,13 @@ class RoadNetwork:
         prev = None
         node = start_node
         while covered < length_m:
-            neighbors = [
-                nb
-                for nb in self.graph.neighbors(node)
-                if self.graph.edges[node, nb]["kind"] in kinds
-            ]
+            edges = self.adj[node]
+            neighbors = [nb for nb, edge in edges.items() if edge.kind in kinds]
             if not neighbors:
                 break
             options = [nb for nb in neighbors if nb != prev] or neighbors
             nxt = options[int(rng.integers(len(options)))]
-            covered += self.graph.edges[node, nxt]["length_m"]
+            covered += edges[nxt].length_m
             route.append(nxt)
             prev, node = node, nxt
         if len(route) < 2:
@@ -152,10 +164,56 @@ class RoadNetwork:
         """City-A detour → highway to city B → city-B detour (complex route)."""
         walk_a = self.random_walk_route(rng, city_detour_m, city=city_a)
         walk_b = self.random_walk_route(rng, city_detour_m, city=city_b)
-        path = nx.shortest_path(
-            self.graph, walk_a[-1], walk_b[0], weight="length_m"
-        )
+        path = self.shortest_path(walk_a[-1], walk_b[0])
         return walk_a + path[1:-1] + walk_b
+
+    def shortest_path(self, source: Node, target: Node) -> List[Node]:
+        """Shortest path by ``length_m``: bidirectional Dijkstra.
+
+        It searches as networkx's ``bidirectional_dijkstra`` does (the
+        directions alternate, forward first, and one counter breaks heap
+        ties across both), so among equal-length paths on a street grid it
+        returns the one networkx returns.
+        """
+        if source == target:
+            return [source]
+        dists: List[Dict[Node, float]] = [{}, {}]
+        preds: List[Dict[Node, Optional[Node]]] = [{source: None}, {target: None}]
+        seen: List[Dict[Node, float]] = [{source: 0.0}, {target: 0.0}]
+        counter = itertools.count()
+        fringe = [[(0.0, next(counter), source)], [(0.0, next(counter), target)]]
+        best: Optional[float] = None
+        meet: Optional[Node] = None
+        direction = 1
+        while fringe[0] and fringe[1]:
+            direction = 1 - direction
+            dist, _, v = heapq.heappop(fringe[direction])
+            if v in dists[direction]:
+                continue
+            dists[direction][v] = dist
+            if v in dists[1 - direction]:
+                forward, node = [], meet
+                while node is not None:
+                    forward.append(node)
+                    node = preds[0][node]
+                backward, node = [], preds[1][meet]
+                while node is not None:
+                    backward.append(node)
+                    node = preds[1][node]
+                return forward[::-1] + backward
+            for w, edge in self.adj[v].items():
+                length = dist + edge.length_m
+                if w not in dists[direction] and (
+                    w not in seen[direction] or length < seen[direction][w]
+                ):
+                    seen[direction][w] = length
+                    heapq.heappush(fringe[direction], (length, next(counter), w))
+                    preds[direction][w] = v
+                    if w in seen[1 - direction]:
+                        total = length + seen[1 - direction][w]
+                        if best is None or best > total:
+                            best, meet = total, w
+        raise ValueError(f"no road path between {source} and {target}")
 
     def route_to_trajectory(
         self,

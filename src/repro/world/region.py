@@ -39,15 +39,20 @@ class Region:
 
 def _chain_highway_polylines(roads: RoadNetwork) -> List[List[Tuple[float, float]]]:
     """Join highway edges into maximal continuous polylines."""
-    import networkx as nx
-
+    # Each edge is listed from both ends; ``nx.Graph`` ignores the repeat,
+    # so the subgraph below orders its nodes and neighbours, which pick
+    # each polyline's start, as when it was built from ``Graph.edges()``.
     highway_edges = [
         (u, v)
-        for u, v, data in roads.graph.edges(data=True)
-        if data["kind"] == "highway"
+        for u, edges in roads.adj.items()
+        for v, edge in edges.items()
+        if edge.kind == "highway"
     ]
     if not highway_edges:
         return []
+    # Only multi-city regions reach this point and load networkx.
+    import networkx as nx
+
     subgraph = nx.Graph(highway_edges)
     polylines: List[List[Tuple[float, float]]] = []
     for component in nx.connected_components(subgraph):

@@ -62,3 +62,40 @@ def test_import_and_environment_context_load_no_scipy():
         check=True,
     )
     assert result.stdout.split("\n")[:2] == ["import: []", "context: []"]
+
+
+@pytest.mark.parametrize("blocked", [True, False], ids=["blocked", "loaded"])
+def test_single_city_flows_need_no_networkx_or_scipy(blocked):
+    # Single-city regions walk a plain-dict road graph: only chaining a
+    # multi-city region's highways imports networkx.  With both packages
+    # blocked (an import of either raises ImportError), the packages a user
+    # starts from, Dataset A, a walk and its environment context still run;
+    # without the block, they leave neither package in ``sys.modules``.
+    code = f"""if True:
+        import sys
+        if {blocked}:
+            sys.modules["networkx"] = sys.modules["scipy"] = None
+        import numpy as np
+        import repro, repro.core, repro.serving, repro.datasets
+        from repro.context import EnvironmentContextExtractor
+        from repro.datasets import make_dataset_a
+
+        dataset = make_dataset_a(seed=1, samples_per_scenario=60, trajectories_per_scenario=2)
+        region, rng = dataset.region, np.random.default_rng(0)
+        nodes = region.roads.random_walk_route(rng, 1500.0, city="cityA")
+        route = region.roads.route_to_trajectory(nodes, 1.4, 1.0, scenario="walk", rng=rng)
+        env = EnvironmentContextExtractor(region).features(route)
+        assert env.shape == (len(route), 26) and env[:, 12:].sum() > 0
+        print(sorted(m for m in sys.modules if sys.modules[m] is not None
+                     and m.split(".")[0] in ("networkx", "scipy")))
+    """
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "[]\n"
