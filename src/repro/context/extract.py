@@ -77,16 +77,18 @@ class NetworkContextExtractor:
         nearest ones by mean over the window (keeps the GNN fan-in bounded).
         """
         block = distances[start:stop]
-        visible = np.nonzero((block <= self.d_s_m).any(axis=0))[0]
+        # The mean over all cells, then the visible ones': each column's sum
+        # runs over the rows in order either way, so the order among two or
+        # more visible cells is the per-column mean's (one cell has no order).
+        mean_d = np.add.reduce(block, axis=0) / len(block)
+        visible = np.flatnonzero(np.logical_or.reduce(block <= self.d_s_m, axis=0))
         if len(visible) == 0:
             # Degenerate coverage hole: fall back to the single nearest cell.
-            visible = np.array([int(np.argmin(block.mean(axis=0)))])
-        mean_d = block[:, visible].mean(axis=0)
-        order = np.argsort(mean_d)
-        chosen = visible[order]
+            visible = np.array([np.argmin(mean_d)])
+        chosen = visible[np.argsort(mean_d[visible])]
         if max_cells is not None:
             chosen = chosen[:max_cells]
-        return [int(i) for i in chosen]
+        return chosen.tolist()
 
     def window_features(
         self,
@@ -101,14 +103,10 @@ class NetworkContextExtractor:
         distance(t).
         """
         cells = np.asarray(cell_indices, dtype=int)
-        static = self.deployment.attributes[cells]
-        return np.concatenate(
-            [
-                np.broadcast_to(static, (stop - start,) + static.shape),
-                distances[start:stop, cells][:, :, None],
-            ],
-            axis=2,
-        )
+        out = np.empty((stop - start, len(cells), N_CELL_ATTRIBUTES))
+        out[:, :, :-1] = self.deployment.attributes[cells]
+        out[:, :, -1] = distances[start:stop, cells]
+        return out
 
 
 #: Side of the square location cells environment context is evaluated on (m).

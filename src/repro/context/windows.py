@@ -98,6 +98,7 @@ class ContextBuilder:
         speeds = trajectory.speeds_mps()
         interval_s = trajectory.sample_interval_s or 1.0
         eff_length = min(length, len(trajectory))
+        cells = self.region.deployment.cells
         windows: List[ContextWindow] = []
         for start in window_starts(len(trajectory), eff_length, step):
             stop = start + eff_length
@@ -108,7 +109,7 @@ class ContextBuilder:
             windows.append(
                 ContextWindow(
                     cell_features=features,
-                    cell_ids=[self.region.deployment.cells[i].cell_id for i in cell_idx],
+                    cell_ids=[cells[i].cell_id for i in cell_idx],
                     env_features=env[start:stop],
                     start=start,
                     ue_lat=trajectory.lat[start:stop],

@@ -86,39 +86,30 @@ class WindowAssembler:
         length = windows[0].length
         if any(w.length != length for w in windows):
             raise ValueError("all windows in a batch must share their length")
-        batch = len(windows)
-        cell_x = np.zeros((batch, self.max_cells, length, N_CELL_FEATURES))
-        cell_mask = np.zeros((batch, self.max_cells))
-        n_env = windows[0].env_features.shape[-1] + N_KINEMATIC_FEATURES
-        env = np.empty((batch, length, n_env))
-        target: Optional[np.ndarray] = None
-        if with_target:
-            if any(w.target is None for w in windows):
-                raise ValueError("windows lack targets")
-            n_ch = windows[0].target.shape[-1]
-            target = np.empty((batch, length, n_ch))
-        for i, window in enumerate(windows):
+        if with_target and any(w.target is None for w in windows):
+            raise ValueError("windows lack targets")
+        # Each window's cell features are transformed alone: stacking them
+        # gives the same bits, but its larger temporaries grew the glibc
+        # heap and the peak RSS.  The rest is elementwise over the stacked
+        # windows, so each window gets the bits it gets alone.
+        n_cells = np.array([min(w.n_cells, self.max_cells) for w in windows])
+        cell_x = np.zeros((len(windows), self.max_cells, length, N_CELL_FEATURES))
+        for i, (window, n) in enumerate(zip(windows, n_cells)):
             features = self.cell_transform(window, window.ue_lat, window.ue_lon)
-            n_cells = min(window.n_cells, self.max_cells)
-            cell_x[i, :n_cells] = features[:, :n_cells].transpose(1, 0, 2)
-            cell_mask[i, :n_cells] = 1.0
-            speed = window.ue_speed
-            if len(speed) != length:
-                speed = np.zeros(length)
-            kinematics = np.column_stack(
-                [speed / 30.0, np.full(length, window.interval_s / 5.0)]
-            )
-            env[i] = np.concatenate(
-                [self.env_normalizer(window.env_features), kinematics], axis=-1
-            )
-            if with_target:
-                target[i] = self.target_normalizer.normalize(window.target)
-        return ModelBatch(
-            cell_x=cell_x,
-            cell_mask=cell_mask,
-            env=env,
-            target=target,
-        )
+            cell_x[i, :n] = features[:, :n].transpose(1, 0, 2)
+        cell_mask = (np.arange(self.max_cells) < n_cells[:, None]).astype(float)
+        speed = np.stack([
+            w.ue_speed if len(w.ue_speed) == length else np.zeros(length) for w in windows
+        ])
+        env_raw = np.stack([w.env_features for w in windows])
+        env = np.empty(env_raw.shape[:-1] + (env_raw.shape[-1] + N_KINEMATIC_FEATURES,))
+        env[..., :-N_KINEMATIC_FEATURES] = self.env_normalizer(env_raw)
+        env[..., -2] = speed / 30.0
+        env[..., -1] = (np.array([w.interval_s for w in windows]) / 5.0)[:, None]
+        target = None
+        if with_target:
+            target = self.target_normalizer.normalize(np.stack([w.target for w in windows]))
+        return ModelBatch(cell_x=cell_x, cell_mask=cell_mask, env=env, target=target)
 
 
 def mean_over_cells(hidden: Tensor, cell_mask: np.ndarray) -> Tensor:

@@ -185,7 +185,7 @@ class GenDTGenerator(nn.Module):
         if n_draws < 1:
             raise ValueError("n_draws must be >= 1")
         batch = batch.astype(self.dtype)
-        length, n_env = batch.length, batch.env.shape[-1]
+        length = batch.length
         starts = range(0, batch.n_windows * length, length) if starts is None else starts
         base = self._first_stage(batch, n_draws, rng)
         roll = self.resgen is not None and rng is not None
@@ -197,7 +197,8 @@ class GenDTGenerator(nn.Module):
             new = slice(done - start, length)
             out = base[index, :, new]
             if roll:
-                env = np.broadcast_to(batch.env[index, new], (n_draws, out.shape[1], n_env))
+                # [1, new, N_env]: rollout broadcasts it over the draws.
+                env = batch.env[index, None, new]
                 out, state, mu, sigma = self.resgen.rollout(env, out, state, rng, collect_params)
                 mus.append(mu)
                 sigmas.append(sigma)
@@ -218,8 +219,11 @@ class GenDTGenerator(nn.Module):
         base = []
         with nn.no_grad():
             for lo in range(0, n_windows, per_call):
-                cell_x = np.repeat(batch.cell_x[lo:lo + per_call], n_draws, axis=0)
-                mask = np.repeat(batch.cell_mask[lo:lo + per_call], n_draws, axis=0)
+                cell_x = batch.cell_x[lo:lo + per_call]
+                mask = batch.cell_mask[lo:lo + per_call]
+                if n_draws > 1:
+                    cell_x = np.repeat(cell_x, n_draws, axis=0)
+                    mask = np.repeat(mask, n_draws, axis=0)
                 h_avg = self.h_avg(cell_x, mask, rng)
                 base.append(self.agg_net(h_avg, rng).numpy())
         base = np.concatenate(base)

@@ -23,11 +23,11 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .. import nn
 from ..analysis.graph.spec import Spec, contract
 from ..nn.anomaly import NumericalAnomalyError, annotate_module, is_anomaly_enabled
-from ..nn.lstm import _sigmoid_
 from ..nn.tensor import Tensor, concat
 from .config import GenDTConfig
 
@@ -200,27 +200,42 @@ class ResGen(nn.Module):
         MLP head, ``mu`` and residual are checked for NaN/Inf.
 
         At batch 1 a step costs what its numpy calls cost, not their
-        arithmetic, so the loop makes few of them.  Two buffers are
-        allocated once per call: the residual history ``[B, m + L, N_ch]``
-        (step ``t`` reads rows ``t..t+m-1`` and writes row ``m + t``; the
-        new state is its last ``m`` rows) and the time-major MLP input
-        ``[L, B, N_env + N_z1 + m * N_ch]``, whose ``env`` and ``z1``
-        columns are written once, so a step copies only its recent
-        residuals into row ``t``.  Each substitution gives the Tensor op's
-        bits: writing the float64 ``z1`` draw into the rows casts it as
-        ``astype`` does; LeakyReLU is ``maximum(x, x * slope)``, exact for
-        ``0 < slope <= 1`` (every ``nn.MLP`` uses 0.2), ±0 and NaN included;
-        the dropout mask is ``Dropout``'s ``(u < keep) / keep`` cast to the
-        dtype; each clip is ``np.maximum`` and ``np.minimum``, which select
-        what ``clip`` selects without ``ndarray.clip``'s Python wrapper
-        (numpy 2), and the gains are the LSTM's in-place sigmoid, which
-        keeps only ``Tensor.sigmoid``'s -60 floor, because its +60 ceiling
-        cannot change a sigmoid in float32 or float64; ``np.add.reduce``
-        is ``sum`` without its Python wrapper; and adding ``base`` after
-        the loop is the same elementwise sum.
+        arithmetic, so the loop makes few of them and makes each cheap.
+        Everything a step writes goes into a buffer allocated once per
+        call, and every view a step reads is made once per call: the
+        residual history ``[B, m + L, N_ch]`` (step ``t`` writes row
+        ``m + t``; the new state is its last ``m`` rows), a strided view
+        of it whose entry ``t`` is rows ``t..t+m-1`` flattened, and the
+        time-major MLP input ``[L, B, N_env + N_z1 + m * N_ch]``, whose
+        ``env`` and ``z1`` columns are written once, so a step copies only
+        its recent residuals into row ``t``.  Every operand a ufunc gets
+        per step is a buffer of the result's shape or a 0-d array in the
+        dtype: a Python float or a broadcast operand costs about as much
+        again as the op on a few dozen numbers.  The head row is clipped
+        by one ``np.maximum`` and one ``np.minimum`` against per-column
+        bounds (-60 and +inf for the AR-gain columns, -5 and 2 for the
+        log-sigma columns), the gain columns are negated, and one
+        ``np.exp`` gives both ``exp(-gain)`` and ``sigma``.
+
+        Each substitution gives the Tensor op's bits: writing the float64
+        ``z1`` draw into the rows casts it as ``astype`` does; a 0-d
+        constant in the dtype is what NEP 50 makes of the Python float;
+        a bias tiled to ``[B, W]`` adds what the broadcast ``[W]`` adds;
+        LeakyReLU is ``maximum(x, x * slope)``, exact for
+        ``0 < slope <= 1`` (every ``nn.MLP`` uses 0.2), ±0 and NaN
+        included; the dropout mask is ``Dropout``'s ``(u < keep) / keep``
+        cast to the dtype; each clip is ``np.maximum`` and ``np.minimum``,
+        which select what ``clip`` selects, and the gains keep only
+        ``Tensor.sigmoid``'s -60 floor, because its +60 ceiling cannot
+        change a sigmoid in float32 or float64 (the +inf bound selects
+        every value, NaN included); ``np.add.reduce`` is ``sum`` without
+        its Python wrapper; ``sigma * eps + mu`` is ``mu + sigma * eps``
+        (IEEE addition commutes); and adding ``base`` after the loop is
+        the same elementwise sum.
 
         Args:
-            env: [B, L, N_env] environment context.
+            env: [B, L, N_env] environment context, or [1, L, N_env]
+                shared by every row.
             base: [B, L, N_ch] first-stage (``G_n`` + ``G_a``) output.
             state: [B, m, N_ch] recent residuals, oldest first.
             rng: the generator every draw comes from.
@@ -248,36 +263,60 @@ class ResGen(nn.Module):
         rows = np.empty((length, b, n_env + n_noise + split), dtype)
         rows[:, :, :n_env] = env.transpose(1, 0, 2)
         rows[:, :, n_env:-split] = z1.transpose(1, 0, 2)
+        rows_recent = rows[:, :, -split:]
         hist = np.empty((b, m + length, n_ch), dtype)
         hist[:, :m] = state
+        size = hist.itemsize
+        recents = as_strided(
+            hist, (length, b, split), (n_ch * size, hist.strides[0], size), writeable=False
+        )
+        residuals = hist[:, m:].transpose(1, 0, 2)
+        # Per-step buffers: each hidden layer's output and its leak, the
+        # raw head and its transform [exp(-gain) | sigma], mu, the residual.
+        layers = [
+            (weight_t, np.tile(bias, (b, 1)), np.array(slope, dtype),
+             np.empty((b, weight_t.shape[1]), dtype), np.empty((b, weight_t.shape[1]), dtype))
+            for weight_t, bias, slope in hidden
+        ]
+        head_bias = np.tile(head_b, (b, 1))
+        head, params = np.empty_like(head_bias), np.empty_like(head_bias)
+        low, high = np.full_like(head_bias, -5.0), np.full_like(head_bias, 2.0)
+        low[:, :split], high[:, :split] = -60.0, np.inf
+        gains, sigma = params[:, :split], params[:, split:]
+        lags = gains.reshape(b, m, n_ch)
+        mu, residual = np.empty((b, n_ch), dtype), np.empty((b, n_ch), dtype)
+        one, inv_m, floor, ceiling = (np.array(v, dtype) for v in (1.0, 1.0 / m, -5.0, 5.0))
         output = np.empty_like(base)
         mus = np.empty_like(base) if collect_params else None
         sigmas = np.empty_like(base) if collect_params else None
-        inv_m = 1.0 / m
-        for t in range(length):
-            recent = hist[:, t:t + m].reshape(b, split)
-            x = rows[t]
-            x[:, -split:] = recent
-            for weight_t, bias, slope in hidden:
-                x = x @ weight_t
-                x += bias
-                np.maximum(x, x * slope, out=x)
+        steps = zip(rows, rows_recent, recents, eps, residuals)
+        for t, (x, x_recent, recent, eps_t, new) in enumerate(steps):
+            x_recent[...] = recent
+            for weight_t, bias, slope, act, leak in layers:
+                np.matmul(x, weight_t, out=act)
+                act += bias
+                np.multiply(act, slope, out=leak)
+                np.maximum(act, leak, out=act)
+                x = act
             if dropout is not None:
                 x *= mask[t]
-            out = x @ head_wt
-            out += head_b
-            gains = _sigmoid_(out[:, :split].copy())  # a copy: the check reads the raw head
+            np.matmul(x, head_wt, out=head)
+            head += head_bias
+            np.maximum(head, low, out=params)
+            np.minimum(params, high, out=params)
+            np.negative(gains, out=gains)
+            np.exp(params, out=params)
+            gains += one
+            np.divide(one, gains, out=gains)
             gains *= inv_m
             gains *= recent
-            mu = np.add.reduce(gains.reshape(b, m, n_ch), axis=1)
-            sigma = np.maximum(out[:, split:], -5.0)
-            np.minimum(sigma, 2.0, out=sigma)
-            np.exp(sigma, out=sigma)
-            residual = mu + sigma * eps[t]
+            np.add.reduce(lags, axis=1, out=mu)
+            np.multiply(sigma, eps_t, out=residual)
+            residual += mu
             if check:
-                _check_finite(t, head=out, mu=mu, residual=residual)
-            np.maximum(residual, -5.0, out=residual)
-            np.minimum(residual, 5.0, out=hist[:, m + t])
+                _check_finite(t, head=head, mu=mu, residual=residual)
+            np.maximum(residual, floor, out=residual)
+            np.minimum(residual, ceiling, out=new)
             if collect_params:
                 mus[:, t] = mu
                 sigmas[:, t] = sigma

@@ -109,32 +109,38 @@ class GenDTTrainer:
     def _generator_step(
         self, batch: ModelBatch, guard: Optional[HealthGuard] = None
     ) -> Dict[str, float]:
-        out = self.generator.forward_teacher_forced(batch, self.rng)
-        target = Tensor(batch.target)
-        mse = nn.mse_loss(out["output"], target)
-        loss = mse
-        if "mu" in out:
-            # Deep supervision on the base network: the conditional mean must
-            # live in G_n/G_a, leaving ResGen a zero-mean residual process.
-            # Without this term the base/residual split is unidentifiable
-            # under teacher forcing and the base collapses to a constant.
-            loss = loss + nn.mse_loss(out["base"], target)
-        adv_value = 0.0
-        if self.discriminator is not None:
-            fake_logits = self.discriminator(out["output"], out["h_avg"])
-            adv = nn.generator_adversarial_loss(fake_logits)
-            loss = loss + self.config.lambda_adv * adv
-            adv_value = adv.item()
-        nll_value = 0.0
-        if "mu" in out:
-            # Keep the Gaussian head calibrated against the residual the
-            # base network leaves behind.
-            residual_target = target - Tensor(out["base"].numpy())
-            nll = nn.gaussian_nll(out["mu"], out["log_sigma"], residual_target)
-            loss = loss + NLL_WEIGHT * nll
-            nll_value = nll.item()
-        self.g_optimizer.zero_grad()
-        loss.backward()
+        # The discriminator is frozen for the step: its weights take no
+        # gradient here (its own step zeroes them first), so backward
+        # computes only what flows to the generator, with the same bits.
+        frozen = self.discriminator.frozen() if self.discriminator is not None else nullcontext()
+        with frozen:
+            out = self.generator.forward_teacher_forced(batch, self.rng)
+            target = Tensor(batch.target)
+            mse = nn.mse_loss(out["output"], target)
+            loss = mse
+            if "mu" in out:
+                # Deep supervision on the base network: the conditional mean
+                # must live in G_n/G_a, leaving ResGen a zero-mean residual
+                # process.  Without this term the base/residual split is
+                # unidentifiable under teacher forcing and the base collapses
+                # to a constant.
+                loss = loss + nn.mse_loss(out["base"], target)
+            adv_value = 0.0
+            if self.discriminator is not None:
+                fake_logits = self.discriminator(out["output"], out["h_avg"])
+                adv = nn.generator_adversarial_loss(fake_logits)
+                loss = loss + self.config.lambda_adv * adv
+                adv_value = adv.item()
+            nll_value = 0.0
+            if "mu" in out:
+                # Keep the Gaussian head calibrated against the residual the
+                # base network leaves behind.
+                residual_target = target - Tensor(out["base"].numpy())
+                nll = nn.gaussian_nll(out["mu"], out["log_sigma"], residual_target)
+                loss = loss + NLL_WEIGHT * nll
+                nll_value = nll.item()
+            self.g_optimizer.zero_grad()
+            loss.backward()
         if guard is None or guard.inspect_gradients(self.g_optimizer):
             self.g_optimizer.clip_grad_norm(self.config.grad_clip)
             self.g_optimizer.step()

@@ -133,12 +133,20 @@ class RoadNetwork:
         """Sample a non-backtracking walk of roughly ``length_m`` metres.
 
         ``kinds`` restricts which edge kinds may be traversed (streets only
-        for city scenarios, highway+street for inter-city driving).
+        for city scenarios, highway+street for inter-city driving).  Without
+        a ``start_node`` the walk starts at a random node of ``city``, or,
+        with no city, at a random node with an edge of an allowed kind.
         """
         if start_node is None:
-            candidates = (
-                self._city_nodes[city] if city is not None else list(self.adj)
-            )
+            if city is not None:
+                candidates = self._city_nodes[city]
+            else:
+                candidates = [
+                    node for node, edges in self.adj.items()
+                    if any(edge.kind in kinds for edge in edges.values())
+                ]
+                if not candidates:
+                    raise ValueError(f"no road has an edge of kinds {kinds}")
             start_node = candidates[int(rng.integers(len(candidates)))]
         route = [start_node]
         covered = 0.0

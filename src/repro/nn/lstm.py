@@ -42,40 +42,73 @@ class SRNNNoise(NamedTuple):
     intensity_c: float
 
 
-def _sigmoid_(z: np.ndarray) -> np.ndarray:
+def _sigmoid_(z: np.ndarray, floor: np.ndarray, one: np.ndarray) -> np.ndarray:
     """In-place logistic sigmoid, with ``Tensor.sigmoid``'s bits.
 
     ``Tensor.sigmoid`` clips its input to [-60, 60]; only the floor can
     change a result, because ``1 + exp(-60)`` already rounds to 1 in
-    float32 and in float64, so the ceiling is left out.
+    float32 and in float64, so the ceiling is left out.  ``floor`` and
+    ``one`` are -60 and 1 as 0-d arrays in ``z``'s dtype: the values NEP 50
+    makes of the Python floats, without converting one on every call.
     """
-    np.maximum(z, -60.0, out=z)
+    np.maximum(z, floor, out=z)
     np.negative(z, out=z)
     np.exp(z, out=z)
-    z += 1.0
-    return np.divide(1.0, z, out=z)
+    z += one
+    return np.divide(one, z, out=z)
 
 
-def _renormalize(state: np.ndarray, uniform: np.ndarray, intensity: np.ndarray, out: np.ndarray):
-    """One SRNN perturbation of the stacked ``[h, c]`` state into ``out``.
+class _Renormalizer:
+    """The SRNN noise of one :func:`lstm_sequence` call, one step per call.
 
-    ``state``, ``uniform`` and ``out`` are ``[2, B, H]`` and ``intensity`` is
-    ``[2, 1, 1]``; every op is elementwise or a reduction over ``H``, so each
-    state gets the bits it would get alone.  Returns what the gradient needs.
+    Each call makes one float64 ``[2, B, H]`` draw (``h``'s noise, then
+    ``c``'s) and writes the perturbed stacked ``[h, c]`` state into
+    ``out``.  Every op is elementwise or a reduction over ``H``, so each
+    state gets the bits it would get alone.  The draw is cast to the
+    state's dtype inside the multiply by the amplitude, which rounds it as
+    ``astype`` does, and each constant is a 0-d array in that dtype.  With
+    ``keep`` every call returns fresh arrays, which BPTT keeps; without it
+    the call reuses one set of buffers.
     """
-    row_sum = np.add.reduce(state, axis=-1, keepdims=True)
-    noisy = uniform * (row_sum / state.shape[-1])  # the same bits as ``mean``
-    noisy *= intensity
-    noisy += state
-    noisy_sum = np.add.reduce(noisy, axis=-1, keepdims=True)
-    denom = np.where(np.abs(noisy_sum) < 1e-6, 1.0, noisy_sum)
-    scale = row_sum / denom
-    np.multiply(noisy, scale, out=out)
-    return noisy, scale, denom
+
+    def __init__(self, noise: SRNNNoise, batch: int, hidden: int, dtype, keep: bool) -> None:
+        self.rng = noise.rng
+        self.draw = np.empty((2, batch, hidden))
+        self.intensity = np.array([noise.intensity_h, noise.intensity_c], dtype)[:, None, None]
+        self.width, self.tiny, self.one = (np.array(v, dtype) for v in (hidden, 1e-6, 1.0))
+        self.shape, self.dtype, self.keep = (2, batch, hidden), dtype, keep
+        self.buffers = None if keep else self._buffers()
+
+    def _buffers(self):
+        """``noisy`` [2, B, H]; the row sums, the scale, the denominator and a mask, [2, B, 1]."""
+        sums = (2, self.shape[1], 1)
+        return (np.empty(self.shape, self.dtype), np.empty(sums, self.dtype),
+                np.empty(sums, self.dtype), np.empty(sums, self.dtype), np.empty(sums, bool))
+
+    def __call__(self, state: np.ndarray, out: np.ndarray):
+        """Perturb ``state`` into ``out``; returns ``(noisy, scale, denom)`` for the gradient.
+
+        ``s' = (s + a * u * mean(s)) * sum(s) / sum(s + a * u * mean(s))``,
+        with the denominator replaced by 1 where it is below 1e-6 in size.
+        """
+        self.rng.random(out=self.draw)
+        noisy, row_sum, scale, denom, tiny = self._buffers() if self.keep else self.buffers
+        np.add.reduce(state, axis=-1, keepdims=True, out=row_sum)
+        np.divide(row_sum, self.width, out=scale)  # the same bits as ``mean``
+        np.multiply(self.draw, scale, out=noisy, dtype=self.dtype)
+        noisy *= self.intensity
+        noisy += state
+        np.add.reduce(noisy, axis=-1, keepdims=True, out=denom)
+        np.absolute(denom, out=scale)
+        np.less(scale, self.tiny, out=tiny)
+        np.copyto(denom, self.one, where=tiny)
+        np.divide(row_sum, denom, out=scale)
+        np.multiply(noisy, scale, out=out)
+        return noisy, scale, denom
 
 
 def _unrenormalize(grad: np.ndarray, noisy: np.ndarray, scale: np.ndarray, denom: np.ndarray):
-    """Gradient of :func:`_renormalize` w.r.t. its input state."""
+    """Gradient of the :class:`_Renormalizer` step w.r.t. its input state."""
     return grad * scale + np.add.reduce(grad * noisy, axis=-1, keepdims=True) / denom
 
 
@@ -89,11 +122,14 @@ class _Recurrence:
     inputs share one, see :func:`_check_inputs`).
 
     With ``bptt`` each step's input state, ``tanh(c)`` and renormalization
-    factors are kept for :meth:`backward`.  Without it nothing per step is
-    kept: the state is renormalized in place and ``tanh(c)`` is written
-    into ``h`` before ``h *= o``, which gives the same bits.  ``hs`` is a
-    ``[T, B, H]`` view of the ``[B, T, H]`` output, which each step writes
-    into directly.
+    factors are kept for :meth:`backward`, and the gates become their
+    activations.  Without it nothing per step is kept: the state is
+    renormalized in place, ``tanh(c)`` is written into ``h`` before
+    ``h *= o``, which gives the same bits, and the cell gate's ``tanh``
+    stays in its step buffer.  Either way every product a step makes is
+    written into a buffer allocated once per call, and the per-gate views
+    of all steps are made once.  ``hs`` is a ``[T, B, H]`` view of the
+    ``[B, T, H]`` output, which each step writes into directly.
     """
 
     def __init__(self, x, weight_ih, weight_hh, bias, noise: Optional[SRNNNoise], bptt=True):
@@ -120,36 +156,39 @@ class _Recurrence:
         state = np.zeros((2, batch, hidden), dtype)
         h, c = state
         if noise is not None:
-            # Per step, one float64 [2, B, H] draw (h's noise, then c's),
-            # cast into the compute dtype: the stream and the values of one
-            # up-front uniform(0, 1, size=(T, 2, B, H)) draw.
-            draw = np.empty((2, batch, hidden))
-            uniform = draw if dtype == draw.dtype else np.empty_like(draw, dtype)
-            intensity = np.array([noise.intensity_h, noise.intensity_c], dtype)[:, None, None]
-        for t in range(steps):
-            state_in = self.state_in[:, t] if bptt else state
+            renormalize = _Renormalizer(noise, batch, hidden, dtype, keep=bptt)
+        in_gate, forget, cell, out_gate = (
+            gates[:, :, k * hidden : (k + 1) * hidden] for k in range(4)
+        )
+        recurrent = np.empty((batch, 4 * hidden), dtype)  # h_in @ W_hh.T
+        cell_gate = np.empty((batch, hidden), dtype)  # tanh, then times the input gate
+        floor, one = np.array(-60.0, dtype), np.array(1.0, dtype)
+        state_in, tanh_c = state, h  # without BPTT, the step works in place
+        h_in, c_in = state_in
+        steps = zip(gates, in_gate, forget, cell, out_gate, self.hs)
+        for t, (z, z_in, z_forget, z_cell, z_out, hs_t) in enumerate(steps):
+            if bptt:
+                state_in, tanh_c = self.state_in[:, t], self.tanh_c[t]
+                h_in, c_in = state_in
             if noise is not None:
-                noise.rng.random(out=draw)
-                if uniform is not draw:
-                    uniform[...] = draw
-                renorm = _renormalize(state, uniform, intensity, state_in)
+                renorm = renormalize(state, state_in)
                 if bptt:
                     self.renorm.append(renorm)
             elif bptt:
                 state_in[...] = state
-            h_in, c_in = state_in
-            z = gates[t]
-            z += h_in @ w_hh_t
-            cell_gate = np.tanh(z[:, 2 * hidden : 3 * hidden])
-            _sigmoid_(z)
-            z[:, 2 * hidden : 3 * hidden] = cell_gate
-            np.multiply(z[:, hidden : 2 * hidden], c_in, out=c)
-            c += z[:, :hidden] * cell_gate
-            tanh_c = self.tanh_c[t] if bptt else h
+            np.matmul(h_in, w_hh_t, out=recurrent)
+            z += recurrent
+            np.tanh(z_cell, out=cell_gate)
+            _sigmoid_(z, floor, one)
+            if bptt:
+                z_cell[...] = cell_gate
+            np.multiply(z_forget, c_in, out=c)
+            np.multiply(z_in, cell_gate, out=cell_gate)
+            c += cell_gate
             np.tanh(c, out=tanh_c)
-            np.multiply(z[:, 3 * hidden :], tanh_c, out=h)
-            self.hs[t] = h
-        self.gates = gates  # activations now, no longer pre-activations
+            np.multiply(z_out, tanh_c, out=h)
+            hs_t[...] = h
+        self.gates = gates  # with BPTT, activations now, no longer pre-activations
 
     def backward(self, d_hs, needs):
         """Gradients of ``(x, weight_ih, weight_hh, bias)``.

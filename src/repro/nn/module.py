@@ -8,6 +8,7 @@ layers), and flat state-dict serialization.
 
 from __future__ import annotations
 
+import contextlib
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -92,6 +93,24 @@ class Module:
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.grad = None
+
+    @contextlib.contextmanager
+    def frozen(self) -> Iterator["Module"]:
+        """Within the block no parameter requires grad, so no gradient is computed for them.
+
+        The ops run as before and gradients still flow through them to their
+        other inputs, with the same bits; ``backward`` skips the parameters'
+        own products.  Cover the forward and the ``backward`` that follows:
+        a closure reads ``requires_grad`` when it runs.
+        """
+        params = [param for param in self.parameters() if param.requires_grad]
+        for param in params:
+            param.requires_grad = False
+        try:
+            yield self
+        finally:
+            for param in params:
+                param.requires_grad = True
 
     def astype(self, dtype) -> "Module":
         """Cast every parameter to ``dtype`` in place (rounding its values); returns self."""

@@ -156,6 +156,27 @@ class TestNetworkContext:
         means = distances[0:30][:, cells].mean(axis=0)
         assert np.all(np.diff(means) >= 0)
 
+    def test_coverage_hole_falls_back_to_the_nearest_cell_by_mean(self, small_region):
+        # No cell within d_s anywhere in the window: the one cell with the
+        # smallest mean distance over the window's rows, not the one that
+        # comes nearest at a single step (cell 0, at step 0).
+        extractor = NetworkContextExtractor(small_region, d_s_m=0.5)
+        distances = np.array([
+            [1.0, 40.0, 12.0],
+            [30.0, 11.0, 12.0],
+            [30.0, 11.0, 12.0],
+            [30.0, 11.0, 12.0],
+        ])
+        assert extractor.window_cells(distances, 0, 4) == [2]
+        assert extractor.window_cells(distances, 1, 4, max_cells=3) == [1]
+
+    def test_coverage_hole_on_a_route(self, small_region, sample_trajectory):
+        extractor = NetworkContextExtractor(small_region, d_s_m=1e-3)
+        distances = extractor.distances(sample_trajectory)
+        assert (distances[:30] > 1e-3).all()
+        expected = int(np.argmin(distances[:30].mean(axis=0)))
+        assert extractor.window_cells(distances, 0, 30, max_cells=8) == [expected]
+
     def test_window_features_schema(self, extractor, sample_trajectory):
         distances = extractor.distances(sample_trajectory)
         cells = extractor.window_cells(distances, 0, 20, max_cells=4)

@@ -1,8 +1,11 @@
 """Trainer internals: loss wiring, discriminator interaction, minibatching."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.core import (
     GenDT,
     GenDTGenerator,
@@ -106,6 +109,30 @@ class TestTrainerWiring:
         for value in trainer.history.discriminator:
             assert np.isfinite(value)
             assert value > 0
+
+    def test_generator_step_computes_no_discriminator_gradient(self, training_setup, monkeypatch):
+        # The step freezes the discriminator: its weights get no gradient,
+        # and the generator's update is bit-identical to one made with the
+        # discriminator's gradients computed too.
+        model, windows, config = training_setup
+        runs = []
+        for freeze in (True, False):
+            if not freeze:
+                monkeypatch.setattr(nn.Module, "frozen", lambda self: contextlib.nullcontext())
+            rng = np.random.default_rng(4)
+            gen = GenDTGenerator(2, 28, config, rng)
+            trainer = GenDTTrainer(gen, config, rng)
+            batch = make_minibatches(model._assembler(), windows, 4, rng)[0].astype(gen.dtype)
+            stats = trainer._generator_step(batch)
+            d_params = trainer.discriminator.parameters()
+            assert all(p.requires_grad for p in d_params)  # unfrozen after the step
+            runs.append((stats, gen.state_dict(), [p.grad for p in d_params]))
+        (stats, state, d_grads), (ref_stats, ref_state, ref_d_grads) = runs
+        assert all(grad is None for grad in d_grads)
+        assert all(grad is not None for grad in ref_d_grads)
+        assert stats == ref_stats
+        for name, value in state.items():
+            assert np.array_equal(value, ref_state[name]), name
 
     def test_continue_fit_keeps_normalizers(self, trained_gendt, tiny_split):
         mean_before = trained_gendt.target_normalizer.mean.copy()

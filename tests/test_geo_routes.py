@@ -145,6 +145,19 @@ class TestRouteSampling:
                     backtracks += 1
         assert backtracks > 0
 
+    @pytest.mark.parametrize("kinds", [("street",), ("highway",)])
+    def test_walk_without_city_starts_where_it_can_move(self, two_city_net, kinds):
+        # With no city the start is drawn from the nodes with an edge of an
+        # allowed kind: a street walk never starts inside a highway.
+        for seed in range(200):
+            route = two_city_net.random_walk_route(np.random.default_rng(seed), 1000.0, kinds=kinds)
+            assert len(route) >= 2, seed
+            assert {two_city_net.adj[u][v].kind for u, v in zip(route, route[1:])} == set(kinds)
+
+    def test_walk_without_a_road_of_its_kinds_is_refused(self, two_city_net):
+        with pytest.raises(ValueError, match="no road has an edge of kinds"):
+            two_city_net.random_walk_route(np.random.default_rng(0), 1000.0, kinds=("ferry",))
+
     def test_walk_stays_on_streets(self, two_city_net):
         rng = np.random.default_rng(2)
         route = two_city_net.random_walk_route(rng, 1500.0, city="a", kinds=("street",))
