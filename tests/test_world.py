@@ -141,3 +141,25 @@ class TestRegion:
         np.testing.assert_allclose(
             r1.deployment.positions_xy(), r2.deployment.positions_xy()
         )
+
+    def test_dataset_b_highway_polyline_ends(self, tiny_dataset_b):
+        """Each Dataset B highway polyline starts and ends where it always has.
+
+        Each of Dataset B's three highway components holds fewer than half
+        the highway nodes, so networkx's subgraph view yields its nodes in
+        the order of the component's node set, and the chaining starts at
+        the first degree-1 node that set yields.  Walked in graph order,
+        every polyline would start at its other end, and the highway cells
+        would be placed from that end.  A networkx release that changes
+        set iteration order fails here by name.
+        """
+        ends = [(p[0], p[-1]) for p in tiny_dataset_b.region.highway_polylines]
+        expected = [
+            ((51.484029417052334, 7.527478135765872), (51.49597058294766, 7.482541632632962)),
+            ((51.442590502482865, 7.619805770506809), (51.455970582947664, 7.572521864234128)),
+            ((51.402590502482866, 7.709823429656095), (51.417409497517134, 7.66019422949319)),
+        ]
+        assert len(ends) == len(expected)
+        for (first, last), (want_first, want_last) in zip(ends, expected):
+            assert first == pytest.approx(want_first, abs=1e-9)
+            assert last == pytest.approx(want_last, abs=1e-9)
