@@ -45,7 +45,7 @@ class NetworkContextExtractor:
     else that reads the region.
     """
 
-    def __init__(self, region: Region, d_s_m: float = 2000.0) -> None:
+    def __init__(self, region: Region, d_s_m: float) -> None:
         if d_s_m <= 0:
             raise ValueError("d_s must be positive")
         self.region = region

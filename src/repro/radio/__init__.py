@@ -27,7 +27,6 @@ from .association import (
     inter_handover_times,
     select_serving_cells,
 )
-from .channel import LinkBudget, LinkBudgetConfig
 from .qoe_truth import QoETruthModel
 from .simulator import DriveTestRecord, DriveTestSimulator
 
@@ -61,8 +60,6 @@ __all__ = [
     "handover_times",
     "inter_handover_times",
     "cell_dwell_times",
-    "LinkBudget",
-    "LinkBudgetConfig",
     "QoETruthModel",
     "DriveTestRecord",
     "DriveTestSimulator",

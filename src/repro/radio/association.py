@@ -11,7 +11,6 @@ distribution analysed in the handover use case (§6.3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -25,17 +24,14 @@ class HandoverConfig:
 
 
 def select_serving_cells(
-    rsrp_matrix_dbm: np.ndarray,
-    config: HandoverConfig = HandoverConfig(),
-    initial_cell: Optional[int] = None,
+    rsrp_matrix_dbm: np.ndarray, config: HandoverConfig = HandoverConfig()
 ) -> np.ndarray:
-    """Trace the serving-cell column index over time.
+    """Trace the serving-cell column index over time, from the strongest at t=0.
 
     Args:
         rsrp_matrix_dbm: per-cell RSRP over time, shape [T, N] (columns are
             candidate cells; -inf marks a cell out of range at that instant).
         config: hysteresis / time-to-trigger parameters.
-        initial_cell: starting column; defaults to the strongest at t=0.
 
     Returns:
         integer array of column indices, shape [T].
@@ -47,7 +43,7 @@ def select_serving_cells(
     if n_cells == 0:
         raise ValueError("no candidate cells")
     serving = np.empty(steps, dtype=int)
-    current = int(np.argmax(rsrp[0])) if initial_cell is None else int(initial_cell)
+    current = int(np.argmax(rsrp[0]))
     trigger_count = 0
     trigger_target = -1
     strongest = np.argmax(rsrp, axis=1)

@@ -23,6 +23,13 @@ from .antenna import SectorAntenna
 DEFAULT_ANTENNA = SectorAntenna()
 #: The narrower, higher-gain pattern of highway sites.
 HIGHWAY_ANTENNA = SectorAntenna(max_gain_dbi=17.0, beamwidth_deg=45.0)
+#: Sectors per site and mean max transmit power (dBm) of city sites...
+CITY_SECTORS_PER_SITE = 3
+CITY_P_MAX_DBM = 43.0
+#: ...and of highway sites, which stand this far (m) to one side of the road.
+HIGHWAY_SECTORS_PER_SITE = 2
+HIGHWAY_P_MAX_DBM = 46.0
+HIGHWAY_LATERAL_OFFSET_M = 120.0
 
 
 @dataclass(frozen=True)
@@ -82,8 +89,6 @@ def deploy_city(
     frame: LocalFrame,
     rng: np.random.Generator,
     site_density_per_km2: float = 6.0,
-    sectors_per_site: int = 3,
-    p_max_dbm: float = 43.0,
     start_cell_id: int = 0,
     start_site_id: int = 0,
 ) -> List[Cell]:
@@ -110,14 +115,14 @@ def deploy_city(
             y = cy - city.half_extent_m + (j + 0.5) * spacing + rng.normal(0, spacing * 0.2)
             lat, lon = frame.to_latlon(x, y)
             base_dir = rng.uniform(0, 360)
-            for s in range(sectors_per_site):
+            for s in range(CITY_SECTORS_PER_SITE):
                 cells.append(
                     Cell(
                         cell_id=cell_id,
                         lat=float(lat),
                         lon=float(lon),
-                        p_max_dbm=p_max_dbm + rng.normal(0, 2.0),
-                        direction_deg=(base_dir + s * 360.0 / sectors_per_site) % 360.0,
+                        p_max_dbm=CITY_P_MAX_DBM + rng.normal(0, 2.0),
+                        direction_deg=(base_dir + s * 360.0 / CITY_SECTORS_PER_SITE) % 360.0,
                         site_id=site_id,
                     )
                 )
@@ -132,9 +137,6 @@ def deploy_highway(
     frame: LocalFrame,
     rng: np.random.Generator,
     site_spacing_m: float = 1500.0,
-    lateral_offset_m: float = 120.0,
-    sectors_per_site: int = 2,
-    p_max_dbm: float = 46.0,
     start_cell_id: int = 0,
     start_site_id: int = 0,
 ) -> List[Cell]:
@@ -159,16 +161,17 @@ def deploy_highway(
         norm = max(np.hypot(dx, dy), 1e-9)
         nx_, ny_ = -dy / norm, dx / norm
         side = 1.0 if rng.random() < 0.5 else -1.0
-        lat, lon = frame.to_latlon(x + side * lateral_offset_m * nx_, y + side * lateral_offset_m * ny_)
+        offset = side * HIGHWAY_LATERAL_OFFSET_M
+        lat, lon = frame.to_latlon(x + offset * nx_, y + offset * ny_)
         road_bearing = float(np.degrees(np.arctan2(dx, dy)) % 360.0)
-        for s in range(sectors_per_site):
+        for s in range(HIGHWAY_SECTORS_PER_SITE):
             direction = (road_bearing + (180.0 * s)) % 360.0
             cells.append(
                 Cell(
                     cell_id=cell_id,
                     lat=float(lat),
                     lon=float(lon),
-                    p_max_dbm=p_max_dbm + rng.normal(0, 2.0),
+                    p_max_dbm=HIGHWAY_P_MAX_DBM + rng.normal(0, 2.0),
                     direction_deg=direction,
                     antenna=HIGHWAY_ANTENNA,
                     site_id=site_id,

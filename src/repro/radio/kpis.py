@@ -48,6 +48,10 @@ KPI_RANGES: Dict[KPI, tuple] = {
 
 #: Default LTE bandwidth configuration: 10 MHz -> 50 resource blocks.
 DEFAULT_N_RB = 50
+#: The bandwidth those resource blocks occupy: 50 RB x 180 kHz.
+BANDWIDTH_HZ = 9e6
+#: The UE receiver's noise figure, dB.
+NOISE_FIGURE_DB = 7.0
 
 
 def rsrp_from_rssi(rssi_dbm: Array, n_rb: int = DEFAULT_N_RB) -> Array:
@@ -117,7 +121,7 @@ def linear_to_db(linear: Array) -> Array:
     return 10.0 * np.log10(np.maximum(np.asarray(linear, dtype=float), 1e-30))
 
 
-def thermal_noise_dbm(bandwidth_hz: float, noise_figure_db: float = 7.0) -> float:
+def thermal_noise_dbm(bandwidth_hz: float, noise_figure_db: float = NOISE_FIGURE_DB) -> float:
     """Thermal noise floor: -174 dBm/Hz + 10log10(BW) + receiver noise figure."""
     return -174.0 + 10.0 * np.log10(bandwidth_hz) + noise_figure_db
 

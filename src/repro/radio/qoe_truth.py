@@ -16,14 +16,14 @@ from typing import Dict
 
 import numpy as np
 
-from .kpis import db_to_linear, spectral_efficiency_from_cqi
+from .kpis import BANDWIDTH_HZ, spectral_efficiency_from_cqi
 
 
 @dataclass(frozen=True)
 class QoETruthModel:
     """Maps (SINR, CQI, load) to throughput (Mbps) and PER."""
 
-    bandwidth_hz: float = 9e6
+    bandwidth_hz: float = BANDWIDTH_HZ
     efficiency_factor: float = 0.65  # protocol overhead vs. Shannon-style bound
     throughput_noise_cv: float = 0.10
     per_floor: float = 0.005

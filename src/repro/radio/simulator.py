@@ -19,7 +19,7 @@ runs over the same trajectory differ the way paper Fig. 1 shows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 import numpy as np
 
@@ -29,8 +29,13 @@ from .association import HandoverConfig, select_serving_cells
 if TYPE_CHECKING:  # avoid a circular import: world.region uses radio.cells
     from ..world.region import Region
 from .cells import Cell
-from .channel import LinkBudget, LinkBudgetConfig
+from .channel import link_kpis, per_cell_rsrp, sample_cell_loads
 from .qoe_truth import QoETruthModel
+
+#: The A3 handover parameters and the QoE ground truth of every simulated
+#: drive, each at its defaults.
+HANDOVER = HandoverConfig()
+QOE_TRUTH = QoETruthModel()
 
 
 @dataclass(eq=False)
@@ -48,9 +53,9 @@ class DriveTestRecord:
     serving_cell_id: np.ndarray
     candidate_cell_ids: List[int]
     qoe: Dict[str, np.ndarray] = field(default_factory=dict)
-    #: Ground-truth load of the serving cell at each step (hidden from the
-    #: generative models — it is exactly the "noise" context GenDT does not
-    #: see — but exposed for the cell-load-estimation use case).
+    #: Ground-truth load of the serving cell at each step, which the QoE
+    #: truth model reads inside ``simulate``.  Hidden from the generative
+    #: models: it is exactly the "noise" context GenDT does not see.
     serving_load: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __len__(self) -> int:
@@ -74,18 +79,8 @@ class DriveTestRecord:
 class DriveTestSimulator:
     """Simulates drive-test measurement campaigns over a region."""
 
-    def __init__(
-        self,
-        region: Region,
-        link_config: Optional[LinkBudgetConfig] = None,
-        handover_config: Optional[HandoverConfig] = None,
-        qoe_model: Optional[QoETruthModel] = None,
-        candidate_range_m: float = 4000.0,
-    ) -> None:
+    def __init__(self, region: Region, candidate_range_m: float = 4000.0) -> None:
         self.region = region
-        self.link = LinkBudget(region.deployment, link_config)
-        self.handover_config = handover_config or HandoverConfig()
-        self.qoe_model = qoe_model or QoETruthModel()
         self.candidate_range_m = candidate_range_m
 
     # ------------------------------------------------------------------
@@ -120,11 +115,13 @@ class DriveTestSimulator:
         if not cells:
             raise RuntimeError("no cells in range of the trajectory")
         clutter = self.region.clutter_along(trajectory.lat, trajectory.lon)
-        rsrp_matrix = self.link.per_cell_rsrp(trajectory, cells, clutter, rng)
+        rsrp_matrix = per_cell_rsrp(
+            self.region.deployment.frame, trajectory, cells, clutter, rng
+        )
 
-        serving_idx = select_serving_cells(rsrp_matrix, self.handover_config)
-        loads = self.link.sample_cell_loads(len(cells), len(trajectory), rng)
-        kpis = self.link.link_kpis(rsrp_matrix, serving_idx, loads)
+        serving_idx = select_serving_cells(rsrp_matrix, HANDOVER)
+        loads = sample_cell_loads(len(cells), len(trajectory), rng)
+        kpis = link_kpis(rsrp_matrix, serving_idx, loads)
 
         cell_ids = np.array([c.cell_id for c in cells])
         t_idx = np.arange(len(trajectory))
@@ -136,7 +133,7 @@ class DriveTestSimulator:
             serving_load=loads[t_idx, serving_idx],
         )
         if with_qoe:
-            record.qoe = self.qoe_model.generate(
+            record.qoe = QOE_TRUTH.generate(
                 kpis["sinr"], kpis["cqi"], record.serving_load, rng
             )
         return record

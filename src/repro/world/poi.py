@@ -120,15 +120,13 @@ def generate_pois(
     extent_m: float,
     rng: np.random.Generator,
     highway_waypoints: Optional[Sequence[Sequence[Tuple[float, float]]]] = None,
-    intensity_scale: float = 1.0,
 ) -> PoiIndex:
     """Sample PoI point sets over the region via thinned Poisson processes."""
     frame = land_use.frame
     area_km2 = (2 * extent_m / 1000.0) ** 2
     points: Dict[str, np.ndarray] = {}
     for cls in POI_CLASSES:
-        intensity = _POI_URBAN_INTENSITY[cls] * intensity_scale
-        n_candidates = rng.poisson(intensity * area_km2)
+        n_candidates = rng.poisson(_POI_URBAN_INTENSITY[cls] * area_km2)
         if n_candidates == 0:
             points[cls] = np.zeros((0, 2))
             continue

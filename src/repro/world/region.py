@@ -82,7 +82,6 @@ def build_region(
     city_site_density_per_km2: float = 6.0,
     highway_site_spacing_m: float = 1500.0,
     land_use_pixel_m: float = 100.0,
-    poi_intensity_scale: float = 1.0,
 ) -> Region:
     """Construct a full synthetic region around the given cities.
 
@@ -113,10 +112,7 @@ def build_region(
         frame, cities, extent_m, rng, pixel_m=land_use_pixel_m,
         highway_waypoints=highway_polylines,
     )
-    pois = generate_pois(
-        land_use, extent_m, rng, highway_waypoints=highway_polylines,
-        intensity_scale=poi_intensity_scale,
-    )
+    pois = generate_pois(land_use, extent_m, rng, highway_waypoints=highway_polylines)
 
     cells: List[Cell] = []
     next_cell, next_site = 0, 0

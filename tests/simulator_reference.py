@@ -15,9 +15,11 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.radio import channel, simulator as sim
 from repro.radio.antenna import wrap_angle_deg
 from repro.radio.association import HandoverConfig
 from repro.radio.cells import Cell, CellDeployment
+from repro.radio.kpis import DEFAULT_N_RB
 from repro.radio.simulator import DriveTestRecord
 
 
@@ -74,21 +76,19 @@ def _fading_sample(fading, n, rng, speed_mps=None) -> np.ndarray:
     return rng.normal(0.0, 1.0, size=n) * sigma
 
 
-def reference_per_cell_rsrp(link, trajectory, cells, clutter, rng) -> np.ndarray:
-    cfg = link.config
-    frame = link.deployment.frame
+def reference_per_cell_rsrp(frame, trajectory, cells, clutter, rng) -> np.ndarray:
     steps = len(trajectory)
     n = len(cells)
     distances = _distances(frame, cells, trajectory.lat, trajectory.lon)
     bearings = _bearings_from_cells(frame, cells, trajectory.lat, trajectory.lon)
     clutter = np.asarray(clutter, dtype=float)
 
-    pathloss = cfg.pathloss.pathloss_db(distances, clutter[:, None])
+    pathloss = channel.PATHLOSS.pathloss_db(distances, clutter[:, None])
     step_dist = trajectory.step_distances_m()
     speeds = trajectory.speeds_mps()
-    per_re_offset = 10.0 * np.log10(12.0 * cfg.n_rb)
+    per_re_offset = 10.0 * np.log10(12.0 * DEFAULT_N_RB)
 
-    shadow = cfg.shadowing.sample_along_multi(step_dist, n, rng, clutter=clutter)
+    shadow = channel.SHADOWING.sample_along_multi(step_dist, n, rng, clutter=clutter)
     p_max = np.array([c.p_max_dbm for c in cells])
     directions = np.array([c.direction_deg for c in cells])
     gain = np.empty((steps, n))
@@ -97,28 +97,27 @@ def reference_per_cell_rsrp(link, trajectory, cells, clutter, rng) -> np.ndarray
             wrap_angle_deg(bearings[:, j] - directions[j])
         )
     fading = np.column_stack(
-        [_fading_sample(cfg.fading, steps, rng, speed_mps=speeds) for _ in range(n)]
+        [_fading_sample(channel.FADING, steps, rng, speed_mps=speeds) for _ in range(n)]
     )
     return (
         p_max[None, :]
         - per_re_offset
         + gain
-        + cfg.ue_antenna_gain_dbi
+        + channel.UE_ANTENNA_GAIN_DBI
         - pathloss
         + shadow
         + fading
     )
 
 
-def reference_cell_loads(link, n_cells, steps, rng) -> np.ndarray:
-    cfg = link.config
+def reference_cell_loads(n_cells, steps, rng) -> np.ndarray:
     loads = np.empty((steps, n_cells))
     state = rng.normal(0.0, 1.0, size=n_cells)
     for t in range(steps):
-        state = cfg.load_ar_coeff * state + np.sqrt(1 - cfg.load_ar_coeff**2) * rng.normal(
+        state = channel.LOAD_AR_COEFF * state + np.sqrt(1 - channel.LOAD_AR_COEFF**2) * rng.normal(
             0.0, 1.0, size=n_cells
         )
-        loads[t] = np.clip(cfg.load_mean + cfg.load_sigma * state, 0.05, 0.95)
+        loads[t] = np.clip(channel.LOAD_MEAN + channel.LOAD_SIGMA * state, 0.05, 0.95)
     return loads
 
 
@@ -157,11 +156,13 @@ def reference_simulate(simulator, trajectory, rng, with_qoe: bool = False) -> Dr
     """Same arguments and result as ``DriveTestSimulator.simulate``."""
     cells = reference_candidate_cells(simulator, trajectory)
     clutter = simulator.region.clutter_along(trajectory.lat, trajectory.lon)
-    rsrp_matrix = reference_per_cell_rsrp(simulator.link, trajectory, cells, clutter, rng)
+    rsrp_matrix = reference_per_cell_rsrp(
+        simulator.region.deployment.frame, trajectory, cells, clutter, rng
+    )
 
-    serving_idx = reference_select_serving_cells(rsrp_matrix, simulator.handover_config)
-    loads = reference_cell_loads(simulator.link, len(cells), len(trajectory), rng)
-    kpis = simulator.link.link_kpis(rsrp_matrix, serving_idx, loads)
+    serving_idx = reference_select_serving_cells(rsrp_matrix, sim.HANDOVER)
+    loads = reference_cell_loads(len(cells), len(trajectory), rng)
+    kpis = channel.link_kpis(rsrp_matrix, serving_idx, loads)
 
     cell_ids = np.array([c.cell_id for c in cells])
     t_idx = np.arange(len(trajectory))
@@ -173,7 +174,7 @@ def reference_simulate(simulator, trajectory, rng, with_qoe: bool = False) -> Dr
         serving_load=loads[t_idx, serving_idx],
     )
     if with_qoe:
-        record.qoe = simulator.qoe_model.generate(
+        record.qoe = sim.QOE_TRUTH.generate(
             kpis["sinr"], kpis["cqi"], record.serving_load, rng
         )
     return record

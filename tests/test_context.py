@@ -195,6 +195,12 @@ class TestNetworkContext:
         with pytest.raises(ValueError):
             NetworkContextExtractor(small_region, d_s_m=0.0)
 
+    def test_ds_has_no_default(self, small_region):
+        # ``ContextConfig.d_s_m`` is the one default; a second one here
+        # would give a caller who omits it a narrower visible-cell set.
+        with pytest.raises(TypeError):
+            NetworkContextExtractor(small_region)
+
 
 def location_cells(region, trajectory):
     """The 50 m location cell of every sample, as (ix, iy) rows."""

@@ -63,12 +63,6 @@ class TestSelection:
         assert serving[2] == 0
         assert serving[3] == 1
 
-    def test_initial_cell_override(self):
-        rsrp = np.full((5, 2), -80.0)
-        rsrp[:, 1] = -60.0
-        serving = select_serving_cells(rsrp, HandoverConfig(30.0, 2), initial_cell=0)
-        assert serving[0] == 0
-
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             select_serving_cells(np.zeros(5))

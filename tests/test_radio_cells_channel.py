@@ -7,12 +7,11 @@ from repro.geo import CitySpec, LocalFrame
 from repro.radio import (
     Cell,
     CellDeployment,
-    LinkBudget,
-    LinkBudgetConfig,
     deploy_city,
     deploy_highway,
     select_serving_cells,
 )
+from repro.radio.channel import link_kpis, per_cell_rsrp, sample_cell_loads
 
 
 @pytest.fixture(scope="module")
@@ -86,26 +85,27 @@ class TestCellDeployment:
 class TestLinkBudget:
     @pytest.fixture(scope="class")
     def setup(self, small_region, sample_trajectory):
-        budget = LinkBudget(small_region.deployment)
         cells = list(small_region.deployment.cells[:20])
         clutter = small_region.clutter_along(
             sample_trajectory.lat, sample_trajectory.lon
         )
         rng = np.random.default_rng(7)
-        rsrp = budget.per_cell_rsrp(sample_trajectory, cells, clutter, rng)
-        return budget, cells, rsrp
+        rsrp = per_cell_rsrp(
+            small_region.deployment.frame, sample_trajectory, cells, clutter, rng
+        )
+        return cells, rsrp
 
     def test_rsrp_matrix_shape(self, setup, sample_trajectory):
-        _, cells, rsrp = setup
+        cells, rsrp = setup
         assert rsrp.shape == (len(sample_trajectory), len(cells))
 
     def test_rsrp_values_physical(self, setup):
-        _, _, rsrp = setup
+        _, rsrp = setup
         assert np.all(rsrp < 0)     # dBm below 0 for macro distances
         assert np.all(rsrp > -200)  # not absurdly low
 
     def test_closer_cells_stronger_on_average(self, setup, small_region, sample_trajectory):
-        budget, cells, rsrp = setup
+        cells, rsrp = setup
         mid = len(sample_trajectory) // 2
         distances = small_region.deployment.frame
         lat, lon = sample_trajectory.lat[mid], sample_trajectory.lon[mid]
@@ -117,22 +117,21 @@ class TestLinkBudget:
         assert corr < -0.3
 
     def test_loads_in_unit_range(self, setup):
-        budget, cells, _ = setup
-        loads = budget.sample_cell_loads(len(cells), 50, np.random.default_rng(0))
+        cells, _ = setup
+        loads = sample_cell_loads(len(cells), 50, np.random.default_rng(0))
         assert loads.shape == (50, len(cells))
         assert np.all((loads >= 0.05) & (loads <= 0.95))
 
-    def test_loads_slowly_varying(self, setup):
-        budget, cells, _ = setup
-        loads = budget.sample_cell_loads(3, 500, np.random.default_rng(1))
+    def test_loads_slowly_varying(self):
+        loads = sample_cell_loads(3, 500, np.random.default_rng(1))
         step_change = np.abs(np.diff(loads, axis=0)).mean()
         assert step_change < 0.05
 
     def test_link_kpis_consistent(self, setup):
-        budget, cells, rsrp = setup
+        cells, rsrp = setup
         serving = select_serving_cells(rsrp)
-        loads = budget.sample_cell_loads(len(cells), rsrp.shape[0], np.random.default_rng(2))
-        kpis = budget.link_kpis(rsrp, serving, loads)
+        loads = sample_cell_loads(len(cells), rsrp.shape[0], np.random.default_rng(2))
+        kpis = link_kpis(rsrp, serving, loads)
         t = np.arange(rsrp.shape[0])
         np.testing.assert_allclose(kpis["rsrp"], rsrp[t, serving])
         # RSSI must exceed the serving wideband power (it includes it).
@@ -142,9 +141,9 @@ class TestLinkBudget:
         assert np.all((kpis["cqi"] >= 1) & (kpis["cqi"] <= 15))
 
     def test_sinr_decreases_with_interference(self, setup):
-        budget, cells, rsrp = setup
+        cells, rsrp = setup
         serving = select_serving_cells(rsrp)
         t = rsrp.shape[0]
-        quiet = budget.link_kpis(rsrp, serving, np.full((t, len(cells)), 0.05))
-        busy = budget.link_kpis(rsrp, serving, np.full((t, len(cells)), 0.95))
+        quiet = link_kpis(rsrp, serving, np.full((t, len(cells)), 0.05))
+        busy = link_kpis(rsrp, serving, np.full((t, len(cells)), 0.95))
         assert quiet["sinr"].mean() > busy["sinr"].mean()

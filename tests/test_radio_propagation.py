@@ -145,7 +145,7 @@ class TestAntennas:
         assert wrap_angle_deg(0.0) == pytest.approx(0.0)
 
     def test_wrap_angle_is_bitwise_idempotent(self):
-        # ``LinkBudget.per_cell_rsrp`` hands raw bearing offsets to
+        # ``channel.per_cell_rsrp`` hands raw bearing offsets to
         # ``gain_dbi``, which wraps them once; wrapping twice must not differ.
         edges = np.array([0.0, 180.0, 540.0, 360.0, 720.0, 1e-300, 1e-12, 1e300, np.inf, np.nan])
         edges = np.concatenate([edges, -edges])
