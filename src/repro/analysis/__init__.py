@@ -10,7 +10,7 @@ Programmatic use::
     from repro.analysis import lint_paths
     violations = lint_paths(["src"])     # [] when the tree is clean
 
-CLI use: ``python -m repro.cli lint src`` or ``python -m repro.analysis src``.
+CLI use: ``python -m repro.cli lint src``.
 """
 
 from .engine import (

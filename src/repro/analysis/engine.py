@@ -8,11 +8,10 @@ violations through per-line suppression comments of the form::
     risky_line()  # repro: noqa[RULE001,RULE002]  suppress several
     risky_line()  # repro: noqa                   suppress everything
 
-Run it as ``python -m repro.cli lint src`` or ``python -m repro.analysis
-src``; the exit code is 0 when the tree is clean, 1 when violations were
-found, 2 on bad usage.  Files that do not parse are reported as ``E999``
-violations rather than crashing the run, so one broken file cannot hide
-findings in the rest of the tree.
+Run it as ``python -m repro.cli lint src``; the exit code is 0 when the tree
+is clean, 1 when violations were found, 2 on bad usage.  Files that do not
+parse are reported as ``E999`` violations rather than crashing the run, so
+one broken file cannot hide findings in the rest of the tree.
 """
 
 from __future__ import annotations
@@ -170,7 +169,7 @@ def lint_paths(
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI driver shared by ``repro.cli lint`` and ``python -m repro.analysis``."""
+    """Entry point of ``python -m repro.cli lint``."""
     from .rules import RULES
 
     parser = argparse.ArgumentParser(

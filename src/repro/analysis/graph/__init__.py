@@ -17,10 +17,10 @@ from .spec import ANY, Contract, DimEnv, Spec, contract
 __all__ = ["ANY", "Contract", "DimEnv", "Spec", "contract", "verify"]
 
 
-def verify(module, contract=None, raise_on_error=False):
+def verify(module, raise_on_error=False):
     """Verify a module against its ``@contract``; see
     :func:`repro.analysis.graph.verifier.verify` (lazy import keeps the
     decorator path light)."""
     from .verifier import verify as _verify
 
-    return _verify(module, contract=contract, raise_on_error=raise_on_error)
+    return _verify(module, raise_on_error=raise_on_error)

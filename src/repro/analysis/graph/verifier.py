@@ -126,17 +126,12 @@ def _reached_ids(outputs: List[Tensor]) -> set:
     return seen
 
 
-def verify(
-    module: Module,
-    contract: Optional[Contract] = None,
-    raise_on_error: bool = False,
-) -> "Report":
+def verify(module: Module, raise_on_error: bool = False) -> "Report":
     """Verify a module against its ``@contract`` by running it on probes.
 
     Args:
-        module: any :class:`repro.nn.Module` whose class (or the explicit
-            ``contract`` argument) declares a graph contract.
-        contract: overrides the class-attached contract.
+        module: any :class:`repro.nn.Module` whose class declares a graph
+            contract.
         raise_on_error: raise the first
             :class:`~repro.runtime.errors.GraphContractError` instead of
             returning a failing report.
@@ -145,13 +140,9 @@ def verify(
         A :class:`Report`; ``report.ok`` is True when every shape contract
         holds and the gradient-flow audit is clean.
     """
+    contract = getattr(type(module), "__graph_contract__", None)
     if contract is None:
-        contract = getattr(type(module), "__graph_contract__", None)
-    if contract is None:
-        raise ValueError(
-            f"{type(module).__name__} has no @contract declaration; "
-            "decorate the class or pass contract= explicitly"
-        )
+        raise ValueError(f"{type(module).__name__} has no @contract declaration")
 
     params = dict(module.named_parameters())
     bound = contract.bind_dims(module)

@@ -34,6 +34,9 @@ from ..radio.kpis import KPI, KpiSpec
 from ..radio.simulator import DriveTestRecord
 from ..world.region import Region
 
+#: Adam learning rate of the learned baselines (MLP, LSTM-GNN, DoppelGANger).
+BASELINE_LR = 1e-3
+
 
 class BaselineModel(abc.ABC):
     """Interface every generation method (and GenDT) satisfies."""

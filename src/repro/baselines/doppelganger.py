@@ -31,7 +31,14 @@ from ..nn.tensor import Tensor, concat
 from ..geo.trajectory import Trajectory
 from ..radio.simulator import DriveTestRecord
 from ..world.region import Region
-from .base import BaselineModel, ContextEncodingMixin
+from .base import BASELINE_LR, BaselineModel, ContextEncodingMixin
+
+#: Per-step noise channels of the stage-2 generator.
+DG_N_NOISE = 4
+#: Windows per GAN training step.
+DG_MINIBATCH = 8
+#: Weight of the adversarial term in the Real-Context variant's loss.
+DG_LAMBDA_ADV = 0.1
 
 
 def _dg_probe(module: "_DGGenerator", env) -> Tuple[tuple, dict]:
@@ -127,24 +134,16 @@ class DoppelGANger(ContextEncodingMixin, BaselineModel):
         real_context: bool = False,
         window_len: int = 50,
         hidden: int = 32,
-        n_noise: int = 4,
         max_cells: int = 8,
         seed: int = 0,
-        lr: float = 1e-3,
         epochs: int = 15,
-        minibatch: int = 8,
-        lambda_adv: float = 0.1,
     ) -> None:
         self._init_context(region, kpis, max_cells, seed)
         self.real_context = real_context
         self.name = "real_context_dg" if real_context else "orig_dg"
         self.window_len = window_len
         self.hidden = hidden
-        self.n_noise = n_noise
-        self.lr = lr
         self.epochs = epochs
-        self.minibatch = minibatch
-        self.lambda_adv = lambda_adv
         self.generator: Optional[_DGGenerator] = None
         self.discriminator: Optional[_DGDiscriminator] = None
         self.metadata_model = GaussianMetadataModel()
@@ -180,16 +179,16 @@ class DoppelGANger(ContextEncodingMixin, BaselineModel):
         self.metadata_model.fit(metas)
         n_meta = metas.shape[1]
         n_ch = self.kpi_spec.n_channels
-        self.generator = _DGGenerator(n_meta, self.n_noise, self.hidden, n_ch, self.rng)
+        self.generator = _DGGenerator(n_meta, DG_N_NOISE, self.hidden, n_ch, self.rng)
         self.discriminator = _DGDiscriminator(n_meta, n_ch, self.hidden, self.rng)
-        g_opt = nn.Adam(self.generator.parameters(), lr=self.lr)
-        d_opt = nn.Adam(self.discriminator.parameters(), lr=self.lr)
+        g_opt = nn.Adam(self.generator.parameters(), lr=BASELINE_LR)
+        d_opt = nn.Adam(self.discriminator.parameters(), lr=BASELINE_LR)
         n = len(metas)
         length = targets.shape[1]
         for _ in range(epochs or self.epochs):
             order = self.rng.permutation(n)
-            for start in range(0, n, self.minibatch):
-                idx = order[start : start + self.minibatch]
+            for start in range(0, n, DG_MINIBATCH):
+                idx = order[start : start + DG_MINIBATCH]
                 meta_b, target_b = metas[idx], targets[idx]
                 # --- discriminator step
                 with nn.no_grad():
@@ -209,7 +208,7 @@ class DoppelGANger(ContextEncodingMixin, BaselineModel):
                 if self.real_context:
                     # The optimized variant is trained against the paired
                     # real series (context-conditional regression + GAN).
-                    loss = nn.mse_loss(fake_t, Tensor(target_b)) + self.lambda_adv * adv
+                    loss = nn.mse_loss(fake_t, Tensor(target_b)) + DG_LAMBDA_ADV * adv
                 else:
                     # Original DG has no pairing: adversarial signal only.
                     loss = adv

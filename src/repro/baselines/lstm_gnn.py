@@ -22,7 +22,7 @@ from ..core.features import mean_over_cells
 from ..geo.trajectory import Trajectory
 from ..radio.simulator import DriveTestRecord
 from ..world.region import Region
-from .base import BaselineModel, ContextEncodingMixin
+from .base import BASELINE_LR, BaselineModel, ContextEncodingMixin
 
 
 @contract(
@@ -63,13 +63,11 @@ class LSTMGNNBaseline(ContextEncodingMixin, BaselineModel):
         hidden: int = 32,
         max_cells: int = 8,
         seed: int = 0,
-        lr: float = 1e-3,
         epochs: int = 15,
         max_train_len: int = 400,
     ) -> None:
         self._init_context(region, kpis, max_cells, seed)
         self.hidden = hidden
-        self.lr = lr
         self.epochs = epochs
         self.max_train_len = max_train_len
         self.net: Optional[_LstmGnnNet] = None
@@ -85,7 +83,7 @@ class LSTMGNNBaseline(ContextEncodingMixin, BaselineModel):
         self.net = _LstmGnnNet(
             N_CELL_FEATURES, self.hidden, self.kpi_spec.n_channels, self.rng
         )
-        optimizer = nn.Adam(self.net.parameters(), lr=self.lr)
+        optimizer = nn.Adam(self.net.parameters(), lr=BASELINE_LR)
         # Training items: whole trajectories, capped to keep BPTT tractable.
         items = []
         for record in records:

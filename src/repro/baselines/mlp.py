@@ -15,7 +15,7 @@ from .. import nn
 from ..geo.trajectory import Trajectory
 from ..radio.simulator import DriveTestRecord
 from ..world.region import Region
-from .base import BaselineModel, ContextEncodingMixin
+from .base import BASELINE_LR, BaselineModel, ContextEncodingMixin
 
 
 class MLPBaseline(ContextEncodingMixin, BaselineModel):
@@ -30,12 +30,10 @@ class MLPBaseline(ContextEncodingMixin, BaselineModel):
         hidden: Sequence[int] = (64, 64),
         max_cells: int = 8,
         seed: int = 0,
-        lr: float = 1e-3,
         epochs: int = 40,
     ) -> None:
         self._init_context(region, kpis, max_cells, seed)
         self.hidden = tuple(hidden)
-        self.lr = lr
         self.epochs = epochs
         self.net: Optional[nn.MLP] = None
 
@@ -51,7 +49,7 @@ class MLPBaseline(ContextEncodingMixin, BaselineModel):
         x = np.concatenate(features)
         y = np.concatenate(targets)
         self.net = nn.MLP(x.shape[1], list(self.hidden), y.shape[1], self.rng)
-        nn.fit_mse(self.net, x, y, epochs=epochs or self.epochs, lr=self.lr, rng=self.rng)
+        nn.fit_mse(self.net, x, y, epochs=epochs or self.epochs, lr=BASELINE_LR, rng=self.rng)
 
     def generate(
         self, trajectory: Trajectory, rng: Optional[np.random.Generator] = None

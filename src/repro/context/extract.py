@@ -8,7 +8,7 @@ we extract
   ``[lat, lon, p_max, direction, distance_t]`` (distance is the only one
   that varies with time, implicitly encoding device movement);
 * the **environment context** — the 26 attributes of Table 11 (12 land-use
-  area fractions + 14 PoI counts) within ``env_radius_m`` (500 m) of the
+  area fractions + 14 PoI counts) within ``ENV_RADIUS_M`` (500 m) of the
   device.
 
 Environment context is a pure function of the device's 50 m location cell:
@@ -111,6 +111,8 @@ class NetworkContextExtractor:
 
 #: Side of the square location cells environment context is evaluated on (m).
 ENV_CELL_M = 50.0
+#: Radius around a location cell's centre that environment context covers (m).
+ENV_RADIUS_M = 500.0
 
 
 class EnvironmentContextExtractor:
@@ -120,9 +122,8 @@ class EnvironmentContextExtractor:
     cell and cached by cell, so it depends on the location only.
     """
 
-    def __init__(self, region: Region, radius_m: float = 500.0) -> None:
+    def __init__(self, region: Region) -> None:
         self.region = region
-        self.radius_m = radius_m
         self._cache: Dict[Tuple[int, int], np.ndarray] = {}
 
     def features_at(self, lat: float, lon: float) -> np.ndarray:
@@ -142,8 +143,8 @@ class EnvironmentContextExtractor:
         if missed:
             centres = (np.array(missed, dtype=float) + 0.5) * ENV_CELL_M
             c_lat, c_lon = frame.to_latlon(centres[:, 0], centres[:, 1])
-            land = self.region.land_use.fractions_within(c_lat, c_lon, self.radius_m)
-            pois = self.region.pois.counts_within(c_lat, c_lon, self.radius_m)
+            land = self.region.land_use.fractions_within(c_lat, c_lon, ENV_RADIUS_M)
+            pois = self.region.pois.counts_within(c_lat, c_lon, ENV_RADIUS_M)
             self._cache.update(zip(missed, np.concatenate([land, pois], axis=1)))
         if not keys:
             return np.empty((0, N_ENV_ATTRIBUTES))
@@ -160,5 +161,4 @@ class ContextConfig:
     """
 
     d_s_m: float = 2500.0
-    env_radius_m: float = 500.0
     max_cells: int = 8

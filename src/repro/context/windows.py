@@ -78,7 +78,7 @@ class ContextBuilder:
         self.region = region
         self.config = config or ContextConfig()
         self.network = NetworkContextExtractor(region, self.config.d_s_m)
-        self.environment = EnvironmentContextExtractor(region, self.config.env_radius_m)
+        self.environment = EnvironmentContextExtractor(region)
 
     # ------------------------------------------------------------------
     def windows_for_trajectory(

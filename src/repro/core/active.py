@@ -18,6 +18,9 @@ from ..radio.simulator import DriveTestRecord
 from .model import GenDT
 from .uncertainty import subset_uncertainties
 
+#: Index of the subset both strategies start from, so they start identically.
+INITIAL_SUBSET = 0
+
 
 @dataclass
 class ActiveLearningStep:
@@ -49,7 +52,6 @@ def run_active_learning(
     evaluate: Callable[[GenDT], Dict[str, float]],
     n_steps: int,
     strategy: str = "uncertainty",
-    initial_subset: int = 0,
     rng: Optional[np.random.Generator] = None,
     epochs_per_step: int = 4,
     mc_passes: int = 4,
@@ -62,8 +64,6 @@ def run_active_learning(
         evaluate: computes test metrics (e.g. DTW/HWD on the long trajectory).
         n_steps: how many subsets to add beyond the initial one.
         strategy: "uncertainty" or "random".
-        initial_subset: index of the shared starting subset (both strategies
-            start identically, as in the paper).
         rng: required for the random strategy.
         epochs_per_step: retraining epochs after each addition.
         mc_passes: MC-dropout passes for the uncertainty probe.
@@ -78,8 +78,8 @@ def run_active_learning(
         raise ValueError("random strategy requires rng")
     subsets = list(subsets)
     n_total = len(subsets)
-    selected = [initial_subset]
-    remaining = [i for i in range(n_total) if i != initial_subset]
+    selected = [INITIAL_SUBSET]
+    remaining = [i for i in range(n_total) if i != INITIAL_SUBSET]
 
     model = model_factory()
     model.fit([r for i in selected for r in subsets[i]], epochs=epochs_per_step)
@@ -88,7 +88,7 @@ def run_active_learning(
     result.steps.append(
         ActiveLearningStep(
             step=0,
-            chosen_subset=initial_subset,
+            chosen_subset=INITIAL_SUBSET,
             fraction_used=len(selected) / n_total,
             metrics=evaluate(model),
         )

@@ -55,8 +55,8 @@ class GenDT:
         self.config = config or GenDTConfig()
         self.config.validate()
         self._rng = np.random.default_rng(seed)
-        # Context scope stays at ContextConfig's paper defaults (d_s, the
-        # 500 m environment radius); only the GNN fan-in follows the model.
+        # Context scope stays at ContextConfig's paper default d_s; only the
+        # GNN fan-in follows the model.
         self.context = ContextBuilder(region, ContextConfig(max_cells=self.config.max_cells))
         self.cell_transform = CellFeatureTransform(region.frame)
         self.env_normalizer = EnvFeatureNormalizer()
@@ -167,7 +167,6 @@ class GenDT:
         self,
         records: Sequence[DriveTestRecord],
         epochs: int,
-        verbose: bool = False,
         detect_anomaly: bool = False,
     ) -> TrainingHistory:
         """Additional training passes on new records, keeping current weights.
@@ -180,9 +179,7 @@ class GenDT:
         batches = make_minibatches(
             self._assembler(), windows, self.config.minibatch_windows, self.rng
         )
-        return self.trainer.fit(
-            batches, epochs=epochs, verbose=verbose, detect_anomaly=detect_anomaly
-        )
+        return self.trainer.fit(batches, epochs=epochs, detect_anomaly=detect_anomaly)
 
     def _assembler(self) -> WindowAssembler:
         return WindowAssembler(

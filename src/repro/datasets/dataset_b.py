@@ -49,6 +49,11 @@ DATASET_B_SCENARIOS = (
     ScenarioBSpec("highway_2", None, 31.1, 2.3, 46000),
 )
 
+#: Sampling interval of the long trajectory (§6.1.3).
+LONG_TRAJECTORY_INTERVAL_S = 2.5
+#: Sampling interval of the active-learning subsets (§6.2).
+ACTIVE_LEARNING_INTERVAL_S = 3.0
+
 #: City layout: four cities in a rough line, highway-connected.
 DATASET_B_CITIES = (
     CitySpec("nordstadt", 51.51, 7.46, half_extent_m=1800.0, street_spacing_m=260.0),
@@ -107,7 +112,6 @@ def make_dataset_b(
 def make_long_trajectory(
     region: Region,
     seed: int = 23,
-    interval_s: float = 2.5,
     target_duration_s: float = 2230.0,
 ) -> Trajectory:
     """The §6.1.3 long & complex trajectory: three cities + highway legs.
@@ -117,17 +121,16 @@ def make_long_trajectory(
     paper's 2230 s duration.
     """
     rng = np.random.default_rng(seed)
-    legs: List[Trajectory] = []
     cities = ["nordstadt", "suedstadt", "weststadt"]
     trajectory: Optional[Trajectory] = None
     for a, b in zip(cities[:-1], cities[1:]):
         route = region.roads.intercity_route(a, b, rng, city_detour_m=900.0)
         leg = region.roads.route_to_trajectory(
-            route, speed_mps=18.0, interval_s=interval_s, scenario="long_complex", rng=rng
+            route, 18.0, LONG_TRAJECTORY_INTERVAL_S, scenario="long_complex", rng=rng
         )
         trajectory = leg if trajectory is None else trajectory.concat(leg)
     assert trajectory is not None
-    max_samples = int(target_duration_s / interval_s)
+    max_samples = int(target_duration_s / LONG_TRAJECTORY_INTERVAL_S)
     if len(trajectory) > max_samples:
         trajectory = trajectory.slice(0, max_samples)
     return trajectory
@@ -138,7 +141,6 @@ def make_active_learning_subsets(
     seed: int = 31,
     n_subsets: int = 23,
     samples_per_subset: int = 400,
-    interval_s: float = 3.0,
 ) -> List[DriveTestRecord]:
     """Geographically disjoint measurement subsets for the §6.2 study.
 
@@ -153,7 +155,7 @@ def make_active_learning_subsets(
     for k in range(n_subsets):
         city = city_names[k % len(city_names)]
         speed = 9.0 if k % 3 else 22.0
-        length_m = samples_per_subset * interval_s * speed * 1.1
+        length_m = samples_per_subset * ACTIVE_LEARNING_INTERVAL_S * speed * 1.1
         if k % 3 == 0 and len(city_names) > 1:
             other = city_names[(k // 3 + 1) % len(city_names)]
             if other != city:
@@ -163,7 +165,7 @@ def make_active_learning_subsets(
         else:
             route = region.roads.random_walk_route(rng, length_m, city=city)
         trajectory = region.roads.route_to_trajectory(
-            route, speed, interval_s, scenario=f"subset_{k}", rng=rng
+            route, speed, ACTIVE_LEARNING_INTERVAL_S, scenario=f"subset_{k}", rng=rng
         )
         if len(trajectory) > samples_per_subset:
             trajectory = trajectory.slice(0, samples_per_subset)

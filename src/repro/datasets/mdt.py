@@ -25,6 +25,9 @@ from ..geo.trajectory import Trajectory
 from ..radio.simulator import DriveTestRecord, DriveTestSimulator
 from ..world.region import Region
 
+#: The KPI that MDT, crowdsourcing and GenDT coverage measurements report.
+COVERAGE_KPI = "rsrp"
+
 
 @dataclass
 class SparseMeasurements:
@@ -33,7 +36,7 @@ class SparseMeasurements:
     lat: np.ndarray
     lon: np.ndarray
     value: np.ndarray
-    kpi: str = "rsrp"
+    kpi: str = COVERAGE_KPI
 
     def __len__(self) -> int:
         return len(self.value)
@@ -56,7 +59,6 @@ def mdt_campaign(
     report_period_s: float = 10.0,
     participation: float = 0.3,
     hotspot_bias: float = 0.7,
-    kpi: str = "rsrp",
 ) -> SparseMeasurements:
     """Synthesize an MDT collection round.
 
@@ -91,12 +93,10 @@ def mdt_campaign(
         idx = np.arange(0, len(trajectory), stride)
         lats.append(trajectory.lat[idx])
         lons.append(trajectory.lon[idx])
-        values.append(record.kpi[kpi][idx])
+        values.append(record.kpi[COVERAGE_KPI][idx])
     if not values:
-        return SparseMeasurements(np.zeros(0), np.zeros(0), np.zeros(0), kpi)
-    return SparseMeasurements(
-        np.concatenate(lats), np.concatenate(lons), np.concatenate(values), kpi
-    )
+        return SparseMeasurements(np.zeros(0), np.zeros(0), np.zeros(0))
+    return SparseMeasurements(np.concatenate(lats), np.concatenate(lons), np.concatenate(values))
 
 
 def crowdsourced_campaign(
@@ -105,7 +105,6 @@ def crowdsourced_campaign(
     n_users: int = 40,
     report_period_s: float = 30.0,
     quantization_db: float = 2.0,
-    kpi: str = "rsrp",
 ) -> SparseMeasurements:
     """Synthesize a crowdsourced (OpenSignal-style) collection round.
 
@@ -115,10 +114,10 @@ def crowdsourced_campaign(
     raw = mdt_campaign(
         region, rng,
         n_users=n_users, report_period_s=report_period_s,
-        participation=0.8, hotspot_bias=0.3, kpi=kpi,
+        participation=0.8, hotspot_bias=0.3,
     )
     quantized = np.round(raw.value / quantization_db) * quantization_db
-    return SparseMeasurements(raw.lat, raw.lon, quantized, kpi)
+    return SparseMeasurements(raw.lat, raw.lon, quantized)
 
 
 @dataclass
@@ -176,14 +175,13 @@ def gendt_coverage_measurements(
     rng: np.random.Generator,
     n_routes: int = 12,
     route_length_m: float = 1500.0,
-    kpi: str = "rsrp",
 ) -> SparseMeasurements:
     """Generate GenDT pseudo-measurements over systematic routes.
 
     Unlike MDT, the operator *chooses* the routes, so coverage is uniform —
     the generative model removes the dependence on where users happen to be.
     """
-    kpi_idx = model.kpi_names.index(kpi)
+    kpi_idx = model.kpi_names.index(COVERAGE_KPI)
     city_names = [c.name for c in region.cities]
     lats: List[np.ndarray] = []
     lons: List[np.ndarray] = []
@@ -200,6 +198,4 @@ def gendt_coverage_measurements(
         lats.append(trajectory.lat)
         lons.append(trajectory.lon)
         values.append(series[:, kpi_idx])
-    return SparseMeasurements(
-        np.concatenate(lats), np.concatenate(lons), np.concatenate(values), kpi
-    )
+    return SparseMeasurements(np.concatenate(lats), np.concatenate(lons), np.concatenate(values))

@@ -12,6 +12,9 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+#: Heading of the report.
+REPORT_TITLE = "GenDT reproduction — experiment report"
+
 #: Canonical presentation order: (file stem, paper reference).
 REPORT_SECTIONS: Tuple[Tuple[str, str], ...] = (
     ("table01_dataset_a_stats", "Table 1 — Dataset A statistics"),
@@ -46,11 +49,11 @@ def collect_results(results_dir: Path) -> Dict[str, str]:
     return found
 
 
-def build_report(results_dir: Path, title: str = "GenDT reproduction — experiment report") -> str:
+def build_report(results_dir: Path) -> str:
     """Assemble the ordered report; missing sections are listed at the end."""
     found = collect_results(results_dir)
     rule = "=" * 74
-    lines: List[str] = [rule, title, rule, ""]
+    lines: List[str] = [rule, REPORT_TITLE, rule, ""]
     missing: List[str] = []
     for stem, heading in REPORT_SECTIONS:
         if stem in found:

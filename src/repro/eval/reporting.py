@@ -11,6 +11,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .harness import METRIC_NAMES
+
 
 def format_table(
     headers: Sequence[str],
@@ -105,14 +107,13 @@ def fidelity_rows(
     results: Mapping[str, "FidelityResult"],
     kpi: str,
     scenarios: Sequence[str],
-    metrics: Sequence[str] = ("mae", "dtw", "hwd"),
 ) -> Tuple[List[str], List[List]]:
     """Headers+rows for a per-scenario fidelity table (paper Tables 3/5)."""
-    headers = ["method"] + [f"{m}:{s}" for m in metrics for s in scenarios]
+    headers = ["method"] + [f"{m}:{s}" for m in METRIC_NAMES for s in scenarios]
     rows: List[List] = []
     for name, result in results.items():
         row: List = [name]
-        for metric in metrics:
+        for metric in METRIC_NAMES:
             for scenario in scenarios:
                 row.append(result.get(scenario, kpi, metric))
         rows.append(row)
@@ -122,15 +123,14 @@ def fidelity_rows(
 def average_rows(
     results: Mapping[str, "FidelityResult"],
     kpis: Sequence[str],
-    metrics: Sequence[str] = ("mae", "dtw", "hwd"),
 ) -> Tuple[List[str], List[List]]:
     """Headers+rows for a scenario-averaged table (paper Tables 4/6/7)."""
-    headers = ["method"] + [f"{k}:{m}" for k in kpis for m in metrics]
+    headers = ["method"] + [f"{k}:{m}" for k in kpis for m in METRIC_NAMES]
     rows: List[List] = []
     for name, result in results.items():
         row: List = [name]
         for kpi in kpis:
-            for metric in metrics:
+            for metric in METRIC_NAMES:
                 row.append(result.average(kpi, metric))
         rows.append(row)
     return headers, rows

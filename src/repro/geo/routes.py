@@ -20,6 +20,9 @@ import numpy as np
 from .coords import LocalFrame
 from .trajectory import Trajectory, from_waypoints
 
+#: Coefficient of variation of the speed between a route's waypoint legs.
+ROUTE_SPEED_JITTER = 0.15
+
 
 @dataclass(frozen=True)
 class CitySpec:
@@ -230,9 +233,9 @@ class RoadNetwork:
         interval_s: float,
         scenario: str,
         rng: np.random.Generator,
-        speed_jitter: float = 0.15,
     ) -> Trajectory:
         """Convert a node route into a sampled trajectory."""
         return from_waypoints(
-            route, speed_mps, interval_s, scenario=scenario, speed_jitter=speed_jitter, rng=rng
+            route, speed_mps, interval_s, scenario=scenario,
+            speed_jitter=ROUTE_SPEED_JITTER, rng=rng,
         )

@@ -129,11 +129,9 @@ class Trajectory:
             self.scenario,
         )
 
-    def concat(self, other: "Trajectory", gap_s: Optional[float] = None) -> "Trajectory":
-        """Append ``other``, shifting its clock to follow this trajectory."""
-        if gap_s is None:
-            gap_s = self.sample_interval_s or 1.0
-        offset = self.t[-1] + gap_s
+    def concat(self, other: "Trajectory") -> "Trajectory":
+        """Append ``other``, one sample interval (1 s if unknown) after this trajectory."""
+        offset = self.t[-1] + (self.sample_interval_s or 1.0)
         scenario = self.scenario if self.scenario == other.scenario else f"{self.scenario}+{other.scenario}"
         return Trajectory(
             np.concatenate([self.t, other.t + offset]),

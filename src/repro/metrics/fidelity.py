@@ -129,13 +129,14 @@ def hwd(real: np.ndarray, generated: np.ndarray, n_bins: int = 50) -> float:
     return float(np.sum(np.abs(cdf_gap)) * bin_width)
 
 
-def evaluate_series(
-    real: np.ndarray,
-    generated: np.ndarray,
-    dtw_band_fraction: float = 0.1,
-) -> Dict[str, float]:
+#: DTW's Sakoe-Chiba band in :func:`evaluate_series`, as a fraction of the
+#: longer series' length.
+DTW_BAND_FRACTION = 0.1
+
+
+def evaluate_series(real: np.ndarray, generated: np.ndarray) -> Dict[str, float]:
     """All three fidelity metrics for one KPI channel."""
-    band = max(2, int(dtw_band_fraction * max(len(real), len(generated))))
+    band = max(2, int(DTW_BAND_FRACTION * max(len(real), len(generated))))
     return {
         "mae": mae(real, generated),
         "dtw": dtw(real, generated, band=band),

@@ -116,7 +116,7 @@ def check_backward(node) -> None:
         grad = parent.grad
         if grad is not None and not np.isfinite(grad).all():
             op, site = getattr(node, "_anomaly_ctx", None) or (
-                node.name or "<unrecorded>",
+                "<unrecorded>",
                 "<tensor created outside detect_anomaly>",
             )
             raise NumericalAnomalyError(

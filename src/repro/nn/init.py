@@ -12,23 +12,26 @@ from typing import Tuple
 
 import numpy as np
 
+#: Leaky-ReLU slope that :func:`kaiming_uniform` tunes its gain for.
+KAIMING_NEGATIVE_SLOPE = 0.2
 
-def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
+
+def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Glorot/Xavier uniform initialization for weight matrices."""
     fan_in, fan_out = _fans(shape)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
+    bound = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
 
-def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator, negative_slope: float = 0.2) -> np.ndarray:
+def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """He initialization tuned for leaky-ReLU activations."""
     fan_in, _ = _fans(shape)
-    gain = math.sqrt(2.0 / (1.0 + negative_slope**2))
+    gain = math.sqrt(2.0 / (1.0 + KAIMING_NEGATIVE_SLOPE**2))
     bound = gain * math.sqrt(3.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 
-def orthogonal(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
+def orthogonal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Orthogonal initialization (used for recurrent weight matrices)."""
     if len(shape) != 2:
         raise ValueError("orthogonal init requires a 2-D shape")
@@ -38,7 +41,7 @@ def orthogonal(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1
     q *= np.sign(np.diag(r))
     if rows < cols:
         q = q.T
-    return gain * q[:rows, :cols]
+    return q[:rows, :cols]
 
 
 def _fans(shape: Tuple[int, ...]) -> Tuple[int, int]:

@@ -9,7 +9,7 @@ layers), and flat state-dict serialization.
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -39,8 +39,8 @@ class Parameter(Tensor):
     Like :class:`Tensor`, it keeps a float32 or float64 array's dtype.
     """
 
-    def __init__(self, data, name: Optional[str] = None) -> None:
-        super().__init__(data, requires_grad=True, name=name)
+    def __init__(self, data) -> None:
+        super().__init__(data, requires_grad=True)
 
 
 class Module:

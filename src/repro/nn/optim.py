@@ -13,6 +13,10 @@ from .tensor import Tensor
 #: Rows per minibatch in :func:`fit_mse`.
 MSE_MINIBATCH = 256
 
+#: Adam's moment decay rates and denominator epsilon (Kingma & Ba defaults).
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 class Optimizer:
     """Base optimizer holding a parameter list."""
@@ -64,18 +68,10 @@ class Optimizer:
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba), the default for all GenDT training."""
 
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float = 1e-3,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
+    def __init__(self, params: Sequence[Parameter], lr: float = 1e-3) -> None:
         super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
+        self.beta1, self.beta2 = ADAM_BETAS
+        self.eps = ADAM_EPS
         self._m: Dict[int, np.ndarray] = {}
         self._v: Dict[int, np.ndarray] = {}
         self._t = 0
@@ -88,8 +84,6 @@ class Adam(Optimizer):
             if param.grad is None:
                 continue
             grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
             m = self._m.get(id(param))
             v = self._v.get(id(param))
             if m is None:

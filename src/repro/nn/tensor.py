@@ -85,17 +85,11 @@ def _is_basic_index(index) -> bool:
 class Tensor:
     """A numpy-backed tensor with reverse-mode autodiff support."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name", "_anomaly_ctx")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_anomaly_ctx")
 
     __array_priority__ = 100  # ensure ndarray + Tensor dispatches to Tensor
 
-    def __init__(
-        self,
-        data: ArrayLike,
-        requires_grad: bool = False,
-        _parents: Sequence["Tensor"] = (),
-        name: Optional[str] = None,
-    ) -> None:
+    def __init__(self, data: ArrayLike, requires_grad: bool = False) -> None:
         if isinstance(data, Tensor):
             data = data.data
         keep = isinstance(data, (np.ndarray, np.generic)) and data.dtype in FLOAT_DTYPES
@@ -103,8 +97,7 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad) and _grad_enabled
         self._backward: Optional[Callable[[np.ndarray], None]] = None
-        self._parents: Tuple["Tensor", ...] = tuple(_parents)
-        self.name = name
+        self._parents: Tuple["Tensor", ...] = ()
 
     # ------------------------------------------------------------------
     # Basic protocol

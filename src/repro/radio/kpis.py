@@ -54,9 +54,9 @@ BANDWIDTH_HZ = 9e6
 NOISE_FIGURE_DB = 7.0
 
 
-def rsrp_from_rssi(rssi_dbm: Array, n_rb: int = DEFAULT_N_RB) -> Array:
+def rsrp_from_rssi(rssi_dbm: Array) -> Array:
     """RSRP from wideband RSSI under the full-allocation assumption."""
-    return np.asarray(rssi_dbm) - 10.0 * np.log10(12.0 * n_rb)
+    return np.asarray(rssi_dbm) - 10.0 * np.log10(12.0 * DEFAULT_N_RB)
 
 
 def rssi_from_rsrp(rsrp_dbm: Array, n_rb: int = DEFAULT_N_RB) -> Array:
@@ -69,9 +69,9 @@ def rsrq_db(rsrp_dbm: Array, rssi_dbm: Array, n_rb: int = DEFAULT_N_RB) -> Array
     return 10.0 * np.log10(n_rb) + np.asarray(rsrp_dbm) - np.asarray(rssi_dbm)
 
 
-def rssi_from_rsrp_rsrq(rsrp_dbm: Array, rsrq_db_: Array, n_rb: int = DEFAULT_N_RB) -> Array:
+def rssi_from_rsrp_rsrq(rsrp_dbm: Array, rsrq_db_: Array) -> Array:
     """Derive RSSI given RSRP and RSRQ (the 'any two give the third' relation)."""
-    return 10.0 * np.log10(n_rb) + np.asarray(rsrp_dbm) - np.asarray(rsrq_db_)
+    return 10.0 * np.log10(DEFAULT_N_RB) + np.asarray(rsrp_dbm) - np.asarray(rsrq_db_)
 
 
 # ----------------------------------------------------------------------

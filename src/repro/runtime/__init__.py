@@ -19,7 +19,6 @@ from .errors import (
     DivergenceError,
     GenDTRuntimeError,
     GenerationFaultError,
-    MeasurementError,
     NumericalAnomalyError,
 )
 from .guards import FAULT_KINDS, GuardEvent, HealthGuard
@@ -40,7 +39,6 @@ __all__ = [
     "DivergenceError",
     "CheckpointCorruptError",
     "ContextValidationError",
-    "MeasurementError",
     "NumericalAnomalyError",
     "DeadlineExceeded",
     "GenerationFaultError",

@@ -1,9 +1,9 @@
 """Structured exception taxonomy for the fault-tolerant runtime.
 
-Callers distinguish *retryable* failures (a measurement pass that timed out,
-a transient simulator error) from *fatal* ones (a checkpoint whose checksum
-does not verify, a training run that keeps diverging after every recovery
-attempt).  Everything the runtime raises derives from
+Callers distinguish *retryable* failures (a generation attempt that
+faulted, a wall-clock budget that expired) from *fatal* ones (a checkpoint
+whose checksum does not verify, a training run that keeps diverging after
+every recovery attempt).  Everything the runtime raises derives from
 :class:`GenDTRuntimeError`, so ``except GenDTRuntimeError`` catches the whole
 family without swallowing programming errors.
 """
@@ -49,19 +49,6 @@ class ContextValidationError(GenDTRuntimeError):
     def __init__(self, message: str, index: int = -1) -> None:
         super().__init__(message)
         self.index = index
-
-
-class MeasurementError(GenDTRuntimeError):
-    """A measurement campaign step failed (possibly after retries).
-
-    ``attempts`` records how many times the measurement was tried before
-    giving up; the triggering exception is chained as ``__cause__``.
-    """
-
-    def __init__(self, message: str, area: int = -1, attempts: int = 0) -> None:
-        super().__init__(message)
-        self.area = area
-        self.attempts = attempts
 
 
 class DeadlineExceeded(GenDTRuntimeError):

@@ -17,11 +17,14 @@ from ..metrics.fidelity import hwd
 from ..radio.association import inter_handover_times
 from ..radio.simulator import DriveTestRecord
 
+#: Shortest serving-cell dwell, in samples, that counts as a real handover.
+MIN_DWELL_SAMPLES = 3
+
 
 def snap_serving_series(
     serving_series: np.ndarray,
     candidate_ids: Optional[Sequence[int]] = None,
-    min_dwell_samples: int = 3,
+    min_dwell_samples: int = MIN_DWELL_SAMPLES,
 ) -> np.ndarray:
     """Post-process a generated serving-cell channel into a clean id series.
 
@@ -61,7 +64,7 @@ def handover_intervals_from_series(
     serving_series: np.ndarray,
     timestamps_s: np.ndarray,
     candidate_ids: Optional[Sequence[int]] = None,
-    min_dwell_samples: int = 3,
+    min_dwell_samples: int = MIN_DWELL_SAMPLES,
 ) -> np.ndarray:
     """Inter-handover intervals from a (generated) serving-cell channel."""
     ids = snap_serving_series(
@@ -108,7 +111,6 @@ class HandoverComparison:
 def compare_handover_distributions(
     records: Sequence[DriveTestRecord],
     generated_serving: Sequence[np.ndarray],
-    min_dwell_samples: int = 3,
 ) -> HandoverComparison:
     """Build the §6.3.2 comparison from real records + generated channels.
 
@@ -123,7 +125,6 @@ def compare_handover_distributions(
             series,
             record.trajectory.t,
             candidate_ids=record.candidate_cell_ids,
-            min_dwell_samples=min_dwell_samples,
         )
         if len(intervals):
             gen_pooled.append(intervals)

@@ -27,6 +27,9 @@ from ..radio.simulator import DriveTestRecord
 #: QoE target channels, in output order.
 QOE_TARGETS = ("throughput_mbps", "per")
 
+#: Adam learning rate of the QoE predictor's MLP.
+QOE_LR = 1e-3
+
 
 def _location_features(trajectory: Trajectory) -> np.ndarray:
     """Per-step location features: normalized offsets and speed."""
@@ -47,7 +50,6 @@ class QoEPredictor:
     kpi_names: Tuple[str, ...] = ("rsrp", "rsrq")
     hidden: Tuple[int, ...] = (48, 48)
     epochs: int = 60
-    lr: float = 1e-3
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -76,7 +78,7 @@ class QoEPredictor:
         xn = self.x_normalizer.fit(x).normalize(x)
         yn = self.y_normalizer.fit(y).normalize(y)
         self.net = nn.MLP(x.shape[1], list(self.hidden), y.shape[1], self.rng)
-        nn.fit_mse(self.net, xn, yn, epochs=self.epochs, lr=self.lr, rng=self.rng)
+        nn.fit_mse(self.net, xn, yn, epochs=self.epochs, lr=QOE_LR, rng=self.rng)
 
     def predict(
         self, record: DriveTestRecord, kpi_override: Optional[np.ndarray] = None

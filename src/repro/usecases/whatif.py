@@ -26,7 +26,6 @@ def with_new_site(
     lon: float,
     p_max_dbm: float = 43.0,
     sectors: int = 3,
-    base_direction_deg: float = 0.0,
 ) -> CellDeployment:
     """Return a deployment with a new ``sectors``-sector site added."""
     next_cell = max(c.cell_id for c in deployment.cells) + 1
@@ -37,7 +36,7 @@ def with_new_site(
             lat=lat,
             lon=lon,
             p_max_dbm=p_max_dbm,
-            direction_deg=(base_direction_deg + s * 360.0 / sectors) % 360.0,
+            direction_deg=(s * 360.0 / sectors) % 360.0,
             site_id=next_site,
         )
         for s in range(sectors)

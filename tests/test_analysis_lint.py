@@ -80,14 +80,26 @@ class TestEXC001:
         assert violations == []
 
     def test_routing_through_taxonomy_is_fine(self, tmp_path):
+        # The handler does not raise, so only naming a taxonomy type clears it.
         violations = lint_snippet(
             tmp_path,
-            "from repro.runtime.errors import MeasurementError\n"
+            "import logging\n"
+            "from repro.runtime.errors import GenerationFaultError\n"
             "try:\n    work()\n"
             "except Exception as exc:\n"
-            "    raise MeasurementError(str(exc)) from exc\n",
+            "    logging.warning('%s', GenerationFaultError(str(exc)))\n",
         )
         assert violations == []
+
+    def test_naming_a_type_outside_the_taxonomy_is_flagged(self, tmp_path):
+        violations = lint_snippet(
+            tmp_path,
+            "import logging\n"
+            "try:\n    work()\n"
+            "except Exception as exc:\n"
+            "    logging.warning('%s', ValueError(str(exc)))\n",
+        )
+        assert rule_ids(violations) == ["EXC001"]
 
     def test_narrow_handler_is_fine(self, tmp_path):
         violations = lint_snippet(
