@@ -12,9 +12,11 @@ down two claims made in the README:
 """
 
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
+from repro import nn
 from repro.core import GenDT, small_config
 from repro.datasets import make_dataset_a, split_per_scenario
 
@@ -32,7 +34,8 @@ def _smoke_train(detect_anomaly: bool):
     )
     model = GenDT(dataset.region, kpis=["rsrp", "rsrq"], config=config, seed=7)
     start = time.perf_counter()
-    model.fit(split.train, detect_anomaly=detect_anomaly)
+    with nn.detect_anomaly() if detect_anomaly else nullcontext():
+        model.fit(split.train)
     elapsed = time.perf_counter() - start
     weights = np.concatenate([p.data.ravel() for p in model.generator.parameters()])
     return elapsed, weights

@@ -185,7 +185,7 @@ class DoppelGANger(ContextEncodingMixin, BaselineModel):
         d_opt = nn.Adam(self.discriminator.parameters(), lr=BASELINE_LR)
         n = len(metas)
         length = targets.shape[1]
-        for _ in range(epochs or self.epochs):
+        for _ in range(self.epochs if epochs is None else epochs):
             order = self.rng.permutation(n)
             for start in range(0, n, DG_MINIBATCH):
                 idx = order[start : start + DG_MINIBATCH]

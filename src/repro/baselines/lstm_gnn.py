@@ -96,7 +96,7 @@ class LSTMGNNBaseline(ContextEncodingMixin, BaselineModel):
                 items.append(
                     (batch.cell_x[i], batch.cell_mask[i], target[window.start : window.start + length])
                 )
-        for _ in range(epochs or self.epochs):
+        for _ in range(self.epochs if epochs is None else epochs):
             order = self.rng.permutation(len(items))
             for idx in order:
                 cell_x, mask, target = items[idx]

@@ -49,7 +49,7 @@ class MLPBaseline(ContextEncodingMixin, BaselineModel):
         x = np.concatenate(features)
         y = np.concatenate(targets)
         self.net = nn.MLP(x.shape[1], list(self.hidden), y.shape[1], self.rng)
-        nn.fit_mse(self.net, x, y, epochs=epochs or self.epochs, lr=BASELINE_LR, rng=self.rng)
+        nn.fit_mse(self.net, x, y, epochs=self.epochs if epochs is None else epochs, lr=BASELINE_LR, rng=self.rng)
 
     def generate(
         self, trajectory: Trajectory, rng: Optional[np.random.Generator] = None

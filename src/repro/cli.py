@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import List, Optional
 
@@ -58,16 +59,9 @@ def _load_model(args, dataset):
     The checkpoint carries the KPIs and config it was trained with, so the
     model is built from them rather than from command-line options.
     """
-    from .core import GenDT, GenDTConfig
-    from .runtime import read_checkpoint
+    from .core import GenDT
 
-    _, meta = read_checkpoint(args.checkpoint)
-    # A checkpoint that records no config gets the default one, which
-    # GenDT.load then rejects, naming the path and the differing fields.
-    config = GenDTConfig.from_meta(meta.get("config", {}))
-    model = GenDT(dataset.region, kpis=meta["kpis"], config=config, seed=args.seed)
-    model.load(args.checkpoint)
-    return model
+    return GenDT.load(args.checkpoint, dataset.region, seed=args.seed)
 
 
 def cmd_simulate(args) -> int:
@@ -85,6 +79,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import nn
     from .core import GenDT, small_config
     from .runtime import CheckpointManager, HealthGuard
 
@@ -103,6 +98,11 @@ def cmd_train(args) -> int:
     checkpoint_dir = args.checkpoint_dir
     if checkpoint_dir is None and args.checkpoint_every > 0:
         checkpoint_dir = f"{args.out}.ckpts"
+    checkpoints = None
+    if args.checkpoint_every > 0:
+        checkpoints = CheckpointManager(
+            checkpoint_dir, every=args.checkpoint_every, keep_last=args.keep_last
+        )
     resume_from = None
     if args.resume:
         if checkpoint_dir is None:
@@ -117,16 +117,14 @@ def cmd_train(args) -> int:
 
     guard = HealthGuard() if not args.no_guard else None
     print(f"training GenDT on {len(split.train)} records ({args.epochs} epochs)...")
-    history = model.fit(
-        split.train,
-        verbose=True,
-        guard=guard,
-        checkpoint_every=args.checkpoint_every or None,
-        checkpoint_dir=checkpoint_dir,
-        keep_last=args.keep_last,
-        resume_from=resume_from,
-        detect_anomaly=args.detect_anomaly,
-    )
+    with nn.detect_anomaly() if args.detect_anomaly else nullcontext():
+        history = model.fit(
+            split.train,
+            verbose=True,
+            guard=guard,
+            checkpoints=checkpoints,
+            resume_from=resume_from,
+        )
     model.save(args.out)
     if guard is not None and guard.recoveries:
         print(f"guard recovered {guard.recoveries} unhealthy step(s)")

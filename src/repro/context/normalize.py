@@ -20,8 +20,8 @@ training split only and stored with the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -45,20 +45,12 @@ class CellFeatureTransform:
     def __init__(self, frame: LocalFrame) -> None:
         self.frame = frame
 
-    def __call__(
-        self, window: ContextWindow, ue_lat: np.ndarray, ue_lon: np.ndarray
-    ) -> np.ndarray:
-        """Transform one window's raw cell features.
-
-        Args:
-            window: the context window ([L, N_b, 5] raw features).
-            ue_lat, ue_lon: device location per step of the window, [L].
-
-        Returns:
-            model features [L, N_b, 6].
+    def __call__(self, window: ContextWindow) -> np.ndarray:
+        """Transform one window's raw cell features ([L, N_b, 5]) into
+        model features [L, N_b, 6], relative to the device location per step.
         """
         raw = window.cell_features
-        ux, uy = self.frame.to_xy(ue_lat, ue_lon)
+        ux, uy = self.frame.to_xy(window.ue_lat, window.ue_lon)
         cx, cy = self.frame.to_xy(raw[0, :, 0], raw[0, :, 1])
         # [L, N_b] arrays, one elementwise op per feature over all cells.
         dx = (cx - ux[:, None]) / 1000.0

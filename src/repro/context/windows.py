@@ -10,8 +10,8 @@ built from a measurement record) the target KPI values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -29,20 +29,21 @@ class ContextWindow:
         cell_features: raw per-cell context, [L, N_b, 5].
         cell_ids: global ids of the N_b cells, aligned with axis 1.
         env_features: raw environment context, [L, 26].
-        target: KPI targets [L, N_ch] or None during pure generation.
         start: index of the window's first sample in the source trajectory.
-        scenario: scenario tag of the source trajectory.
+        ue_lat, ue_lon: device location per step, [L].
+        ue_speed: device speed per step in m/s, [L].
+        interval_s: the source trajectory's sample interval.
+        target: KPI targets [L, N_ch] or None during pure generation.
     """
 
     cell_features: np.ndarray
     cell_ids: List[int]
     env_features: np.ndarray
     start: int
-    ue_lat: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    ue_lon: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    ue_speed: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    interval_s: float = 1.0
-    scenario: str = ""
+    ue_lat: np.ndarray
+    ue_lon: np.ndarray
+    ue_speed: np.ndarray
+    interval_s: float
     target: Optional[np.ndarray] = None
 
     @property
@@ -116,7 +117,6 @@ class ContextBuilder:
                     ue_lon=trajectory.lon[start:stop],
                     ue_speed=speeds[start:stop],
                     interval_s=interval_s,
-                    scenario=trajectory.scenario,
                     target=None if target_matrix is None else target_matrix[start:stop],
                 )
             )

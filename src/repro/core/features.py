@@ -95,12 +95,10 @@ class WindowAssembler:
         n_cells = np.array([min(w.n_cells, self.max_cells) for w in windows])
         cell_x = np.zeros((len(windows), self.max_cells, length, N_CELL_FEATURES))
         for i, (window, n) in enumerate(zip(windows, n_cells)):
-            features = self.cell_transform(window, window.ue_lat, window.ue_lon)
+            features = self.cell_transform(window)
             cell_x[i, :n] = features[:, :n].transpose(1, 0, 2)
         cell_mask = (np.arange(self.max_cells) < n_cells[:, None]).astype(float)
-        speed = np.stack([
-            w.ue_speed if len(w.ue_speed) == length else np.zeros(length) for w in windows
-        ])
+        speed = np.stack([w.ue_speed for w in windows])
         env_raw = np.stack([w.env_features for w in windows])
         env = np.empty(env_raw.shape[:-1] + (env_raw.shape[-1] + N_KINEMATIC_FEATURES,))
         env[..., :-N_KINEMATIC_FEATURES] = self.env_normalizer(env_raw)

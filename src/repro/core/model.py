@@ -31,11 +31,11 @@ from ..geo.trajectory import Trajectory
 from ..radio.kpis import KPI, KpiSpec
 from ..radio.simulator import DriveTestRecord
 from ..world.region import Region
-from ..runtime.checkpoint import read_checkpoint, write_checkpoint
+from ..runtime.checkpoint import CheckpointManager, read_checkpoint, write_checkpoint
 from ..runtime.guards import HealthGuard
 from ..runtime.validate import validate_trajectory, validate_windows
 from .config import GenDTConfig
-from .features import WindowAssembler
+from .features import N_KINEMATIC_FEATURES, ModelBatch, WindowAssembler
 from .generator import GenDTGenerator, WindowHook
 from .training import GenDTTrainer, TrainingHistory, make_minibatches
 
@@ -101,24 +101,20 @@ class GenDT:
         epochs: Optional[int] = None,
         verbose: bool = False,
         guard: Optional[HealthGuard] = None,
-        checkpoint_every: Optional[int] = None,
-        checkpoint_dir: Optional[Union[str, Path]] = None,
-        keep_last: int = 3,
+        checkpoints: Optional[CheckpointManager] = None,
         resume_from: Optional[Union[str, Path]] = None,
-        detect_anomaly: bool = False,
     ) -> TrainingHistory:
         """Fit the generator (and refit normalizers) on measurement records.
 
         Fault-tolerance hooks (all optional, see :mod:`repro.runtime`):
         ``guard`` watches every step for numerical trouble and rolls back;
-        ``checkpoint_every``/``checkpoint_dir``/``keep_last`` write atomic
-        epoch checkpoints with rotating retention; ``resume_from`` restores
-        one and continues bit-exactly — everything before the epoch loop
-        (normalizer fits, weight init, minibatch shuffling) is deterministic
-        under the model seed, and the checkpoint restores the RNG state the
-        interrupted run had at that epoch boundary.  ``detect_anomaly``
-        trains under :func:`repro.nn.detect_anomaly`, failing fast at the op
-        that first produces a NaN/Inf.
+        ``checkpoints`` writes atomic epoch checkpoints with rotating
+        retention; ``resume_from`` restores a checkpoint file and continues
+        bit-exactly — everything before the epoch loop (normalizer fits,
+        weight init, minibatch shuffling) is deterministic under the model
+        seed, and the checkpoint restores the RNG state the interrupted run
+        had at that epoch boundary.  To fail fast at the op that first
+        produces a NaN/Inf, fit under :func:`repro.nn.detect_anomaly`.
         """
         if not records:
             raise ValueError("no training records")
@@ -129,10 +125,37 @@ class GenDT:
         windows = self.build_training_windows(records)
         env_stack = np.concatenate([w.env_features for w in windows], axis=0)
         self.env_normalizer.fit(env_stack)
+        self._build_networks(windows[0].env_features.shape[-1] + N_KINEMATIC_FEATURES)
+        # One-shot shape-contract + gradient-flow check before any training
+        # compute; it draws from its own generator, so it does not change
+        # what training computes.
+        self._verify_generator()
+        history = self.trainer.fit(
+            self._minibatches(windows),
+            epochs=epochs,
+            verbose=verbose,
+            guard=guard,
+            checkpoints=checkpoints,
+            resume_from=resume_from,
+            checkpoint_meta=self._checkpoint_meta(),
+        )
+        self._fitted = True
+        return history
 
-        from .features import N_KINEMATIC_FEATURES
+    def continue_fit(
+        self, records: Sequence[DriveTestRecord], epochs: int
+    ) -> TrainingHistory:
+        """Additional training passes on new records, keeping current weights.
 
-        n_env = windows[0].env_features.shape[-1] + N_KINEMATIC_FEATURES
+        Used by the active-learning loop (§6.2): normalizers stay fixed so
+        the generated scale remains consistent across retraining rounds.
+        """
+        self._require_fitted()
+        batches = self._minibatches(self.build_training_windows(records))
+        return self.trainer.fit(batches, epochs=epochs)
+
+    def _build_networks(self, n_env: int) -> None:
+        """A fresh generator and its trainer; their weights draw from :attr:`rng`."""
         self._n_env = n_env
         self.generator = GenDTGenerator(
             n_channels=self.kpi_spec.n_channels,
@@ -141,45 +164,12 @@ class GenDT:
             rng=self.rng,
         )
         self.trainer = GenDTTrainer(self.generator, self.config, self.rng)
-        # One-shot shape-contract + gradient-flow check before any training
-        # compute; it draws from its own generator, so it does not change
-        # what training computes.
-        self._verify_generator()
-        batches = make_minibatches(
+
+    def _minibatches(self, windows: Sequence[ContextWindow]) -> List[ModelBatch]:
+        """Training windows assembled into shuffled minibatches (draws from :attr:`rng`)."""
+        return make_minibatches(
             self._assembler(), windows, self.config.minibatch_windows, self.rng
         )
-        history = self.trainer.fit(
-            batches,
-            epochs=epochs,
-            verbose=verbose,
-            guard=guard,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-            keep_last=keep_last,
-            resume_from=resume_from,
-            checkpoint_meta=self._checkpoint_meta(),
-            detect_anomaly=detect_anomaly,
-        )
-        self._fitted = True
-        return history
-
-    def continue_fit(
-        self,
-        records: Sequence[DriveTestRecord],
-        epochs: int,
-        detect_anomaly: bool = False,
-    ) -> TrainingHistory:
-        """Additional training passes on new records, keeping current weights.
-
-        Used by the active-learning loop (§6.2): normalizers stay fixed so
-        the generated scale remains consistent across retraining rounds.
-        """
-        self._require_fitted()
-        windows = self.build_training_windows(records)
-        batches = make_minibatches(
-            self._assembler(), windows, self.config.minibatch_windows, self.rng
-        )
-        return self.trainer.fit(batches, epochs=epochs, detect_anomaly=detect_anomaly)
 
     def _assembler(self) -> WindowAssembler:
         return WindowAssembler(
@@ -330,58 +320,45 @@ class GenDT:
 
         verify(self.generator, raise_on_error=True)
 
-    def load(self, path: Union[str, Path]) -> None:
-        """Restore a model saved with :meth:`save` (same KPIs and config required).
+    @classmethod
+    def load(cls, path: Union[str, Path], region: Region, seed: int = 0) -> "GenDT":
+        """The model saved at ``path`` by :meth:`save`, bound to ``region``.
+
+        The checkpoint records the model's KPIs, config, normalizers and
+        weights, so the model is built from it alone; ``seed`` seeds the
+        model's own stream (:attr:`rng`).
 
         Raises:
             CheckpointCorruptError: the file is missing or is not an intact
                 checkpoint container (bad magic, checksum mismatch,
                 truncation), always carrying the offending path.
-            ValueError: the checkpoint's KPI list or config does not match
-                this model's (message names the checkpoint path and, for the
-                config, the differing fields; a checkpoint that records no
-                config differs in all of them).
+            ValueError: the checkpoint's metadata lacks ``kpis`` or
+                ``config`` (the message names the path and the key), or its
+                config has a field :class:`GenDTConfig` does not know.
         """
         arrays, meta = read_checkpoint(path)
-        # Validate compatibility before instantiating the generator: a
-        # mismatch would otherwise surface as an opaque weight-shape error
-        # from load_state_dict, or not at all (batch_len, SRNN layers).
-        if meta.get("kpis") != self.kpi_names:
-            raise ValueError(
-                f"checkpoint {path}: KPIs {meta.get('kpis')} do not match "
-                f"model {self.kpi_names}"
-            )
-        saved, current = meta.get("config", {}), self.config.to_meta()
-        differing = sorted(
-            k for k in saved.keys() | current.keys()
-            if k not in saved or k not in current or saved[k] != current[k]
+        for key in ("kpis", "config"):
+            if key not in meta:
+                raise ValueError(f"checkpoint {path}: metadata lacks {key!r}")
+        model = cls(
+            region, kpis=meta["kpis"], config=GenDTConfig.from_meta(meta["config"]), seed=seed
         )
-        if differing:
-            raise ValueError(
-                f"checkpoint {path}: config fields {differing} do not match model"
-            )
-        self._n_env = int(meta["n_env"])
-        self.generator = GenDTGenerator(
-            n_channels=self.kpi_spec.n_channels,
-            n_env=self._n_env,
-            config=self.config,
-            rng=self.rng,
-        )
-        self.generator.load_state_dict(
+        model._build_networks(int(meta["n_env"]))
+        model.generator.load_state_dict(
             {
                 name.partition(".")[2]: value
                 for name, value in arrays.items()
                 if name.startswith("model.")
             }
         )
-        self.env_normalizer = EnvFeatureNormalizer.from_state(
+        model.env_normalizer = EnvFeatureNormalizer.from_state(
             {k: np.asarray(v) for k, v in meta["env_normalizer"].items()}
         )
-        self.target_normalizer = TargetNormalizer.from_state(
+        model.target_normalizer = TargetNormalizer.from_state(
             {k: np.asarray(v) for k, v in meta["target_normalizer"].items()}
         )
-        self.trainer = GenDTTrainer(self.generator, self.config, self.rng)
         # Catches weight/config mismatches (e.g. a changed AR window) that
         # pass load_state_dict but would mis-broadcast at runtime.
-        self._verify_generator()
-        self._fitted = True
+        model._verify_generator()
+        model._fitted = True
+        return model

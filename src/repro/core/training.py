@@ -24,7 +24,6 @@ from ..runtime.checkpoint import (
     CheckpointManager,
     capture_trainer_state,
     read_checkpoint,
-    resolve_checkpoint,
     restore_trainer_state,
 )
 from ..runtime.guards import HealthGuard
@@ -155,89 +154,78 @@ class GenDTTrainer:
         epochs: Optional[int] = None,
         verbose: bool = False,
         guard: Optional[HealthGuard] = None,
-        checkpoint_every: Optional[int] = None,
-        checkpoint_dir: Optional[Union[str, Path]] = None,
-        keep_last: int = 3,
+        checkpoints: Optional[CheckpointManager] = None,
         resume_from: Optional[Union[str, Path]] = None,
         checkpoint_meta: Optional[Dict[str, Any]] = None,
-        detect_anomaly: bool = False,
     ) -> TrainingHistory:
         """Train over pre-assembled minibatches for ``epochs`` passes.
 
+        Run it under :func:`repro.nn.detect_anomaly` to raise
+        :class:`~repro.runtime.errors.NumericalAnomalyError` at the op that
+        first produces a NaN/Inf (forward or backward), instead of letting
+        it surface later as a bad loss.
+
         Args:
+            epochs: passes to run; None runs the config's ``epochs``, and 0
+                runs none.
             guard: optional :class:`HealthGuard` watching every step for
                 NaN/Inf and divergence, rolling back to the last-good
                 snapshot on a trip.
-            detect_anomaly: run the whole epoch loop under
-                :func:`repro.nn.detect_anomaly`, raising
-                :class:`~repro.runtime.errors.NumericalAnomalyError` at the
-                op that first produces a NaN/Inf (forward or backward)
-                instead of letting it surface later as a bad loss.  Off by
-                default; when off the loop is bit-identical to a build
-                without anomaly hooks.
-            checkpoint_every: write an atomic checkpoint every N epochs
-                into ``checkpoint_dir`` (both must be given together).
-            keep_last: rotating retention for epoch checkpoints.
-            resume_from: a checkpoint file (or a directory, resolved to its
-                newest checkpoint) to restore before training; the run then
-                continues bit-exactly where the checkpointed run stopped,
-                because the trainer's RNG state is restored too.
+            checkpoints: writes an atomic checkpoint after every epoch it
+                reports :meth:`~CheckpointManager.due`.
+            resume_from: a checkpoint file to restore before training; the
+                run then continues bit-exactly where the checkpointed run
+                stopped, because the trainer's RNG state is restored too.
             checkpoint_meta: extra metadata merged into each checkpoint
                 (e.g. model-level normalizer state from :class:`GenDT`).
         """
         if not batches:
             raise ValueError("no training batches")
         batches = [batch.astype(self.generator.dtype) for batch in batches]
-        epochs = epochs or self.config.epochs
-        manager: Optional[CheckpointManager] = None
-        if checkpoint_every is not None and checkpoint_every > 0:
-            if checkpoint_dir is None:
-                raise ValueError("checkpoint_every requires checkpoint_dir")
-            manager = CheckpointManager(checkpoint_dir, keep_last=keep_last)
+        if epochs is None:
+            epochs = self.config.epochs
         start_epoch = 0
         if resume_from is not None:
-            arrays, meta = read_checkpoint(resolve_checkpoint(resume_from))
+            arrays, meta = read_checkpoint(resume_from)
             start_epoch = restore_trainer_state(self, arrays, meta)
         if guard is not None:
             guard.attach(
                 modules=[self.generator, self.discriminator],
                 optimizers=[self.g_optimizer, self.d_optimizer],
             )
-        anomaly_scope = nn.detect_anomaly() if detect_anomaly else nullcontext()
-        with anomaly_scope:
-            for epoch in range(start_epoch, epochs):
-                order = self.rng.permutation(len(batches))
-                epoch_stats = {"total": 0.0, "mse": 0.0, "adv": 0.0, "nll": 0.0, "disc": 0.0}
-                healthy_steps = 0
-                recoveries_before = guard.recoveries if guard is not None else 0
-                for idx in order:
-                    batch = batches[idx]
-                    if guard is not None:
-                        guard.begin_step()
-                    disc_loss = 0.0
-                    if self.discriminator is not None:
-                        disc_loss = self._discriminator_step(batch)
-                    stats = self._generator_step(batch, guard=guard)
-                    if guard is not None and guard.after_step(stats["total"]):
-                        continue  # rolled back: this step never happened
-                    for key in ("total", "mse", "adv", "nll"):
-                        epoch_stats[key] += stats[key]
-                    epoch_stats["disc"] += disc_loss
-                    healthy_steps += 1
-                n = max(healthy_steps, 1)
-                self.history.total.append(epoch_stats["total"] / n)
-                self.history.mse.append(epoch_stats["mse"] / n)
-                self.history.adversarial.append(epoch_stats["adv"] / n)
-                self.history.nll.append(epoch_stats["nll"] / n)
-                self.history.discriminator.append(epoch_stats["disc"] / n)
-                self.history.recoveries.append(
-                    (guard.recoveries - recoveries_before) if guard is not None else 0
-                )
-                if verbose:
-                    print(f"epoch {epoch + 1}/{epochs}: {self.history.last()}")
-                if manager is not None and (epoch + 1) % checkpoint_every == 0:
-                    arrays, meta = capture_trainer_state(self, epoch, extra_meta=checkpoint_meta)
-                    manager.save(arrays, meta, epoch)
+        for epoch in range(start_epoch, epochs):
+            order = self.rng.permutation(len(batches))
+            epoch_stats = {"total": 0.0, "mse": 0.0, "adv": 0.0, "nll": 0.0, "disc": 0.0}
+            healthy_steps = 0
+            recoveries_before = guard.recoveries if guard is not None else 0
+            for idx in order:
+                batch = batches[idx]
+                if guard is not None:
+                    guard.begin_step()
+                disc_loss = 0.0
+                if self.discriminator is not None:
+                    disc_loss = self._discriminator_step(batch)
+                stats = self._generator_step(batch, guard=guard)
+                if guard is not None and guard.after_step(stats["total"]):
+                    continue  # rolled back: this step never happened
+                for key in ("total", "mse", "adv", "nll"):
+                    epoch_stats[key] += stats[key]
+                epoch_stats["disc"] += disc_loss
+                healthy_steps += 1
+            n = max(healthy_steps, 1)
+            self.history.total.append(epoch_stats["total"] / n)
+            self.history.mse.append(epoch_stats["mse"] / n)
+            self.history.adversarial.append(epoch_stats["adv"] / n)
+            self.history.nll.append(epoch_stats["nll"] / n)
+            self.history.discriminator.append(epoch_stats["disc"] / n)
+            self.history.recoveries.append(
+                (guard.recoveries - recoveries_before) if guard is not None else 0
+            )
+            if verbose:
+                print(f"epoch {epoch + 1}/{epochs}: {self.history.last()}")
+            if checkpoints is not None and checkpoints.due(epoch):
+                arrays, meta = capture_trainer_state(self, epoch, extra_meta=checkpoint_meta)
+                checkpoints.save(arrays, meta, epoch)
         return self.history
 
 

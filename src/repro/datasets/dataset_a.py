@@ -14,7 +14,7 @@ simulator, QoE ground truth attached to every record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 

@@ -16,13 +16,12 @@ cites (Shodamola et al.) and compare them with GenDT-generated data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
-from ..geo.trajectory import Trajectory
-from ..radio.simulator import DriveTestRecord, DriveTestSimulator
+from ..radio.simulator import DriveTestSimulator
 from ..world.region import Region
 
 #: The KPI that MDT, crowdsourcing and GenDT coverage measurements report.

@@ -9,12 +9,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List
 
 import numpy as np
 
 from ..geo.trajectory import Trajectory
-from ..metrics.fidelity import evaluate_series
 from ..radio.simulator import DriveTestRecord
 
 

@@ -7,7 +7,7 @@ unicode line plots — enough to read off the *shape* of each result.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -27,7 +27,6 @@ from .checkpoint import (
     CheckpointManager,
     capture_trainer_state,
     read_checkpoint,
-    resolve_checkpoint,
     restore_trainer_state,
     write_checkpoint,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "write_checkpoint",
     "read_checkpoint",
-    "resolve_checkpoint",
     "capture_trainer_state",
     "restore_trainer_state",
     "REAL_SLEEP",

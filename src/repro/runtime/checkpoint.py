@@ -159,29 +159,25 @@ def read_checkpoint(path: PathLike) -> Tuple[Dict[str, np.ndarray], Dict[str, An
     return arrays, header.get("meta", {})
 
 
-def resolve_checkpoint(path: PathLike) -> Path:
-    """Resolve a checkpoint argument: a file is itself; a directory resolves
-    to its newest (highest-epoch) managed checkpoint."""
-    path = Path(path)
-    if path.is_dir():
-        latest = CheckpointManager(path).latest()
-        if latest is None:
-            raise CheckpointCorruptError("no checkpoints found in directory", path=str(path))
-        return latest
-    return path
-
-
 # ----------------------------------------------------------------------
 # Rotating retention
 # ----------------------------------------------------------------------
 class CheckpointManager:
-    """Writes epoch-indexed checkpoints into a directory, keeping the last N."""
+    """Writes a checkpoint every ``every`` epochs into a directory, keeping
+    the newest ``keep_last``."""
 
-    def __init__(self, directory: PathLike, keep_last: int = 3) -> None:
+    def __init__(self, directory: PathLike, every: int = 1, keep_last: int = 3) -> None:
+        if every < 1:
+            raise ValueError("every must be >= 1")
         if keep_last < 1:
             raise ValueError("keep_last must be >= 1")
         self.directory = Path(directory)
+        self.every = every
         self.keep_last = keep_last
+
+    def due(self, epoch: int) -> bool:
+        """Whether a checkpoint is due after finishing ``epoch`` (0-based)."""
+        return (epoch + 1) % self.every == 0
 
     def path_for(self, epoch: int) -> Path:
         return self.directory / f"{_CKPT_PREFIX}-{epoch:06d}.gendt"
@@ -197,6 +193,7 @@ class CheckpointManager:
         return sorted(found)
 
     def latest(self) -> Optional[Path]:
+        """The newest (highest-epoch) checkpoint, or None if there is none."""
         existing = self.checkpoints()
         return existing[-1][1] if existing else None
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.baselines import (
     DoppelGANger,
     FDaS,
@@ -160,3 +161,20 @@ class TestDoppelGANger:
 
         with pytest.raises(RuntimeError):
             GaussianMetadataModel().sample(1, rng)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda region: MLPBaseline(region, kpis=["rsrp"], hidden=(8,), seed=0),
+        lambda region: LSTMGNNBaseline(region, kpis=["rsrp"], hidden=8, max_train_len=40, seed=0),
+        lambda region: DoppelGANger(region, kpis=["rsrp"], window_len=20, hidden=8, seed=0),
+    ],
+    ids=["mlp", "lstm_gnn", "doppelganger"],
+)
+def test_zero_epochs_take_no_optimizer_step(make, tiny_dataset_a, tiny_split, monkeypatch):
+    # epochs=0 means no epoch; only None selects the constructor's default.
+    steps = []
+    monkeypatch.setattr(nn.Adam, "step", lambda optimizer: steps.append(optimizer))
+    make(tiny_dataset_a.region).fit(tiny_split.train[:1], epochs=0)
+    assert steps == []

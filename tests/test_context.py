@@ -512,7 +512,7 @@ class TestNormalizers:
         builder = ContextBuilder(small_region, ContextConfig(max_cells=5))
         window = builder.training_windows([sample_record], ["rsrp"], 20, 20)[0]
         transform = CellFeatureTransform(small_region.frame)
-        out = transform(window, window.ue_lat, window.ue_lon)
+        out = transform(window)
         assert out.shape == (20, window.n_cells, N_CELL_FEATURES)
         # sin/cos columns bounded.
         assert np.all(np.abs(out[:, :, 3:5]) <= 1.0 + 1e-9)
@@ -528,7 +528,7 @@ class TestNormalizers:
         assert {w.n_cells for w in windows} == {max_cells}
         transform = CellFeatureTransform(small_region.frame)
         for window in windows:
-            got = transform(window, window.ue_lat, window.ue_lon)
+            got = transform(window)
             want = loop_cell_transform(small_region.frame, window, window.ue_lat, window.ue_lon)
             assert np.array_equal(got, want)
 

@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-import dataclasses
-
 from repro.core import GenDT, GenDTConfig, GenDTGenerator, WindowAssembler, small_config
 from repro.core.features import ModelBatch
 from repro.runtime import read_checkpoint, write_checkpoint
@@ -122,15 +120,10 @@ class TestPersistence:
     def test_save_load_round_trip(self, trained_gendt, tiny_split, tmp_path):
         path = tmp_path / "gendt.npz"
         trained_gendt.save(path)
-        from repro.core import GenDT as GenDTClass
-
-        clone = GenDTClass(
-            trained_gendt.region,
-            kpis=["rsrp", "rsrq"],
-            config=trained_gendt.config,
-            seed=123,
-        )
-        clone.load(path)
+        clone = GenDT.load(path, trained_gendt.region, seed=123)
+        # The checkpoint alone decides what model comes back.
+        assert clone.kpi_names == trained_gendt.kpi_names
+        assert clone.config == trained_gendt.config
         traj = tiny_split.test[0].trajectory
         out = clone.generate(traj)
         assert out.shape == (len(traj), 2)
@@ -138,17 +131,10 @@ class TestPersistence:
         np.testing.assert_allclose(
             clone.target_normalizer.mean, trained_gendt.target_normalizer.mean
         )
-
-    def test_load_wrong_kpis_rejected(self, trained_gendt, tmp_path):
-        path = tmp_path / "gendt.npz"
-        trained_gendt.save(path)
-        from repro.core import GenDT as GenDTClass
-
-        wrong = GenDTClass(
-            trained_gendt.region, kpis=["rsrp"], config=trained_gendt.config
-        )
-        with pytest.raises((ValueError, KeyError)):
-            wrong.load(path)
+        for (name, a), (_, b) in zip(
+            clone.generator.state_dict().items(), trained_gendt.generator.state_dict().items()
+        ):
+            np.testing.assert_array_equal(a, b, err_msg=name)
 
     def test_checkpoint_carries_its_config(self, trained_gendt, tmp_path):
         path = tmp_path / "gendt.npz"
@@ -163,33 +149,31 @@ class TestPersistence:
         with pytest.raises(ValueError, match=r"unknown GenDTConfig fields.*'d_steps_per_g_step'"):
             GenDTConfig.from_meta(meta)
 
-    def test_load_other_config_names_path_and_fields(self, trained_gendt, tmp_path):
-        path = tmp_path / "gendt.npz"
-        trained_gendt.save(path)
-        config = dataclasses.replace(
-            trained_gendt.config, batch_len=30, use_stochastic_layers=False
-        )
-        other = GenDT(trained_gendt.region, kpis=["rsrp", "rsrq"], config=config)
-        with pytest.raises(ValueError) as excinfo:
-            other.load(path)
-        message = str(excinfo.value)
-        assert str(path) in message
-        assert "batch_len" in message and "use_stochastic_layers" in message
-        assert "hidden_size" not in message
-
-    def test_load_checkpoint_without_config_rejected(self, trained_gendt, tmp_path):
+    def test_load_checkpoint_with_an_unknown_config_field_rejected(self, trained_gendt, tmp_path):
         path = tmp_path / "gendt.npz"
         trained_gendt.save(path)
         arrays, meta = read_checkpoint(path)
-        del meta["config"]
+        meta["config"]["d_steps_per_g_step"] = 1
         write_checkpoint(path, arrays, meta)
-        clone = GenDT(
-            trained_gendt.region, kpis=["rsrp", "rsrq"], config=trained_gendt.config
-        )
+        with pytest.raises(ValueError, match=r"unknown GenDTConfig fields.*'d_steps_per_g_step'"):
+            GenDT.load(path, trained_gendt.region)
+
+    @staticmethod
+    def _load_without(model, path, key):
+        model.save(path)
+        arrays, meta = read_checkpoint(path)
+        del meta[key]
+        write_checkpoint(path, arrays, meta)
         with pytest.raises(ValueError) as excinfo:
-            clone.load(path)
+            GenDT.load(path, model.region)
         assert str(path) in str(excinfo.value)
-        assert "batch_len" in str(excinfo.value)
+        assert repr(key) in str(excinfo.value)
+
+    def test_load_checkpoint_without_config_rejected(self, trained_gendt, tmp_path):
+        self._load_without(trained_gendt, tmp_path / "gendt.npz", "config")
+
+    def test_load_checkpoint_without_kpis_rejected(self, trained_gendt, tmp_path):
+        self._load_without(trained_gendt, tmp_path / "gendt.npz", "kpis")
 
 
 class TestAblationVariants:

@@ -144,3 +144,10 @@ class TestTrainerWiring:
         model = GenDT(tiny_dataset_a.region, kpis=["rsrp"], config=config, seed=0)
         with pytest.raises(RuntimeError):
             model.continue_fit(tiny_split.train[:1], epochs=1)
+
+    def test_zero_epochs_run_no_epoch(self, tiny_dataset_a, tiny_split):
+        # epochs=0 means no epoch; only None selects the config's epochs.
+        config = small_config(hidden_size=8, batch_len=15, train_step=15)
+        model = GenDT(tiny_dataset_a.region, kpis=["rsrp"], config=config, seed=0)
+        assert model.fit(tiny_split.train[:1], epochs=0).mse == []
+        assert model.continue_fit(tiny_split.train[:1], epochs=0).mse == []

@@ -234,8 +234,7 @@ def test_float64_checkpoint_loads_into_float32_model(fitted, tiny_dataset_a, tin
     model64 = fitted[F64][0]
     path = tmp_path / "f64.gendt"
     model64.save(path)
-    model32 = GenDT(tiny_dataset_a.region, kpis=KPIS, config=_config(), seed=3)
-    model32.load(path)
+    model32 = GenDT.load(path, tiny_dataset_a.region, seed=3)
     assert {p.data.dtype for p in model32.generator.parameters()} == {F32}
     for (name, p32), (_, p64) in zip(
         model32.generator.named_parameters(), model64.generator.named_parameters()

@@ -5,6 +5,8 @@ naming the op whose backward produced them, module-path annotation, zero-cost
 off mode (no raise, bit-identical training), and the trainer/CLI plumbing.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -122,7 +124,8 @@ class TestOffMode:
                 minibatch_windows=8,
             )
             model = GenDT(tiny_dataset_a.region, kpis=["rsrp"], config=config, seed=3)
-            model.fit(tiny_split.train, detect_anomaly=detect)
+            with detect_anomaly() if detect else nullcontext():
+                model.fit(tiny_split.train)
             return np.concatenate(
                 [p.data.ravel() for p in model.generator.parameters()]
             )
@@ -147,6 +150,38 @@ class TestTrainerPlumbing:
         model.fit(tiny_split.train)
         params = model.generator.parameters()
         params[0].data[...] = np.nan
-        with pytest.raises(NumericalAnomalyError) as excinfo:
-            model.continue_fit(tiny_split.train, epochs=1, detect_anomaly=True)
+        with pytest.raises(NumericalAnomalyError) as excinfo, detect_anomaly():
+            model.continue_fit(tiny_split.train, epochs=1)
         assert excinfo.value.op is not None
+
+
+class TestCliFlag:
+    def test_detect_anomaly_flag_trains_the_same_weights(self, tmp_path, capsys, monkeypatch):
+        from repro.cli import main
+        from repro.core import GenDT
+        from repro.runtime import read_checkpoint
+
+        modes = []
+        fit = GenDT.fit
+
+        def recording_fit(self, *args, **kwargs):
+            modes.append(nn.is_anomaly_enabled())
+            return fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(GenDT, "fit", recording_fit)
+
+        def train(out, *flags):
+            rc = main([
+                "train", "--samples", "120", "--seed", "3", "--hidden", "8",
+                "--epochs", "1", "--out", str(out), *flags,
+            ])
+            assert rc == 0
+            return read_checkpoint(out)[0]
+
+        plain = train(tmp_path / "plain.gendt")
+        detected = train(tmp_path / "detected.gendt", "--detect-anomaly")
+        assert modes == [False, True]
+        assert not nn.is_anomaly_enabled()  # the flag's scope ends with the run
+        assert set(plain) == set(detected)
+        for key in plain:
+            np.testing.assert_array_equal(plain[key], detected[key], err_msg=key)

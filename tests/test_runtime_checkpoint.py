@@ -11,7 +11,6 @@ from repro.runtime import (
     CheckpointCorruptError,
     SCHEMA_VERSION,
     read_checkpoint,
-    resolve_checkpoint,
     write_checkpoint,
 )
 
@@ -85,15 +84,19 @@ class TestManager:
         assert epochs == [3, 4]
         assert manager.latest().name.endswith("000004.gendt")
 
-    def test_resolve_directory_and_file(self, tmp_path):
-        manager = CheckpointManager(tmp_path, keep_last=3)
-        path = manager.save({"w": np.zeros(1)}, {}, 7)
-        assert resolve_checkpoint(tmp_path) == path
-        assert resolve_checkpoint(path) == path
+    def test_latest_of_an_empty_directory_is_none(self, tmp_path):
+        assert CheckpointManager(tmp_path).latest() is None
+        assert CheckpointManager(tmp_path / "absent").latest() is None
 
-    def test_resolve_empty_directory_raises(self, tmp_path):
-        with pytest.raises(CheckpointCorruptError):
-            resolve_checkpoint(tmp_path)
+    def test_due_every_n_epochs(self, tmp_path):
+        manager = CheckpointManager(tmp_path, every=3)
+        assert [epoch for epoch in range(9) if manager.due(epoch)] == [2, 5, 8]
+        assert all(CheckpointManager(tmp_path).due(epoch) for epoch in range(4))
+
+    @pytest.mark.parametrize("setting", [{"every": 0}, {"keep_last": 0}])
+    def test_settings_below_one_rejected(self, tmp_path, setting):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            CheckpointManager(tmp_path, **setting)
 
 
 class TestOptimizerState:
@@ -140,17 +143,16 @@ class TestTrainingResume:
     def test_resume_bit_exact(self, tiny_dataset_a, tiny_split, tmp_path):
         full = self._model(tiny_dataset_a)
         full_history = full.fit(
-            tiny_split.train, checkpoint_every=1, checkpoint_dir=tmp_path / "full", keep_last=5
+            tiny_split.train, checkpoints=CheckpointManager(tmp_path / "full", keep_last=5)
         )
 
         # "Interrupted" run: stop after epoch 2, then resume to completion.
         part = self._model(tiny_dataset_a)
-        part.fit(tiny_split.train, epochs=2, checkpoint_every=1,
-                 checkpoint_dir=tmp_path / "part", keep_last=5)
+        checkpoints = CheckpointManager(tmp_path / "part", keep_last=5)
+        part.fit(tiny_split.train, epochs=2, checkpoints=checkpoints)
         resumed = self._model(tiny_dataset_a)
         resumed_history = resumed.fit(
-            tiny_split.train, checkpoint_every=1, checkpoint_dir=tmp_path / "part",
-            keep_last=5, resume_from=tmp_path / "part",
+            tiny_split.train, checkpoints=checkpoints, resume_from=checkpoints.latest()
         )
 
         full_state = full.generator.state_dict()
@@ -163,18 +165,18 @@ class TestTrainingResume:
 
     def test_resume_restores_history_and_rng(self, tiny_dataset_a, tiny_split, tmp_path):
         model = self._model(tiny_dataset_a)
-        model.fit(tiny_split.train, epochs=2, checkpoint_every=1,
-                  checkpoint_dir=tmp_path / "c", keep_last=5)
+        checkpoints = CheckpointManager(tmp_path / "c", keep_last=5)
+        model.fit(tiny_split.train, epochs=2, checkpoints=checkpoints)
         resumed = self._model(tiny_dataset_a)
-        history = resumed.fit(tiny_split.train, resume_from=tmp_path / "c")
+        history = resumed.fit(tiny_split.train, resume_from=checkpoints.latest())
         # 2 restored epochs + 1 new one.
         assert len(history.mse) == 3
 
     def test_trainer_checkpoint_carries_model_meta(self, tiny_dataset_a, tiny_split, tmp_path):
         model = self._model(tiny_dataset_a)
-        model.fit(tiny_split.train, epochs=1, checkpoint_every=1,
-                  checkpoint_dir=tmp_path / "c")
-        _, meta = read_checkpoint(resolve_checkpoint(tmp_path / "c"))
+        checkpoints = CheckpointManager(tmp_path / "c")
+        model.fit(tiny_split.train, epochs=1, checkpoints=checkpoints)
+        _, meta = read_checkpoint(checkpoints.latest())
         assert meta["kind"] == "trainer"
         assert meta["kpis"] == ["rsrp"]
         assert "rng_state" in meta and "target_normalizer" in meta
@@ -194,9 +196,5 @@ class TestModelPersistenceFormat:
         raw = bytearray(path.read_bytes())
         raw[len(raw) // 2] ^= 0x01
         path.write_bytes(bytes(raw))
-        clone = GenDT(
-            trained_gendt.region, kpis=["rsrp", "rsrq"],
-            config=trained_gendt.config, seed=0,
-        )
         with pytest.raises(CheckpointCorruptError):
-            clone.load(path)
+            GenDT.load(path, trained_gendt.region)
