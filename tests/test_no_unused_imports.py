@@ -26,12 +26,8 @@ def _module_level_imports(tree: ast.Module):
     pending = list(tree.body)
     while pending:
         node = pending.pop(0)
-        if isinstance(node, ast.If):
+        if isinstance(node, ast.If):  # `if TYPE_CHECKING:` among them
             pending.extend(node.body + node.orelse)
-        elif isinstance(node, ast.Try):
-            pending.extend(node.body + node.orelse + node.finalbody)
-            for handler in node.handlers:
-                pending.extend(handler.body)
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 yield (alias.asname or alias.name.partition(".")[0]), node.lineno

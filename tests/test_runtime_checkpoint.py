@@ -93,10 +93,10 @@ class TestManager:
         assert [epoch for epoch in range(9) if manager.due(epoch)] == [2, 5, 8]
         assert all(CheckpointManager(tmp_path).due(epoch) for epoch in range(4))
 
-    @pytest.mark.parametrize("setting", [{"every": 0}, {"keep_last": 0}])
-    def test_settings_below_one_rejected(self, tmp_path, setting):
-        with pytest.raises(ValueError, match=next(iter(setting))):
-            CheckpointManager(tmp_path, **setting)
+    @pytest.mark.parametrize("name", ["every", "keep_last"])
+    def test_settings_below_one_rejected(self, tmp_path, name):
+        with pytest.raises(ValueError, match=name):
+            CheckpointManager(tmp_path, **{name: 0})
 
 
 class TestOptimizerState:
@@ -171,6 +171,11 @@ class TestTrainingResume:
         history = resumed.fit(tiny_split.train, resume_from=checkpoints.latest())
         # 2 restored epochs + 1 new one.
         assert len(history.mse) == 3
+
+    def test_checkpoints_written_only_when_due(self, tiny_dataset_a, tiny_split, tmp_path):
+        checkpoints = CheckpointManager(tmp_path / "c", every=2, keep_last=5)
+        self._model(tiny_dataset_a).fit(tiny_split.train, checkpoints=checkpoints)
+        assert [epoch for epoch, _ in checkpoints.checkpoints()] == [1]
 
     def test_trainer_checkpoint_carries_model_meta(self, tiny_dataset_a, tiny_split, tmp_path):
         model = self._model(tiny_dataset_a)
