@@ -71,9 +71,11 @@ def test_fig11_uncertainty_vs_random(benchmark, al_setup):
     for i, step in enumerate(uncertainty.steps):
         rand_dtw = float(np.mean([r.steps[i].metrics["dtw"] for r in random_runs]))
         rand_hwd = float(np.mean([r.steps[i].metrics["hwd"] for r in random_runs]))
+        rand_used = float(np.mean([r.steps[i].fraction_used for r in random_runs]))
         rows.append(
             [
                 f"{step.fraction_used:.0%}",
+                f"{rand_used:.0%}",
                 step.metrics["dtw"],
                 rand_dtw,
                 step.metrics["hwd"],
@@ -81,7 +83,10 @@ def test_fig11_uncertainty_vs_random(benchmark, al_setup):
             ]
         )
     table = format_table(
-        ["data_used", "dtw:uncertainty", "dtw:random", "hwd:uncertainty", "hwd:random"],
+        # Each strategy's time-weighted share of the data (§5.1); the random
+        # one is the mean over its runs.
+        ["data_used:uncertainty", "data_used:random", "dtw:uncertainty", "dtw:random",
+         "hwd:uncertainty", "hwd:random"],
         rows,
         title="Figure 11: uncertainty-guided vs random training-data selection",
     )

@@ -28,6 +28,7 @@ from ...context.normalize import N_CELL_FEATURES
 from ...core.config import small_config
 from ...core.generator import GenDTGenerator
 from ...core.networks import (
+    RESGEN_AR_WINDOW,
     AggregationNetwork,
     Discriminator,
     GnnNodeNetwork,
@@ -145,11 +146,10 @@ class _DetachedHeadNet(nn.Module):
 
 
 def _miswindowed_resgen(rng: np.random.Generator) -> nn.Module:
-    config = small_config()
-    module = ResGen(28, 2, config, rng)
+    module = ResGen(28, 2, small_config(), rng)
     # Simulates loading weights trained with a different AR window m: the
     # recent-residuals input no longer matches the MLP's first layer.
-    module.ar_window = config.resgen_ar_window + 2
+    module.ar_window = RESGEN_AR_WINDOW + 2
     return module
 
 

@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..context.extract import ContextConfig
 from ..context.normalize import (
     CellFeatureTransform,
     EnvFeatureNormalizer,
@@ -68,7 +67,7 @@ class ContextEncodingMixin:
         self.kpi_spec = KpiSpec([KPI(k) for k in kpis])
         self.max_cells = max_cells
         self.rng = np.random.default_rng(seed)
-        self.context = ContextBuilder(region, ContextConfig(max_cells=max_cells))
+        self.context = ContextBuilder(region, max_cells)
         self.env_normalizer = EnvFeatureNormalizer()
         self.target_normalizer = TargetNormalizer()
         self.assembler = WindowAssembler(

@@ -1,7 +1,6 @@
 """Context pipeline: extraction, windowing, normalization (paper §2.3, §4.2)."""
 
 from .extract import (
-    ContextConfig,
     EnvironmentContextExtractor,
     N_CELL_ATTRIBUTES,
     NetworkContextExtractor,
@@ -15,7 +14,6 @@ from .normalize import (
 )
 
 __all__ = [
-    "ContextConfig",
     "NetworkContextExtractor",
     "EnvironmentContextExtractor",
     "N_CELL_ATTRIBUTES",

@@ -3,8 +3,8 @@
 Implements paper §2.3.3/§2.3.4 and §4.2: for every timestamp of a trajectory
 we extract
 
-* the **network context** — every cell within ``d_s`` of the device is a
-  potential serving cell; each contributes the 5 attributes
+* the **network context** — every cell within ``d_s`` (:data:`D_S_M`) of
+  the device is a potential serving cell; each contributes the 5 attributes
   ``[lat, lon, p_max, direction, distance_t]`` (distance is the only one
   that varies with time, implicitly encoding device movement);
 * the **environment context** — the 26 attributes of Table 11 (12 land-use
@@ -20,7 +20,6 @@ cached by cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,6 +31,10 @@ from ..world.region import Region
 
 #: Number of raw per-cell context attributes (paper: N_c = 5).
 N_CELL_ATTRIBUTES = 5
+#: d_s, the distance within which a cell counts as visible (m).  The paper's
+#: empirical guidance (§4.2) is ~2 km within cities and ~4 km on highways; a
+#: conservative single value works at the cost of compute.
+D_S_M = 2500.0
 
 
 class NetworkContextExtractor:
@@ -45,11 +48,8 @@ class NetworkContextExtractor:
     else that reads the region.
     """
 
-    def __init__(self, region: Region, d_s_m: float) -> None:
-        if d_s_m <= 0:
-            raise ValueError("d_s must be positive")
+    def __init__(self, region: Region) -> None:
         self.region = region
-        self.d_s_m = d_s_m
 
     @property
     def deployment(self) -> CellDeployment:
@@ -81,7 +81,7 @@ class NetworkContextExtractor:
         # runs over the rows in order either way, so the order among two or
         # more visible cells is the per-column mean's (one cell has no order).
         mean_d = np.add.reduce(block, axis=0) / len(block)
-        visible = np.flatnonzero(np.logical_or.reduce(block <= self.d_s_m, axis=0))
+        visible = np.flatnonzero(np.logical_or.reduce(block <= D_S_M, axis=0))
         if len(visible) == 0:
             # Degenerate coverage hole: fall back to the single nearest cell.
             visible = np.array([np.argmin(mean_d)])
@@ -150,15 +150,3 @@ class EnvironmentContextExtractor:
             return np.empty((0, N_ENV_ATTRIBUTES))
         return np.stack([self._cache[key] for key in keys])
 
-
-@dataclass(frozen=True)
-class ContextConfig:
-    """Scope parameters for context extraction.
-
-    ``d_s_m`` follows the paper's empirical guidance (§4.2): ~2 km within
-    cities, ~4 km on highways; a conservative single value works at the cost
-    of compute.  ``max_cells`` bounds the GNN fan-in per batch.
-    """
-
-    d_s_m: float = 2500.0
-    max_cells: int = 8

@@ -18,7 +18,7 @@ import numpy as np
 from ..geo.trajectory import Trajectory
 from ..radio.simulator import DriveTestRecord
 from ..world.region import Region
-from .extract import ContextConfig, EnvironmentContextExtractor, NetworkContextExtractor
+from .extract import EnvironmentContextExtractor, NetworkContextExtractor
 
 
 @dataclass
@@ -73,12 +73,15 @@ def window_starts(total: int, length: int, step: int) -> List[int]:
 
 
 class ContextBuilder:
-    """Builds :class:`ContextWindow` sequences from trajectories/records."""
+    """Builds :class:`ContextWindow` sequences from trajectories/records.
 
-    def __init__(self, region: Region, config: Optional[ContextConfig] = None) -> None:
+    ``max_cells`` caps a window's visible-cell set N_b, the GNN fan-in.
+    """
+
+    def __init__(self, region: Region, max_cells: int) -> None:
         self.region = region
-        self.config = config or ContextConfig()
-        self.network = NetworkContextExtractor(region, self.config.d_s_m)
+        self.max_cells = max_cells
+        self.network = NetworkContextExtractor(region)
         self.environment = EnvironmentContextExtractor(region)
 
     # ------------------------------------------------------------------
@@ -104,7 +107,7 @@ class ContextBuilder:
         for start in window_starts(len(trajectory), eff_length, step):
             stop = start + eff_length
             cell_idx = self.network.window_cells(
-                distances, start, stop, max_cells=self.config.max_cells
+                distances, start, stop, max_cells=self.max_cells
             )
             features = self.network.window_features(distances, cell_idx, start, stop)
             windows.append(

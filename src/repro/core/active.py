@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..metrics.efficiency import fraction_used
 from ..radio.simulator import DriveTestRecord
 from .model import GenDT
 from .uncertainty import subset_uncertainties
@@ -70,26 +71,28 @@ def run_active_learning(
 
     Returns:
         the metric trace; ``fraction_used`` is the measurement-efficiency
-        axis of paper Fig. 11 (subsets used / total subsets).
+        axis of paper Fig. 11: the selected subsets' measurement time over
+        all subsets' (:func:`repro.metrics.fraction_used`).
     """
     if strategy not in ("uncertainty", "random"):
         raise ValueError(f"unknown strategy: {strategy}")
     if strategy == "random" and rng is None:
         raise ValueError("random strategy requires rng")
     subsets = list(subsets)
-    n_total = len(subsets)
+    available = [r for subset in subsets for r in subset]
     selected = [INITIAL_SUBSET]
-    remaining = [i for i in range(n_total) if i != INITIAL_SUBSET]
+    remaining = [i for i in range(len(subsets)) if i != INITIAL_SUBSET]
 
     model = model_factory()
-    model.fit([r for i in selected for r in subsets[i]], epochs=epochs_per_step)
+    pool = list(subsets[INITIAL_SUBSET])
+    model.fit(pool, epochs=epochs_per_step)
 
     result = ActiveLearningResult(strategy=strategy)
     result.steps.append(
         ActiveLearningStep(
             step=0,
             chosen_subset=INITIAL_SUBSET,
-            fraction_used=len(selected) / n_total,
+            fraction_used=fraction_used(pool, available),
             metrics=evaluate(model),
         )
     )
@@ -105,14 +108,13 @@ def run_active_learning(
             pick_pos = int(rng.integers(len(remaining)))
         chosen = remaining.pop(pick_pos)
         selected.append(chosen)
-        model.continue_fit(
-            [r for i in selected for r in subsets[i]], epochs=epochs_per_step
-        )
+        pool = [r for i in selected for r in subsets[i]]
+        model.continue_fit(pool, epochs=epochs_per_step)
         result.steps.append(
             ActiveLearningStep(
                 step=step,
                 chosen_subset=chosen,
-                fraction_used=len(selected) / n_total,
+                fraction_used=fraction_used(pool, available),
                 metrics=evaluate(model),
             )
         )

@@ -4,7 +4,10 @@ Defaults follow the paper (§A.3): batch length L = 50, sliding step Δt = 5
 (any step in [1, 15] behaves similarly), hidden size H = 100 for both the
 GNN-node and aggregation LSTMs, stochastic-layer noise intensity
 a_h = a_c = 2, adversarial loss weight λ = 0.1.  Tests and CI-scale
-benchmarks construct smaller configs; the physics does not change.
+benchmarks construct smaller configs; the physics does not change.  The
+settings no caller varies (noise widths, ResGen's AR window m and dropout,
+learning rates, gradient clip) are constants beside the code that reads
+them, in ``networks`` and ``training``.
 """
 
 from __future__ import annotations
@@ -24,11 +27,7 @@ class GenDTConfig:
 
     # Architecture (paper §4.3.1)
     hidden_size: int = 100               #: H for GNN-node and aggregation LSTMs
-    n_noise_node: int = 2                #: N_z0, denoising noise on the node net
-    n_noise_resgen: int = 4              #: N_z1, stochastic noise into ResGen
     resgen_hidden: Tuple[int, ...] = (64, 64, 32)
-    resgen_ar_window: int = 3            #: m recent KPI values fed back (autoregression)
-    resgen_dropout: float = 0.2
 
     # Stochastic layers (paper §4.3.4, §A.2)
     use_stochastic_layers: bool = True
@@ -40,11 +39,8 @@ class GenDTConfig:
 
     # Training (paper §4.3.5)
     lambda_adv: float = 0.1              #: λ weight of the GAN loss
-    lr_generator: float = 1e-3
-    lr_discriminator: float = 1e-3
     epochs: int = 30
     minibatch_windows: int = 8           #: windows per gradient step
-    grad_clip: float = 5.0
 
     # Context scope
     max_cells: int = 8                   #: cap on N_b per window
@@ -74,12 +70,8 @@ class GenDTConfig:
             raise ValueError("train_step must be >= 1")
         if self.hidden_size < 1:
             raise ValueError("hidden_size must be positive")
-        if not 0.0 <= self.resgen_dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
         if self.lambda_adv < 0:
             raise ValueError("lambda_adv must be non-negative")
-        if self.resgen_ar_window < 1:
-            raise ValueError("resgen_ar_window must be >= 1")
 
 
 def small_config(**overrides) -> GenDTConfig:

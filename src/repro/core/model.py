@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..context.extract import ContextConfig
 from ..context.normalize import (
     CellFeatureTransform,
     EnvFeatureNormalizer,
@@ -55,9 +54,7 @@ class GenDT:
         self.config = config or GenDTConfig()
         self.config.validate()
         self._rng = np.random.default_rng(seed)
-        # Context scope stays at ContextConfig's paper default d_s; only the
-        # GNN fan-in follows the model.
-        self.context = ContextBuilder(region, ContextConfig(max_cells=self.config.max_cells))
+        self.context = ContextBuilder(region, self.config.max_cells)
         self.cell_transform = CellFeatureTransform(region.frame)
         self.env_normalizer = EnvFeatureNormalizer()
         self.target_normalizer = TargetNormalizer()
@@ -332,14 +329,16 @@ class GenDT:
             CheckpointCorruptError: the file is missing or is not an intact
                 checkpoint container (bad magic, checksum mismatch,
                 truncation), always carrying the offending path.
-            ValueError: the checkpoint's metadata lacks ``kpis`` or
-                ``config`` (the message names the path and the key), or its
-                config has a field :class:`GenDTConfig` does not know.
+            ValueError: the checkpoint's metadata lacks a key that
+                :meth:`save` writes (the message names the path and every
+                missing key), or its config has a field
+                :class:`GenDTConfig` does not know.
         """
         arrays, meta = read_checkpoint(path)
-        for key in ("kpis", "config"):
-            if key not in meta:
-                raise ValueError(f"checkpoint {path}: metadata lacks {key!r}")
+        keys = ("kpis", "config", "n_env", "env_normalizer", "target_normalizer")
+        missing = [key for key in keys if key not in meta]
+        if missing:
+            raise ValueError(f"checkpoint {path}: metadata lacks {', '.join(map(repr, missing))}")
         model = cls(
             region, kpis=meta["kpis"], config=GenDTConfig.from_meta(meta["config"]), seed=seed
         )

@@ -31,6 +31,15 @@ from ..nn.anomaly import NumericalAnomalyError, annotate_module, is_anomaly_enab
 from ..nn.tensor import Tensor, concat
 from .config import GenDTConfig
 
+#: N_z0, the width of ``G_n``'s denoising noise ``z0``.
+N_NOISE_NODE = 2
+#: N_z1, the width of ResGen's stochastic noise ``z1``.
+N_NOISE_RESGEN = 4
+#: m, the recent residuals ResGen conditions on (its autoregression order).
+RESGEN_AR_WINDOW = 3
+#: ResGen's dropout before the head, also the MC-dropout probe (§6.2.1).
+RESGEN_DROPOUT = 0.2
+
 
 def _srnn(config: GenDTConfig) -> Optional[Tuple[float, float]]:
     """``G_n``'s and ``G_a``'s SRNN intensities ``(a_h, a_c)``, or None with the layers off."""
@@ -56,7 +65,7 @@ class GnnNodeNetwork(nn.Module):
 
     def __init__(self, n_features: int, config: GenDTConfig, rng: np.random.Generator) -> None:
         super().__init__()
-        self.n_noise = config.n_noise_node
+        self.n_noise = N_NOISE_NODE
         self.lstm = nn.LSTM(n_features + self.n_noise, config.hidden_size, rng, _srnn(config))
 
     def forward(self, cell_inputs: Tensor, rng: Optional[np.random.Generator] = None) -> Tensor:
@@ -132,8 +141,8 @@ class ResGen(nn.Module):
         super().__init__()
         self.n_env = n_env
         self.n_channels = n_channels
-        self.n_noise = config.n_noise_resgen
-        self.ar_window = config.resgen_ar_window
+        self.n_noise = N_NOISE_RESGEN
+        self.ar_window = RESGEN_AR_WINDOW
         in_features = n_env + self.n_noise + self.ar_window * n_channels
         # Head: m AR gains + 1 log-sigma per channel.
         self.mlp = nn.MLP(
@@ -141,7 +150,7 @@ class ResGen(nn.Module):
             list(config.resgen_hidden),
             (self.ar_window + 1) * n_channels,
             rng,
-            dropout=config.resgen_dropout,
+            dropout=RESGEN_DROPOUT,
         )
 
     def sample(

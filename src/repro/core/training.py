@@ -36,6 +36,11 @@ from .networks import Discriminator
 #: head.  Small, so the NLL shapes sigma without pulling the MSE/GAN fit of
 #: the series; every fit uses this value.
 NLL_WEIGHT = 0.1
+#: Adam learning rates of the generator and the discriminator.
+LR_GENERATOR = 1e-3
+LR_DISCRIMINATOR = 1e-3
+#: Global gradient-norm clip applied before every optimizer step.
+GRAD_CLIP = 5.0
 
 
 @dataclass
@@ -77,16 +82,14 @@ class GenDTTrainer:
         self.generator = generator
         self.config = config
         self.rng = rng
-        self.g_optimizer = nn.Adam(generator.parameters(), lr=config.lr_generator)
+        self.g_optimizer = nn.Adam(generator.parameters(), lr=LR_GENERATOR)
         self.discriminator: Optional[Discriminator] = None
         self.d_optimizer: Optional[nn.Adam] = None
         if config.lambda_adv > 0:
             self.discriminator = Discriminator(
                 generator.n_channels, config, rng
             ).astype(generator.dtype)
-            self.d_optimizer = nn.Adam(
-                self.discriminator.parameters(), lr=config.lr_discriminator
-            )
+            self.d_optimizer = nn.Adam(self.discriminator.parameters(), lr=LR_DISCRIMINATOR)
         self.history = TrainingHistory()
 
     # ------------------------------------------------------------------
@@ -101,7 +104,7 @@ class GenDTTrainer:
         loss = nn.discriminator_loss(real_logits, fake_logits)
         self.d_optimizer.zero_grad()
         loss.backward()
-        self.d_optimizer.clip_grad_norm(self.config.grad_clip)
+        self.d_optimizer.clip_grad_norm(GRAD_CLIP)
         self.d_optimizer.step()
         return loss.item()
 
@@ -141,7 +144,7 @@ class GenDTTrainer:
             self.g_optimizer.zero_grad()
             loss.backward()
         if guard is None or guard.inspect_gradients(self.g_optimizer):
-            self.g_optimizer.clip_grad_norm(self.config.grad_clip)
+            self.g_optimizer.clip_grad_norm(GRAD_CLIP)
             self.g_optimizer.step()
         # else: gradients are non-finite — skip the update; the guard's
         # after_step() rolls the step back and backs off the learning rate.

@@ -26,6 +26,12 @@ from ..world.region import Region
 
 #: The KPI that MDT, crowdsourcing and GenDT coverage measurements report.
 COVERAGE_KPI = "rsrp"
+#: Crowdsourcing's reporting period (app wake-ups), in seconds.
+CROWD_REPORT_PERIOD_S = 30.0
+#: Crowdsourcing's reading granularity (OS API quantization), in dB.
+CROWD_QUANTIZATION_DB = 2.0
+#: Length of each route the operator chooses for GenDT pseudo-measurements.
+GENDT_ROUTE_LENGTH_M = 1500.0
 
 
 @dataclass
@@ -102,8 +108,6 @@ def crowdsourced_campaign(
     region: Region,
     rng: np.random.Generator,
     n_users: int = 40,
-    report_period_s: float = 30.0,
-    quantization_db: float = 2.0,
 ) -> SparseMeasurements:
     """Synthesize a crowdsourced (OpenSignal-style) collection round.
 
@@ -112,10 +116,10 @@ def crowdsourced_campaign(
     """
     raw = mdt_campaign(
         region, rng,
-        n_users=n_users, report_period_s=report_period_s,
+        n_users=n_users, report_period_s=CROWD_REPORT_PERIOD_S,
         participation=0.8, hotspot_bias=0.3,
     )
-    quantized = np.round(raw.value / quantization_db) * quantization_db
+    quantized = np.round(raw.value / CROWD_QUANTIZATION_DB) * CROWD_QUANTIZATION_DB
     return SparseMeasurements(raw.lat, raw.lon, quantized)
 
 
@@ -173,7 +177,6 @@ def gendt_coverage_measurements(
     region: Region,
     rng: np.random.Generator,
     n_routes: int = 12,
-    route_length_m: float = 1500.0,
 ) -> SparseMeasurements:
     """Generate GenDT pseudo-measurements over systematic routes.
 
@@ -187,7 +190,7 @@ def gendt_coverage_measurements(
     values: List[np.ndarray] = []
     for k in range(n_routes):
         city = city_names[k % len(city_names)]
-        route = region.roads.random_walk_route(rng, route_length_m, city=city)
+        route = region.roads.random_walk_route(rng, GENDT_ROUTE_LENGTH_M, city=city)
         trajectory = region.roads.route_to_trajectory(
             route, 8.0, 2.0, scenario="gendt_map", rng=rng
         )

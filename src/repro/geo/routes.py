@@ -22,6 +22,9 @@ from .trajectory import Trajectory, from_waypoints
 
 #: Coefficient of variation of the speed between a route's waypoint legs.
 ROUTE_SPEED_JITTER = 0.15
+#: Edge kinds a random walk may traverse: city scenarios stay on streets
+#: (inter-city driving takes :meth:`RoadNetwork.intercity_route`).
+WALK_EDGE_KINDS: Tuple[str, ...] = ("street",)
 
 
 @dataclass(frozen=True)
@@ -130,15 +133,13 @@ class RoadNetwork:
         rng: np.random.Generator,
         length_m: float,
         city: Optional[str] = None,
-        kinds: Tuple[str, ...] = ("street",),
         start_node: Optional[Tuple[float, float]] = None,
     ) -> List[Tuple[float, float]]:
         """Sample a non-backtracking walk of roughly ``length_m`` metres.
 
-        ``kinds`` restricts which edge kinds may be traversed (streets only
-        for city scenarios, highway+street for inter-city driving).  Without
-        a ``start_node`` the walk starts at a random node of ``city``, or,
-        with no city, at a random node with an edge of an allowed kind.
+        The walk traverses only edges of :data:`WALK_EDGE_KINDS`.  Without
+        a ``start_node`` it starts at a random node of ``city``, or, with no
+        city, at a random node with an edge of an allowed kind.
         """
         if start_node is None:
             if city is not None:
@@ -146,10 +147,10 @@ class RoadNetwork:
             else:
                 candidates = [
                     node for node, edges in self.adj.items()
-                    if any(edge.kind in kinds for edge in edges.values())
+                    if any(edge.kind in WALK_EDGE_KINDS for edge in edges.values())
                 ]
                 if not candidates:
-                    raise ValueError(f"no road has an edge of kinds {kinds}")
+                    raise ValueError(f"no road has an edge of kinds {WALK_EDGE_KINDS}")
             start_node = candidates[int(rng.integers(len(candidates)))]
         route = [start_node]
         covered = 0.0
@@ -157,7 +158,7 @@ class RoadNetwork:
         node = start_node
         while covered < length_m:
             edges = self.adj[node]
-            neighbors = [nb for nb, edge in edges.items() if edge.kind in kinds]
+            neighbors = [nb for nb, edge in edges.items() if edge.kind in WALK_EDGE_KINDS]
             if not neighbors:
                 break
             options = [nb for nb in neighbors if nb != prev] or neighbors

@@ -27,20 +27,15 @@ def mae(real: np.ndarray, generated: np.ndarray) -> float:
     return float(np.mean(np.abs(real - generated)))
 
 
-def dtw(
-    real: np.ndarray,
-    generated: np.ndarray,
-    band: Optional[int] = None,
-    normalize: bool = True,
-) -> float:
-    """Dynamic time warping distance between two 1-D series.
+def dtw(real: np.ndarray, generated: np.ndarray, band: Optional[int] = None) -> float:
+    """Dynamic time warping distance between two 1-D series, per path step:
+    the alignment cost divided by the warping-path length.
 
     Args:
         real, generated: the two series (lengths may differ).
         band: Sakoe-Chiba band half-width; None = unconstrained.  A band of
             ~10 % of the series length is a good speed/accuracy tradeoff for
             long drive-test series.
-        normalize: divide the alignment cost by the warping-path length.
     """
     x = np.asarray(real, dtype=float).ravel()
     y = np.asarray(generated, dtype=float).ravel()
@@ -87,9 +82,7 @@ def dtw(
     total = prev[m]
     if not np.isfinite(total):
         raise RuntimeError("DTW band too narrow for the series lengths")
-    if normalize:
-        return float(total / max(path_prev[m], 1.0))
-    return float(total)
+    return float(total / max(path_prev[m], 1.0))
 
 
 def wasserstein_1d(real: np.ndarray, generated: np.ndarray) -> float:
@@ -104,12 +97,16 @@ def wasserstein_1d(real: np.ndarray, generated: np.ndarray) -> float:
     return float(np.sum(np.abs(x_cdf - y_cdf) * deltas))
 
 
-def hwd(real: np.ndarray, generated: np.ndarray, n_bins: int = 50) -> float:
+#: Bins of HWD's shared histogram over the two samples' joint range.
+HWD_BINS = 50
+
+
+def hwd(real: np.ndarray, generated: np.ndarray) -> float:
     """Histogram Wasserstein Distance (paper §5.1), in the KPI's units.
 
-    Histograms of the two samples over a shared binning, compared with the
-    1-Wasserstein distance between the binned distributions: the L1 area
-    between the two histogram CDFs.
+    Histograms of the two samples over a shared binning of :data:`HWD_BINS`
+    bins, compared with the 1-Wasserstein distance between the binned
+    distributions: the L1 area between the two histogram CDFs.
     """
     x = np.asarray(real, dtype=float).ravel()
     y = np.asarray(generated, dtype=float).ravel()
@@ -117,7 +114,7 @@ def hwd(real: np.ndarray, generated: np.ndarray, n_bins: int = 50) -> float:
     hi = max(x.max(), y.max())
     if hi <= lo:
         return 0.0
-    bins = np.linspace(lo, hi, n_bins + 1)
+    bins = np.linspace(lo, hi, HWD_BINS + 1)
     hx, _ = np.histogram(x, bins=bins)
     hy, _ = np.histogram(y, bins=bins)
     px = hx / hx.sum()

@@ -24,28 +24,16 @@ class Linear(Module):
     leaky-ReLU activations throughout, per paper Figure 7).
     """
 
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        rng: np.random.Generator,
-        bias: bool = True,
-    ) -> None:
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator) -> None:
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(init.kaiming_uniform((out_features, in_features), rng))
-        if bias:
-            bound = 1.0 / np.sqrt(in_features)
-            self.bias: Optional[Parameter] = Parameter(rng.uniform(-bound, bound, size=out_features))
-        else:
-            self.bias = None
+        bound = 1.0 / np.sqrt(in_features)
+        self.bias = Parameter(rng.uniform(-bound, bound, size=out_features))
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x.matmul(self.weight.T)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return x.matmul(self.weight.T) + self.bias
 
 
 class LeakyReLU(Module):

@@ -367,14 +367,14 @@ class Tensor:
 
         return self._make(out_data, (self,), backward)
 
-    def mean(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
+    def mean(self, axis: Optional[Union[int, Tuple[int, ...]]] = None) -> "Tensor":
         if axis is None:
             count = self.size
         elif isinstance(axis, int):
             count = self.shape[axis]
         else:
             count = int(np.prod([self.shape[a] for a in axis]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        return self.sum(axis=axis) * (1.0 / count)
 
     # ------------------------------------------------------------------
     # Shape manipulation

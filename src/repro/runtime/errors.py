@@ -18,7 +18,7 @@ class GenDTRuntimeError(RuntimeError):
 
 
 class DivergenceError(GenDTRuntimeError):
-    """Training health could not be restored within ``max_recoveries``.
+    """Training health could not be restored within ``MAX_RECOVERIES``.
 
     Raised by :class:`~repro.runtime.guards.HealthGuard` after it has
     exhausted its rollback budget; the trainer's parameters are left at the

@@ -13,7 +13,7 @@ is lost.  :class:`HealthGuard` watches each optimization step for
 and on any trip rolls the trainer back to the last-good snapshot of
 parameters **and** optimizer state, then backs off the learning rates by
 :data:`LR_BACKOFF` so the same step is unlikely to blow up again.  After
-``max_recoveries`` rollbacks it gives up and raises
+:data:`MAX_RECOVERIES` rollbacks it gives up and raises
 :class:`~repro.runtime.errors.DivergenceError` — with the trainer left at
 the last-good snapshot, so a checkpoint written afterwards is still sane.
 
@@ -37,8 +37,10 @@ from .errors import DivergenceError
 FAULT_KINDS = ("nan_loss", "corrupt_grad", "explode_loss")
 
 # The guard's policy.  Fixed, because it only has to separate healthy steps
-# from broken ones, whose losses differ by orders of magnitude; the one
-# setting callers vary is the rollback budget, ``max_recoveries``.
+# from broken ones, whose losses differ by orders of magnitude.
+#: Rollback budget for one ``fit`` call; the next trip beyond it raises
+#: :class:`DivergenceError`.
+MAX_RECOVERIES = 3
 #: Learning-rate factor applied to every attached optimizer on each rollback.
 LR_BACKOFF = 0.5
 #: A finite loss above this multiple of the rolling median of recent healthy
@@ -71,17 +73,10 @@ class _Snapshot:
 class HealthGuard:
     """Per-step numerical watchdog with rollback-and-backoff recovery.
 
-    Args:
-        max_recoveries: rollback budget for one ``fit`` call; the next trip
-            beyond it raises :class:`DivergenceError`.
-
     Every healthy step is snapshotted as the new last-good state.
     """
 
-    def __init__(self, max_recoveries: int = 3) -> None:
-        if max_recoveries < 0:
-            raise ValueError("max_recoveries must be >= 0")
-        self.max_recoveries = max_recoveries
+    def __init__(self) -> None:
         self.events: List[GuardEvent] = []
         self.recoveries = 0
         self._losses: Deque[float] = deque(maxlen=BASELINE_WINDOW)
@@ -202,7 +197,7 @@ class HealthGuard:
     def _recover(self, kind: str, loss_value: float) -> None:
         self._restore_snapshot()
         self.recoveries += 1
-        if self.recoveries > self.max_recoveries:
+        if self.recoveries > MAX_RECOVERIES:
             self.events.append(
                 GuardEvent(
                     step=self._step, kind=kind, action="fatal",

@@ -22,16 +22,14 @@ MIN_DWELL_SAMPLES = 3
 
 
 def snap_serving_series(
-    serving_series: np.ndarray,
-    candidate_ids: Optional[Sequence[int]] = None,
-    min_dwell_samples: int = MIN_DWELL_SAMPLES,
+    serving_series: np.ndarray, candidate_ids: Optional[Sequence[int]] = None
 ) -> np.ndarray:
     """Post-process a generated serving-cell channel into a clean id series.
 
     The generative model emits the serving-cell channel as a continuous
     value; decoding it requires (a) snapping each sample to the nearest
     *valid* cell id (when the candidate set is known) and (b) removing
-    dwells shorter than ``min_dwell_samples`` — generation noise of a
+    dwells shorter than :data:`MIN_DWELL_SAMPLES` — generation noise of a
     fraction of the channel's scale would otherwise read as a storm of
     spurious handovers.  Short runs are merged into the preceding dwell.
     """
@@ -46,17 +44,16 @@ def snap_serving_series(
         ids = np.round(values)
     ids = ids.astype(int).copy()
     # Merge short dwells into the preceding run.
-    if min_dwell_samples > 1 and len(ids) > 1:
-        run_start = 0
-        for t in range(1, len(ids) + 1):
-            if t == len(ids) or ids[t] != ids[run_start]:
-                run_len = t - run_start
-                if run_start > 0 and run_len < min_dwell_samples:
-                    ids[run_start:t] = ids[run_start - 1]
-                else:
-                    run_start = t
-                if t < len(ids) and ids[t] != ids[run_start]:
-                    run_start = t
+    run_start = 0
+    for t in range(1, len(ids) + 1):
+        if t == len(ids) or ids[t] != ids[run_start]:
+            run_len = t - run_start
+            if run_start > 0 and run_len < MIN_DWELL_SAMPLES:
+                ids[run_start:t] = ids[run_start - 1]
+            else:
+                run_start = t
+            if t < len(ids) and ids[t] != ids[run_start]:
+                run_start = t
     return ids
 
 
@@ -64,12 +61,9 @@ def handover_intervals_from_series(
     serving_series: np.ndarray,
     timestamps_s: np.ndarray,
     candidate_ids: Optional[Sequence[int]] = None,
-    min_dwell_samples: int = MIN_DWELL_SAMPLES,
 ) -> np.ndarray:
     """Inter-handover intervals from a (generated) serving-cell channel."""
-    ids = snap_serving_series(
-        serving_series, candidate_ids=candidate_ids, min_dwell_samples=min_dwell_samples
-    )
+    ids = snap_serving_series(serving_series, candidate_ids=candidate_ids)
     return inter_handover_times(ids, timestamps_s)
 
 

@@ -17,6 +17,10 @@ from ..radio.cells import Cell, CellDeployment
 from ..core.model import GenDT
 
 
+#: Sectors of a site :func:`with_new_site` adds, evenly spaced in azimuth.
+NEW_SITE_SECTORS = 3
+
+
 # ----------------------------------------------------------------------
 # Deployment edits
 # ----------------------------------------------------------------------
@@ -25,9 +29,8 @@ def with_new_site(
     lat: float,
     lon: float,
     p_max_dbm: float = 43.0,
-    sectors: int = 3,
 ) -> CellDeployment:
-    """Return a deployment with a new ``sectors``-sector site added."""
+    """Return a deployment with a new :data:`NEW_SITE_SECTORS`-sector site added."""
     next_cell = max(c.cell_id for c in deployment.cells) + 1
     next_site = max(c.site_id for c in deployment.cells) + 1
     new_cells = [
@@ -36,10 +39,10 @@ def with_new_site(
             lat=lat,
             lon=lon,
             p_max_dbm=p_max_dbm,
-            direction_deg=(s * 360.0 / sectors) % 360.0,
+            direction_deg=(s * 360.0 / NEW_SITE_SECTORS) % 360.0,
             site_id=next_site,
         )
-        for s in range(sectors)
+        for s in range(NEW_SITE_SECTORS)
     ]
     return CellDeployment(list(deployment.cells) + new_cells, deployment.frame)
 

@@ -81,10 +81,29 @@ def _fit_tiny_gendt(dataset, split) -> GenDT:
     return model
 
 
+def _trained_state(model: GenDT) -> dict:
+    """Copies of the generator weights and the normalizers' fitted state."""
+    state = {f"generator.{k}": v for k, v in model.generator.state_dict().items()}
+    for name in ("env_normalizer", "target_normalizer"):
+        for key, value in getattr(model, name).state().items():
+            state[f"{name}.{key}"] = np.array(value, copy=True)
+    return state
+
+
 @pytest.fixture(scope="session")
 def trained_gendt(tiny_dataset_a, tiny_split) -> GenDT:
-    """A tiny trained GenDT shared by model/uncertainty/use-case tests."""
-    return _fit_tiny_gendt(tiny_dataset_a, tiny_split)
+    """A tiny trained GenDT shared by model/uncertainty/use-case tests.
+
+    Shared across the session, so no test may train or reload it: what one
+    test leaves would change what the next one sees.  Teardown checks that
+    the weights and normalizers are still the ones ``fit`` left.
+    """
+    model = _fit_tiny_gendt(tiny_dataset_a, tiny_split)
+    before = _trained_state(model)
+    yield model
+    after = _trained_state(model)
+    changed = [k for k in before if not np.array_equal(before[k], after[k])]
+    assert not changed, f"a test changed the shared trained_gendt: {changed}"
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,6 @@ from scipy.spatial import cKDTree
 from repro.context import (
     CellFeatureTransform,
     ContextBuilder,
-    ContextConfig,
     EnvFeatureNormalizer,
     EnvironmentContextExtractor,
     N_CELL_ATTRIBUTES,
@@ -18,7 +17,9 @@ from repro.context import (
     TargetNormalizer,
     window_starts,
 )
-from repro.context.extract import ENV_CELL_M
+from repro.context import extract
+from repro.context.extract import D_S_M, ENV_CELL_M
+from repro.core import GenDTConfig
 from repro.context.normalize import P_MAX_MEAN_DBM, P_MAX_STD_DB
 from repro.geo import LocalFrame, Trajectory, from_waypoints
 from repro.world import POI_CLASSES
@@ -132,7 +133,7 @@ class TestWindowStarts:
 class TestNetworkContext:
     @pytest.fixture(scope="class")
     def extractor(self, small_region):
-        return NetworkContextExtractor(small_region, d_s_m=1500.0)
+        return NetworkContextExtractor(small_region)
 
     def test_distances_shape(self, extractor, sample_trajectory, small_region):
         d = extractor.distances(sample_trajectory)
@@ -143,7 +144,7 @@ class TestNetworkContext:
         cells = extractor.window_cells(distances, 0, 30)
         assert len(cells) > 0
         block = distances[0:30][:, cells]
-        assert (block <= 1500.0).any(axis=0).all()
+        assert (block <= D_S_M).any(axis=0).all()
 
     def test_max_cells_cap(self, extractor, sample_trajectory):
         distances = extractor.distances(sample_trajectory)
@@ -156,11 +157,12 @@ class TestNetworkContext:
         means = distances[0:30][:, cells].mean(axis=0)
         assert np.all(np.diff(means) >= 0)
 
-    def test_coverage_hole_falls_back_to_the_nearest_cell_by_mean(self, small_region):
+    def test_coverage_hole_falls_back_to_the_nearest_cell_by_mean(self, small_region, monkeypatch):
         # No cell within d_s anywhere in the window: the one cell with the
         # smallest mean distance over the window's rows, not the one that
         # comes nearest at a single step (cell 0, at step 0).
-        extractor = NetworkContextExtractor(small_region, d_s_m=0.5)
+        monkeypatch.setattr(extract, "D_S_M", 0.5)
+        extractor = NetworkContextExtractor(small_region)
         distances = np.array([
             [1.0, 40.0, 12.0],
             [30.0, 11.0, 12.0],
@@ -170,8 +172,9 @@ class TestNetworkContext:
         assert extractor.window_cells(distances, 0, 4) == [2]
         assert extractor.window_cells(distances, 1, 4, max_cells=3) == [1]
 
-    def test_coverage_hole_on_a_route(self, small_region, sample_trajectory):
-        extractor = NetworkContextExtractor(small_region, d_s_m=1e-3)
+    def test_coverage_hole_on_a_route(self, small_region, sample_trajectory, monkeypatch):
+        monkeypatch.setattr(extract, "D_S_M", 1e-3)
+        extractor = NetworkContextExtractor(small_region)
         distances = extractor.distances(sample_trajectory)
         assert (distances[:30] > 1e-3).all()
         expected = int(np.argmin(distances[:30].mean(axis=0)))
@@ -190,16 +193,6 @@ class TestNetworkContext:
             static = [cell.lat, cell.lon, cell.p_max_dbm, cell.direction_deg]
             assert np.array_equal(features[:, j, :4], np.tile(static, (20, 1)))
             assert np.array_equal(features[:, j, 4], distances[0:20, idx])
-
-    def test_invalid_ds(self, small_region):
-        with pytest.raises(ValueError):
-            NetworkContextExtractor(small_region, d_s_m=0.0)
-
-    def test_ds_has_no_default(self, small_region):
-        # ``ContextConfig.d_s_m`` is the one default; a second one here
-        # would give a caller who omits it a narrower visible-cell set.
-        with pytest.raises(TypeError):
-            NetworkContextExtractor(small_region)
 
 
 def location_cells(region, trajectory):
@@ -475,7 +468,7 @@ class TestPoiIndexProperties:
 class TestContextBuilder:
     @pytest.fixture(scope="class")
     def builder(self, small_region):
-        return ContextBuilder(small_region, ContextConfig(max_cells=5))
+        return ContextBuilder(small_region, 5)
 
     def test_training_windows(self, builder, sample_record):
         windows = builder.training_windows([sample_record], ["rsrp", "rsrq"], 30, 10)
@@ -509,7 +502,7 @@ class TestContextBuilder:
 
 class TestNormalizers:
     def test_cell_transform_shape(self, small_region, sample_record):
-        builder = ContextBuilder(small_region, ContextConfig(max_cells=5))
+        builder = ContextBuilder(small_region, 5)
         window = builder.training_windows([sample_record], ["rsrp"], 20, 20)[0]
         transform = CellFeatureTransform(small_region.frame)
         out = transform(window)
@@ -521,9 +514,9 @@ class TestNormalizers:
             out[:, :, 5], window.cell_features[:, :, 4] / 1000.0
         )
 
-    @pytest.mark.parametrize("max_cells", [1, ContextConfig().max_cells])
+    @pytest.mark.parametrize("max_cells", [1, GenDTConfig().max_cells])
     def test_cell_transform_bit_equal_to_per_cell_loop(self, small_region, sample_record, max_cells):
-        builder = ContextBuilder(small_region, ContextConfig(max_cells=max_cells))
+        builder = ContextBuilder(small_region, max_cells)
         windows = builder.training_windows([sample_record], ["rsrp"], 25, 5)
         assert {w.n_cells for w in windows} == {max_cells}
         transform = CellFeatureTransform(small_region.frame)

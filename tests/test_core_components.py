@@ -10,7 +10,13 @@ from repro.core import (
     recent_values_matrix,
     small_config,
 )
-from repro.core.networks import AggregationNetwork, Discriminator, GnnNodeNetwork, ResGen
+from repro.core.networks import (
+    RESGEN_AR_WINDOW,
+    AggregationNetwork,
+    Discriminator,
+    GnnNodeNetwork,
+    ResGen,
+)
 from repro import nn
 
 
@@ -30,8 +36,6 @@ class TestConfig:
             GenDTConfig(train_step=0).validate()
         with pytest.raises(ValueError):
             GenDTConfig(lambda_adv=-1.0).validate()
-        with pytest.raises(ValueError):
-            GenDTConfig(resgen_dropout=1.0).validate()
 
     def test_one_shot_allowed(self):
         GenDTConfig(batch_len=None).validate()
@@ -124,7 +128,7 @@ class TestNetworks:
         config = _config()
         net = ResGen(26, 2, config, rng)
         env = nn.Tensor(np.ones((4, 26)))
-        recent = nn.Tensor(np.ones((4, config.resgen_ar_window * 2)))
+        recent = nn.Tensor(np.ones((4, RESGEN_AR_WINDOW * 2)))
         _, mu, log_sigma = net.sample(env, recent)
         assert mu.shape == (4, 2)
         assert log_sigma.shape == (4, 2)
@@ -134,7 +138,7 @@ class TestNetworks:
         config = _config()
         net = ResGen(26, 2, config, rng)
         env = nn.Tensor(np.ones((4, 26)))
-        recent = nn.Tensor(np.zeros((4, config.resgen_ar_window * 2)))
+        recent = nn.Tensor(np.zeros((4, RESGEN_AR_WINDOW * 2)))
         r1, _, _ = net.sample(env, recent, rng)
         r2, _, _ = net.sample(env, recent, rng)
         assert not np.allclose(r1.numpy(), r2.numpy())

@@ -175,6 +175,10 @@ class TestPersistence:
     def test_load_checkpoint_without_kpis_rejected(self, trained_gendt, tmp_path):
         self._load_without(trained_gendt, tmp_path / "gendt.npz", "kpis")
 
+    @pytest.mark.parametrize("key", ["n_env", "env_normalizer", "target_normalizer"])
+    def test_load_checkpoint_without_model_state_rejected(self, trained_gendt, tmp_path, key):
+        self._load_without(trained_gendt, tmp_path / "gendt.npz", key)
+
 
 class TestAblationVariants:
     @pytest.fixture(scope="class")

@@ -134,10 +134,13 @@ class TestTrainerWiring:
         for name, value in state.items():
             assert np.array_equal(value, ref_state[name]), name
 
-    def test_continue_fit_keeps_normalizers(self, trained_gendt, tiny_split):
-        mean_before = trained_gendt.target_normalizer.mean.copy()
-        trained_gendt.continue_fit(tiny_split.train[:1], epochs=1)
-        np.testing.assert_allclose(trained_gendt.target_normalizer.mean, mean_before)
+    def test_continue_fit_keeps_normalizers(self, tiny_dataset_a, tiny_split):
+        config = small_config(epochs=1, hidden_size=8, batch_len=15, train_step=15)
+        model = GenDT(tiny_dataset_a.region, kpis=["rsrp"], config=config, seed=0)
+        model.fit(tiny_split.train)
+        mean_before = model.target_normalizer.mean.copy()
+        model.continue_fit(tiny_split.train[:1], epochs=1)
+        np.testing.assert_allclose(model.target_normalizer.mean, mean_before)
 
     def test_continue_fit_requires_fitted(self, tiny_dataset_a, tiny_split):
         config = small_config(epochs=1, hidden_size=8)

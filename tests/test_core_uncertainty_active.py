@@ -10,6 +10,7 @@ from repro.core import (
     small_config,
     subset_uncertainties,
 )
+from repro.metrics import fraction_used
 
 
 class TestUncertainty:
@@ -104,7 +105,9 @@ class TestActiveLearning:
         assert len(result.steps) == 3
         fractions = result.fractions()
         assert fractions == sorted(fractions)
-        assert fractions[-1] == pytest.approx(3 / 4)
+        # The time-weighted share of §5.1, not a count of subsets.
+        used = [r for step in result.steps for r in subsets[step.chosen_subset]]
+        assert fractions[-1] == pytest.approx(fraction_used(used, [r for s in subsets for r in s]))
         assert all(np.isfinite(v) for v in result.metric_series("mae"))
 
     def test_random_strategy_runs(self, setup):

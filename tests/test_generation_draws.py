@@ -17,6 +17,7 @@ from repro.baselines.fdas import FDaS
 from repro.context.windows import ContextBuilder
 from repro.core import GenDT, GenDTGenerator, mc_dropout_uncertainty, small_config
 from repro.core import generator as generator_module
+from repro.core import networks
 from repro.core.generator import FIRST_STAGE_ROWS
 from repro.core.networks import GnnNodeNetwork, ResGen
 from repro.nn.tensor import Tensor
@@ -202,11 +203,12 @@ def _assert_deterministic_draws_equal_the_single_draw(dataset, split, atol):
     # No denoising noise, no SRNN noise, no ResGen sampling: every draw of the
     # batch is the same deterministic function of the context.
     config = small_config(
-        epochs=1, hidden_size=8, batch_len=20, train_step=10,
-        n_noise_node=0, use_stochastic_layers=False,
+        epochs=1, hidden_size=8, batch_len=20, train_step=10, use_stochastic_layers=False
     )
     model = GenDT(dataset.region, kpis=["rsrp", "rsrq"], config=config, seed=4)
-    model.fit(split.train)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(networks, "N_NOISE_NODE", 0)
+        model.fit(split.train)
     traj = split.test[0].trajectory
     single = model.generate_normalized(traj, first_stage_only=True)["series"]
     stack = model.generate_normalized(traj, n_draws=3, first_stage_only=True)["series"]

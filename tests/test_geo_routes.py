@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.dataset_b import DATASET_B_CITIES
-from repro.geo import CitySpec, RoadNetwork
+from repro.geo import CitySpec, RoadNetwork, routes
 from repro.world.region import _chain_highway_polylines
 from tests.road_graph_reference import reference_graph, reference_highway_polylines
 
@@ -122,7 +122,7 @@ class TestRouteSampling:
         route = single_city_net.random_walk_route(rng, 2000.0, city="solo")
         assert len(route) >= 2000.0 / 250.0
 
-    def test_walk_avoids_immediate_backtrack(self, single_city_net, two_city_net):
+    def test_walk_avoids_immediate_backtrack(self, single_city_net, two_city_net, monkeypatch):
         # An A -> B -> A step is allowed only where B's sole allowed
         # neighbour is A.  Street grids have no such node; walking the
         # highways only, each end of the highway is one.
@@ -134,8 +134,9 @@ class TestRouteSampling:
         highway = ("highway",)
         start = next(n for n in two_city_net.adj
                      if len(allowed_neighbors(two_city_net, n, highway)) == 1)
+        monkeypatch.setattr(routes, "WALK_EDGE_KINDS", highway)
         walks.append((two_city_net, two_city_net.random_walk_route(
-            np.random.default_rng(1), 20000.0, kinds=highway, start_node=start), highway))
+            np.random.default_rng(1), 20000.0, start_node=start), highway))
         backtracks = 0
         for net, route, kinds in walks:
             assert len(set(route)) > 2
@@ -146,21 +147,23 @@ class TestRouteSampling:
         assert backtracks > 0
 
     @pytest.mark.parametrize("kinds", [("street",), ("highway",)])
-    def test_walk_without_city_starts_where_it_can_move(self, two_city_net, kinds):
+    def test_walk_without_city_starts_where_it_can_move(self, two_city_net, kinds, monkeypatch):
         # With no city the start is drawn from the nodes with an edge of an
         # allowed kind: a street walk never starts inside a highway.
+        monkeypatch.setattr(routes, "WALK_EDGE_KINDS", kinds)
         for seed in range(200):
-            route = two_city_net.random_walk_route(np.random.default_rng(seed), 1000.0, kinds=kinds)
+            route = two_city_net.random_walk_route(np.random.default_rng(seed), 1000.0)
             assert len(route) >= 2, seed
             assert {two_city_net.adj[u][v].kind for u, v in zip(route, route[1:])} == set(kinds)
 
-    def test_walk_without_a_road_of_its_kinds_is_refused(self, two_city_net):
+    def test_walk_without_a_road_of_its_kinds_is_refused(self, two_city_net, monkeypatch):
+        monkeypatch.setattr(routes, "WALK_EDGE_KINDS", ("ferry",))
         with pytest.raises(ValueError, match="no road has an edge of kinds"):
-            two_city_net.random_walk_route(np.random.default_rng(0), 1000.0, kinds=("ferry",))
+            two_city_net.random_walk_route(np.random.default_rng(0), 1000.0)
 
     def test_walk_stays_on_streets(self, two_city_net):
         rng = np.random.default_rng(2)
-        route = two_city_net.random_walk_route(rng, 1500.0, city="a", kinds=("street",))
+        route = two_city_net.random_walk_route(rng, 1500.0, city="a")
         for u, v in zip(route[:-1], route[1:]):
             assert two_city_net.adj[u][v].kind == "street"
 

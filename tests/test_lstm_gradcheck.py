@@ -95,14 +95,14 @@ class TestMaskedMeanGradients:
 class TestResGenGradients:
     def test_gains_head_gradient_flows(self):
         from repro.core import small_config
-        from repro.core.networks import ResGen
+        from repro.core.networks import RESGEN_AR_WINDOW, ResGen
 
         rng = np.random.default_rng(4)
         config = small_config(hidden_size=8)
         resgen = ResGen(26, 2, config, rng)
         resgen.eval()  # dropout off for determinism
         env = Tensor(np.ones((3, 26)))
-        recent = Tensor(rng.normal(size=(3, config.resgen_ar_window * 2)))
+        recent = Tensor(rng.normal(size=(3, RESGEN_AR_WINDOW * 2)))
         residual, mu, log_sigma = resgen.sample(env, recent)
         (residual * residual).mean().backward()
         grads = [p.grad for _, p in resgen.named_parameters()]

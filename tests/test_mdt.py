@@ -44,7 +44,7 @@ class TestCampaigns:
 
     def test_crowdsourced_quantized(self, small_region):
         rng = np.random.default_rng(2)
-        samples = crowdsourced_campaign(small_region, rng, n_users=15, quantization_db=2.0)
+        samples = crowdsourced_campaign(small_region, rng, n_users=15)
         assert len(samples) > 0
         remainder = np.abs(samples.value / 2.0 - np.round(samples.value / 2.0))
         assert remainder.max() < 1e-9
@@ -55,9 +55,7 @@ class TestCampaigns:
             small_region, np.random.default_rng(3), n_users=20,
             report_period_s=10.0, participation=0.8, hotspot_bias=0.0,
         )
-        crowd = crowdsourced_campaign(
-            small_region, np.random.default_rng(3), n_users=20, report_period_s=30.0
-        )
+        crowd = crowdsourced_campaign(small_region, np.random.default_rng(3), n_users=20)
         assert len(crowd) < len(mdt)
 
 
@@ -84,9 +82,7 @@ class TestCoverageMap:
         mdt = mdt_campaign(
             small_region, rng, n_users=12, participation=0.5, hotspot_bias=0.9
         )
-        gendt = gendt_coverage_measurements(
-            trained_gendt, small_region, rng, n_routes=8, route_length_m=900.0
-        )
+        gendt = gendt_coverage_measurements(trained_gendt, small_region, rng, n_routes=8)
         map_mdt = build_coverage_map(small_region, mdt, pixel_m=300.0, extent_m=1200.0)
         map_gendt = build_coverage_map(small_region, gendt, pixel_m=300.0, extent_m=1200.0)
         assert map_gendt.fill_fraction >= map_mdt.fill_fraction * 0.8

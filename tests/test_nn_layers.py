@@ -23,11 +23,6 @@ class TestLinear:
         expected = x @ layer.weight.data.T + layer.bias.data
         np.testing.assert_allclose(layer(nn.Tensor(x)).numpy(), expected)
 
-    def test_no_bias(self, layer_rng):
-        layer = nn.Linear(4, 2, layer_rng, bias=False)
-        assert layer.bias is None
-        assert len(layer.parameters()) == 1
-
     def test_3d_input(self, layer_rng):
         layer = nn.Linear(4, 2, layer_rng)
         out = layer(nn.Tensor(np.ones((5, 6, 4))))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.context.normalize import N_CELL_FEATURES
-from repro.core import GenDTConfig, GenDTGenerator, small_config
+from repro.core import GenDTConfig, GenDTGenerator, networks, small_config
 from repro.core.features import ModelBatch
 from repro.nn import NumericalAnomalyError, detect_anomaly
 from repro.nn.tensor import Tensor
@@ -26,11 +26,12 @@ LENGTH = 9
 
 
 def _generator(m: int, p: float, seed: int = 5) -> GenDTGenerator:
-    config = small_config(
-        hidden_size=6, resgen_hidden=(8, 8, 4), resgen_ar_window=m,
-        resgen_dropout=p, max_cells=3,
-    )
-    return GenDTGenerator(N_CH, N_ENV, config, np.random.default_rng(seed))
+    """A small generator whose ResGen has AR window ``m`` and dropout ``p``."""
+    config = small_config(hidden_size=6, resgen_hidden=(8, 8, 4), max_cells=3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(networks, "RESGEN_AR_WINDOW", m)
+        patch.setattr(networks, "RESGEN_DROPOUT", p)
+        return GenDTGenerator(N_CH, N_ENV, config, np.random.default_rng(seed))
 
 
 def _batch(
@@ -154,7 +155,7 @@ def test_rollout_bit_identical_at_paper_size():
     gen_new, gen_ref = (
         GenDTGenerator(4, N_ENV_ATTRIBUTES, config, np.random.default_rng(5)) for _ in range(2)
     )
-    assert config.resgen_hidden == (64, 64, 32) and config.resgen_ar_window == 3
+    assert config.resgen_hidden == (64, 64, 32) and gen_new.resgen.ar_window == 3
     (dropout,) = gen_new.resgen.mlp.dropout_layers
     assert dropout.training and dropout.p == 0.2
     assert gen_new.dtype == np.float32

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import GenDT, small_config
-from repro.runtime import DivergenceError, HealthGuard
-from repro.runtime.guards import LR_BACKOFF, MIN_BASELINE
+from repro.core.training import LR_GENERATOR
+from repro.runtime import DivergenceError, HealthGuard, guards
+from repro.runtime.guards import LR_BACKOFF, MAX_RECOVERIES, MIN_BASELINE
 
 
 CFG = dict(epochs=2, hidden_size=8, batch_len=20, train_step=10, minibatch_windows=16)
@@ -15,11 +16,12 @@ def _fresh_model(dataset):
     return GenDT(dataset.region, kpis=["rsrp"], config=small_config(**CFG), seed=5)
 
 
-class TestGuardConfig:
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            HealthGuard(max_recoveries=-1)
+@pytest.fixture
+def no_rollback_budget(monkeypatch):
+    monkeypatch.setattr(guards, "MAX_RECOVERIES", 0)
 
+
+class TestGuardConfig:
     def test_unknown_fault_kind_rejected(self):
         with pytest.raises(ValueError):
             HealthGuard().inject_fault("meteor_strike", at_step=0)
@@ -27,7 +29,7 @@ class TestGuardConfig:
 
 class TestFaultRecovery:
     def test_nan_loss_recovered(self, tiny_dataset_a, tiny_split):
-        guard = HealthGuard(max_recoveries=3)
+        guard = HealthGuard()
         guard.inject_fault("nan_loss", at_step=2)
         model = _fresh_model(tiny_dataset_a)
         history = model.fit(tiny_split.train, guard=guard)
@@ -42,7 +44,7 @@ class TestFaultRecovery:
         assert np.all(np.isfinite(out))
 
     def test_corrupt_grad_recovered_without_poisoning_params(self, tiny_dataset_a, tiny_split):
-        guard = HealthGuard(max_recoveries=3)
+        guard = HealthGuard()
         guard.inject_fault("corrupt_grad", at_step=1)
         model = _fresh_model(tiny_dataset_a)
         model.fit(tiny_split.train, guard=guard)
@@ -52,23 +54,22 @@ class TestFaultRecovery:
 
     def test_explode_loss_detected_as_divergence(self, tiny_dataset_a, tiny_split):
         # Injected after MIN_BASELINE healthy steps, so the baseline is armed.
-        guard = HealthGuard(max_recoveries=3)
+        guard = HealthGuard()
         guard.inject_fault("explode_loss", at_step=MIN_BASELINE + 1)
         model = _fresh_model(tiny_dataset_a)
         model.fit(tiny_split.train, guard=guard)
         assert [e.kind for e in guard.events] == ["divergence"]
 
     def test_lr_backoff_applied_on_rollback(self, tiny_dataset_a, tiny_split):
-        guard = HealthGuard(max_recoveries=3)
+        guard = HealthGuard()
         guard.inject_fault("nan_loss", at_step=1)
         model = _fresh_model(tiny_dataset_a)
-        lr_before = model.config.lr_generator
         model.fit(tiny_split.train, guard=guard)
-        assert model.trainer.g_optimizer.lr == pytest.approx(lr_before * LR_BACKOFF)
-        assert guard.events[0].lr_after == pytest.approx(lr_before * LR_BACKOFF)
+        assert model.trainer.g_optimizer.lr == pytest.approx(LR_GENERATOR * LR_BACKOFF)
+        assert guard.events[0].lr_after == pytest.approx(LR_GENERATOR * LR_BACKOFF)
 
     def test_multiple_faults_multiple_recoveries(self, tiny_dataset_a, tiny_split):
-        guard = HealthGuard(max_recoveries=5)
+        guard = HealthGuard()
         guard.inject_fault("nan_loss", at_step=1)
         guard.inject_fault("corrupt_grad", at_step=3)
         model = _fresh_model(tiny_dataset_a)
@@ -76,8 +77,9 @@ class TestFaultRecovery:
         assert guard.recoveries == 2
         assert sum(history.recoveries) == 2
 
+    @pytest.mark.usefixtures("no_rollback_budget")
     def test_max_recoveries_exhausted_raises(self, tiny_dataset_a, tiny_split):
-        guard = HealthGuard(max_recoveries=0)
+        guard = HealthGuard()
         guard.inject_fault("nan_loss", at_step=1)
         model = _fresh_model(tiny_dataset_a)
         with pytest.raises(DivergenceError) as excinfo:
@@ -86,17 +88,19 @@ class TestFaultRecovery:
         assert guard.events[-1].action == "fatal"
 
     def test_fatal_after_budget_of_rollbacks(self, tiny_dataset_a, tiny_split):
-        guard = HealthGuard(max_recoveries=2)
-        for step in (1, 2, 3):  # max_recoveries + 1 faults
+        guard = HealthGuard()
+        faults = range(1, MAX_RECOVERIES + 2)  # one fault more than the budget
+        for step in faults:
             guard.inject_fault("nan_loss", at_step=step)
         model = _fresh_model(tiny_dataset_a)
         with pytest.raises(DivergenceError) as excinfo:
             model.fit(tiny_split.train, guard=guard)
-        assert excinfo.value.step == 3
-        assert [e.action for e in guard.events] == ["rollback", "rollback", "fatal"]
+        assert excinfo.value.step == faults[-1]
+        assert [e.action for e in guard.events] == ["rollback"] * MAX_RECOVERIES + ["fatal"]
 
+    @pytest.mark.usefixtures("no_rollback_budget")
     def test_params_left_at_last_good_snapshot_after_fatal(self, tiny_dataset_a, tiny_split):
-        guard = HealthGuard(max_recoveries=0)
+        guard = HealthGuard()
         guard.inject_fault("nan_loss", at_step=1)
         model = _fresh_model(tiny_dataset_a)
         with pytest.raises(DivergenceError):

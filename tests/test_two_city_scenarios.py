@@ -45,9 +45,9 @@ class TestHighwayScenario:
         assert used & highway_cell_ids  # at least one highway cell served
 
     def test_context_covers_highway_stretch(self, two_city_region, highway_record):
-        from repro.context import ContextBuilder, ContextConfig
+        from repro.context import ContextBuilder
 
-        builder = ContextBuilder(two_city_region, ContextConfig(d_s_m=4500.0, max_cells=6))
+        builder = ContextBuilder(two_city_region, 6)
         windows = builder.generation_windows(highway_record.trajectory, 25)
         assert all(w.n_cells >= 1 for w in windows)
 

@@ -32,7 +32,7 @@ class TestServingLoad:
 
 class TestWhatIf:
     def test_new_site(self, small_region):
-        edited = with_new_site(small_region.deployment, 51.5, -0.1, sectors=3)
+        edited = with_new_site(small_region.deployment, 51.5, -0.1)
         assert len(edited) == len(small_region.deployment) + 3
         new_ids = set(edited.cell_ids()) - set(small_region.deployment.cell_ids())
         assert len(new_ids) == 3
